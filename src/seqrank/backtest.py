@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import datetime as dt
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Sequence
 
 import numpy as np
@@ -92,16 +92,7 @@ class BacktestConfig:
             raise ValueError(f"ridge_lambda must be positive, got {self.ridge_lambda}")
 
     def to_json_dict(self) -> dict:
-        return {
-            "mode": self.mode,
-            "strategy": self.strategy,
-            "decile_fraction": self.decile_fraction,
-            "tau": self.tau,
-            "ridge_lambda": self.ridge_lambda,
-            "nbar_input": self.nbar_input,
-            "nbar_membership": self.nbar_membership,
-            "cost_model": self.cost_model,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -348,7 +339,9 @@ def run_backtest(panel: QuotePanel, config: BacktestConfig) -> BacktestReport:
     assets, rebalances to the target weights (paying half-spread cost on
     the weight change at today's quotes), and earns tomorrow's returns on
     those weights. Positions start flat, so the first rebalance pays the
-    full entry cost. Any non-finite forecast aborts the run.
+    full entry cost. Any non-finite forecast aborts the run. The
+    forecaster is not run when nothing reads it: nbar on realised returns
+    with members chosen by posterior.
     """
     d = panel.n_assets
     rets = panel.returns
@@ -357,8 +350,11 @@ def run_backtest(panel: QuotePanel, config: BacktestConfig) -> BacktestReport:
             "panel must provide at least 4 dates: each record needs a next-day "
             "return and the metric block needs 2 records"
         )
-    model = CurdsWheyState(d, config.ridge_lambda, config.tau)
     ranker = RankerState(d, config.tau) if config.strategy == "nbar" else None
+    realised = config.nbar_input == "realised"
+    by_p = config.nbar_membership == "by-p"
+    needs_forecast = ranker is None or not (realised and by_p)
+    model = CurdsWheyState(d, config.ridge_lambda, config.tau) if needs_forecast else None
     zero_cost = config.cost_model == "zero"
     zero_rates = np.zeros(d)
 
@@ -374,14 +370,14 @@ def run_backtest(panel: QuotePanel, config: BacktestConfig) -> BacktestReport:
     for i in range(rets.shape[0] - 1):
         today = panel.dates[i + 1]
         r_today = rets[i]
-        x[1:] = r_today
-        forecast = model.step(x, r_today)
-        scores = forecast.y_tilde
-        if not np.isfinite(scores).all():
-            raise BacktestError(f"non-finite forecast at {today.isoformat()}")
+        if model is not None:
+            x[1:] = r_today
+            scores = model.step(x, r_today).y_tilde
+            if not np.isfinite(scores).all():
+                raise BacktestError(f"non-finite forecast at {today.isoformat()}")
         if ranker is not None:
-            ranker.update(scores if config.nbar_input == "forecasts" else r_today)
-            member_scores = ranker.p if config.nbar_membership == "by-p" else scores
+            ranker.update(r_today if realised else scores)
+            member_scores = ranker.p if by_p else scores
         else:
             member_scores = scores
         long_set, short_set = select_decile(member_scores, config.decile_fraction, config.mode)

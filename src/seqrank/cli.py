@@ -74,7 +74,7 @@ def _sha256(path: Path) -> str:
 
 
 def _json_text(payload: dict) -> str:
-    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+    return json.dumps(payload, sort_keys=True, indent=2, allow_nan=False) + "\n"
 
 
 def _emit(out_dir: Path, files: dict[str, str]) -> list[Path]:

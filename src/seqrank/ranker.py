@@ -1,14 +1,15 @@
 """Sequential ranking of experts from decayed pairwise win statistics.
 
-The state tracks a ``d x d`` matrix ``R`` whose entry ``(i, j)`` is the
-exponentially decayed fraction of steps on which expert ``j`` performed at
-least as well as expert ``i`` (ties count as wins for both sides, and an
-expert always beats itself, so the diagonal equals ``1 - tau**t``
-exactly). Column means of ``R`` normalise into a likelihood vector ``q``,
-and the posterior ``p`` is an exponential smoothing of ``q`` with the same
-decay. Because the win indicator depends only on the ordering of the
-performance vector, the whole state is invariant to positive affine
-rescalings of the input.
+The state keeps ``m``, whose entry ``j`` is the exponentially decayed
+fraction of experts that expert ``j`` performed at least as well as (ties
+count as wins for both sides, and an expert always beats itself): the
+column means of the decayed ``d x d`` pairwise-win matrix, which is never
+formed. After ``t`` steps ``m`` lies in ``[(1 - tau**t) / d, 1 - tau**t]``,
+and on distinct inputs ``sum(m) = (1 - tau**t) * (d + 1) / 2``. ``m``
+normalises into a likelihood vector ``q``, and the posterior ``p`` is an
+exponential smoothing of ``q`` with the same decay. Because the win
+indicator depends only on the ordering of the performance vector, the
+whole state is invariant to positive affine rescalings of the input.
 
 Updates are strictly sequential; a state may be handed between threads
 but never shared mutably.
@@ -22,11 +23,14 @@ from typing import Sequence
 
 import numpy as np
 
+from ._snapshot import snapshot_array, snapshot_count
+
 __all__ = ["RankerState", "RankOutput"]
 
 logger = logging.getLogger(__name__)
 
 _RENORM_LOG_TOLERANCE = 1e-12
+_SNAPSHOT_SUM_TOLERANCE = 1e-9
 
 
 @dataclass(frozen=True)
@@ -55,36 +59,33 @@ class RankerState:
             raise ValueError(f"tau must lie in (0, 1], got {tau}")
         self.d = int(d)
         self.tau = float(tau)
-        self.R = np.zeros((self.d, self.d))
+        self.m = np.zeros(self.d)
         self.p = np.full(self.d, 1.0 / self.d)
-        self.q = np.zeros(self.d)
         self.t = 0
+
+    @property
+    def q(self) -> np.ndarray:
+        """Likelihood: ``m`` normalised to unit sum; uniform while ``m`` is 0, as at ``tau = 1``."""
+        total = float(self.m.sum())
+        return self.m / total if total > 0.0 else np.full(self.d, 1.0 / self.d)
 
     def update(self, performance: Sequence[float] | np.ndarray) -> "RankerState":
         """Fold one performance vector into the win statistics.
 
-        ``wins[i, j]`` indicates ``performance[j] >= performance[i]``;
-        each column of ``R`` decays toward its fresh win column, the
-        column means renormalise into the likelihood ``q``, and the
-        posterior moves a step ``(1 - tau)`` toward ``q``. The posterior
-        is renormalised to unit sum afterwards; anything beyond a
-        machine-epsilon correction is logged.
+        ``m`` decays toward ``c / d`` where ``c_j = #{i : r_i <= r_j}``
+        comes from one sort, and the posterior moves a step ``(1 - tau)``
+        toward the likelihood ``q``. The posterior is renormalised to unit
+        sum afterwards; anything beyond a machine-epsilon correction is
+        logged.
         """
         r = np.asarray(performance, dtype=float)
         if r.shape != (self.d,):
             raise ValueError(f"performance vector must have shape ({self.d},), got {r.shape}")
         if not np.isfinite(r).all():
             raise ValueError("performance vector contains non-finite values")
-        wins = (r[None, :] >= r[:, None]).astype(float)
-        self.R *= self.tau
-        self.R += (1.0 - self.tau) * wins
-        col_mean = self.R.mean(axis=0)
-        total = float(col_mean.sum())
-        if total > 0.0:
-            self.q = col_mean / total
-        else:
-            # tau == 1 leaves R at zero forever; the likelihood stays uniform.
-            self.q = np.full(self.d, 1.0 / self.d)
+        wins = np.searchsorted(np.sort(r), r, side="right")
+        self.m *= self.tau
+        self.m += (1.0 - self.tau) * (wins / self.d)
         self.p = self.tau * self.p + (1.0 - self.tau) * self.q
         norm = float(self.p.sum())
         if abs(norm - 1.0) > _RENORM_LOG_TOLERANCE * self.d:
@@ -120,19 +121,6 @@ class RankerState:
             raise ValueError("every selected posterior is 1; short weights undefined")
         return complement / total
 
-    def ensemble_return(self, next_returns: Sequence[float] | np.ndarray, k: int) -> float:
-        """Posterior-weighted return of the current top ``k`` experts."""
-        r = np.asarray(next_returns, dtype=float)
-        if r.shape != (self.d,):
-            raise ValueError(f"returns vector must have shape ({self.d},), got {r.shape}")
-        if not np.isfinite(r).all():
-            raise ValueError("returns vector contains non-finite values")
-        if not (1 <= k <= self.d):
-            raise ValueError(f"k must lie in [1, {self.d}], got {k}")
-        top = self.rank().order[:k]
-        weights = self.p[top] / self.p[top].sum()
-        return float(r[top] @ weights)
-
     def _validate_members(self, members: Sequence[int]) -> np.ndarray:
         idx = np.asarray(list(members), dtype=int)
         if idx.size == 0:
@@ -149,21 +137,28 @@ class RankerState:
             "d": self.d,
             "tau": self.tau,
             "t": self.t,
-            "win_matrix": self.R.tolist(),
+            "win_mean": self.m.tolist(),
             "posterior": self.p.tolist(),
-            "likelihood": self.q.tolist(),
         }
 
     @classmethod
     def from_json_dict(cls, payload: dict) -> "RankerState":
+        """Load and validate a snapshot; one with a ``win_matrix`` loads as its column means."""
         state = cls(payload["d"], payload["tau"])
-        R = np.asarray(payload["win_matrix"], dtype=float)
-        p = np.asarray(payload["posterior"], dtype=float)
-        q = np.asarray(payload["likelihood"], dtype=float)
-        if R.shape != (state.d, state.d) or p.shape != (state.d,) or q.shape != (state.d,):
-            raise ValueError("snapshot arrays do not match the declared dimension")
-        state.R = R
+        d = state.d
+        if "win_mean" in payload:
+            m = snapshot_array(payload, "win_mean", (d,))
+        else:
+            m = snapshot_array(payload, "win_matrix", (d, d)).mean(axis=0)
+        if m.min() < 0.0 or m.max() > 1.0:
+            raise ValueError("snapshot field win_mean must lie in [0, 1]")
+        p = snapshot_array(payload, "posterior", (d,))
+        if p.min() < 0.0:
+            raise ValueError("snapshot field posterior must be non-negative")
+        if abs(float(p.sum()) - 1.0) > _SNAPSHOT_SUM_TOLERANCE:
+            raise ValueError(f"snapshot field posterior must sum to 1, got {float(p.sum())!r}")
+        state.m = m
         state.p = p
-        state.q = q
-        state.t = int(payload["t"])
+        state.t = snapshot_count("t", payload["t"])
         return state
+

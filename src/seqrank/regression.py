@@ -28,6 +28,8 @@ from typing import Sequence
 
 import numpy as np
 
+from ._snapshot import snapshot_array, snapshot_count
+
 __all__ = ["CurdsWheyState", "Forecast", "batch_ridge", "batch_shrinkage"]
 
 logger = logging.getLogger(__name__)
@@ -153,6 +155,7 @@ class CurdsWheyState:
 
     @classmethod
     def from_json_dict(cls, payload: dict) -> "CurdsWheyState":
+        """Load a snapshot; every matrix must have its shape and be finite."""
         state = cls(payload["d"], payload["ridge_lambda"], payload["tau"])
         d = state.d
         arrays = {
@@ -164,13 +167,10 @@ class CurdsWheyState:
             "y_prev": (d,),
         }
         for name, shape in arrays.items():
-            value = np.asarray(payload[name], dtype=float)
-            if value.shape != shape:
-                raise ValueError(f"snapshot field {name} must have shape {shape}, got {value.shape}")
-            setattr(state, name, value)
-        state.t = int(payload["t"])
-        state.p_resets = int(payload.get("p_resets", 0))
-        state.q_resets = int(payload.get("q_resets", 0))
+            setattr(state, name, snapshot_array(payload, name, shape))
+        state.t = snapshot_count("t", payload["t"])
+        state.p_resets = snapshot_count("p_resets", payload.get("p_resets", 0))
+        state.q_resets = snapshot_count("q_resets", payload.get("q_resets", 0))
         return state
 
 

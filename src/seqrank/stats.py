@@ -31,8 +31,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.stats import f as f_dist
-from scipy.stats import t as t_dist
 
 from .timeseries import QuotePanel
 
@@ -229,6 +227,8 @@ def levene_test(groups: Sequence[Sequence[float]], alpha: float = 0.05) -> Leven
     dof_between = k - 1
     dof_within = total - k
     w_stat = (dof_within / dof_between) * between / within
+    # scipy takes about a second to import and only the two tests need it
+    from scipy.stats import f as f_dist
     critical = float(f_dist.ppf(1.0 - alpha, dof_between, dof_within))
     return LeveneResult(
         w_stat=float(w_stat),
@@ -269,8 +269,12 @@ def welch_t_test(
     se2 = va / n1 + vb / n2
     if se2 == 0.0:
         raise DegenerateDataError("both samples are constant; t statistic undefined")
+    dof_denominator = (va / n1) ** 2 / (n1 - 1) + (vb / n2) ** 2 / (n2 - 1)
+    if dof_denominator == 0.0:
+        raise DegenerateDataError("sample variances underflow; Welch degrees of freedom undefined")
     t_stat = (float(xa.mean()) - float(xb.mean())) / float(np.sqrt(se2))
-    dof = se2**2 / ((va / n1) ** 2 / (n1 - 1) + (vb / n2) ** 2 / (n2 - 1))
+    dof = se2**2 / dof_denominator
+    from scipy.stats import t as t_dist
     tail = alpha if sidedness == "one-sided" else alpha / 2.0
     critical = float(t_dist.ppf(1.0 - tail, dof))
     return TTestResult(
@@ -290,10 +294,6 @@ class MonthGroup:
     count: int
     mean: float
     var: float
-
-    @property
-    def key(self) -> tuple[int, int]:
-        return (self.year, self.month)
 
     @property
     def label(self) -> str:
@@ -351,8 +351,9 @@ class ShiftRejection:
     n_rejections: int
 
     @property
-    def frequency(self) -> float:
-        return self.n_rejections / self.n_tests if self.n_tests else float("nan")
+    def frequency(self) -> float | None:
+        """Share of tests rejected; None when the shift has no tests."""
+        return self.n_rejections / self.n_tests if self.n_tests else None
 
     def to_json_dict(self) -> dict:
         return {
@@ -598,9 +599,9 @@ def render_report_table(report: StationarityReport) -> str:
     lines.append("")
     lines.append("rejection frequency of equal monthly means, by month shift:")
     for item in report.rejection_by_shift:
+        frequency = "n/a" if item.frequency is None else f"{item.frequency:.4f}"
         lines.append(
-            f"  shift {item.shift:>2}: {item.frequency:7.4f} "
-            f"({item.n_rejections}/{item.n_tests})"
+            f"  shift {item.shift:>2}: {frequency:>7} ({item.n_rejections}/{item.n_tests})"
         )
     if report.price_nonstationary_fraction is not None:
         lines.append(

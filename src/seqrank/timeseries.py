@@ -28,7 +28,6 @@ __all__ = [
     "QuotePanel",
     "JumpDiffusionConfig",
     "mid_price",
-    "simple_return",
     "half_spread_rate",
     "build_panel",
     "simulate_jump_diffusion",
@@ -47,13 +46,6 @@ def mid_price(bid: float, ask: float) -> float:
     if ask < bid:
         raise ValueError(f"ask must be >= bid, got bid={bid} ask={ask}")
     return 0.5 * (bid + ask)
-
-
-def simple_return(mid_now: float, mid_prev: float) -> float:
-    """One-period simple return ``mid_now / mid_prev - 1``."""
-    if not (mid_now > 0.0 and mid_prev > 0.0):
-        raise ValueError(f"prices must be positive, got {mid_now} and {mid_prev}")
-    return mid_now / mid_prev - 1.0
 
 
 def half_spread_rate(bid: float, ask: float) -> float:
@@ -82,10 +74,6 @@ class Quote:
             raise ValueError(
                 f"ask must be >= bid on {self.date}, got bid={self.bid} ask={self.ask}"
             )
-
-    @property
-    def mid(self) -> float:
-        return mid_price(self.bid, self.ask)
 
 
 @dataclass(frozen=True, eq=False)

@@ -290,6 +290,34 @@ class TestRunBacktest:
         gross_fc = [rec.gross_return for rec in by_fc.records]
         assert gross_p != gross_fc  # smoothed posterior and raw forecasts disagree
 
+    def test_forecaster_runs_only_when_read(self, noisy_panel, monkeypatch):
+        from seqrank import CurdsWheyState
+
+        def refuse(self, x_t, y_t):
+            raise AssertionError("forecaster stepped")
+
+        step = CurdsWheyState.step
+        monkeypatch.setattr(CurdsWheyState, "step", refuse)
+        realised = BacktestConfig(strategy="nbar", nbar_input="realised", nbar_membership="by-p")
+        report = run_backtest(noisy_panel, realised)
+        assert len(report.records) == noisy_panel.returns.shape[0] - 1
+
+        calls = []
+
+        def counted(self, x_t, y_t):
+            calls.append(self.t)
+            return step(self, x_t, y_t)
+
+        monkeypatch.setattr(CurdsWheyState, "step", counted)
+        for config in (
+            BacktestConfig(strategy="curds-whey"),
+            BacktestConfig(strategy="nbar", nbar_input="forecasts"),
+            BacktestConfig(strategy="nbar", nbar_input="realised", nbar_membership="by-forecast"),
+        ):
+            calls.clear()
+            run_backtest(noisy_panel, config)
+            assert len(calls) == noisy_panel.returns.shape[0] - 1
+
     def test_overflowing_panel_halts_with_diagnostic(self):
         from seqrank import BacktestError
 

@@ -2,12 +2,15 @@
 
 import json
 import math
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import seqrank
 from seqrank import load_csv, write_csv
 from seqrank.cli import main
 
@@ -85,6 +88,21 @@ class TestStationarity:
         report = json.loads((tmp_path / "stationarity.json").read_text())["report"]
         assert report["price_nonstationary_fraction"] >= 0.6
         assert report["return_stationary_fraction"] == 1.0
+
+    def test_shift_without_tests_writes_strict_json(self, tmp_path):
+        # 30-observation months are rare enough that some shifts get no test
+        path = synth(tmp_path, **{"--steps": 300, "--assets": 3})
+        assert run_cli("stationarity", path, "--min-month-obs", 30, "--out-dir", tmp_path) == 0
+
+        def reject_constant(name):
+            raise ValueError(f"non-standard JSON constant {name}")
+
+        text = (tmp_path / "stationarity.json").read_text()
+        report = json.loads(text, parse_constant=reject_constant)["report"]
+        empty = [item for item in report["rejection_by_shift"] if item["tests"] == 0]
+        assert empty and all(item["frequency"] is None for item in empty)
+        table = (tmp_path / "stationarity.txt").read_text()
+        assert f"shift {empty[0]['shift']:>2}:     n/a (0/0)" in table
 
     def test_missing_file(self, tmp_path, capsys):
         code = run_cli("stationarity", tmp_path / "absent.csv", "--out-dir", tmp_path)
@@ -182,6 +200,16 @@ class TestEntryPoint:
         )
         assert result.returncode == 0, result.stderr
         assert (tmp_path / "panel.csv").exists()
+
+    def test_import_leaves_scipy_unloaded(self):
+        src = Path(seqrank.__file__).resolve().parents[1]
+        result = subprocess.run(
+            [sys.executable, "-c",
+             "import sys, seqrank, seqrank.cli; print('scipy' in sys.modules)"],
+            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(src)},
+        )
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.strip() == "False"
 
     def test_version_flag(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -18,11 +18,42 @@ def traced_state():
     return RankerState(3, 0.5).update([0.3, 0.1, 0.2])
 
 
+def matrix_reference(series, tau):
+    """The d x d pairwise-win recursion whose column means the ranker keeps.
+
+    ``R[i, j]`` decays toward the indicator ``r_j >= r_i``; yields ``R`` and
+    the posterior after every step.
+    """
+    d = series.shape[1]
+    R = np.zeros((d, d))
+    p = np.full(d, 1.0 / d)
+    for r in series:
+        wins = (r[None, :] >= r[:, None]).astype(float)
+        R *= tau
+        R += (1.0 - tau) * wins
+        col_mean = R.mean(axis=0)
+        total = float(col_mean.sum())
+        q = col_mean / total if total > 0.0 else np.full(d, 1.0 / d)
+        p = tau * p + (1.0 - tau) * q
+        p /= p.sum()
+        yield R, p
+
+
+def win_mean_bounds_and_sum(state, distinct=True):
+    """Largest violations of the bounds on ``m`` and of its sum identity."""
+    decayed = 1.0 - state.tau**state.t
+    below = max(0.0, float((decayed / state.d - state.m).max()))
+    above = max(0.0, float((state.m - decayed).max()))
+    sum_err = abs(float(state.m.sum()) - decayed * (state.d + 1) / 2) if distinct else 0.0
+    return max(below, above), sum_err
+
+
 class TestInit:
     def test_uniform_prior(self):
         state = RankerState(3, 0.999)
         assert np.array_equal(state.p, np.full(3, 1.0 / 3.0))
-        assert np.array_equal(state.R, np.zeros((3, 3)))
+        assert np.array_equal(state.m, np.zeros(3))
+        assert np.array_equal(state.q, np.full(3, 1.0 / 3.0))
         assert state.t == 0
 
     def test_two_experts(self):
@@ -38,7 +69,10 @@ class TestUpdate:
     def test_hand_trace_win_matrix(self):
         state = traced_state()
         expected_R = np.array([[0.5, 0.0, 0.0], [0.5, 0.5, 0.5], [0.5, 0.0, 0.5]])
-        assert np.allclose(state.R, expected_R, atol=1e-15)
+        R, _ = next(matrix_reference(np.array([[0.3, 0.1, 0.2]]), 0.5))
+        assert np.allclose(R, expected_R, atol=1e-15)
+        assert np.allclose(state.m, [1 / 2, 1 / 6, 1 / 3], atol=1e-15)
+        assert np.allclose(state.m, R.mean(axis=0), atol=1e-15)
         assert np.allclose(state.q, [1 / 2, 1 / 6, 1 / 3], atol=1e-15)
 
     def test_hand_trace_posterior(self):
@@ -63,9 +97,11 @@ class TestUpdate:
         tau = 0.9
         state = RankerState(3, tau)
         rng = np.random.default_rng(1)
-        for t in range(1, 200):
+        for _ in range(199):
             state.update(rng.normal(size=3))
-            assert np.allclose(state.R.diagonal(), 1.0 - tau**t, atol=1e-12)
+            bound_err, sum_err = win_mean_bounds_and_sum(state)
+            assert bound_err <= 1e-12
+            assert sum_err < 1e-12
 
     def test_rejects_bad_input(self):
         state = RankerState(3, 0.9)
@@ -82,7 +118,7 @@ class TestUpdate:
             assert abs(state.p.sum() - 1.0) < 1e-9
             assert abs(state.q.sum() - 1.0) < 1e-12
             assert state.p.min() >= 0.0
-            assert state.R.min() >= 0.0 and state.R.max() <= 1.0
+            assert win_mean_bounds_and_sum(state, distinct=False)[0] <= 1e-12
 
     @given(vec=perf_vectors, scale=st.floats(min_value=0.1, max_value=50),
            shift=st.floats(min_value=-100, max_value=100))
@@ -121,6 +157,28 @@ class TestUpdate:
             ranked = state.rank()
             assert ranked.order[0] == 2
             assert state.p[2] > np.delete(state.p, 2).max()
+
+
+class TestMatrixReference:
+    @pytest.mark.parametrize(
+        "series",
+        [
+            np.random.default_rng(3).standard_normal((2000, 50)),
+            # integers in a narrow range tie on nearly every step
+            np.random.default_rng(4).integers(-3, 4, size=(2000, 50)).astype(float),
+        ],
+        ids=["continuous", "integer-ties"],
+    )
+    def test_matches_matrix_recursion(self, series):
+        state = RankerState(series.shape[1], 0.99)
+        worst_p = worst_m = 0.0
+        for (R, p), row in zip(matrix_reference(series, 0.99), series):
+            state.update(row)
+            worst_p = max(worst_p, float(np.abs(state.p - p).max()))
+            worst_m = max(worst_m, float(np.abs(state.m - R.mean(axis=0)).max()))
+            assert np.array_equal(state.rank().order, np.argsort(-p, kind="stable"))
+        assert worst_p <= 1e-14
+        assert worst_m <= 1e-14
 
 
 class TestRank:
@@ -179,28 +237,6 @@ class TestWeights:
         assert state.short_weights([0, 2, 7]).sum() == pytest.approx(1.0, abs=1e-12)
 
 
-class TestEnsembleReturn:
-    def test_uniform_full_set_is_mean(self):
-        state = RankerState(4, 0.9)
-        returns = [0.01, 0.02, 0.03, 0.04]
-        assert state.ensemble_return(returns, 4) == pytest.approx(np.mean(returns), abs=1e-15)
-
-    def test_top_pick(self):
-        state = traced_state()
-        assert state.ensemble_return([0.5, -0.5, 0.1], 1) == pytest.approx(0.5)
-
-    def test_hand_trace_top_two(self):
-        assert traced_state().ensemble_return([0.01, 0.02, 0.03], 2) == pytest.approx(
-            17.0 / 900.0, abs=1e-15
-        )
-
-    def test_k_domain(self):
-        with pytest.raises(ValueError):
-            traced_state().ensemble_return([0.1, 0.1, 0.1], 0)
-        with pytest.raises(ValueError):
-            traced_state().ensemble_return([0.1, 0.1, 0.1], 4)
-
-
 class TestSerialisation:
     def test_round_trip_resumes_identically(self):
         rng = np.random.default_rng(5)
@@ -216,10 +252,53 @@ class TestSerialisation:
             resumed.update(row)
         assert resumed.t == full.t
         assert np.array_equal(resumed.p, full.p)
-        assert np.array_equal(resumed.R, full.R)
+        assert np.array_equal(resumed.m, full.m)
+
+    def test_snapshot_keys(self):
+        payload = traced_state().to_json_dict()
+        assert set(payload) == {"d", "tau", "t", "win_mean", "posterior"}
+
+    def test_loads_win_matrix_snapshot_as_column_means(self):
+        series = np.random.default_rng(6).normal(size=(30, 4))
+        state = RankerState(4, 0.95)
+        for row in series:
+            state.update(row)
+        *_, (R, p) = matrix_reference(series, 0.95)
+        legacy = {
+            "d": 4, "tau": 0.95, "t": 30, "win_matrix": R.tolist(),
+            "posterior": p.tolist(), "likelihood": (R.mean(axis=0) / R.mean(axis=0).sum()).tolist(),
+        }
+        loaded = RankerState.from_json_dict(json.loads(json.dumps(legacy)))
+        assert loaded.t == 30
+        assert np.array_equal(loaded.m, R.mean(axis=0))
+        assert np.allclose(loaded.m, state.m, atol=1e-15)
+        assert np.array_equal(loaded.p, p)
 
     def test_shape_validation(self):
         payload = RankerState(3, 0.9).to_json_dict()
         payload["posterior"] = [0.5, 0.5]
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="posterior must have shape"):
+            RankerState.from_json_dict(payload)
+
+    @pytest.mark.parametrize(
+        "field,value,message",
+        [
+            ("win_mean", [0.5, 0.5], "win_mean must have shape"),
+            ("posterior", [0.5, float("nan"), 0.5], "posterior contains non-finite"),
+            ("win_mean", [0.1, float("inf"), 0.1], "win_mean contains non-finite"),
+            ("posterior", [0.6, 0.6, -0.2], "posterior must be non-negative"),
+            ("posterior", [0.5, 0.3, 0.3], "posterior must sum to 1"),
+            ("win_mean", [0.1, 1.5, 0.1], r"win_mean must lie in \[0, 1\]"),
+            ("win_mean", [0.1, -0.1, 0.1], r"win_mean must lie in \[0, 1\]"),
+            ("win_matrix", [[0.1, 2.0, 0.1]] * 3, r"win_mean must lie in \[0, 1\]"),
+            ("win_matrix", [[0.1, 0.1]] * 3, "win_matrix must have shape"),
+            ("t", -1, "t must be >= 0"),
+        ],
+    )
+    def test_snapshot_validation(self, field, value, message):
+        payload = traced_state().to_json_dict()
+        if field == "win_matrix":
+            del payload["win_mean"]
+        payload[field] = value
+        with pytest.raises(ValueError, match=message):
             RankerState.from_json_dict(payload)

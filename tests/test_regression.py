@@ -214,6 +214,27 @@ class TestHygiene:
         assert np.array_equal(resumed.phi, full.phi)
         assert np.array_equal(resumed.Q, full.Q)
 
+    @pytest.mark.parametrize(
+        "field,value,message",
+        [
+            ("theta", [[0.0, 0.0, 0.0]], "theta must have shape"),
+            ("P", [[1.0, 0.0, 0.0], [0.0, float("nan"), 0.0], [0.0, 0.0, 1.0]], "P contains non-finite"),
+            ("phi", [[0.0, float("inf")], [0.0, 0.0]], "phi contains non-finite"),
+            ("Q", [[1.0, 0.0], [0.0, float("-inf")]], "Q contains non-finite"),
+            ("theta", [[0.0, float("nan"), 0.0]] * 2, "theta contains non-finite"),
+            ("x_prev", [1.0, float("nan"), 0.0], "x_prev contains non-finite"),
+            ("y_prev", [float("inf"), 0.0], "y_prev contains non-finite"),
+            ("t", -1, "t must be >= 0"),
+            ("p_resets", -2, "p_resets must be >= 0"),
+            ("q_resets", -1, "q_resets must be >= 0"),
+        ],
+    )
+    def test_snapshot_validation(self, field, value, message):
+        payload = CurdsWheyState(2, 1.0, 0.999).to_json_dict()
+        payload[field] = value
+        with pytest.raises(ValueError, match=message):
+            CurdsWheyState.from_json_dict(payload)
+
 
 class TestBatchSolvers:
     def test_zero_targets(self):

@@ -15,7 +15,6 @@ from seqrank import (
     half_spread_rate,
     load_csv,
     mid_price,
-    simple_return,
     simulate_jump_diffusion,
     weekday_range,
     write_csv,
@@ -40,19 +39,6 @@ class TestQuoteArithmetic:
     def test_mid_domain(self, bid, ask):
         with pytest.raises(ValueError):
             mid_price(bid, ask)
-
-    def test_return_flat(self):
-        assert simple_return(100.0, 100.0) == 0.0
-
-    def test_return_up_down(self):
-        assert simple_return(110.0, 100.0) == pytest.approx(0.10, abs=1e-15)
-        assert simple_return(90.0, 100.0) == pytest.approx(-0.10, abs=1e-15)
-
-    def test_return_domain(self):
-        with pytest.raises(ValueError):
-            simple_return(0.0, 100.0)
-        with pytest.raises(ValueError):
-            simple_return(100.0, -1.0)
 
     def test_half_spread_examples(self):
         assert half_spread_rate(100.0, 100.0) == 0.0
