@@ -31,12 +31,9 @@ from .stats import (
 )
 from .timeseries import (
     JumpDiffusionConfig,
-    Quote,
     QuotePanel,
     build_panel,
-    half_spread_rate,
     load_csv,
-    mid_price,
     simulate_jump_diffusion,
     weekday_range,
     write_csv,
@@ -72,12 +69,9 @@ __all__ = [
     "monthly_stationarity_report",
     "welch_t_test",
     "JumpDiffusionConfig",
-    "Quote",
     "QuotePanel",
     "build_panel",
-    "half_spread_rate",
     "load_csv",
-    "mid_price",
     "simulate_jump_diffusion",
     "weekday_range",
     "write_csv",

@@ -5,8 +5,10 @@ write their outputs under ``--out-dir``. Every JSON report embeds a run
 manifest (command, resolved config, input digests, seed, tool version) so
 identical manifests imply identical outputs; nothing volatile such as a
 wall-clock timestamp goes into the files, which keeps repeated runs byte
-identical. Exit code 0 means every output was fully written; on failure
-partial outputs are removed.
+identical. Exit code 0 means every output was fully written. Outputs are
+written to temporary files and renamed into place only once all of them
+are complete, so a failed or killed run leaves no partial output under an
+output's name.
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ import datetime as dt
 import hashlib
 import json
 import logging
+import os
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -78,19 +81,24 @@ def _json_text(payload: dict) -> str:
 
 
 def _emit(out_dir: Path, files: dict[str, str]) -> list[Path]:
-    """Write all outputs, removing everything written if any write fails."""
+    """Write every output to a temporary file in ``out_dir``, then rename
+    them all into place. If anything fails first, the temporary files are
+    removed and no file under an output name has been touched."""
     out_dir.mkdir(parents=True, exist_ok=True)
-    written: list[Path] = []
+    staged: list[tuple[Path, Path]] = []
     try:
         for name, text in files.items():
-            path = out_dir / name
-            path.write_text(text, encoding="utf-8", newline="")
-            written.append(path)
-    except OSError:
-        for path in written:
-            path.unlink(missing_ok=True)
+            temporary = out_dir / f".{name}.{os.urandom(6).hex()}.tmp"
+            with temporary.open("x", encoding="utf-8", newline="") as handle:
+                staged.append((temporary, out_dir / name))
+                handle.write(text)
+        for temporary, path in staged:
+            temporary.replace(path)
+    except BaseException:
+        for temporary, _ in staged:
+            temporary.unlink(missing_ok=True)
         raise
-    return written
+    return [path for _, path in staged]
 
 
 def _cmd_synth(args: argparse.Namespace) -> int:

@@ -15,20 +15,23 @@ platform.
 
 from __future__ import annotations
 
-import csv
 import datetime as dt
+import re
 from dataclasses import dataclass, field
+from itertools import chain, repeat
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import TYPE_CHECKING, Mapping
 
 import numpy as np
 
+from ._csvread import CSV_COLUMNS, distinct, read_columns
+
+if TYPE_CHECKING:
+    from numpy.typing import ArrayLike
+
 __all__ = [
-    "Quote",
     "QuotePanel",
     "JumpDiffusionConfig",
-    "mid_price",
-    "half_spread_rate",
     "build_panel",
     "simulate_jump_diffusion",
     "weekday_range",
@@ -36,44 +39,8 @@ __all__ = [
     "write_csv",
 ]
 
-CSV_COLUMNS = ("date", "asset", "bid", "ask")
-
-
-def mid_price(bid: float, ask: float) -> float:
-    """Midpoint of a bid/ask pair. Requires ``ask >= bid > 0``."""
-    if not (bid > 0.0):
-        raise ValueError(f"bid must be positive, got {bid}")
-    if ask < bid:
-        raise ValueError(f"ask must be >= bid, got bid={bid} ask={ask}")
-    return 0.5 * (bid + ask)
-
-
-def half_spread_rate(bid: float, ask: float) -> float:
-    """Half the bid/ask spread expressed as a fraction of the mid price.
-
-    This is the cost rate paid per unit of position change by a price
-    taker, so it composes directly with weight changes in return space.
-    """
-    return 0.5 * (ask - bid) / mid_price(bid, ask)
-
-
-@dataclass(frozen=True)
-class Quote:
-    """A single dated bid/ask observation."""
-
-    date: dt.date
-    bid: float
-    ask: float
-
-    def __post_init__(self) -> None:
-        if not (np.isfinite(self.bid) and np.isfinite(self.ask)):
-            raise ValueError(f"non-finite quote on {self.date}")
-        if not (self.bid > 0.0):
-            raise ValueError(f"bid must be positive on {self.date}, got {self.bid}")
-        if self.ask < self.bid:
-            raise ValueError(
-                f"ask must be >= bid on {self.date}, got bid={self.bid} ask={self.ask}"
-            )
+# A label that would not survive a write/load cycle of the CSV.
+_UNSAFE_LABEL = re.compile(r'[,"\r\n]|^\s|\s$')
 
 
 @dataclass(frozen=True, eq=False)
@@ -145,44 +112,62 @@ class QuotePanel:
 
 
 def build_panel(
-    streams: Mapping[str, Sequence[Quote]],
+    dates: ArrayLike,
+    assets: ArrayLike,
+    bids: ArrayLike,
+    asks: ArrayLike,
     sectors: Mapping[str, str] | None = None,
 ) -> QuotePanel:
-    """Align per-asset quote streams on the intersection of their dates.
+    """Pivot long-form quotes, one entry per (date, asset) pair, into a panel.
 
-    Dates missing from any stream are dropped entirely rather than filled,
-    so every retained row is a real quote for every asset. Assets are
-    ordered lexicographically, which makes construction insensitive to the
-    order streams are supplied in. Fails if fewer than three shared dates
-    remain (two returns are the minimum anything downstream can use).
+    ``dates`` holds anything numpy reads as ``datetime64[D]`` (``date``
+    objects, ISO strings), ``assets`` the labels, and ``bids``/``asks`` the
+    prices, all of one length and in any order. ``sectors`` maps each asset
+    to its label. Rows are placed by (date index, asset index). Dates that
+    some asset lacks are dropped entirely rather than filled, so every
+    retained row is a real quote for every asset. Assets are ordered
+    lexicographically. Fails on a repeated (date, asset) pair, or if fewer
+    than three shared dates remain (two returns are the minimum anything
+    downstream can use).
     """
-    if len(streams) < 2:
-        raise ValueError(f"need at least 2 asset streams, got {len(streams)}")
-    names = sorted(streams)
-    by_asset: dict[str, dict[dt.date, Quote]] = {}
-    shared: set[dt.date] | None = None
-    for name in names:
-        quotes = list(streams[name])
-        for prev, cur in zip(quotes, quotes[1:]):
-            if cur.date <= prev.date:
-                raise ValueError(f"stream {name!r} is not strictly date-sorted")
-        by_asset[name] = {q.date: q for q in quotes}
-        shared = set(by_asset[name]) if shared is None else shared & set(by_asset[name])
-    assert shared is not None
-    dates = tuple(sorted(shared))
-    if len(dates) < 3:
+    day = np.asarray(dates, dtype="datetime64[D]")
+    labels, asset_index = distinct(np.asarray(assets, dtype=str))
+    names = labels.tolist()
+    bids = np.asarray(bids, dtype=float)
+    asks = np.asarray(asks, dtype=float)
+    if not (day.ndim == 1 and day.shape == asset_index.shape == bids.shape == asks.shape):
+        raise ValueError("dates, assets, bids and asks must be 1-D and of equal length")
+    d = len(names)
+    if d < 2:
+        raise ValueError(f"need quotes for at least 2 assets, got {d}")
+    days, date_index = np.unique(day, return_inverse=True)
+    # cells sort date-major, so the cells of the shared dates form the panel row by row
+    keys = date_index * d + asset_index
+    cells, first = np.unique(keys, return_index=True)
+    if cells.size < keys.size:
+        keys.sort()
+        pair = keys[1:][keys[1:] == keys[:-1]][0]
         raise ValueError(
-            f"streams share only {len(dates)} dates; at least 3 are required"
+            f"duplicate (date, asset) pair ({days[pair // d]}, {names[pair % d]})"
         )
-    bids = np.array([[by_asset[a][day].bid for a in names] for day in dates])
-    asks = np.array([[by_asset[a][day].ask for a in names] for day in dates])
+    shared = np.bincount(cells // d, minlength=days.size) == d
+    n = int(shared.sum())
+    if n < 3:
+        raise ValueError(f"assets share only {n} dates; at least 3 are required")
+    rows = first[shared[cells // d]]
     sector_tuple = None
     if sectors is not None:
         missing = [a for a in names if a not in sectors]
         if missing:
             raise ValueError(f"sector labels missing for assets: {missing}")
         sector_tuple = tuple(sectors[a] for a in names)
-    return QuotePanel(dates=dates, assets=tuple(names), bids=bids, asks=asks, sectors=sector_tuple)
+    return QuotePanel(
+        dates=tuple(days[shared].tolist()),
+        assets=tuple(names),
+        bids=bids[rows].reshape(n, d),
+        asks=asks[rows].reshape(n, d),
+        sectors=sector_tuple,
+    )
 
 
 def weekday_range(start: dt.date, count: int) -> tuple[dt.date, ...]:
@@ -312,23 +297,26 @@ def write_csv(panel: QuotePanel, path: str | Path) -> None:
 
 
 def render_csv(panel: QuotePanel) -> str:
+    labels = panel.assets + (panel.sectors or ())
+    unsafe = sorted({label for label in labels if _UNSAFE_LABEL.search(label)})
+    if unsafe:
+        raise ValueError(
+            f"labels must not contain ',', '\"', CR or LF, nor start or end with "
+            f"whitespace: {unsafe}"
+        )
     header = list(CSV_COLUMNS) + ["mid"]
+    d = panel.n_assets
+    columns = [
+        chain.from_iterable(repeat(day.isoformat(), d) for day in panel.dates),
+        chain.from_iterable(repeat(panel.assets, panel.n_dates)),
+        map(repr, panel.bids.ravel().tolist()),
+        map(repr, panel.asks.ravel().tolist()),
+        map(repr, panel.mids.ravel().tolist()),
+    ]
     if panel.sectors is not None:
         header.append("sector")
-    lines = [",".join(header)]
-    for i, day in enumerate(panel.dates):
-        for j, asset in enumerate(panel.assets):
-            row = [
-                day.isoformat(),
-                asset,
-                repr(float(panel.bids[i, j])),
-                repr(float(panel.asks[i, j])),
-                repr(float(panel.mids[i, j])),
-            ]
-            if panel.sectors is not None:
-                row.append(panel.sectors[j])
-            lines.append(",".join(row))
-    return "\n".join(lines) + "\n"
+        columns.append(chain.from_iterable(repeat(panel.sectors, panel.n_dates)))
+    return "\n".join(chain([",".join(header)], map(",".join, zip(*columns)))) + "\n"
 
 
 def load_csv(path: str | Path) -> QuotePanel:
@@ -336,58 +324,22 @@ def load_csv(path: str | Path) -> QuotePanel:
 
     Requires a header with at least ``date,asset,bid,ask``; ``mid`` is
     ignored and ``sector``, when present, must be consistent per asset.
-    Rows for one asset must appear in strictly increasing date order, and
-    a (date, asset) pair may appear only once. Errors name the offending
-    row number.
+    Every row has the header's number of fields and no NUL character; rows
+    whose cells are all blank are skipped but still counted. Rows for one
+    asset must appear in strictly increasing date order, and a (date,
+    asset) pair may appear only once. An error names the file and the
+    first offending row.
+
+    The columns are parsed by ``np.loadtxt`` where it reads cells as the
+    ``csv`` module and ``float()`` do, and by those two elsewhere (quoted
+    cells, ``1_000``); see ``seqrank._csvread``. The row checks run on the
+    columns and report the earliest failing row.
     """
     path = Path(path)
     if not path.exists():
         raise FileNotFoundError(f"panel file not found: {path}")
-    streams: dict[str, list[Quote]] = {}
-    sectors: dict[str, str] = {}
-    saw_sector = False
-    with path.open(newline="", encoding="utf-8") as handle:
-        reader = csv.reader(handle)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise ValueError(f"{path}: empty file, header required") from None
-        header = [h.strip().lower() for h in header]
-        missing = [c for c in CSV_COLUMNS if c not in header]
-        if missing:
-            raise ValueError(f"{path}: header is missing columns {missing}")
-        col = {name: header.index(name) for name in header}
-        saw_sector = "sector" in col
-        for lineno, row in enumerate(reader, start=2):
-            if not row or all(not cell.strip() for cell in row):
-                continue
-            if len(row) < len(header):
-                raise ValueError(f"{path}:{lineno}: expected {len(header)} fields, got {len(row)}")
-            try:
-                day = dt.date.fromisoformat(row[col["date"]].strip())
-                bid = float(row[col["bid"]])
-                ask = float(row[col["ask"]])
-            except ValueError as exc:
-                raise ValueError(f"{path}:{lineno}: {exc}") from None
-            asset = row[col["asset"]].strip()
-            if not asset:
-                raise ValueError(f"{path}:{lineno}: empty asset name")
-            try:
-                quote = Quote(date=day, bid=bid, ask=ask)
-            except ValueError as exc:
-                raise ValueError(f"{path}:{lineno}: {exc}") from None
-            stream = streams.setdefault(asset, [])
-            if stream:
-                if quote.date == stream[-1].date:
-                    raise ValueError(f"{path}:{lineno}: duplicate (date, asset) pair ({day}, {asset})")
-                if quote.date < stream[-1].date:
-                    raise ValueError(f"{path}:{lineno}: dates for {asset} are not increasing")
-            stream.append(quote)
-            if saw_sector:
-                sector = row[col["sector"]].strip()
-                if asset in sectors and sectors[asset] != sector:
-                    raise ValueError(f"{path}:{lineno}: conflicting sector for {asset}")
-                sectors[asset] = sector
-    if len(streams) < 2:
-        raise ValueError(f"{path}: need quotes for at least 2 assets, got {len(streams)}")
-    return build_panel(streams, sectors=sectors if saw_sector else None)
+    columns = read_columns(path)
+    try:
+        return build_panel(*columns)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None

@@ -7,7 +7,7 @@ import datetime as dt
 import numpy as np
 from hypothesis import settings
 
-from seqrank import JumpDiffusionConfig, Quote, build_panel, simulate_jump_diffusion, weekday_range
+from seqrank import JumpDiffusionConfig, QuotePanel, simulate_jump_diffusion, weekday_range
 
 settings.register_profile("suite", deadline=None, max_examples=50)
 settings.load_profile("suite")
@@ -17,16 +17,13 @@ def panel_from_mids(mids: np.ndarray, spread: float = 0.0, start: dt.date = dt.d
     """Build a panel from an (n, d) mid-price matrix with a proportional spread."""
     mids = np.asarray(mids, dtype=float)
     n, d = mids.shape
-    dates = weekday_range(start, n)
     half = 0.5 * spread
-    streams = {
-        f"A{j:03d}": [
-            Quote(date=dates[i], bid=mids[i, j] * (1.0 - half), ask=mids[i, j] * (1.0 + half))
-            for i in range(n)
-        ]
-        for j in range(d)
-    }
-    return build_panel(streams)
+    return QuotePanel(
+        dates=weekday_range(start, n),
+        assets=tuple(f"A{j:03d}" for j in range(d)),
+        bids=mids * (1.0 - half),
+        asks=mids * (1.0 + half),
+    )
 
 
 def constant_growth_panel(d: int, n_dates: int, rate: float = 0.001, spread: float = 0.0):
@@ -60,10 +57,6 @@ def drift_switch_panel(d: int, n_steps: int, mu: float, vol: float, seed: int):
         )
     )
     extra_dates = weekday_range(first.dates[-1] + dt.timedelta(days=1), second.n_dates - 1)
-    streams = {}
-    for j, asset in enumerate(first.assets):
-        scale = first.mids[-1, j] / second.mids[0, j]
-        mids = np.concatenate([first.mids[:, j], second.mids[1:, j] * scale])
-        days = first.dates + extra_dates
-        streams[asset] = [Quote(date=day, bid=m, ask=m) for day, m in zip(days, mids)]
-    return build_panel(streams)
+    scale = first.mids[-1] / second.mids[0]
+    mids = np.vstack([first.mids, second.mids[1:] * scale])
+    return QuotePanel(dates=first.dates + extra_dates, assets=first.assets, bids=mids, asks=mids)

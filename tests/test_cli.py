@@ -12,7 +12,7 @@ import pytest
 
 import seqrank
 from seqrank import load_csv, write_csv
-from seqrank.cli import main
+from seqrank.cli import _emit, main
 
 from conftest import constant_growth_panel, dominance_panel
 
@@ -189,6 +189,39 @@ class TestRank:
         assert run_cli("rank", path, "--tau", 1.0, "--out-dir", tmp_path) == 0
         for line in (tmp_path / "rank.jsonl").read_text().strip().splitlines():
             assert np.allclose(json.loads(line)["posterior"], 0.2, atol=1e-12)
+
+
+class TestEmit:
+    def test_failed_write_leaves_no_temporaries_and_no_new_files(self, tmp_path):
+        (tmp_path / "a.txt").write_text("old a")
+        with pytest.raises(TypeError):
+            _emit(tmp_path, {"a.txt": "new a", "b.txt": None, "c.txt": "new c"})
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["a.txt"]
+        assert (tmp_path / "a.txt").read_text() == "old a"
+
+    def test_interrupt_before_the_renames_cleans_up(self, tmp_path, monkeypatch):
+        (tmp_path / "b.txt").write_text("old b")
+
+        def interrupted(self, target):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(Path, "replace", interrupted)
+        with pytest.raises(KeyboardInterrupt):
+            _emit(tmp_path, {"a.txt": "new a", "b.txt": "new b"})
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["b.txt"]
+        assert (tmp_path / "b.txt").read_text() == "old b"
+
+    def test_runs_leave_exactly_their_outputs(self, tmp_path):
+        path = synth(tmp_path / "panel")
+        assert sorted(p.name for p in path.parent.iterdir()) == ["panel.csv", "panel.manifest.json"]
+        out = tmp_path / "out"
+        (out / "stale").mkdir(parents=True)
+        (out / "equity.csv").write_text("old")
+        assert run_cli("backtest", path, "--out-dir", out) == 0
+        assert sorted(p.name for p in out.iterdir()) == [
+            "backtest.json", "equity.csv", "equity.svg", "stale",
+        ]
+        assert (out / "equity.csv").read_text().startswith("date,cum_net_strategy")
 
 
 class TestEntryPoint:

@@ -1,4 +1,4 @@
-"""Quote arithmetic, panel construction, the generator, and CSV round trips."""
+"""Panel construction, the generator, and CSV round trips."""
 
 import datetime as dt
 import math
@@ -10,11 +10,8 @@ from hypothesis import strategies as st
 
 from seqrank import (
     JumpDiffusionConfig,
-    Quote,
     build_panel,
-    half_spread_rate,
     load_csv,
-    mid_price,
     simulate_jump_diffusion,
     weekday_range,
     write_csv,
@@ -22,94 +19,83 @@ from seqrank import (
 
 from conftest import panel_from_mids
 
-prices = st.floats(min_value=1e-3, max_value=1e6, allow_nan=False, allow_infinity=False)
 
-
-class TestQuoteArithmetic:
-    def test_mid_zero_spread(self):
-        assert mid_price(100.0, 100.0) == 100.0
-
-    def test_mid_symmetric_spread(self):
-        assert mid_price(99.0, 101.0) == 100.0
-
-    def test_mid_direct(self):
-        assert mid_price(10.2, 10.4) == pytest.approx(10.3, abs=1e-12)
-
-    @pytest.mark.parametrize("bid,ask", [(0.0, 1.0), (-1.0, 1.0), (2.0, 1.0)])
-    def test_mid_domain(self, bid, ask):
-        with pytest.raises(ValueError):
-            mid_price(bid, ask)
-
-    def test_half_spread_examples(self):
-        assert half_spread_rate(100.0, 100.0) == 0.0
-        assert half_spread_rate(99.0, 101.0) == pytest.approx(0.01, abs=1e-15)
-        assert half_spread_rate(10.2, 10.4) == pytest.approx(0.5 * 0.2 / 10.3, abs=1e-12)
-
-    @given(bid=prices, widen=st.floats(min_value=0, max_value=0.5))
-    def test_bid_mid_ask_ordering(self, bid, widen):
-        ask = bid * (1.0 + widen)
-        mid = mid_price(bid, ask)
-        assert bid <= mid <= ask
-        assert half_spread_rate(bid, ask) >= 0.0
-
-
-def quotes_for(dates, price):
-    return [Quote(date=day, bid=price, ask=price) for day in dates]
+def long_form(columns: dict[str, tuple]) -> tuple[list, list, list, list]:
+    """``build_panel`` arguments for assets quoted at bid = ask = a constant
+    price, each on its own dates: ``{asset: (dates, price)}``."""
+    rows = [(day, name, price) for name, (days, price) in columns.items() for day in days]
+    dates, assets, prices = map(list, zip(*rows))
+    return dates, assets, prices, prices
 
 
 class TestBuildPanel:
     def test_full_overlap(self):
         days = weekday_range(dt.date(2021, 1, 4), 5)
-        panel = build_panel({"x": quotes_for(days, 10.0), "y": quotes_for(days, 20.0)})
+        panel = build_panel(*long_form({"x": (days, 10.0), "y": (days, 20.0)}))
         assert panel.n_dates == 5
         assert panel.returns.shape == (4, 2)
 
     def test_intersection(self):
         days = weekday_range(dt.date(2021, 1, 4), 6)
-        streams = {"a": quotes_for(days[:5], 10.0), "b": quotes_for(days[1:], 20.0)}
-        panel = build_panel(streams)
+        panel = build_panel(*long_form({"a": (days[:5], 10.0), "b": (days[1:], 20.0)}))
         assert panel.dates == days[1:5]
 
     def test_disjoint_dates_error(self):
         d1 = weekday_range(dt.date(2021, 1, 4), 4)
         d2 = weekday_range(dt.date(2021, 2, 1), 4)
         with pytest.raises(ValueError, match="share only"):
-            build_panel({"a": quotes_for(d1, 10.0), "b": quotes_for(d2, 20.0)})
+            build_panel(*long_form({"a": (d1, 10.0), "b": (d2, 20.0)}))
 
     def test_too_few_shared_dates(self):
         days = weekday_range(dt.date(2021, 1, 4), 4)
         with pytest.raises(ValueError, match="at least 3"):
-            build_panel({"a": quotes_for(days[:2], 10.0), "b": quotes_for(days[:2], 20.0)})
+            build_panel(*long_form({"a": (days[:2], 10.0), "b": (days[:2], 20.0)}))
 
     def test_single_stream_rejected(self):
         days = weekday_range(dt.date(2021, 1, 4), 4)
-        with pytest.raises(ValueError):
-            build_panel({"a": quotes_for(days, 10.0)})
+        with pytest.raises(ValueError, match="at least 2 assets"):
+            build_panel(*long_form({"a": (days, 10.0)}))
 
-    def test_unsorted_stream_rejected(self):
+    def test_duplicate_pair_rejected(self):
         days = weekday_range(dt.date(2021, 1, 4), 4)
-        scrambled = quotes_for([days[1], days[0], days[2], days[3]], 10.0)
-        with pytest.raises(ValueError, match="date-sorted"):
-            build_panel({"a": scrambled, "b": quotes_for(days, 20.0)})
+        dates, assets, bids, asks = long_form({"a": (days, 10.0), "b": (days, 20.0)})
+        with pytest.raises(ValueError, match=r"duplicate \(date, asset\) pair \(2021-01-05, b\)"):
+            build_panel(dates + [days[1]], assets + ["b"], bids + [20.0], asks + [20.0])
+
+    def test_mismatched_lengths_rejected(self):
+        days = weekday_range(dt.date(2021, 1, 4), 4)
+        dates, assets, bids, asks = long_form({"a": (days, 10.0), "b": (days, 20.0)})
+        with pytest.raises(ValueError, match="equal length"):
+            build_panel(dates, assets, bids[:-1], asks)
+
+    def test_sectors_follow_sorted_assets(self):
+        days = weekday_range(dt.date(2021, 1, 4), 4)
+        args = long_form({"b": (days, 10.0), "a": (days, 20.0)})
+        panel = build_panel(*args, sectors={"a": "tech", "b": "energy"})
+        assert panel.assets == ("a", "b")
+        assert panel.sectors == ("tech", "energy")
+        with pytest.raises(ValueError, match="missing"):
+            build_panel(*args, sectors={"a": "tech"})
 
     @given(seed=st.integers(min_value=0, max_value=2**16))
     def test_order_insensitive(self, seed):
         rng = np.random.default_rng(seed)
         days = weekday_range(dt.date(2021, 1, 4), 5)
-        streams = {
-            name: [
-                Quote(date=day, bid=b, ask=b * 1.001)
-                for day, b in zip(days, rng.uniform(5, 50, len(days)))
-            ]
-            for name in ("gamma", "alpha", "beta")
-        }
-        names = list(streams)
-        rng.shuffle(names)
-        p1 = build_panel(streams)
-        p2 = build_panel({n: streams[n] for n in names})
-        assert p1.assets == p2.assets
+        names = ["gamma", "alpha", "beta"]
+        dates = [day for _ in names for day in days]
+        assets = [name for name in names for _ in days]
+        bids = rng.uniform(5, 50, len(dates))
+        asks = bids * 1.001
+        p1 = build_panel(dates, assets, bids, asks)
+        perm = rng.permutation(len(dates))
+        p2 = build_panel(
+            [dates[i] for i in perm], [assets[i] for i in perm], bids[perm], asks[perm]
+        )
+        assert p1.assets == p2.assets == ("alpha", "beta", "gamma")
+        assert p1.dates == p2.dates == days
         assert np.array_equal(p1.bids, p2.bids)
         assert np.array_equal(p1.asks, p2.asks)
+        assert p1.bids[2, 0] == bids[names.index("alpha") * 5 + 2]
 
     def test_derived_matrices_exact(self):
         mids = np.array([[10.0, 20.0], [11.0, 19.0], [12.1, 20.9]])
@@ -267,6 +253,30 @@ class TestCsv:
     def test_missing_file(self, tmp_path):
         with pytest.raises(FileNotFoundError):
             load_csv(tmp_path / "nope.csv")
+
+    def test_extra_field_rejected(self, tmp_path):
+        path = tmp_path / "p.csv"
+        path.write_text(
+            "date,asset,bid,ask,sector\n"
+            "2021-01-04,x,9.9,10.1,tech\n"
+            "2021-01-04,y,19.9,20.1,energy, oil\n"
+        )
+        with pytest.raises(ValueError, match=r"p\.csv:3: expected 5 fields, got 6"):
+            load_csv(path)
+
+    @pytest.mark.parametrize("label", ["energy, oil", 'say "hi"', "a\rb", "a\nb", " pad", "pad\t"])
+    @pytest.mark.parametrize("field", ["assets", "sectors"])
+    def test_write_rejects_labels_that_do_not_round_trip(self, tmp_path, label, field):
+        panel = simulate_jump_diffusion(JumpDiffusionConfig(n_steps=5, n_assets=2, seed=1))
+        labels = {"assets": panel.assets, "sectors": ("tech", "energy")}
+        labels[field] = (labels[field][0], label)
+        labelled = type(panel)(
+            dates=panel.dates, bids=panel.bids, asks=panel.asks, **labels,
+        )
+        with pytest.raises(ValueError, match="labels must not contain") as exc:
+            write_csv(labelled, tmp_path / "p.csv")
+        assert repr(label) in str(exc.value)
+        assert not (tmp_path / "p.csv").exists()
 
     def test_sector_column_round_trip(self, tmp_path):
         panel = simulate_jump_diffusion(JumpDiffusionConfig(n_steps=5, n_assets=2, seed=1))
