@@ -73,7 +73,13 @@ class RunManifest:
 
 
 def _sha256(path: Path) -> str:
-    return "sha256:" + hashlib.sha256(path.read_bytes()).hexdigest()
+    """Digest of a file, read in 1 MiB blocks so a large panel is never
+    held in memory whole."""
+    digest = hashlib.sha256()
+    with path.open("rb") as handle:
+        while block := handle.read(1 << 20):
+            digest.update(block)
+    return "sha256:" + digest.hexdigest()
 
 
 def _json_text(payload: dict) -> str:

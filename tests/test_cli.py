@@ -1,5 +1,6 @@
 """Command-line surface: outputs, determinism, and failure behaviour."""
 
+import hashlib
 import json
 import math
 import os
@@ -12,7 +13,7 @@ import pytest
 
 import seqrank
 from seqrank import load_csv, write_csv
-from seqrank.cli import _emit, main
+from seqrank.cli import _emit, _sha256, main
 
 from conftest import constant_growth_panel, dominance_panel
 
@@ -103,6 +104,14 @@ class TestStationarity:
         assert empty and all(item["frequency"] is None for item in empty)
         table = (tmp_path / "stationarity.txt").read_text()
         assert f"shift {empty[0]['shift']:>2}:     n/a (0/0)" in table
+
+    def test_one_return_minimum_rejected_by_name(self, tmp_path, capsys):
+        # this panel's last month holds a single return
+        path = synth(tmp_path, **{"--steps": 303, "--assets": 3, "--seed": 2})
+        out = tmp_path / "out"
+        assert run_cli("stationarity", path, "--min-month-obs", 1, "--out-dir", out) == 1
+        assert "min_month_obs" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_missing_file(self, tmp_path, capsys):
         code = run_cli("stationarity", tmp_path / "absent.csv", "--out-dir", tmp_path)
@@ -224,6 +233,14 @@ class TestEmit:
         assert (out / "equity.csv").read_text().startswith("date,cum_net_strategy")
 
 
+class TestInputDigest:
+    def test_multi_block_file_matches_whole_hash(self, tmp_path):
+        data = np.random.default_rng(3).bytes(5 * (1 << 19) + 17)
+        path = tmp_path / "panel.csv"
+        path.write_bytes(data)
+        assert _sha256(path) == "sha256:" + hashlib.sha256(data).hexdigest()
+
+
 class TestEntryPoint:
     def test_module_invocation(self, tmp_path):
         result = subprocess.run(
@@ -243,6 +260,21 @@ class TestEntryPoint:
         )
         assert result.returncode == 0, result.stderr
         assert result.stdout.strip() == "False"
+
+    def test_stationarity_leaves_scipy_stats_unloaded(self, tmp_path):
+        # scipy.stats takes about three times as long to import as scipy.special
+        path = synth(tmp_path, **{"--steps": 200, "--assets": 3})
+        src = Path(seqrank.__file__).resolve().parents[1]
+        result = subprocess.run(
+            [sys.executable, "-c",
+             "import sys; from seqrank.cli import main; "
+             f"code = main(['stationarity', {str(path)!r}, '--max-shift', '2', "
+             f"'--out-dir', {str(tmp_path)!r}]); "
+             "print(code, 'scipy.special' in sys.modules, 'scipy.stats' in sys.modules)"],
+            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(src)},
+        )
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.splitlines()[-1] == "0 True False"
 
     def test_version_flag(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -1,6 +1,8 @@
 """Unit-root, variance and mean tests plus the monthly report machinery."""
 
+import datetime as dt
 import json
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -16,6 +18,7 @@ from seqrank import (
     simulate_jump_diffusion,
     welch_t_test,
 )
+from seqrank import stats
 from seqrank.stats import render_report_table
 
 sample = st.lists(
@@ -179,6 +182,10 @@ class TestWelch:
             welch_t_test([1.0, 2.0], [1.0, 2.0], sidedness="sideways")
         with pytest.raises(ValueError):
             welch_t_test([1.0, 2.0], [1.0, 2.0], alpha=1.5)
+        with pytest.raises(ValueError, match="one-dimensional"):
+            welch_t_test([[1.0, 2.0, 3.0], [4.0, 5.0, 9.0]], [[1.0, 2.0, 3.0], [1.0, 2.0, 3.5]])
+        with pytest.raises(ValueError, match="one-dimensional"):
+            welch_t_test(1.0, [1.0, 2.0])
 
 
 @pytest.fixture(scope="module")
@@ -227,3 +234,133 @@ class TestMonthlyReport:
         for diag in report.assets:
             for group in diag.month_groups:
                 assert group.count >= 21
+
+    def test_min_month_obs_below_two_rejected(self, panel):
+        # a one-return month has no sample variance
+        with pytest.raises(ValueError, match="min_month_obs"):
+            monthly_stationarity_report(panel, max_shift=2, min_month_obs=1)
+
+    @pytest.mark.parametrize("alpha", [0.0, 1.0, -0.1, 1.5, float("nan")])
+    def test_alpha_rejected_before_any_test(self, panel, monkeypatch, alpha):
+        def no_test(*args, **kwargs):
+            raise AssertionError("a test ran before alpha was checked")
+
+        for name in ("adf_test", "levene_test", "welch_t_test"):
+            monkeypatch.setattr(stats, name, no_test)
+        with pytest.raises(ValueError, match="alpha"):
+            monthly_stationarity_report(panel, max_shift=2, alpha=alpha)
+
+
+def stand_in_panel(months: list[list[float]]) -> SimpleNamespace:
+    """Two-asset panel-like object whose returns are ``months`` (asset A) and
+    each month reversed (asset B), on dates from January 2019.
+
+    The report reads only ``dates``, ``assets``, ``mids`` and ``returns``, so
+    the returns can hold values no price path yields, such as a subnormal
+    variance. A 20-return month in 2017, too far back to pair with any
+    other, keeps the unit-root tests well posed.
+    """
+    burn_in = np.linspace(-0.01, 0.02, 20)
+    dates = [dt.date(2016, 12, 31)] + [dt.date(2017, 1, 1 + i) for i in range(20)]
+    columns = [list(burn_in), list(burn_in)]
+    for m, values in enumerate(months):
+        dates += [dt.date(2019 + m // 12, m % 12 + 1, 1 + i) for i in range(len(values))]
+        columns[0] += values
+        columns[1] += values[::-1]
+    returns = np.array(columns).T
+    steps = np.arange(len(dates), dtype=float)
+    return SimpleNamespace(
+        dates=tuple(dates),
+        assets=("A", "B"),
+        mids=100.0 + np.column_stack([np.cos(steps), np.sin(steps)]),
+        returns=returns,
+    )
+
+
+def oracle_pairs(panel, max_shift, alpha, sidedness, min_month_obs):
+    """Each asset's kept months grouped day by day, and every (month, shift)
+    pair run through the scalar ``welch_t_test``; None marks a degenerate
+    pair."""
+    per_asset = []
+    for j in range(len(panel.assets)):
+        grouped: dict[tuple[int, int], list[float]] = {}
+        for day, value in zip(panel.dates[1:], panel.returns[:, j]):
+            grouped.setdefault((day.year, day.month), []).append(float(value))
+        kept = {k: np.asarray(v) for k, v in sorted(grouped.items()) if len(v) >= min_month_obs}
+        pairs = []
+        for (year, month) in kept:
+            for shift in range(1, max_shift + 1):
+                total = year * 12 + month - 1 - shift
+                earlier = (total // 12, total % 12 + 1)
+                if earlier not in kept:
+                    continue
+                try:
+                    result = welch_t_test(kept[(year, month)], kept[earlier], alpha=alpha,
+                                          sidedness=sidedness)
+                except DegenerateDataError:
+                    result = None
+                pairs.append((shift, f"{year:04d}-{month:02d}",
+                              f"{earlier[0]:04d}-{earlier[1]:02d}", result))
+        per_asset.append((kept, pairs))
+    return per_asset
+
+
+def same_bits(x: float, y: float) -> bool:
+    return float(x).hex() == float(y).hex()
+
+
+month_values = st.one_of(
+    st.lists(st.floats(min_value=-1, max_value=1, allow_nan=False), min_size=1, max_size=28),
+    # constant months: every pair of two of them is degenerate
+    st.builds(lambda v, n: [v] * n, st.sampled_from([0.0, 0.25, -0.003]),
+              st.integers(min_value=1, max_value=28)),
+)
+
+
+class TestBatchedReportOracle:
+    """The batched report against ``welch_t_test`` on the same months, bit for bit."""
+
+    @given(
+        months=st.lists(month_values, min_size=7, max_size=10),
+        max_shift=st.integers(min_value=1, max_value=6),
+        min_month_obs=st.integers(min_value=2, max_value=30),
+        sidedness=st.sampled_from(["one-sided", "two-sided"]),
+        alpha=st.sampled_from([0.01, 0.05, 0.1, 0.3]),
+    )
+    # the variances are non-zero but their squares underflow in the dof denominator
+    @example(
+        months=[[0.0] * 5, [0.0] * 4 + [3.285107521708261e-98]] * 3 + [[0.0] * 5],
+        max_shift=2, min_month_obs=2, sidedness="one-sided", alpha=0.05,
+    )
+    def test_pairs_match_welch_t_test(self, months, max_shift, min_month_obs, sidedness, alpha):
+        panel = stand_in_panel(months)
+        report = monthly_stationarity_report(
+            panel, max_shift=max_shift, alpha=alpha, sidedness=sidedness,
+            min_month_obs=min_month_obs,
+        )
+        skipped = 0
+        tests = {k: 0 for k in range(1, max_shift + 1)}
+        rejects = {k: 0 for k in range(1, max_shift + 1)}
+        for diag, (kept, pairs) in zip(report.assets, oracle_pairs(
+                panel, max_shift, alpha, sidedness, min_month_obs)):
+            assert [g.label for g in diag.month_groups] == [f"{y:04d}-{m:02d}" for y, m in kept]
+            for group, values in zip(diag.month_groups, kept.values()):
+                assert group.count == len(values)
+                assert same_bits(group.mean, values.mean())
+                assert same_bits(group.var, values.var(ddof=1))
+            expected = [p for p in pairs if p[3] is not None]
+            skipped += len(pairs) - len(expected)
+            assert len(diag.pair_tests) == len(expected)
+            for pair, (shift, month, prior, result) in zip(diag.pair_tests, expected):
+                assert (pair.shift, pair.month, pair.prior_month) == (shift, month, prior)
+                assert same_bits(pair.result.t_stat, result.t_stat)
+                assert same_bits(pair.result.dof, result.dof)
+                assert same_bits(pair.result.critical_value, result.critical_value)
+                assert pair.result.reject is result.reject
+                assert (pair.result.alpha, pair.result.sidedness) == (alpha, sidedness)
+                tests[shift] += 1
+                rejects[shift] += result.reject
+        assert report.skipped["t_test"] == skipped
+        assert [(s.shift, s.n_tests, s.n_rejections) for s in report.rejection_by_shift] == [
+            (k, tests[k], rejects[k]) for k in range(1, max_shift + 1)
+        ]
