@@ -4,8 +4,11 @@ import numpy as np
 
 
 def snapshot_array(payload: dict, name: str, shape: tuple[int, ...]) -> np.ndarray:
-    """Field ``name`` of a snapshot as a finite float array of ``shape``."""
-    value = np.asarray(payload[name], dtype=float)
+    """Field ``name`` of a snapshot as a finite float array of ``shape``.
+
+    The array is a copy, so stepping the loaded state leaves the payload alone.
+    """
+    value = np.array(payload[name], dtype=float)
     if value.shape != shape:
         raise ValueError(f"snapshot field {name} must have shape {shape}, got {value.shape}")
     if not np.isfinite(value).all():

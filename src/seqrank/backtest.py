@@ -119,8 +119,8 @@ def select_decile(
 
     Assets are ordered by descending score with ties broken by ascending
     index; the long set is the head of that order and the short set the
-    tail (empty in long-only mode, and any index already long is dropped
-    from it). Both sets come back sorted.
+    tail (empty in long-only mode). ``fraction <= 0.5`` keeps ``k <= d / 2``,
+    so the two never overlap. Both come back as sorted lists of ``int``.
     """
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
@@ -134,12 +134,10 @@ def select_decile(
         raise ValueError("scores contain non-finite values")
     k = max(1, int(math.floor(d * fraction)))
     order = np.argsort(-s, kind="stable")
-    long_set = sorted(int(i) for i in order[:k])
+    long_set = np.sort(order[:k]).tolist()
     if mode == "long-only":
         return long_set, []
-    taken = set(long_set)
-    short_set = sorted(int(i) for i in order[d - k :] if int(i) not in taken)
-    return long_set, short_set
+    return long_set, np.sort(order[d - k :]).tolist()
 
 
 def cw_weights(d: int, long_set: Sequence[int], short_set: Sequence[int]) -> PortfolioState:

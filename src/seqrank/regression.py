@@ -39,6 +39,19 @@ logger = logging.getLogger(__name__)
 _RESET_FLOOR = 1e-12
 
 
+def _outer(a: np.ndarray, b: np.ndarray, out: np.ndarray) -> None:
+    """Write ``a_i * b_j`` into ``out``.
+
+    At d = 250 einsum takes about 0.6 of the time ``np.multiply.outer``
+    does. It adds each product to a zeroed ``out``, so it writes ``+0.0``
+    where the product is ``-0.0``. Adding that to, or subtracting it from,
+    a matrix entry gives the same bits unless the entry is ``-0.0``. A
+    step never makes one (a sum is ``-0.0`` only when both terms are, and
+    the prior's zeros are ``+0.0``), so only a loaded snapshot can hold it.
+    """
+    np.einsum("i,j->ij", a, b, out=out)
+
+
 @dataclass(frozen=True)
 class Forecast:
     """First-stage prediction and its shrunk counterpart."""
@@ -70,6 +83,12 @@ class CurdsWheyState:
         self.t = 0
         self.p_resets = 0
         self.q_resets = 0
+        # step writes each outer product into this one scratch matrix and
+        # applies it before writing the next, so it allocates no matrix
+        scratch = np.empty((self.d + 1) ** 2)
+        self._P_buf = scratch.reshape(self.d + 1, self.d + 1)
+        self._theta_buf = scratch[: self.d * (self.d + 1)].reshape(self.d, self.d + 1)
+        self._phi_buf = self._Q_buf = scratch[: self.d * self.d].reshape(self.d, self.d)
 
     def step(self, x_t: Sequence[float] | np.ndarray, y_t: Sequence[float] | np.ndarray) -> Forecast:
         """Advance both recursions one observation and forecast from ``x_t``.
@@ -78,9 +97,11 @@ class CurdsWheyState:
         (previous input, current target); form the stage-one prediction
         ``y_hat = theta @ x_t``; update ``phi``/``Q`` against the pair
         (previous target, y_hat); form ``y_tilde = phi @ y_hat``; then
-        roll the stored input and target forward. Both surrogate matrices
-        are re-symmetrised every step and reset to the prior (with a log
-        line) if a diagonal entry collapses below 1e-12.
+        roll the stored input and target forward. All four matrices are
+        updated in place. ``P`` and ``Q`` stay exactly symmetric, since
+        ``P / tau`` is elementwise and ``g_i * g_j == g_j * g_i``; either
+        is reset to the prior (with a log line) if a diagonal entry
+        collapses below 1e-12.
         """
         x = self._check_input(x_t)
         y = np.asarray(y_t, dtype=float)
@@ -90,26 +111,34 @@ class CurdsWheyState:
             raise ValueError("target contains non-finite values")
         tau = self.tau
 
-        Px = self.P @ self.x_prev
+        P, buf = self.P, self._P_buf
+        Px = P @ self.x_prev
         scale = 1.0 + float(self.x_prev @ Px) / tau
         gain = Px / (scale * tau)
-        self.theta += np.outer(y - self.theta @ self.x_prev, gain)
-        self.P = self.P / tau - np.outer(gain, gain) * scale
-        self.P = 0.5 * (self.P + self.P.T)
-        if float(self.P.diagonal().min()) < _RESET_FLOOR:
+        _outer(y - self.theta @ self.x_prev, gain, self._theta_buf)
+        self.theta += self._theta_buf
+        np.divide(P, tau, out=P)
+        _outer(gain, gain, buf)
+        buf *= scale
+        P -= buf
+        if float(P.diagonal().min()) < _RESET_FLOOR:
             logger.warning("P diagonal collapsed at step %d; resetting to prior", self.t + 1)
             self.P = np.eye(self.d + 1) / self.ridge_lambda
             self.p_resets += 1
 
         y_hat = self.theta @ x
 
-        Qy = self.Q @ self.y_prev
+        Q, buf = self.Q, self._Q_buf
+        Qy = Q @ self.y_prev
         scale2 = 1.0 + float(self.y_prev @ Qy) / tau
         gain2 = Qy / (scale2 * tau)
-        self.phi += np.outer(y_hat - self.phi @ self.y_prev, gain2)
-        self.Q = self.Q / tau - np.outer(gain2, gain2) * scale2
-        self.Q = 0.5 * (self.Q + self.Q.T)
-        if float(self.Q.diagonal().min()) < _RESET_FLOOR:
+        _outer(y_hat - self.phi @ self.y_prev, gain2, self._phi_buf)
+        self.phi += self._phi_buf
+        np.divide(Q, tau, out=Q)
+        _outer(gain2, gain2, buf)
+        buf *= scale2
+        Q -= buf
+        if float(Q.diagonal().min()) < _RESET_FLOOR:
             logger.warning("Q diagonal collapsed at step %d; resetting to prior", self.t + 1)
             self.Q = np.eye(self.d) / self.ridge_lambda
             self.q_resets += 1
@@ -155,7 +184,11 @@ class CurdsWheyState:
 
     @classmethod
     def from_json_dict(cls, payload: dict) -> "CurdsWheyState":
-        """Load a snapshot; every matrix must have its shape and be finite."""
+        """Load a snapshot; every matrix must have its shape and be finite.
+
+        ``P`` and ``Q`` must also equal their transposes bit for bit,
+        because :meth:`step` keeps symmetry rather than restoring it.
+        """
         state = cls(payload["d"], payload["ridge_lambda"], payload["tau"])
         d = state.d
         arrays = {
@@ -168,6 +201,10 @@ class CurdsWheyState:
         }
         for name, shape in arrays.items():
             setattr(state, name, snapshot_array(payload, name, shape))
+        for name in ("P", "Q"):
+            value = getattr(state, name)
+            if value.tobytes() != value.T.tobytes():
+                raise ValueError(f"snapshot field {name} must be symmetric")
         state.t = snapshot_count("t", payload["t"])
         state.p_resets = snapshot_count("p_resets", payload.get("p_resets", 0))
         state.q_resets = snapshot_count("q_resets", payload.get("q_resets", 0))

@@ -274,6 +274,19 @@ class TestSerialisation:
         assert np.allclose(loaded.m, state.m, atol=1e-15)
         assert np.array_equal(loaded.p, p)
 
+    def test_loaded_state_owns_its_arrays(self):
+        series = np.random.default_rng(7).normal(size=(20, 4))
+        source = RankerState(4, 0.9)
+        for row in series[:10]:
+            source.update(row)
+        payload = {**source.to_json_dict(), "win_mean": source.m, "posterior": source.p}
+        before = {name: payload[name].copy() for name in ("win_mean", "posterior")}
+        loaded = RankerState.from_json_dict(payload)
+        for row in series[10:]:
+            loaded.update(row)
+        for name, value in before.items():
+            assert np.array_equal(payload[name], value), name
+
     def test_shape_validation(self):
         payload = RankerState(3, 0.9).to_json_dict()
         payload["posterior"] = [0.5, 0.5]

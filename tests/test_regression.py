@@ -1,9 +1,12 @@
 """Recursive-vs-batch equivalence, shrinkage oracles, and state hygiene."""
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from seqrank import (
     CurdsWheyState,
@@ -12,6 +15,8 @@ from seqrank import (
     batch_shrinkage,
     simulate_jump_diffusion,
 )
+
+from regression_oracle import oracle_step, weighted_gram, weighted_ridge
 
 
 def linear_stream(d, n, seed, noise=0.01, mapping=None):
@@ -34,6 +39,28 @@ def run_stream(state, xs, ys):
         forecast = state.step(x, y)
         y_hats.append(forecast.y_hat.copy())
     return np.array(lagged), np.array(targets), np.array(y_hats)
+
+
+def same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def assert_steps_match_oracle(d, ridge_lambda, tau, xs, ys):
+    """Step a state and the pre-in-place oracle side by side; compare every bit after each step."""
+    state = CurdsWheyState(d, ridge_lambda, tau)
+    reference = CurdsWheyState(d, ridge_lambda, tau)
+    for x, y in zip(xs, ys):
+        got = state.step(x, y)
+        want = oracle_step(reference, x, y)
+        assert same_bits(got.y_hat, want.y_hat)
+        assert same_bits(got.y_tilde, want.y_tilde)
+        for name in ("theta", "P", "phi", "Q", "x_prev", "y_prev"):
+            assert same_bits(getattr(state, name), getattr(reference, name)), name
+        assert (state.t, state.p_resets, state.q_resets) == (reference.t, reference.p_resets, reference.q_resets)
+        assert same_bits(state.P, state.P.T)
+        assert same_bits(state.Q, state.Q.T)
+    return state
 
 
 class TestInit:
@@ -138,6 +165,82 @@ class TestBatchEquivalence:
         assert np.allclose(got, want, atol=1e-6)
 
 
+class TestInPlaceStep:
+    """The in-place step against the fresh-array, re-symmetrising oracle."""
+
+    # 1e8 collapses a P or Q diagonal below the reset floor in one step
+    values = st.one_of(
+        st.floats(-2.0, 2.0, allow_nan=False),
+        st.sampled_from([0.0, -0.0, 1e8, -1e8]),
+    )
+
+    @given(data=st.data())
+    def test_bit_identical_to_oracle(self, data):
+        d = data.draw(st.integers(1, 8), label="d")
+        tau = data.draw(st.floats(0.9, 1.0, exclude_min=True), label="tau")
+        ridge_lambda = data.draw(st.sampled_from([1e-3, 0.5, 1.0, 40.0]), label="lambda")
+        n = data.draw(st.integers(1, 10), label="n")
+        rows = st.lists(self.values, min_size=d, max_size=d)
+        xs = [[1.0] + data.draw(rows) for _ in range(n)]
+        ys = [data.draw(rows) for _ in range(n)]
+        assert_steps_match_oracle(d, ridge_lambda, tau, xs, ys)
+
+    def test_bit_identical_through_resets(self):
+        rng = np.random.default_rng(8)
+        d, n = 4, 12
+        xs = [np.concatenate([[1.0], rng.normal(size=d)]) for _ in range(n)]
+        ys = [rng.normal(size=d) for _ in range(n)]
+        xs[3][2] = 1e8
+        ys[6][1] = -1e8
+        xs[7][1:] = -0.0
+        ys[8][:] = -0.0
+        state = assert_steps_match_oracle(d, 1.0, 0.95, xs, ys)
+        assert state.p_resets > 0
+        assert state.q_resets > 0
+
+    def test_step_allocates_no_matrix(self):
+        d = 64
+        rng = np.random.default_rng(9)
+        xs = [np.concatenate([[1.0], rng.normal(scale=0.01, size=d)]) for _ in range(4)]
+        ys = [rng.normal(scale=0.01, size=d) for _ in range(4)]
+        state = CurdsWheyState(d, 1.0, 0.999)
+        for x, y in zip(xs[:3], ys[:3]):
+            state.step(x, y)
+        tracemalloc.start()
+        try:
+            state.step(xs[3], ys[3])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < d * d * 8
+
+
+class TestWeightedBatchEquivalence:
+    """At tau < 1 both stages track a ridge with pair weights tau^(n-s) and prior tau^n lambda I."""
+
+    # the largest relative error seen over d in {2, 5}, tau in {0.95, 0.99,
+    # 0.999}, lambda in {0.1, 1, 10} and n in {50, 300} was 1.5e-14
+    TOLERANCE = 1e-10
+
+    @pytest.mark.parametrize("d", [2, 5])
+    @pytest.mark.parametrize("tau", [0.95, 0.999])
+    @pytest.mark.parametrize("ridge_lambda", [0.1, 10.0])
+    def test_both_stages_match_weighted_ridge(self, d, tau, ridge_lambda):
+        xs, ys = linear_stream(d, 300, seed=d * 31 + int(ridge_lambda))
+        state = CurdsWheyState(d, ridge_lambda, tau)
+        X, Y, Y_hat = run_stream(state, xs, ys)
+        # stage two pairs each previous target (zero on the first step) with y_hat
+        lagged_targets = np.vstack([np.zeros(d), Y[:-1]])
+
+        def rel(got, want):
+            return np.linalg.norm(got - want) / np.linalg.norm(want)
+
+        assert rel(state.theta, weighted_ridge(X, Y, ridge_lambda, tau).T) < self.TOLERANCE
+        assert rel(state.P, np.linalg.inv(weighted_gram(X, ridge_lambda, tau))) < self.TOLERANCE
+        phi_batch = weighted_ridge(lagged_targets, Y_hat, ridge_lambda, tau).T
+        assert rel(state.phi, phi_batch) < self.TOLERANCE
+
+
 class TestForgetting:
     def test_tracks_second_regime(self):
         rng = np.random.default_rng(3)
@@ -192,8 +295,8 @@ class TestHygiene:
         for i in range(rets.shape[0]):
             x[1:] = rets[i]
             forecast = state.step(x, rets[i])
-            assert np.abs(state.P - state.P.T).max() <= 1e-8
-            assert np.abs(state.Q - state.Q.T).max() <= 1e-8
+            assert same_bits(state.P, state.P.T)
+            assert same_bits(state.Q, state.Q.T)
             assert np.isfinite(forecast.y_tilde).all()
         assert state.p_resets == 0
         assert state.q_resets == 0
@@ -214,6 +317,18 @@ class TestHygiene:
         assert np.array_equal(resumed.phi, full.phi)
         assert np.array_equal(resumed.Q, full.Q)
 
+    def test_loaded_state_owns_its_arrays(self):
+        xs, ys = linear_stream(2, 20, seed=6)
+        source = CurdsWheyState(2, 1.0, 0.99)
+        run_stream(source, xs[:10], ys[:10])
+        names = ("theta", "P", "phi", "Q", "x_prev", "y_prev")
+        payload = {**source.to_json_dict(), **{name: getattr(source, name) for name in names}}
+        before = {name: payload[name].copy() for name in names}
+        loaded = CurdsWheyState.from_json_dict(payload)
+        run_stream(loaded, xs[10:], ys[10:])
+        for name in names:
+            assert same_bits(payload[name], before[name]), name
+
     @pytest.mark.parametrize(
         "field,value,message",
         [
@@ -227,6 +342,8 @@ class TestHygiene:
             ("t", -1, "t must be >= 0"),
             ("p_resets", -2, "p_resets must be >= 0"),
             ("q_resets", -1, "q_resets must be >= 0"),
+            ("P", [[1.0, 0.5, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]], "P must be symmetric"),
+            ("Q", [[1.0, -0.0], [0.0, 1.0]], "Q must be symmetric"),
         ],
     )
     def test_snapshot_validation(self, field, value, message):
