@@ -8,12 +8,22 @@ asset, and accrues the next day's return on the chosen weights. Records
 are stamped with the rebalance date; the gross return booked on a record
 spans that close to the next.
 
-Two strategies share the loop: ``curds-whey`` scores assets by the shrunk
+Two strategies share the engine: ``curds-whey`` scores assets by the shrunk
 forecasts and equal-weights each leg, while ``nbar`` feeds the forecasts
 (or realised returns) into the sequential ranker and weights legs by its
 posterior. An equal-weight, zero-cost benchmark is always computed
-alongside. The loop itself is deterministic: identical panel and config
-give an identical report.
+alongside. The engine is deterministic: identical panel and config give an
+identical report.
+
+A run makes two passes. The signal pass steps the forecaster over the
+whole panel once and keeps the forecast matrix on the panel, keyed by
+``(tau, ridge_lambda)``, so the strategies, modes, slice sizes and cost
+models that read the same forecasts share one pass. The accounting pass
+steps the ranker and books the days in blocks of whole-array operations.
+``select_decile``, ``cw_weights``, ``nbar_weights`` and
+``transaction_cost`` are the per-day reference for that arithmetic; the
+tests compare the two bit for bit. Two threads that run one panel at once
+may both compute the forecasts; either result is the same matrix.
 """
 
 from __future__ import annotations
@@ -21,7 +31,7 @@ from __future__ import annotations
 import datetime as dt
 import math
 from dataclasses import asdict, dataclass
-from typing import Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -54,6 +64,9 @@ NBAR_MEMBERSHIPS = ("by-p", "by-forecast")
 COST_MODELS = ("half-spread", "zero")
 
 TRADING_DAYS_PER_YEAR = 252
+# days per accounting block: a block's temporaries are a few (64, d) arrays,
+# small beside the (n - 2, d) forecast matrix the panel keeps
+_BLOCK_DAYS = 64
 
 
 class BacktestError(RuntimeError):
@@ -97,7 +110,7 @@ class BacktestConfig:
 
 @dataclass(frozen=True)
 class PortfolioState:
-    """Signed per-asset weights; longs positive, shorts negative."""
+    """Signed per-asset weights; longs positive, shorts negative (the per-day reference)."""
 
     weights: np.ndarray
 
@@ -116,6 +129,9 @@ def select_decile(
     mode: str = "long-only",
 ) -> tuple[list[int], list[int]]:
     """Top and bottom slices of the cross-section, ``k = max(1, floor(d * fraction))``.
+
+    Per-day reference for the selection ``run_backtest`` makes on whole
+    arrays.
 
     Assets are ordered by descending score with ties broken by ascending
     index; the long set is the head of that order and the short set the
@@ -141,7 +157,10 @@ def select_decile(
 
 
 def cw_weights(d: int, long_set: Sequence[int], short_set: Sequence[int]) -> PortfolioState:
-    """Equal weights of 1/k on each leg: +1/len(long) long, -1/len(short) short."""
+    """Equal weights of 1/k on each leg: +1/len(long) long, -1/len(short) short.
+
+    Per-day reference for ``run_backtest``'s curds-whey weights.
+    """
     weights = np.zeros(d)
     if long_set:
         weights[list(long_set)] = 1.0 / len(long_set)
@@ -153,7 +172,10 @@ def cw_weights(d: int, long_set: Sequence[int], short_set: Sequence[int]) -> Por
 def nbar_weights(
     state: RankerState, long_set: Sequence[int], short_set: Sequence[int]
 ) -> PortfolioState:
-    """Posterior-proportional long leg and complement-proportional short leg."""
+    """Posterior-proportional long leg and complement-proportional short leg.
+
+    Per-day reference for ``run_backtest``'s nbar weights.
+    """
     weights = np.zeros(state.d)
     if long_set:
         idx = list(long_set)
@@ -169,7 +191,10 @@ def transaction_cost(
     new: PortfolioState,
     half_spread_rates: Sequence[float] | np.ndarray,
 ) -> float:
-    """Cost rate of a rebalance: sum of half-spread rate times |weight change|."""
+    """Cost rate of a rebalance: sum of half-spread rate times |weight change|.
+
+    Per-day reference for ``run_backtest``'s costs and turnover.
+    """
     rates = np.asarray(half_spread_rates, dtype=float)
     if rates.shape != prev.weights.shape or rates.shape != new.weights.shape:
         raise ValueError("weights and spread rates must share one length")
@@ -330,6 +355,107 @@ class BacktestReport:
         }
 
 
+def _forecast_matrix(panel: QuotePanel, tau: float, ridge_lambda: float) -> np.ndarray:
+    """Curds-whey forecasts for every booked day, as one read-only ``(n - 2, d)`` array.
+
+    Row ``i`` is ``y_tilde`` after the forecaster has folded in return row
+    ``i``: the scores for ``panel.dates[i + 1]``. The panel keeps the latest
+    matrix with its ``(tau, ridge_lambda)``, so runs that share the pair
+    share one pass. A pass that meets a non-finite forecast raises and
+    stores nothing.
+    """
+    key = (tau, ridge_lambda)
+    memo = panel._forecast_memo
+    if memo is not None and memo[0] == key:
+        return memo[1]
+    # drop the old matrix before the new one is built, so at most one is held
+    object.__setattr__(panel, "_forecast_memo", None)
+    rets = panel.returns
+    d = panel.n_assets
+    model = CurdsWheyState(d, ridge_lambda, tau)
+    forecasts = np.empty((rets.shape[0] - 1, d))
+    x = np.empty(d + 1)
+    x[0] = 1.0
+    for i, (row, r_today) in enumerate(zip(forecasts, rets)):
+        x[1:] = r_today
+        row[:] = model.step(x, r_today).y_tilde
+        if not np.isfinite(row).all():
+            raise BacktestError(f"non-finite forecast at {panel.dates[i + 1].isoformat()}")
+    forecasts.setflags(write=False)
+    object.__setattr__(panel, "_forecast_memo", (key, forecasts))
+    return forecasts
+
+
+class _Block(NamedTuple):
+    """Target portfolios of consecutive days; array rows are days from ``start``."""
+
+    start: int
+    scores: np.ndarray
+    posterior: np.ndarray | None
+    longs: np.ndarray
+    shorts: np.ndarray
+    weights: np.ndarray
+
+
+def _target_blocks(panel: QuotePanel, config: BacktestConfig) -> Iterator[_Block]:
+    """The day's scores, legs and target weights, ``_BLOCK_DAYS`` days at a time.
+
+    The ranker steps one day at a time inside each block; selection and
+    weighting are row-wise array operations with the per-day helpers'
+    arithmetic and checks. Each block holds only a few ``(block, d)``
+    arrays besides the panel's forecast matrix.
+    """
+    d = panel.n_assets
+    rets = panel.returns
+    n_days = rets.shape[0] - 1
+    nbar = config.strategy == "nbar"
+    realised = config.nbar_input == "realised"
+    by_p = config.nbar_membership == "by-p"
+    forecasts = None
+    if not (nbar and realised and by_p):
+        forecasts = _forecast_matrix(panel, config.tau, config.ridge_lambda)
+    ranker = RankerState(d, config.tau) if nbar else None
+    k = max(1, int(math.floor(d * config.decile_fraction)))
+    long_short = config.mode == "long-short"
+
+    for start in range(0, n_days, _BLOCK_DAYS):
+        stop = min(start + _BLOCK_DAYS, n_days)
+        posterior = None
+        if ranker is None:
+            scores = forecasts[start:stop]
+        else:
+            posterior = np.empty((stop - start, d))
+            performance = rets[start:stop] if realised else forecasts[start:stop]
+            for row, r in zip(posterior, performance):
+                row[:] = ranker.update(r).p
+            scores = posterior if by_p else forecasts[start:stop]
+        if not np.isfinite(scores).all():
+            raise ValueError("scores contain non-finite values")
+        order = np.argsort(-scores, axis=1, kind="stable")
+        longs = np.sort(order[:, :k], axis=1)
+        shorts = np.sort(order[:, d - k :], axis=1) if long_short else order[:, :0]
+        rows = np.arange(stop - start)[:, None]
+        weights = np.zeros((stop - start, d))
+        if ranker is None:
+            weights[rows, longs] = 1.0 / k
+            weights[rows, shorts] -= 1.0 / k
+        else:
+            picked = np.take_along_axis(posterior, longs, axis=1)
+            total = picked.sum(axis=1, keepdims=True)
+            if (total <= 0.0).any():
+                raise ValueError("selected posteriors sum to zero")
+            weights[rows, longs] += picked / total
+            if long_short:
+                complement = 1.0 - np.take_along_axis(posterior, shorts, axis=1)
+                total = complement.sum(axis=1, keepdims=True)
+                if (total <= 0.0).any():
+                    raise ValueError("every selected posterior is 1; short weights undefined")
+                weights[rows, shorts] -= complement / total
+        if not np.isfinite(weights).all():
+            raise ValueError("weights contain non-finite values")
+        yield _Block(start, scores, posterior, longs, shorts, weights)
+
+
 def run_backtest(panel: QuotePanel, config: BacktestConfig) -> BacktestReport:
     """Run one strategy over a panel, benchmarked against equal weighting.
 
@@ -340,6 +466,12 @@ def run_backtest(panel: QuotePanel, config: BacktestConfig) -> BacktestReport:
     full entry cost. Any non-finite forecast aborts the run. The
     forecaster is not run when nothing reads it: nbar on realised returns
     with members chosen by posterior.
+
+    The forecasts are computed once per panel and ``(tau, ridge_lambda)``
+    and kept on the panel (see ``_forecast_matrix``); the ranker and the
+    accounting run on every call. The report is bit-identical to booking
+    each day through ``select_decile``, ``cw_weights`` or ``nbar_weights``
+    and ``transaction_cost``.
     """
     d = panel.n_assets
     rets = panel.returns
@@ -348,69 +480,71 @@ def run_backtest(panel: QuotePanel, config: BacktestConfig) -> BacktestReport:
             "panel must provide at least 4 dates: each record needs a next-day "
             "return and the metric block needs 2 records"
         )
-    ranker = RankerState(d, config.tau) if config.strategy == "nbar" else None
-    realised = config.nbar_input == "realised"
-    by_p = config.nbar_membership == "by-p"
-    needs_forecast = ranker is None or not (realised and by_p)
-    model = CurdsWheyState(d, config.ridge_lambda, config.tau) if needs_forecast else None
-    zero_cost = config.cost_model == "zero"
-    zero_rates = np.zeros(d)
-
-    weights_prev = PortfolioState(weights=np.zeros(d))
-    records: list[DailyRecord] = []
-    benchmark: list[float] = []
-    tallies: dict[str, dict[str, int]] | None = None
+    n_days = rets.shape[0] - 1
+    rates = None
+    if config.cost_model == "half-spread":
+        rates = panel.half_spread_rates[1 : n_days + 1]
+        if (rates < 0.0).any():
+            raise ValueError("half-spread rates must be non-negative")
+    sector_of = None
     if panel.sectors is not None:
-        tallies = {sector: {"long": 0, "short": 0} for sector in sorted(set(panel.sectors))}
+        sector_names = sorted(set(panel.sectors))
+        code = {name: c for c, name in enumerate(sector_names)}
+        sector_of = np.array([code[s] for s in panel.sectors])
+        long_tally = np.zeros(len(sector_names), dtype=np.int64)
+        short_tally = np.zeros(len(sector_names), dtype=np.int64)
 
-    x = np.empty(d + 1)
-    x[0] = 1.0
-    for i in range(rets.shape[0] - 1):
-        today = panel.dates[i + 1]
-        r_today = rets[i]
-        if model is not None:
-            x[1:] = r_today
-            scores = model.step(x, r_today).y_tilde
-            if not np.isfinite(scores).all():
-                raise BacktestError(f"non-finite forecast at {today.isoformat()}")
-        if ranker is not None:
-            ranker.update(r_today if realised else scores)
-            member_scores = ranker.p if by_p else scores
-        else:
-            member_scores = scores
-        long_set, short_set = select_decile(member_scores, config.decile_fraction, config.mode)
-        if ranker is not None:
-            target = nbar_weights(ranker, long_set, short_set)
-        else:
-            target = cw_weights(d, long_set, short_set)
-        rates = zero_rates if zero_cost else panel.half_spread_rates[i + 1]
-        cost = transaction_cost(weights_prev, target, rates)
-        r_next = rets[i + 1]
-        gross = float(target.weights @ r_next)
-        records.append(
-            DailyRecord(
-                date=today,
-                gross_return=gross,
-                cost=cost,
-                net_return=gross - cost,
-                turnover=float(np.abs(target.weights - weights_prev.weights).sum()),
-                n_long=len(long_set),
-                n_short=len(short_set),
-            )
+    gross = np.empty(n_days)
+    benchmark = np.empty(n_days)
+    cost = np.zeros(n_days)
+    turnover = np.empty(n_days)
+    prev = np.zeros(d)
+    for block in _target_blocks(panel, config):
+        weights = block.weights
+        change = np.empty_like(weights)
+        np.subtract(weights[0], prev, out=change[0])
+        np.subtract(weights[1:], weights[:-1], out=change[1:])
+        np.abs(change, out=change)
+        turnover[block.start : block.start + len(weights)] = change.sum(axis=1)
+        # one product and one mean per day: batched forms may sum in another
+        # order, and do for the rows of a panel stored column by column
+        for j, i in enumerate(range(block.start, block.start + len(weights))):
+            gross[i] = weights[j] @ rets[i + 1]
+            benchmark[i] = rets[i + 1].mean()
+            if rates is not None:
+                cost[i] = rates[i] @ change[j]
+        if sector_of is not None:
+            long_tally += np.bincount(sector_of[block.longs].ravel(), minlength=len(long_tally))
+            short_tally += np.bincount(sector_of[block.shorts].ravel(), minlength=len(short_tally))
+        prev = weights[-1].copy()
+
+    n_long, n_short = block.longs.shape[1], block.shorts.shape[1]
+    net = gross - cost
+    records = tuple(
+        DailyRecord(
+            date=date,
+            gross_return=g,
+            cost=c,
+            net_return=r,
+            turnover=t,
+            n_long=n_long,
+            n_short=n_short,
         )
-        benchmark.append(float(r_next.mean()))
-        if tallies is not None:
-            for idx in long_set:
-                tallies[panel.sectors[idx]]["long"] += 1
-            for idx in short_set:
-                tallies[panel.sectors[idx]]["short"] += 1
-        weights_prev = target
-
+        for date, g, c, r, t in zip(
+            panel.dates[1:], gross.tolist(), cost.tolist(), net.tolist(), turnover.tolist()
+        )
+    )
+    tallies = None
+    if sector_of is not None:
+        tallies = {
+            name: {"long": int(lo), "short": int(sh)}
+            for name, lo, sh in zip(sector_names, long_tally, short_tally)
+        }
     return BacktestReport(
         config=config,
-        records=tuple(records),
-        benchmark_returns=tuple(benchmark),
-        strategy_metrics=compute_metrics([rec.net_return for rec in records]),
+        records=records,
+        benchmark_returns=tuple(benchmark.tolist()),
+        strategy_metrics=compute_metrics(net),
         benchmark_metrics=compute_metrics(benchmark),
         sector_selection=tallies,
     )

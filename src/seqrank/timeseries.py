@@ -61,6 +61,9 @@ class QuotePanel:
     mids: np.ndarray = field(init=False)
     returns: np.ndarray = field(init=False)
     half_spread_rates: np.ndarray = field(init=False)
+    # seqrank.backtest's memo: ((tau, ridge_lambda), read-only forecast matrix)
+    # of the latest curds-whey pass over these returns, freed with the panel
+    _forecast_memo: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         dates = tuple(self.dates)

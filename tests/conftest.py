@@ -26,6 +26,13 @@ def panel_from_mids(mids: np.ndarray, spread: float = 0.0, start: dt.date = dt.d
     )
 
 
+def fresh_copy(panel):
+    """The same quotes in a new panel object, which holds no memoised forecasts."""
+    return QuotePanel(
+        dates=panel.dates, assets=panel.assets, bids=panel.bids, asks=panel.asks, sectors=panel.sectors
+    )
+
+
 def constant_growth_panel(d: int, n_dates: int, rate: float = 0.001, spread: float = 0.0):
     """All assets share one deterministic exponential price path."""
     steps = np.arange(n_dates)
