@@ -8,7 +8,6 @@ from .backtest import (
     BacktestReport,
     DailyRecord,
     MetricsBlock,
-    PortfolioState,
     compute_metrics,
     cw_weights,
     nbar_weights,
@@ -46,7 +45,6 @@ __all__ = [
     "BacktestReport",
     "DailyRecord",
     "MetricsBlock",
-    "PortfolioState",
     "compute_metrics",
     "cw_weights",
     "nbar_weights",

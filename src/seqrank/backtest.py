@@ -16,20 +16,24 @@ alongside. The engine is deterministic: identical panel and config give an
 identical report.
 
 A run makes two passes. The signal pass steps the forecaster over the
-whole panel once and keeps the forecast matrix on the panel, keyed by
-``(tau, ridge_lambda)``, so the strategies, modes, slice sizes and cost
-models that read the same forecasts share one pass. The accounting pass
-steps the ranker and books the days in blocks of whole-array operations.
-``select_decile``, ``cw_weights``, ``nbar_weights`` and
-``transaction_cost`` are the per-day reference for that arithmetic; the
-tests compare the two bit for bit. Two threads that run one panel at once
-may both compute the forecasts; either result is the same matrix.
+whole panel once and keeps the forecast matrix in ``_FORECASTS``, keyed
+weakly by panel, with its ``(tau, ridge_lambda)``, so the strategies,
+modes, slice sizes and cost models that read the same forecasts share one
+pass. The accounting pass steps the ranker and books the days in blocks
+of whole-array operations. Every portfolio rule is in this module; the
+ranker supplies only its posterior. ``select_decile``, ``cw_weights``,
+``nbar_weights`` and ``transaction_cost`` are the per-day reference for
+that arithmetic, on plain weight vectors (longs positive, shorts
+negative); the tests compare the two bit for bit. Two threads that run
+one panel at once may both compute the forecasts; either result is the
+same matrix.
 """
 
 from __future__ import annotations
 
 import datetime as dt
 import math
+import weakref
 from dataclasses import asdict, dataclass
 from typing import Iterator, NamedTuple, Sequence
 
@@ -42,7 +46,6 @@ from .timeseries import QuotePanel
 __all__ = [
     "BacktestError",
     "BacktestConfig",
-    "PortfolioState",
     "DailyRecord",
     "MetricsBlock",
     "BacktestReport",
@@ -65,8 +68,12 @@ COST_MODELS = ("half-spread", "zero")
 
 TRADING_DAYS_PER_YEAR = 252
 # days per accounting block: a block's temporaries are a few (64, d) arrays,
-# small beside the (n - 2, d) forecast matrix the panel keeps
+# small beside the (n - 2, d) forecast matrix kept in _FORECASTS
 _BLOCK_DAYS = 64
+
+# panel -> ((tau, ridge_lambda), read-only forecast matrix) of the latest
+# curds-whey pass over that panel; an entry goes when its panel is freed
+_FORECASTS: weakref.WeakKeyDictionary[QuotePanel, tuple] = weakref.WeakKeyDictionary()
 
 
 class BacktestError(RuntimeError):
@@ -108,21 +115,6 @@ class BacktestConfig:
         return asdict(self)
 
 
-@dataclass(frozen=True)
-class PortfolioState:
-    """Signed per-asset weights; longs positive, shorts negative (the per-day reference)."""
-
-    weights: np.ndarray
-
-    def __post_init__(self) -> None:
-        weights = np.asarray(self.weights, dtype=float)
-        if weights.ndim != 1:
-            raise ValueError("weights must be a vector")
-        if not np.isfinite(weights).all():
-            raise ValueError("weights contain non-finite values")
-        object.__setattr__(self, "weights", weights)
-
-
 def select_decile(
     scores: Sequence[float] | np.ndarray,
     fraction: float = 0.1,
@@ -156,51 +148,78 @@ def select_decile(
     return long_set, np.sort(order[d - k :]).tolist()
 
 
-def cw_weights(d: int, long_set: Sequence[int], short_set: Sequence[int]) -> PortfolioState:
+def _leg(d: int, members: Sequence[int]) -> list[int]:
+    """A leg's asset indices as a list; repeated or out-of-range ones raise."""
+    idx = list(members)
+    if len(set(idx)) != len(idx):
+        raise ValueError("member set contains duplicates")
+    if idx and (min(idx) < 0 or max(idx) >= d):
+        raise ValueError(f"member indices must lie in [0, {d - 1}]")
+    return idx
+
+
+def cw_weights(d: int, long_set: Sequence[int], short_set: Sequence[int]) -> np.ndarray:
     """Equal weights of 1/k on each leg: +1/len(long) long, -1/len(short) short.
 
     Per-day reference for ``run_backtest``'s curds-whey weights.
     """
     weights = np.zeros(d)
     if long_set:
-        weights[list(long_set)] = 1.0 / len(long_set)
+        weights[_leg(d, long_set)] = 1.0 / len(long_set)
     if short_set:
-        weights[list(short_set)] -= 1.0 / len(short_set)
-    return PortfolioState(weights=weights)
+        weights[_leg(d, short_set)] -= 1.0 / len(short_set)
+    return weights
 
 
 def nbar_weights(
     state: RankerState, long_set: Sequence[int], short_set: Sequence[int]
-) -> PortfolioState:
+) -> np.ndarray:
     """Posterior-proportional long leg and complement-proportional short leg.
 
-    Per-day reference for ``run_backtest``'s nbar weights.
+    Each long weighs ``p`` over its leg's sum of ``p``, each short
+    ``1 - p`` over its leg's sum, so an asset with posterior 1 gets no
+    short weight. Per-day reference for ``run_backtest``'s nbar weights.
     """
     weights = np.zeros(state.d)
     if long_set:
-        idx = list(long_set)
-        weights[idx] += state.long_weights(idx)
+        idx = _leg(state.d, long_set)
+        picked = state.p[idx]
+        total = float(picked.sum())
+        if total <= 0.0:
+            raise ValueError("selected posteriors sum to zero")
+        weights[idx] += picked / total
     if short_set:
-        idx = list(short_set)
-        weights[idx] -= state.short_weights(idx)
-    return PortfolioState(weights=weights)
+        idx = _leg(state.d, short_set)
+        complement = 1.0 - state.p[idx]
+        total = float(complement.sum())
+        if total <= 0.0:
+            raise ValueError("every selected posterior is 1; short weights undefined")
+        weights[idx] -= complement / total
+    return weights
 
 
 def transaction_cost(
-    prev: PortfolioState,
-    new: PortfolioState,
+    prev: Sequence[float] | np.ndarray,
+    new: Sequence[float] | np.ndarray,
     half_spread_rates: Sequence[float] | np.ndarray,
 ) -> float:
-    """Cost rate of a rebalance: sum of half-spread rate times |weight change|.
+    """Cost rate of a rebalance from weights ``prev`` to ``new``: sum of
+    half-spread rate times |weight change|.
 
     Per-day reference for ``run_backtest``'s costs and turnover.
     """
+    prev = np.asarray(prev, dtype=float)
+    new = np.asarray(new, dtype=float)
     rates = np.asarray(half_spread_rates, dtype=float)
-    if rates.shape != prev.weights.shape or rates.shape != new.weights.shape:
+    if new.ndim != 1:
+        raise ValueError("weights must be a vector")
+    if rates.shape != prev.shape or rates.shape != new.shape:
         raise ValueError("weights and spread rates must share one length")
+    if not (np.isfinite(prev).all() and np.isfinite(new).all()):
+        raise ValueError("weights contain non-finite values")
     if (rates < 0.0).any():
         raise ValueError("half-spread rates must be non-negative")
-    return float(rates @ np.abs(new.weights - prev.weights))
+    return float(rates @ np.abs(new - prev))
 
 
 @dataclass(frozen=True)
@@ -359,17 +378,17 @@ def _forecast_matrix(panel: QuotePanel, tau: float, ridge_lambda: float) -> np.n
     """Curds-whey forecasts for every booked day, as one read-only ``(n - 2, d)`` array.
 
     Row ``i`` is ``y_tilde`` after the forecaster has folded in return row
-    ``i``: the scores for ``panel.dates[i + 1]``. The panel keeps the latest
-    matrix with its ``(tau, ridge_lambda)``, so runs that share the pair
-    share one pass. A pass that meets a non-finite forecast raises and
-    stores nothing.
+    ``i``: the scores for ``panel.dates[i + 1]``. ``_FORECASTS`` keeps the
+    panel's latest matrix with its ``(tau, ridge_lambda)``, so runs that
+    share the pair share one pass. A pass that meets a non-finite forecast
+    raises and stores nothing.
     """
     key = (tau, ridge_lambda)
-    memo = panel._forecast_memo
+    memo = _FORECASTS.get(panel)
     if memo is not None and memo[0] == key:
         return memo[1]
     # drop the old matrix before the new one is built, so at most one is held
-    object.__setattr__(panel, "_forecast_memo", None)
+    _FORECASTS.pop(panel, None)
     rets = panel.returns
     d = panel.n_assets
     model = CurdsWheyState(d, ridge_lambda, tau)
@@ -382,7 +401,7 @@ def _forecast_matrix(panel: QuotePanel, tau: float, ridge_lambda: float) -> np.n
         if not np.isfinite(row).all():
             raise BacktestError(f"non-finite forecast at {panel.dates[i + 1].isoformat()}")
     forecasts.setflags(write=False)
-    object.__setattr__(panel, "_forecast_memo", (key, forecasts))
+    _FORECASTS[panel] = (key, forecasts)
     return forecasts
 
 
@@ -468,7 +487,7 @@ def run_backtest(panel: QuotePanel, config: BacktestConfig) -> BacktestReport:
     with members chosen by posterior.
 
     The forecasts are computed once per panel and ``(tau, ridge_lambda)``
-    and kept on the panel (see ``_forecast_matrix``); the ranker and the
+    and kept in ``_FORECASTS`` (see ``_forecast_matrix``); the ranker and the
     accounting run on every call. The report is bit-identical to booking
     each day through ``select_decile``, ``cw_weights`` or ``nbar_weights``
     and ``transaction_cost``.
@@ -495,7 +514,7 @@ def run_backtest(panel: QuotePanel, config: BacktestConfig) -> BacktestReport:
         short_tally = np.zeros(len(sector_names), dtype=np.int64)
 
     gross = np.empty(n_days)
-    benchmark = np.empty(n_days)
+    benchmark = rets[1:].mean(axis=1)
     cost = np.zeros(n_days)
     turnover = np.empty(n_days)
     prev = np.zeros(d)
@@ -506,11 +525,9 @@ def run_backtest(panel: QuotePanel, config: BacktestConfig) -> BacktestReport:
         np.subtract(weights[1:], weights[:-1], out=change[1:])
         np.abs(change, out=change)
         turnover[block.start : block.start + len(weights)] = change.sum(axis=1)
-        # one product and one mean per day: batched forms may sum in another
-        # order, and do for the rows of a panel stored column by column
+        # one product per day: a batched product may sum in another order
         for j, i in enumerate(range(block.start, block.start + len(weights))):
             gross[i] = weights[j] @ rets[i + 1]
-            benchmark[i] = rets[i + 1].mean()
             if rates is not None:
                 cost[i] = rates[i] @ change[j]
         if sector_of is not None:

@@ -20,7 +20,7 @@ import json
 import logging
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -47,29 +47,20 @@ from .timeseries import (
     simulate_jump_diffusion,
 )
 
-__all__ = ["main", "RunManifest"]
+__all__ = ["main"]
 
 logger = logging.getLogger(__name__)
 
 
-@dataclass(frozen=True)
-class RunManifest:
+def _manifest(command: str, config: dict, inputs: dict[str, str], seed: int | None = None) -> dict:
     """Provenance block embedded in every emitted report."""
-
-    command: str
-    config: dict
-    inputs: dict[str, str]
-    seed: int | None
-    version: str
-
-    def to_json_dict(self) -> dict:
-        return {
-            "command": self.command,
-            "config": self.config,
-            "inputs": self.inputs,
-            "seed": self.seed,
-            "version": self.version,
-        }
+    return {
+        "command": command,
+        "config": config,
+        "inputs": inputs,
+        "seed": seed,
+        "version": __version__,
+    }
 
 
 def _sha256(path: Path) -> str:
@@ -131,31 +122,14 @@ def _cmd_synth(args: argparse.Namespace) -> int:
         panel = QuotePanel(
             dates=panel.dates, assets=panel.assets, bids=panel.bids, asks=panel.asks, sectors=sectors
         )
-    manifest = RunManifest(
-        command="synth",
-        config={
-            "drift": config.drift,
-            "volatility": config.volatility,
-            "jump_intensity": config.jump_intensity,
-            "jump_mean": config.jump_mean,
-            "jump_stdev": config.jump_stdev,
-            "n_steps": config.n_steps,
-            "n_assets": config.n_assets,
-            "cross_correlation": config.cross_correlation,
-            "spread": config.spread,
-            "start_price": config.start_price,
-            "start_date": config.start_date.isoformat(),
-            "sectors": args.sectors or None,
-        },
-        inputs={},
-        seed=config.seed,
-        version=__version__,
-    )
+    settings = asdict(config)
+    seed = settings.pop("seed")
+    settings.update(start_date=config.start_date.isoformat(), sectors=args.sectors or None)
     written = _emit(
         Path(args.out_dir),
         {
             "panel.csv": render_csv(panel),
-            "panel.manifest.json": _json_text(manifest.to_json_dict()),
+            "panel.manifest.json": _json_text(_manifest("synth", settings, {}, seed)),
         },
     )
     print(f"wrote {written[0]} ({panel.n_dates} dates x {panel.n_assets} assets)")
@@ -172,21 +146,19 @@ def _cmd_stationarity(args: argparse.Namespace) -> int:
         sidedness=args.sidedness,
         min_month_obs=args.min_month_obs,
     )
-    manifest = RunManifest(
-        command="stationarity",
-        config={
+    manifest = _manifest(
+        "stationarity",
+        {
             "panel": panel_path.name,
             "max_shift": args.max_shift,
             "alpha": args.alpha,
             "sidedness": args.sidedness,
             "min_month_obs": args.min_month_obs,
         },
-        inputs={panel_path.name: _sha256(panel_path)},
-        seed=None,
-        version=__version__,
+        {panel_path.name: _sha256(panel_path)},
     )
     table = render_report_table(report)
-    payload = {"manifest": manifest.to_json_dict(), "report": report.to_json_dict()}
+    payload = {"manifest": manifest, "report": report.to_json_dict()}
     written = _emit(
         Path(args.out_dir),
         {"stationarity.json": _json_text(payload), "stationarity.txt": table},
@@ -210,14 +182,12 @@ def _cmd_backtest(args: argparse.Namespace) -> int:
         cost_model=args.cost,
     )
     report = run_backtest(panel, config)
-    manifest = RunManifest(
-        command="backtest",
-        config={"panel": panel_path.name, **config.to_json_dict()},
-        inputs={panel_path.name: _sha256(panel_path)},
-        seed=None,
-        version=__version__,
+    manifest = _manifest(
+        "backtest",
+        {"panel": panel_path.name, **config.to_json_dict()},
+        {panel_path.name: _sha256(panel_path)},
     )
-    payload = {"manifest": manifest.to_json_dict(), **report.to_json_dict()}
+    payload = {"manifest": manifest, **report.to_json_dict()}
     written = _emit(
         Path(args.out_dir),
         {
@@ -256,18 +226,14 @@ def _cmd_rank(args: argparse.Namespace) -> int:
                 sort_keys=True,
             )
         )
-    manifest = RunManifest(
-        command="rank",
-        config={"panel": panel_path.name, "tau": args.tau},
-        inputs={panel_path.name: _sha256(panel_path)},
-        seed=None,
-        version=__version__,
+    manifest = _manifest(
+        "rank", {"panel": panel_path.name, "tau": args.tau}, {panel_path.name: _sha256(panel_path)}
     )
     written = _emit(
         Path(args.out_dir),
         {
             "rank.jsonl": "\n".join(lines) + "\n",
-            "rank.manifest.json": _json_text(manifest.to_json_dict()),
+            "rank.manifest.json": _json_text(manifest),
         },
     )
     print(f"wrote {written[0]} ({len(lines)} days)")

@@ -23,7 +23,7 @@ from typing import Sequence
 
 import numpy as np
 
-from ._snapshot import snapshot_array, snapshot_count
+from ._snapshot import snapshot_array, snapshot_count, snapshot_field
 
 __all__ = ["RankerState", "RankOutput"]
 
@@ -99,38 +99,6 @@ class RankerState:
         order = np.argsort(-self.p, kind="stable")
         return RankOutput(order=order, posterior=self.p.copy())
 
-    def long_weights(self, members: Sequence[int]) -> np.ndarray:
-        """Posterior-proportional weights over ``members``; sums to one."""
-        idx = self._validate_members(members)
-        weights = self.p[idx]
-        total = float(weights.sum())
-        if total <= 0.0:
-            raise ValueError("selected posteriors sum to zero")
-        return weights / total
-
-    def short_weights(self, members: Sequence[int]) -> np.ndarray:
-        """Complement-posterior weights over ``members``; sums to one.
-
-        An expert with posterior 1 gets weight 0; if every member has
-        posterior 1 the weights are undefined and an error is raised.
-        """
-        idx = self._validate_members(members)
-        complement = 1.0 - self.p[idx]
-        total = float(complement.sum())
-        if total <= 0.0:
-            raise ValueError("every selected posterior is 1; short weights undefined")
-        return complement / total
-
-    def _validate_members(self, members: Sequence[int]) -> np.ndarray:
-        idx = np.asarray(list(members), dtype=int)
-        if idx.size == 0:
-            raise ValueError("member set must not be empty")
-        if len(set(idx.tolist())) != idx.size:
-            raise ValueError("member set contains duplicates")
-        if idx.min() < 0 or idx.max() >= self.d:
-            raise ValueError(f"member indices must lie in [0, {self.d - 1}]")
-        return idx
-
     def to_json_dict(self) -> dict:
         """Snapshot of the full state, suitable for resumable runs."""
         return {
@@ -143,13 +111,12 @@ class RankerState:
 
     @classmethod
     def from_json_dict(cls, payload: dict) -> "RankerState":
-        """Load and validate a snapshot; one with a ``win_matrix`` loads as its column means."""
-        state = cls(payload["d"], payload["tau"])
+        """Load and validate a snapshot."""
+        state = cls(
+            snapshot_count("d", snapshot_field(payload, "d")), snapshot_field(payload, "tau")
+        )
         d = state.d
-        if "win_mean" in payload:
-            m = snapshot_array(payload, "win_mean", (d,))
-        else:
-            m = snapshot_array(payload, "win_matrix", (d, d)).mean(axis=0)
+        m = snapshot_array(payload, "win_mean", (d,))
         if m.min() < 0.0 or m.max() > 1.0:
             raise ValueError("snapshot field win_mean must lie in [0, 1]")
         p = snapshot_array(payload, "posterior", (d,))
@@ -159,6 +126,6 @@ class RankerState:
             raise ValueError(f"snapshot field posterior must sum to 1, got {float(p.sum())!r}")
         state.m = m
         state.p = p
-        state.t = snapshot_count("t", payload["t"])
+        state.t = snapshot_count("t", snapshot_field(payload, "t"))
         return state
 

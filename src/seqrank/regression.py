@@ -28,7 +28,7 @@ from typing import Sequence
 
 import numpy as np
 
-from ._snapshot import snapshot_array, snapshot_count
+from ._snapshot import snapshot_array, snapshot_count, snapshot_field
 
 __all__ = ["CurdsWheyState", "Forecast", "batch_ridge", "batch_shrinkage"]
 
@@ -184,12 +184,17 @@ class CurdsWheyState:
 
     @classmethod
     def from_json_dict(cls, payload: dict) -> "CurdsWheyState":
-        """Load a snapshot; every matrix must have its shape and be finite.
+        """Load a snapshot; every matrix must have its shape and be finite,
+        and ``x_prev`` must carry the leading 1 that :meth:`step` requires.
 
         ``P`` and ``Q`` must also equal their transposes bit for bit,
         because :meth:`step` keeps symmetry rather than restoring it.
         """
-        state = cls(payload["d"], payload["ridge_lambda"], payload["tau"])
+        state = cls(
+            snapshot_count("d", snapshot_field(payload, "d")),
+            snapshot_field(payload, "ridge_lambda"),
+            snapshot_field(payload, "tau"),
+        )
         d = state.d
         arrays = {
             "theta": (d, d + 1),
@@ -205,7 +210,9 @@ class CurdsWheyState:
             value = getattr(state, name)
             if value.tobytes() != value.T.tobytes():
                 raise ValueError(f"snapshot field {name} must be symmetric")
-        state.t = snapshot_count("t", payload["t"])
+        if state.x_prev[0] != 1.0:
+            raise ValueError(f"snapshot field x_prev must carry a leading 1, got {state.x_prev[0]}")
+        state.t = snapshot_count("t", snapshot_field(payload, "t"))
         state.p_resets = snapshot_count("p_resets", payload.get("p_resets", 0))
         state.q_resets = snapshot_count("q_resets", payload.get("q_resets", 0))
         return state

@@ -2,8 +2,9 @@
 
 A :class:`QuotePanel` is the core container: date-aligned bid/ask matrices
 for two or more assets, with mid prices, simple returns and half-spread
-rates materialised once at construction and frozen afterwards. Panels are
-immutable, so they can be shared freely across threads.
+rates materialised once at construction, stored row by row (C order) and
+frozen afterwards. Panels are immutable, so they can be shared freely
+across threads.
 
 Synthetic panels come from :func:`simulate_jump_diffusion`, a seeded
 generator that combines Gaussian diffusion (optionally cross-correlated
@@ -50,7 +51,8 @@ class QuotePanel:
     ``bids`` and ``asks`` are ``(n, d)`` arrays over strictly increasing
     dates. ``mids``, ``returns`` (shape ``(n - 1, d)``, where row ``t`` is
     the return from date ``t`` to date ``t + 1``) and ``half_spread_rates``
-    are derived in ``__post_init__`` and all arrays are then frozen.
+    are derived in ``__post_init__`` and all five arrays are then frozen
+    and C-contiguous, whatever the memory order of the quotes given.
     """
 
     dates: tuple[dt.date, ...]
@@ -61,15 +63,12 @@ class QuotePanel:
     mids: np.ndarray = field(init=False)
     returns: np.ndarray = field(init=False)
     half_spread_rates: np.ndarray = field(init=False)
-    # seqrank.backtest's memo: ((tau, ridge_lambda), read-only forecast matrix)
-    # of the latest curds-whey pass over these returns, freed with the panel
-    _forecast_memo: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         dates = tuple(self.dates)
         assets = tuple(str(a) for a in self.assets)
-        bids = np.array(self.bids, dtype=float)
-        asks = np.array(self.asks, dtype=float)
+        bids = np.array(self.bids, dtype=float, order="C")
+        asks = np.array(self.asks, dtype=float, order="C")
         n, d = len(dates), len(assets)
         if d < 2:
             raise ValueError(f"a panel needs at least 2 assets, got {d}")

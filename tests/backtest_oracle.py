@@ -3,8 +3,8 @@
 This is the loop ``seqrank.backtest.run_backtest`` replaced: each day it
 steps a fresh forecaster, updates the ranker, and books the day through
 the per-day helpers (``select_decile``, ``cw_weights`` or
-``nbar_weights``, ``transaction_cost``) with one ``PortfolioState`` per
-day and Python ``int`` lists for the legs. The tests compare the array
+``nbar_weights``, ``transaction_cost``) with one weight vector per day
+and Python ``int`` lists for the legs. The tests compare the array
 backtest's reports against it bit for bit.
 """
 
@@ -16,7 +16,6 @@ from seqrank.backtest import (
     BacktestError,
     BacktestReport,
     DailyRecord,
-    PortfolioState,
     compute_metrics,
     cw_weights,
     nbar_weights,
@@ -44,7 +43,7 @@ def oracle_run_backtest(panel, config) -> BacktestReport:
     zero_cost = config.cost_model == "zero"
     zero_rates = np.zeros(d)
 
-    weights_prev = PortfolioState(weights=np.zeros(d))
+    weights_prev = np.zeros(d)
     records: list[DailyRecord] = []
     benchmark: list[float] = []
     tallies: dict[str, dict[str, int]] | None = None
@@ -74,14 +73,14 @@ def oracle_run_backtest(panel, config) -> BacktestReport:
         rates = zero_rates if zero_cost else panel.half_spread_rates[i + 1]
         cost = transaction_cost(weights_prev, target, rates)
         r_next = rets[i + 1]
-        gross = float(target.weights @ r_next)
+        gross = float(target @ r_next)
         records.append(
             DailyRecord(
                 date=today,
                 gross_return=gross,
                 cost=cost,
                 net_return=gross - cost,
-                turnover=float(np.abs(target.weights - weights_prev.weights).sum()),
+                turnover=float(np.abs(target - weights_prev).sum()),
                 n_long=len(long_set),
                 n_short=len(short_set),
             )

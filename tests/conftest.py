@@ -12,6 +12,9 @@ from seqrank import JumpDiffusionConfig, QuotePanel, simulate_jump_diffusion, we
 settings.register_profile("suite", deadline=None, max_examples=50)
 settings.load_profile("suite")
 
+# a snapshot validation case that deletes its field instead of setting it
+MISSING = object()
+
 
 def panel_from_mids(mids: np.ndarray, spread: float = 0.0, start: dt.date = dt.date(2020, 1, 6)):
     """Build a panel from an (n, d) mid-price matrix with a proportional spread."""

@@ -1,23 +1,25 @@
 """Selection, weighting, costs, the array backtest against its daily loop, and metrics."""
 
 import datetime as dt
+import gc
 import json
 import math
 import re
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import seqrank.backtest as backtest
 from seqrank import (
     BacktestConfig,
     BacktestError,
     CurdsWheyState,
     Forecast,
     JumpDiffusionConfig,
-    PortfolioState,
     QuotePanel,
     RankerState,
     compute_metrics,
@@ -35,6 +37,7 @@ from seqrank.backtest import (
     NBAR_INPUTS,
     NBAR_MEMBERSHIPS,
     STRATEGIES,
+    _FORECASTS,
     _forecast_matrix,
     _target_blocks,
     render_equity_csv,
@@ -93,64 +96,92 @@ class TestSelectDecile:
 
 class TestWeights:
     def test_equal_weight_leg(self):
-        state = cw_weights(250, list(range(25)), [])
-        assert np.allclose(state.weights[:25], 0.04)
-        assert state.weights[25:].sum() == 0.0
+        weights = cw_weights(250, list(range(25)), [])
+        assert np.allclose(weights[:25], 0.04)
+        assert weights[25:].sum() == 0.0
 
     def test_single_pair(self):
-        state = cw_weights(4, [0], [1])
-        assert np.array_equal(state.weights, [1.0, -1.0, 0.0, 0.0])
+        assert np.array_equal(cw_weights(4, [0], [1]), [1.0, -1.0, 0.0, 0.0])
 
     def test_long_only_never_negative(self):
-        state = cw_weights(6, [1, 4], [])
-        assert (state.weights >= 0.0).all()
+        assert (cw_weights(6, [1, 4], []) >= 0.0).all()
 
     def test_nbar_uniform_reduces_to_equal_weight(self):
         ranker = RankerState(6, 0.9)
-        got = nbar_weights(ranker, [0, 3], [2, 5]).weights
-        want = cw_weights(6, [0, 3], [2, 5]).weights
+        got = nbar_weights(ranker, [0, 3], [2, 5])
+        want = cw_weights(6, [0, 3], [2, 5])
         assert np.allclose(got, want, atol=1e-12)
+        assert np.allclose(nbar_weights(RankerState(5, 0.9), [0, 2, 4], [])[[0, 2, 4]], 1 / 3)
 
     def test_nbar_hand_trace_long(self):
-        weights = nbar_weights(traced_ranker(), [0, 2], []).weights
+        weights = nbar_weights(traced_ranker(), [0, 2], [])
         assert np.allclose(weights, [5 / 9, 0.0, 4 / 9], atol=1e-12)
 
+    def test_nbar_hand_trace_short(self):
+        weights = nbar_weights(traced_ranker(), [], [1, 2])
+        assert np.allclose(weights, [0.0, -9 / 17, -8 / 17], atol=1e-12)
+
     def test_nbar_singleton_legs(self):
-        weights = nbar_weights(traced_ranker(), [1], [0]).weights
+        weights = nbar_weights(traced_ranker(), [1], [0])
         assert np.allclose(weights, [-1.0, 1.0, 0.0], atol=1e-12)
+
+    def test_nbar_short_weight_zero_for_certain_asset(self):
+        ranker = RankerState(3, 0.9)
+        ranker.p = np.array([1.0, 0.0, 0.0])
+        assert np.allclose(nbar_weights(ranker, [], [0, 1]), [0.0, -1.0, 0.0])
+        with pytest.raises(ValueError, match="short weights undefined"):
+            nbar_weights(ranker, [], [0])
+        with pytest.raises(ValueError, match="selected posteriors sum to zero"):
+            nbar_weights(ranker, [1, 2], [])
+
+    @pytest.mark.parametrize("weigh", [
+        lambda legs: cw_weights(3, *legs),
+        lambda legs: nbar_weights(traced_ranker(), *legs),
+    ], ids=["cw", "nbar"])
+    @pytest.mark.parametrize("legs,message", [
+        (([0, 0], []), "duplicates"),
+        (([], [2, 2]), "duplicates"),
+        (([5], []), r"must lie in \[0, 2\]"),
+        (([], [-1]), r"must lie in \[0, 2\]"),
+    ])
+    def test_member_validation(self, weigh, legs, message):
+        with pytest.raises(ValueError, match=message):
+            weigh(legs)
 
     def test_legs_sum_to_one(self):
         rng = np.random.default_rng(0)
         ranker = RankerState(10, 0.99)
         for _ in range(30):
             ranker.update(rng.normal(size=10))
-        state = nbar_weights(ranker, [0, 1, 2], [7, 8, 9])
-        longs = state.weights[state.weights > 0]
-        shorts = state.weights[state.weights < 0]
+        weights = nbar_weights(ranker, [0, 1, 2], [7, 8, 9])
+        longs = weights[weights > 0]
+        shorts = weights[weights < 0]
         assert longs.sum() == pytest.approx(1.0, abs=1e-12)
         assert shorts.sum() == pytest.approx(-1.0, abs=1e-12)
-        assert np.abs(state.weights).sum() <= 2.0 + 1e-12
+        assert np.abs(weights).sum() <= 2.0 + 1e-12
 
 
 class TestTransactionCost:
     def test_no_rebalance_no_cost(self):
-        w = PortfolioState(weights=np.array([0.5, 0.5]))
+        w = np.array([0.5, 0.5])
         assert transaction_cost(w, w, [0.01, 0.01]) == 0.0
 
     def test_entry_cost(self):
-        prev = PortfolioState(weights=np.zeros(2))
-        new = PortfolioState(weights=np.array([0.04, 0.0]))
-        assert transaction_cost(prev, new, [0.01, 0.01]) == pytest.approx(4e-4, abs=1e-18)
+        assert transaction_cost(np.zeros(2), [0.04, 0.0], [0.01, 0.01]) == pytest.approx(4e-4, abs=1e-18)
 
     def test_flip_cost(self):
-        prev = PortfolioState(weights=np.array([0.5]))
-        new = PortfolioState(weights=np.array([-0.5]))
-        assert transaction_cost(prev, new, [0.002]) == pytest.approx(0.002, abs=1e-18)
+        assert transaction_cost([0.5], [-0.5], [0.002]) == pytest.approx(0.002, abs=1e-18)
 
-    def test_negative_rate_rejected(self):
-        w = PortfolioState(weights=np.zeros(2))
-        with pytest.raises(ValueError):
-            transaction_cost(w, w, [-0.001, 0.0])
+    @pytest.mark.parametrize("prev,new,rates,message", [
+        ([0.0, 0.0], [0.0, 0.0], [-0.001, 0.0], "rates must be non-negative"),
+        ([0.0, 0.0], [0.0, float("nan")], [0.001, 0.001], "weights contain non-finite"),
+        ([float("inf"), 0.0], [0.0, 0.0], [0.001, 0.001], "weights contain non-finite"),
+        ([0.0, 0.0], [0.0, 0.0, 0.0], [0.001, 0.001], "share one length"),
+        ([[0.0, 0.0]], [[0.0, 0.0]], [[0.001, 0.001]], "weights must be a vector"),
+    ])
+    def test_rejects(self, prev, new, rates, message):
+        with pytest.raises(ValueError, match=message):
+            transaction_cost(prev, new, rates)
 
 
 class TestMetrics:
@@ -335,7 +366,7 @@ class TestRunBacktest:
             BacktestConfig(strategy="nbar", nbar_input="forecasts"),
             BacktestConfig(strategy="nbar", nbar_input="realised", nbar_membership="by-forecast"),
         ):
-            # a fresh panel, since a panel keeps the forecasts of its last pass
+            # a fresh panel each time: the latest forecasts are kept per panel
             calls.clear()
             run_backtest(fresh_copy(noisy_panel), config)
             assert len(calls) == noisy_panel.returns.shape[0] - 1
@@ -592,7 +623,7 @@ def fresh_reports(memo_panel):
 
 
 class TestForecastMemo:
-    """The panel keeps one forecast matrix: the latest ``(tau, ridge_lambda)``."""
+    """``_FORECASTS`` keeps one matrix per panel: the latest ``(tau, ridge_lambda)``."""
 
     @given(order=st.permutations(range(len(MEMO_CONFIGS))))
     def test_any_order_on_one_panel_matches_fresh_panels(self, memo_panel, fresh_reports, order):
@@ -603,7 +634,7 @@ class TestForecastMemo:
     def test_memoised_matrix_is_read_only(self, memo_panel):
         panel = fresh_copy(memo_panel)
         run_backtest(panel, BacktestConfig())
-        key, forecasts = panel._forecast_memo
+        key, forecasts = _FORECASTS[panel]
         assert key == (0.999, 1.0)
         assert forecasts.shape == (panel.n_dates - 2, panel.n_assets)
         assert not forecasts.flags.writeable
@@ -630,12 +661,12 @@ class TestForecastMemo:
         calls = count_steps(monkeypatch)
         run_backtest(panel, BacktestConfig(tau=0.999))
         run_backtest(panel, BacktestConfig(tau=0.99))
-        assert panel._forecast_memo[0] == (0.99, 1.0)
+        assert _FORECASTS[panel][0] == (0.99, 1.0)
         run_backtest(panel, BacktestConfig(tau=0.99, strategy="nbar"))
         assert len(calls) == 2 * n_days
         run_backtest(panel, BacktestConfig(tau=0.999))
         assert len(calls) == 3 * n_days
-        assert panel._forecast_memo[0] == (0.999, 1.0)
+        assert _FORECASTS[panel][0] == (0.999, 1.0)
 
     def test_failed_pass_is_not_memoised(self, memo_panel, monkeypatch):
         panel = fresh_copy(memo_panel)
@@ -645,8 +676,21 @@ class TestForecastMemo:
         for _ in range(2):
             with pytest.raises(BacktestError, match=f"at {panel.dates[40].isoformat()}$"):
                 run_backtest(panel, BacktestConfig())
-            assert panel._forecast_memo is None
+            assert panel not in _FORECASTS
         assert len(calls) == 2 * 40
+
+    def test_entry_goes_with_its_panel(self, memo_panel, monkeypatch):
+        # an empty map of the memo's own type, so no other test's panel is in it
+        forecasts = type(_FORECASTS)()
+        monkeypatch.setattr(backtest, "_FORECASTS", forecasts)
+        panel = fresh_copy(memo_panel)
+        run_backtest(panel, BacktestConfig())
+        assert list(forecasts) == [panel]
+        ref = weakref.ref(panel)
+        del panel
+        gc.collect()
+        assert ref() is None
+        assert len(forecasts) == 0
 
 
 class TestMemoryGuard:

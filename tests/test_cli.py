@@ -1,5 +1,6 @@
 """Command-line surface: outputs, determinism, and failure behaviour."""
 
+import dataclasses
 import hashlib
 import json
 import math
@@ -12,7 +13,7 @@ import numpy as np
 import pytest
 
 import seqrank
-from seqrank import load_csv, write_csv
+from seqrank import JumpDiffusionConfig, load_csv, write_csv
 from seqrank.cli import _emit, _sha256, main
 
 from conftest import constant_growth_panel, dominance_panel
@@ -43,6 +44,9 @@ class TestSynth:
         assert manifest["command"] == "synth"
         assert manifest["seed"] == 7
         assert manifest["version"]
+        # every generator setting is recorded, the seed at the top level
+        fields = {f.name for f in dataclasses.fields(JumpDiffusionConfig)}
+        assert set(manifest["config"]) == fields - {"seed"} | {"sectors"}
         panel = load_csv(path)
         assert panel.n_assets == 6
         assert panel.n_dates == 121

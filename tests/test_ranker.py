@@ -9,6 +9,8 @@ from hypothesis import strategies as st
 
 from seqrank import RankerState
 
+from conftest import MISSING
+
 perf_vectors = st.lists(
     st.floats(min_value=-10, max_value=10, allow_nan=False), min_size=4, max_size=4
 )
@@ -194,49 +196,6 @@ class TestRank:
         assert np.array_equal(state.rank().order, [1, 0, 2])
 
 
-class TestWeights:
-    def test_long_weights_hand_trace(self):
-        weights = traced_state().long_weights([0, 2])
-        assert np.allclose(weights, [5 / 9, 4 / 9], atol=1e-12)
-
-    def test_long_weights_singleton(self):
-        assert traced_state().long_weights([1]) == pytest.approx([1.0])
-
-    def test_long_weights_uniform(self):
-        assert np.allclose(RankerState(5, 0.9).long_weights([0, 2, 4]), 1 / 3)
-
-    def test_short_weights_hand_trace(self):
-        weights = traced_state().short_weights([1, 2])
-        assert np.allclose(weights, [9 / 17, 8 / 17], atol=1e-12)
-
-    def test_short_weights_uniform(self):
-        assert np.allclose(RankerState(4, 0.9).short_weights([1, 3]), 0.5)
-
-    def test_short_weight_zero_for_certain_expert(self):
-        state = RankerState(3, 0.9)
-        state.p = np.array([1.0, 0.0, 0.0])
-        assert np.allclose(state.short_weights([0, 1]), [0.0, 1.0])
-        with pytest.raises(ValueError, match="short weights undefined"):
-            state.short_weights([0])
-
-    def test_member_validation(self):
-        state = traced_state()
-        with pytest.raises(ValueError):
-            state.long_weights([])
-        with pytest.raises(ValueError):
-            state.long_weights([0, 0])
-        with pytest.raises(ValueError):
-            state.long_weights([5])
-
-    def test_weights_sum_to_one(self):
-        rng = np.random.default_rng(2)
-        state = RankerState(8, 0.95)
-        for _ in range(25):
-            state.update(rng.normal(size=8))
-        assert state.long_weights([1, 3, 5]).sum() == pytest.approx(1.0, abs=1e-12)
-        assert state.short_weights([0, 2, 7]).sum() == pytest.approx(1.0, abs=1e-12)
-
-
 class TestSerialisation:
     def test_round_trip_resumes_identically(self):
         rng = np.random.default_rng(5)
@@ -257,22 +216,6 @@ class TestSerialisation:
     def test_snapshot_keys(self):
         payload = traced_state().to_json_dict()
         assert set(payload) == {"d", "tau", "t", "win_mean", "posterior"}
-
-    def test_loads_win_matrix_snapshot_as_column_means(self):
-        series = np.random.default_rng(6).normal(size=(30, 4))
-        state = RankerState(4, 0.95)
-        for row in series:
-            state.update(row)
-        *_, (R, p) = matrix_reference(series, 0.95)
-        legacy = {
-            "d": 4, "tau": 0.95, "t": 30, "win_matrix": R.tolist(),
-            "posterior": p.tolist(), "likelihood": (R.mean(axis=0) / R.mean(axis=0).sum()).tolist(),
-        }
-        loaded = RankerState.from_json_dict(json.loads(json.dumps(legacy)))
-        assert loaded.t == 30
-        assert np.array_equal(loaded.m, R.mean(axis=0))
-        assert np.allclose(loaded.m, state.m, atol=1e-15)
-        assert np.array_equal(loaded.p, p)
 
     def test_loaded_state_owns_its_arrays(self):
         series = np.random.default_rng(7).normal(size=(20, 4))
@@ -303,15 +246,17 @@ class TestSerialisation:
             ("posterior", [0.5, 0.3, 0.3], "posterior must sum to 1"),
             ("win_mean", [0.1, 1.5, 0.1], r"win_mean must lie in \[0, 1\]"),
             ("win_mean", [0.1, -0.1, 0.1], r"win_mean must lie in \[0, 1\]"),
-            ("win_matrix", [[0.1, 2.0, 0.1]] * 3, r"win_mean must lie in \[0, 1\]"),
-            ("win_matrix", [[0.1, 0.1]] * 3, "win_matrix must have shape"),
             ("t", -1, "t must be >= 0"),
+            ("t", 3.9, "t must be an integer, got 3.9"),
+            ("t", True, "t must be an integer, got True"),
+            ("posterior", MISSING, "posterior is missing"),
         ],
     )
     def test_snapshot_validation(self, field, value, message):
         payload = traced_state().to_json_dict()
-        if field == "win_matrix":
-            del payload["win_mean"]
-        payload[field] = value
+        if value is MISSING:
+            del payload[field]
+        else:
+            payload[field] = value
         with pytest.raises(ValueError, match=message):
             RankerState.from_json_dict(payload)

@@ -16,6 +16,7 @@ from seqrank import (
     simulate_jump_diffusion,
 )
 
+from conftest import MISSING
 from regression_oracle import oracle_step, weighted_gram, weighted_ridge
 
 
@@ -344,11 +345,18 @@ class TestHygiene:
             ("q_resets", -1, "q_resets must be >= 0"),
             ("P", [[1.0, 0.5, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]], "P must be symmetric"),
             ("Q", [[1.0, -0.0], [0.0, 1.0]], "Q must be symmetric"),
+            ("x_prev", [0.5, 0.0, 0.0], "x_prev must carry a leading 1, got 0.5"),
+            ("t", 2.5, "t must be an integer, got 2.5"),
+            ("d", True, "d must be an integer, got True"),
+            ("theta", MISSING, "theta is missing"),
         ],
     )
     def test_snapshot_validation(self, field, value, message):
         payload = CurdsWheyState(2, 1.0, 0.999).to_json_dict()
-        payload[field] = value
+        if value is MISSING:
+            del payload[field]
+        else:
+            payload[field] = value
         with pytest.raises(ValueError, match=message):
             CurdsWheyState.from_json_dict(payload)
 

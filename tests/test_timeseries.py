@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from seqrank import (
     JumpDiffusionConfig,
+    QuotePanel,
     build_panel,
     load_csv,
     simulate_jump_diffusion,
@@ -107,6 +108,17 @@ class TestBuildPanel:
         panel = panel_from_mids(np.full((3, 2), 50.0))
         with pytest.raises(ValueError):
             panel.mids[0, 0] = 1.0
+
+    def test_arrays_stored_in_c_order(self):
+        bids = np.asfortranarray(100.0 + np.arange(12.0).reshape(4, 3))
+        asks = np.asfortranarray(bids * 1.002)
+        assert not bids.flags.c_contiguous and not asks.flags.c_contiguous
+        panel = QuotePanel(
+            dates=weekday_range(dt.date(2021, 1, 4), 4), assets=("a", "b", "c"), bids=bids, asks=asks
+        )
+        arrays = (panel.bids, panel.asks, panel.mids, panel.returns, panel.half_spread_rates)
+        assert all(arr.flags.c_contiguous for arr in arrays)
+        assert np.array_equal(panel.bids, bids) and np.array_equal(panel.asks, asks)
 
     def test_weekday_range_skips_weekends(self):
         days = weekday_range(dt.date(2021, 1, 2), 6)  # a Saturday start rolls forward
