@@ -1,5 +1,7 @@
 """Validated field readers shared by the resumable states' ``from_json_dict``."""
 
+import math
+
 import numpy as np
 
 
@@ -34,3 +36,16 @@ def snapshot_count(name: str, value: object) -> int:
     if value < 0:
         raise ValueError(f"snapshot field {name} must be >= 0, got {value}")
     return int(value)
+
+
+def snapshot_real(name: str, value: object) -> float:
+    """Snapshot field ``name`` with ``value`` as a finite real number.
+
+    Only an integer or a float is a number here: a ``bool``, a string,
+    ``None`` or a list is rejected rather than converted.
+    """
+    if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
+        raise ValueError(f"snapshot field {name} must be a number, got {value!r}")
+    if not math.isfinite(value):
+        raise ValueError(f"snapshot field {name} must be finite, got {value!r}")
+    return float(value)

@@ -393,11 +393,8 @@ def _forecast_matrix(panel: QuotePanel, tau: float, ridge_lambda: float) -> np.n
     d = panel.n_assets
     model = CurdsWheyState(d, ridge_lambda, tau)
     forecasts = np.empty((rets.shape[0] - 1, d))
-    x = np.empty(d + 1)
-    x[0] = 1.0
     for i, (row, r_today) in enumerate(zip(forecasts, rets)):
-        x[1:] = r_today
-        row[:] = model.step(x, r_today).y_tilde
+        row[:] = model.step(r_today).y_tilde
         if not np.isfinite(row).all():
             raise BacktestError(f"non-finite forecast at {panel.dates[i + 1].isoformat()}")
     forecasts.setflags(write=False)

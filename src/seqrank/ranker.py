@@ -23,7 +23,7 @@ from typing import Sequence
 
 import numpy as np
 
-from ._snapshot import snapshot_array, snapshot_count, snapshot_field
+from ._snapshot import snapshot_array, snapshot_count, snapshot_field, snapshot_real
 
 __all__ = ["RankerState", "RankOutput"]
 
@@ -113,7 +113,8 @@ class RankerState:
     def from_json_dict(cls, payload: dict) -> "RankerState":
         """Load and validate a snapshot."""
         state = cls(
-            snapshot_count("d", snapshot_field(payload, "d")), snapshot_field(payload, "tau")
+            snapshot_count("d", snapshot_field(payload, "d")),
+            snapshot_real("tau", snapshot_field(payload, "tau")),
         )
         d = state.d
         m = snapshot_array(payload, "win_mean", (d,))

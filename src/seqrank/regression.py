@@ -1,23 +1,35 @@
-"""Two-stage multivariate recursive least squares with exponential forgetting.
+"""Two-stage autoregressive least squares with exponential forgetting.
 
-Stage one tracks a linear map from the previous input vector (a leading
-one plus ``d`` features) to the current ``d``-vector target: coefficient
-matrix ``theta`` with inverse-covariance surrogate ``P``. Stage two tracks
-a ``d x d`` shrinkage map ``phi`` that regresses the stage-one prediction
-on the previous target, with surrogate ``Q``, so correlated targets pull
-each other's forecasts toward directions that have proven predictable.
-The final forecast for an input ``x`` is ``phi @ (theta @ x)``.
+Stage one tracks a linear map from the previous return vector, with a
+leading one, to the current one: coefficient matrix ``theta`` (``d x
+(d + 1)``) with inverse-covariance surrogate ``P``. Stage two tracks a
+``d x d`` shrinkage map ``phi`` that regresses the stage-one prediction on
+the previous return, so correlated targets pull each other's forecasts
+toward directions that have proven predictable (curds and whey, Breiman
+and Friedman 1997). :meth:`CurdsWheyState.step` folds in the return
+vector ``r`` and forecasts the next one as ``phi @ (theta @ (1, r))``.
 
-Each step pairs the lagged input with the current target, as the
-forecasting use case requires (today's features predict tomorrow's
-targets). With forgetting factor ``tau = 1`` the recursions reproduce,
-exactly up to floating point, the batch ridge solutions on the sequence of
-(lagged input, target) pairs; :func:`batch_ridge` and
-:func:`batch_shrinkage` provide those oracles. With ``tau < 1`` old pairs
-are geometrically down-weighted, so the coefficients track drifting maps.
+Each step pairs the lagged input ``(1, r_{s-1})`` with the current return
+``r_s``, as forecasting requires (today's returns predict tomorrow's).
+With forgetting factor ``tau = 1`` the recursions reproduce, up to
+floating point, the batch ridge solutions on those pairs;
+:func:`batch_ridge` and :func:`batch_shrinkage` provide the oracles. With
+``tau < 1`` old pairs are geometrically down-weighted, so the coefficients
+track drifting maps.
 
-State evolution is strictly sequential. :meth:`CurdsWheyState.forecast`
-is read-only and may be called concurrently with no writer present.
+Stage two's surrogate ``Q`` is never formed. The lagged input is ``(1,
+r_{s-1})`` and stage two's regressor is ``r_{s-1}``, and both surrogates
+start from ``I / lambda``, so ``Q^-1`` is the lower-right block of
+``P^-1``. The block-inverse identity (Golub and Van Loan) then gives
+``Q = P22 - P21 P12 / P11`` from the same ``P``, so ``Q y_prev`` costs
+O(d) once ``P x_prev`` is known.
+
+When ``1 / (1 - tau) < d + 1`` the forgetting window is shorter than the
+number of regressors and the recursion is ill-conditioned: forecasts there
+depend on the order of floating-point operations, not only on the data.
+
+State evolution is strictly sequential; a state may be handed between
+threads but never shared mutably.
 """
 
 from __future__ import annotations
@@ -28,28 +40,18 @@ from typing import Sequence
 
 import numpy as np
 
-from ._snapshot import snapshot_array, snapshot_count, snapshot_field
+from ._snapshot import snapshot_array, snapshot_count, snapshot_field, snapshot_real
 
 __all__ = ["CurdsWheyState", "Forecast", "batch_ridge", "batch_shrinkage"]
 
 logger = logging.getLogger(__name__)
 
-# P or Q diagonals below this trigger a reset to the prior; resets are
-# counted on the state and logged.
+# a P diagonal below this triggers a reset to the prior; resets are counted
+# on the state and logged
 _RESET_FLOOR = 1e-12
-
-
-def _outer(a: np.ndarray, b: np.ndarray, out: np.ndarray) -> None:
-    """Write ``a_i * b_j`` into ``out``.
-
-    At d = 250 einsum takes about 0.6 of the time ``np.multiply.outer``
-    does. It adds each product to a zeroed ``out``, so it writes ``+0.0``
-    where the product is ``-0.0``. Adding that to, or subtracting it from,
-    a matrix entry gives the same bits unless the entry is ``-0.0``. A
-    step never makes one (a sum is ``-0.0`` only when both terms are, and
-    the prior's zeros are ``+0.0``), so only a loaded snapshot can hold it.
-    """
-    np.einsum("i,j->ij", a, b, out=out)
+# steps whose rank-one updates are held as pending rows before one blocked
+# update folds them into the matrices
+_FLUSH_STEPS = 32
 
 
 @dataclass(frozen=True)
@@ -61,7 +63,33 @@ class Forecast:
 
 
 class CurdsWheyState:
-    """Coupled coefficient/shrinkage recursions for ``d`` target series."""
+    """Coupled coefficient/shrinkage recursions on a stream of ``d``-asset returns.
+
+    A step makes three rank-one updates: ``theta += u g'``, ``P <- P / tau
+    - s g g'`` and ``phi += v w'``. They are not applied one by one. Each
+    matrix is a base plus pending rows: ``theta = T + U' G``, ``phi = F +
+    V' W`` and ``P = c (S - H' H)`` with ``H = sqrt(a) G`` row by row and
+    the scalar ``c <- c / tau`` carrying the forgetting. A step reads ``S``,
+    ``T`` and ``F`` once each, against the vectors it needs, plus O(d k)
+    for the ``k`` pending rows. Every ``_FLUSH_STEPS`` steps one matrix
+    product per matrix folds the rows into the bases, and ``S`` absorbs
+    ``c``. ``H' H`` is formed as one product of ``H`` with its own
+    transpose, which numpy computes exactly symmetric (BLAS syrk); ``S``
+    must stay exactly symmetric, and an asymmetric product such as ``(G'
+    a) G`` makes the recursion diverge at small ``tau``.
+
+    ``P``'s diagonal and first column are kept as vectors, updated each
+    step: the diagonal feeds the reset check and the column the derived
+    ``Q``. Both are re-read from ``S`` at each flush.
+
+    ``theta``, ``P``, ``phi`` and ``y_prev`` read back as fresh arrays with
+    the pending rows applied; reading them changes nothing.
+    """
+
+    # Q is derived from P, so it is reset with P and has no count of its
+    # own; the attribute stays, always 0, for readers of the old state such
+    # as perfbench/spans.py, which sums p_resets + q_resets
+    q_resets = 0
 
     def __init__(self, d: int, ridge_lambda: float, tau: float) -> None:
         if not isinstance(d, (int, np.integer)) or d < 1:
@@ -70,151 +98,208 @@ class CurdsWheyState:
             raise ValueError(f"ridge_lambda must be positive, got {ridge_lambda}")
         if not (0.0 < tau <= 1.0):
             raise ValueError(f"tau must lie in (0, 1], got {tau}")
-        self.d = int(d)
+        self.d = d = int(d)
         self.ridge_lambda = float(ridge_lambda)
         self.tau = float(tau)
-        self.theta = np.zeros((self.d, self.d + 1))
-        self.P = np.eye(self.d + 1) / self.ridge_lambda
-        self.phi = np.zeros((self.d, self.d))
-        self.Q = np.eye(self.d) / self.ridge_lambda
-        self.x_prev = np.zeros(self.d + 1)
-        self.x_prev[0] = 1.0
-        self.y_prev = np.zeros(self.d)
         self.t = 0
         self.p_resets = 0
-        self.q_resets = 0
-        # step writes each outer product into this one scratch matrix and
-        # applies it before writing the next, so it allocates no matrix
-        scratch = np.empty((self.d + 1) ** 2)
-        self._P_buf = scratch.reshape(self.d + 1, self.d + 1)
-        self._theta_buf = scratch[: self.d * (self.d + 1)].reshape(self.d, self.d + 1)
-        self._phi_buf = self._Q_buf = scratch[: self.d * self.d].reshape(self.d, self.d)
+        m = d + 1
+        self._S = np.eye(m) / self.ridge_lambda
+        self._c = 1.0
+        self._T = np.zeros((d, m))
+        self._F = np.zeros((d, d))
+        self._diag = self._S.diagonal().copy()
+        self._col0 = self._S[:, 0].copy()
+        # rows (1, y_prev) and (1, r), which theta is read against, and (0,
+        # y_prev), which S is: P (1, y_prev) is P's column 0 plus P (0, y_prev)
+        self._x = np.zeros((3, m))
+        self._x[:2, 0] = 1.0
+        # rows y_prev and y_hat, the vectors phi is read against
+        self._y = np.zeros((2, d))
+        # pending rows: stage-one gains g and residuals u with P's downdate
+        # weights a, and stage-two gains w and residuals v
+        self._k = 0
+        self._G = np.empty((_FLUSH_STEPS, m))
+        self._a = np.empty(_FLUSH_STEPS)
+        self._U = np.empty((_FLUSH_STEPS, d))
+        self._W = np.empty((_FLUSH_STEPS, d))
+        self._V = np.empty((_FLUSH_STEPS, d))
+        # a flush writes H and each matrix product into these before applying
+        # them, so no step allocates a matrix
+        self._H = np.empty((_FLUSH_STEPS, m))
+        scratch = np.empty(m * m)
+        self._S_buf = scratch.reshape(m, m)
+        self._T_buf = scratch[: d * m].reshape(d, m)
+        self._F_buf = scratch[: d * d].reshape(d, d)
 
-    def step(self, x_t: Sequence[float] | np.ndarray, y_t: Sequence[float] | np.ndarray) -> Forecast:
-        """Advance both recursions one observation and forecast from ``x_t``.
+    def step(self, r: Sequence[float] | np.ndarray) -> Forecast:
+        """Fold in return vector ``r`` and forecast the next one.
 
-        Order of operations: update ``theta``/``P`` against the pair
-        (previous input, current target); form the stage-one prediction
-        ``y_hat = theta @ x_t``; update ``phi``/``Q`` against the pair
-        (previous target, y_hat); form ``y_tilde = phi @ y_hat``; then
-        roll the stored input and target forward. All four matrices are
-        updated in place. ``P`` and ``Q`` stay exactly symmetric, since
-        ``P / tau`` is elementwise and ``g_i * g_j == g_j * g_i``; either
-        is reset to the prior (with a log line) if a diagonal entry
-        collapses below 1e-12.
+        Order of operations: update ``theta`` and ``P`` against the pair
+        (``(1, y_prev)``, ``r``); form ``y_hat = theta @ (1, r)``; update
+        ``phi`` against the pair (``y_prev``, ``y_hat``), with ``Q y_prev``
+        taken from the ``P`` before its update; form ``y_tilde = phi @
+        y_hat``; then roll ``y_prev`` forward to ``r``. If a diagonal entry
+        of the updated ``P`` falls below 1e-12, ``P`` is reset to the prior
+        (with a log line), and with it the derived ``Q``.
         """
-        x = self._check_input(x_t)
-        y = np.asarray(y_t, dtype=float)
+        y = np.asarray(r, dtype=float)
         if y.shape != (self.d,):
-            raise ValueError(f"target must have shape ({self.d},), got {y.shape}")
+            raise ValueError(f"return vector must have shape ({self.d},), got {y.shape}")
         if not np.isfinite(y).all():
-            raise ValueError("target contains non-finite values")
-        tau = self.tau
+            raise ValueError("return vector contains non-finite values")
+        tau, k = self.tau, self._k
+        X, Y = self._x, self._y
+        X[1, 1:] = y
+        G, U = self._G[:k], self._U[:k]
 
-        P, buf = self.P, self._P_buf
-        Px = P @ self.x_prev
-        scale = 1.0 + float(self.x_prev @ Px) / tau
+        GX = G @ X.T
+        TX = self._T @ X[:2].T
+        TX += U.T @ GX[:, :2]
+        Py = self._S @ X[2]
+        Py -= G.T @ (self._a[:k] * GX[:, 2])
+        Py *= self._c
+        diag, col0 = self._diag, self._col0
+        Px = col0 + Py
+        scale = 1.0 + float(X[0] @ Px) / tau
         gain = Px / (scale * tau)
-        _outer(y - self.theta @ self.x_prev, gain, self._theta_buf)
-        self.theta += self._theta_buf
-        np.divide(P, tau, out=P)
-        _outer(gain, gain, buf)
-        buf *= scale
-        P -= buf
-        if float(P.diagonal().min()) < _RESET_FLOOR:
-            logger.warning("P diagonal collapsed at step %d; resetting to prior", self.t + 1)
-            self.P = np.eye(self.d + 1) / self.ridge_lambda
-            self.p_resets += 1
+        resid = y - TX[:, 0]
+        y_hat = TX[:, 1] + resid * float(gain @ X[1])
 
-        y_hat = self.theta @ x
+        # Q y_prev = P22 y_prev - P21 (P12 y_prev) / P11, from P before its update
+        Qy = Py[1:] - col0[1:] * (Py[0] / col0[0])
+        diag /= tau
+        diag -= gain * gain * scale
+        col0 /= tau
+        col0 -= gain * gain[0] * scale
+        self._c /= tau
+        self._G[k] = gain
+        self._U[k] = resid
+        self._a[k] = scale / self._c
 
-        Q, buf = self.Q, self._Q_buf
-        Qy = Q @ self.y_prev
-        scale2 = 1.0 + float(self.y_prev @ Qy) / tau
+        Y[1] = y_hat
+        W, V = self._W[:k], self._V[:k]
+        FY = self._F @ Y.T
+        FY += V.T @ (W @ Y.T)
+        scale2 = 1.0 + float(Y[0] @ Qy) / tau
         gain2 = Qy / (scale2 * tau)
-        _outer(y_hat - self.phi @ self.y_prev, gain2, self._phi_buf)
-        self.phi += self._phi_buf
-        np.divide(Q, tau, out=Q)
-        _outer(gain2, gain2, buf)
-        buf *= scale2
-        Q -= buf
-        if float(Q.diagonal().min()) < _RESET_FLOOR:
-            logger.warning("Q diagonal collapsed at step %d; resetting to prior", self.t + 1)
-            self.Q = np.eye(self.d) / self.ridge_lambda
-            self.q_resets += 1
+        resid2 = y_hat - FY[:, 0]
+        y_tilde = FY[:, 1] + resid2 * float(gain2 @ y_hat)
+        self._W[k] = gain2
+        self._V[k] = resid2
 
-        y_tilde = self.phi @ y_hat
-        self.x_prev = x.copy()
-        self.y_prev = y.copy()
+        self._k = k + 1
+        if float(diag.min()) < _RESET_FLOOR:
+            logger.warning("P diagonal collapsed at step %d; resetting to prior", self.t + 1)
+            self._flush()
+            self._S.fill(0.0)
+            np.fill_diagonal(self._S, 1.0 / self.ridge_lambda)
+            self._resync()
+            self.p_resets += 1
+        elif self._k == _FLUSH_STEPS:
+            self._flush()
+        X[0] = X[1]
+        X[2, 1:] = y
+        Y[0] = y
         self.t += 1
         return Forecast(y_hat=y_hat, y_tilde=y_tilde)
 
-    def forecast(self, x_t: Sequence[float] | np.ndarray) -> Forecast:
-        """Predict from the current matrices without touching any state."""
-        x = self._check_input(x_t)
-        y_hat = self.theta @ x
-        return Forecast(y_hat=y_hat, y_tilde=self.phi @ y_hat)
+    def _flush(self) -> None:
+        """Fold the pending rows into ``S``, ``T`` and ``F`` and set ``c`` to 1."""
+        k = self._k
+        if k == 0:
+            return
+        H = self._H[:k]
+        np.multiply(self._G[:k], np.sqrt(self._a[:k])[:, None], out=H)
+        np.matmul(H.T, H, out=self._S_buf)
+        self._S -= self._S_buf
+        self._S *= self._c
+        np.matmul(self._U[:k].T, self._G[:k], out=self._T_buf)
+        self._T += self._T_buf
+        np.matmul(self._V[:k].T, self._W[:k], out=self._F_buf)
+        self._F += self._F_buf
+        self._c = 1.0
+        self._k = 0
+        self._resync()
 
-    def _check_input(self, x_t: Sequence[float] | np.ndarray) -> np.ndarray:
-        x = np.asarray(x_t, dtype=float)
-        if x.shape != (self.d + 1,):
-            raise ValueError(f"input must have shape ({self.d + 1},), got {x.shape}")
-        if x[0] != 1.0:
-            raise ValueError(f"input must carry a leading 1, got {x[0]}")
-        if not np.isfinite(x).all():
-            raise ValueError("input contains non-finite values")
-        return x
+    def _resync(self) -> None:
+        np.copyto(self._diag, self._S.diagonal())
+        np.copyto(self._col0, self._S[:, 0])
+
+    @property
+    def theta(self) -> np.ndarray:
+        k = self._k
+        return self._T + self._U[:k].T @ self._G[:k]
+
+    @property
+    def P(self) -> np.ndarray:
+        k = self._k
+        H = self._G[:k] * np.sqrt(self._a[:k])[:, None]
+        return self._c * (self._S - H.T @ H)
+
+    @property
+    def phi(self) -> np.ndarray:
+        k = self._k
+        return self._F + self._V[:k].T @ self._W[:k]
+
+    @property
+    def y_prev(self) -> np.ndarray:
+        return self._y[0].copy()
 
     def to_json_dict(self) -> dict:
-        """Row-major snapshot of every matrix, for resumable runs."""
+        """Row-major snapshot of every matrix, for resumable runs.
+
+        It flushes the pending rows first, so the snapshot's matrices are
+        the state's own bases and a state loaded from it steps on
+        bit-identically with this one. ``Q`` is derived and not saved.
+        """
+        self._flush()
         return {
             "d": self.d,
             "ridge_lambda": self.ridge_lambda,
             "tau": self.tau,
             "t": self.t,
-            "theta": self.theta.tolist(),
-            "P": self.P.tolist(),
-            "phi": self.phi.tolist(),
-            "Q": self.Q.tolist(),
-            "x_prev": self.x_prev.tolist(),
-            "y_prev": self.y_prev.tolist(),
+            "theta": self._T.tolist(),
+            "P": self._S.tolist(),
+            "phi": self._F.tolist(),
+            "y_prev": self._y[0].tolist(),
             "p_resets": self.p_resets,
-            "q_resets": self.q_resets,
         }
 
     @classmethod
     def from_json_dict(cls, payload: dict) -> "CurdsWheyState":
-        """Load a snapshot; every matrix must have its shape and be finite,
-        and ``x_prev`` must carry the leading 1 that :meth:`step` requires.
+        """Load a snapshot; every matrix must have its shape and be finite.
 
-        ``P`` and ``Q`` must also equal their transposes bit for bit,
-        because :meth:`step` keeps symmetry rather than restoring it.
+        ``P`` must equal its transpose bit for bit, because :meth:`step`
+        keeps symmetry rather than restoring it. A snapshot written before
+        ``Q`` was derived carries ``Q``, ``x_prev`` and ``q_resets``; it
+        loads only if ``q_resets`` is 0 and ``x_prev`` is ``(1, y_prev)``
+        bit for bit, the case in which its ``Q`` is the one derived from
+        ``P``.
         """
         state = cls(
             snapshot_count("d", snapshot_field(payload, "d")),
-            snapshot_field(payload, "ridge_lambda"),
-            snapshot_field(payload, "tau"),
+            snapshot_real("ridge_lambda", snapshot_field(payload, "ridge_lambda")),
+            snapshot_real("tau", snapshot_field(payload, "tau")),
         )
         d = state.d
-        arrays = {
-            "theta": (d, d + 1),
-            "P": (d + 1, d + 1),
-            "phi": (d, d),
-            "Q": (d, d),
-            "x_prev": (d + 1,),
-            "y_prev": (d,),
-        }
-        for name, shape in arrays.items():
-            setattr(state, name, snapshot_array(payload, name, shape))
-        for name in ("P", "Q"):
-            value = getattr(state, name)
-            if value.tobytes() != value.T.tobytes():
-                raise ValueError(f"snapshot field {name} must be symmetric")
-        if state.x_prev[0] != 1.0:
-            raise ValueError(f"snapshot field x_prev must carry a leading 1, got {state.x_prev[0]}")
+        theta = snapshot_array(payload, "theta", (d, d + 1))
+        P = snapshot_array(payload, "P", (d + 1, d + 1))
+        if P.tobytes() != P.T.tobytes():
+            raise ValueError("snapshot field P must be symmetric")
+        phi = snapshot_array(payload, "phi", (d, d))
+        y_prev = snapshot_array(payload, "y_prev", (d,))
+        if "Q" in payload:
+            if snapshot_count("q_resets", payload.get("q_resets", 0)) != 0:
+                raise ValueError("snapshot field q_resets must be 0: a Q reset apart from P is not derived from P")
+            x_prev = snapshot_array(payload, "x_prev", (d + 1,))
+            if x_prev.tobytes() != np.concatenate(([1.0], y_prev)).tobytes():
+                raise ValueError("snapshot field x_prev must equal (1, y_prev) bit for bit")
+        state._T, state._S, state._F = theta, P, phi
+        state._resync()
+        state._x[0, 1:] = state._x[2, 1:] = state._y[0] = y_prev
         state.t = snapshot_count("t", snapshot_field(payload, "t"))
         state.p_resets = snapshot_count("p_resets", payload.get("p_resets", 0))
-        state.q_resets = snapshot_count("q_resets", payload.get("q_resets", 0))
         return state
 
 

@@ -50,14 +50,11 @@ def oracle_run_backtest(panel, config) -> BacktestReport:
     if panel.sectors is not None:
         tallies = {sector: {"long": 0, "short": 0} for sector in sorted(set(panel.sectors))}
 
-    x = np.empty(d + 1)
-    x[0] = 1.0
     for i in range(rets.shape[0] - 1):
         today = panel.dates[i + 1]
         r_today = rets[i]
         if model is not None:
-            x[1:] = r_today
-            scores = model.step(x, r_today).y_tilde
+            scores = model.step(r_today).y_tilde
             if not np.isfinite(scores).all():
                 raise BacktestError(f"non-finite forecast at {today.isoformat()}")
         if ranker is not None:

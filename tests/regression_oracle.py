@@ -1,9 +1,12 @@
 """Reference arithmetic for ``CurdsWheyState``, kept as oracles for the tests.
 
-``oracle_step`` is the forecaster's step as it was before it updated its
-matrices in place: every product is a fresh array, and ``P`` and ``Q`` are
-re-symmetrised after each update. The tests compare the in-place step
-against it bit for bit.
+``GeneralCurdsWhey`` is the forecaster's old general recursion: it steps
+on any input ``x`` with a leading 1 and any target ``y``, keeps stage
+two's surrogate ``Q`` as a matrix of its own, and applies every rank-one
+update at once with fresh arrays. On the pairs ``x = (1, r)``, ``y = r``
+that ``CurdsWheyState`` steps on, its ``Q`` equals the Schur complement
+that the state derives from ``P``, so the two agree up to floating point
+until a reset. A ``P`` reset here leaves ``Q`` alone.
 
 ``weighted_ridge`` is the batch solution the recursions track at a
 forgetting factor ``tau < 1``.
@@ -17,39 +20,57 @@ from seqrank import Forecast
 from seqrank.regression import _RESET_FLOOR
 
 
-def oracle_step(state, x_t, y_t) -> Forecast:
-    """Advance ``state`` one observation with fresh arrays and re-symmetrisation."""
-    x = state._check_input(x_t)
-    y = np.asarray(y_t, dtype=float)
-    tau = state.tau
+class GeneralCurdsWhey:
+    """The two-stage recursion on general ``(x, y)`` pairs, with ``Q`` kept."""
 
-    Px = state.P @ state.x_prev
-    scale = 1.0 + float(state.x_prev @ Px) / tau
-    gain = Px / (scale * tau)
-    state.theta += np.outer(y - state.theta @ state.x_prev, gain)
-    state.P = state.P / tau - np.outer(gain, gain) * scale
-    state.P = 0.5 * (state.P + state.P.T)
-    if float(state.P.diagonal().min()) < _RESET_FLOOR:
-        state.P = np.eye(state.d + 1) / state.ridge_lambda
-        state.p_resets += 1
+    def __init__(self, d: int, ridge_lambda: float, tau: float) -> None:
+        self.d, self.ridge_lambda, self.tau = d, ridge_lambda, tau
+        self.theta = np.zeros((d, d + 1))
+        self.P = np.eye(d + 1) / ridge_lambda
+        self.phi = np.zeros((d, d))
+        self.Q = np.eye(d) / ridge_lambda
+        self.x_prev = np.zeros(d + 1)
+        self.x_prev[0] = 1.0
+        self.y_prev = np.zeros(d)
+        self.t = 0
+        self.p_resets = 0
+        self.q_resets = 0
 
-    y_hat = state.theta @ x
+    def step(self, x_t, y_t) -> Forecast:
+        x = np.asarray(x_t, dtype=float)
+        y = np.asarray(y_t, dtype=float)
+        tau = self.tau
 
-    Qy = state.Q @ state.y_prev
-    scale2 = 1.0 + float(state.y_prev @ Qy) / tau
-    gain2 = Qy / (scale2 * tau)
-    state.phi += np.outer(y_hat - state.phi @ state.y_prev, gain2)
-    state.Q = state.Q / tau - np.outer(gain2, gain2) * scale2
-    state.Q = 0.5 * (state.Q + state.Q.T)
-    if float(state.Q.diagonal().min()) < _RESET_FLOOR:
-        state.Q = np.eye(state.d) / state.ridge_lambda
-        state.q_resets += 1
+        Px = self.P @ self.x_prev
+        scale = 1.0 + float(self.x_prev @ Px) / tau
+        gain = Px / (scale * tau)
+        self.theta = self.theta + np.outer(y - self.theta @ self.x_prev, gain)
+        self.P = self.P / tau - np.outer(gain, gain) * scale
+        if float(self.P.diagonal().min()) < _RESET_FLOOR:
+            self.P = np.eye(self.d + 1) / self.ridge_lambda
+            self.p_resets += 1
 
-    y_tilde = state.phi @ y_hat
-    state.x_prev = x.copy()
-    state.y_prev = y.copy()
-    state.t += 1
-    return Forecast(y_hat=y_hat, y_tilde=y_tilde)
+        y_hat = self.theta @ x
+
+        Qy = self.Q @ self.y_prev
+        scale2 = 1.0 + float(self.y_prev @ Qy) / tau
+        gain2 = Qy / (scale2 * tau)
+        self.phi = self.phi + np.outer(y_hat - self.phi @ self.y_prev, gain2)
+        self.Q = self.Q / tau - np.outer(gain2, gain2) * scale2
+        if float(self.Q.diagonal().min()) < _RESET_FLOOR:
+            self.Q = np.eye(self.d) / self.ridge_lambda
+            self.q_resets += 1
+
+        y_tilde = self.phi @ y_hat
+        self.x_prev = x.copy()
+        self.y_prev = y.copy()
+        self.t += 1
+        return Forecast(y_hat=y_hat, y_tilde=y_tilde)
+
+    def step_return(self, r) -> Forecast:
+        """Step on the pair ``CurdsWheyState.step(r)`` uses: ``x = (1, r)``, ``y = r``."""
+        r = np.asarray(r, dtype=float)
+        return self.step(np.concatenate(([1.0], r)), r)
 
 
 def _pair_weights(n: int, tau: float) -> np.ndarray:

@@ -345,7 +345,7 @@ class TestRunBacktest:
     def test_forecaster_runs_only_when_read(self, noisy_panel, monkeypatch):
         from seqrank import CurdsWheyState
 
-        def refuse(self, x_t, y_t):
+        def refuse(self, r):
             raise AssertionError("forecaster stepped")
 
         step = CurdsWheyState.step
@@ -356,9 +356,9 @@ class TestRunBacktest:
 
         calls = []
 
-        def counted(self, x_t, y_t):
+        def counted(self, r):
             calls.append(self.t)
-            return step(self, x_t, y_t)
+            return step(self, r)
 
         monkeypatch.setattr(CurdsWheyState, "step", counted)
         for config in (
@@ -479,8 +479,8 @@ def plant_nan(monkeypatch, at_step):
     """Make the forecaster's ``at_step``-th step (from 1) return a NaN forecast."""
     step = CurdsWheyState.step
 
-    def planted(self, x_t, y_t):
-        out = step(self, x_t, y_t)
+    def planted(self, r):
+        out = step(self, r)
         if self.t == at_step:
             y_tilde = out.y_tilde.copy()
             y_tilde[-1] = np.nan
@@ -495,9 +495,9 @@ def count_steps(monkeypatch):
     calls = []
     step = CurdsWheyState.step
 
-    def counted(self, x_t, y_t):
+    def counted(self, r):
         calls.append(self.t)
-        return step(self, x_t, y_t)
+        return step(self, r)
 
     monkeypatch.setattr(CurdsWheyState, "step", counted)
     return calls

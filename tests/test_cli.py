@@ -265,6 +265,23 @@ class TestEntryPoint:
         assert result.returncode == 0, result.stderr
         assert result.stdout.strip() == "False"
 
+    def test_backtest_leaves_scipy_unloaded(self, tmp_path):
+        # the forecaster and the ranker are numpy only; scipy.linalg alone
+        # takes about a quarter second to import
+        path = synth(tmp_path, **{"--steps": 200, "--assets": 5})
+        src = Path(seqrank.__file__).resolve().parents[1]
+        result = subprocess.run(
+            [sys.executable, "-c",
+             "import sys; from seqrank.cli import main; "
+             f"code = main(['backtest', {str(path)!r}, '--strategy', 'nbar', '--mode', 'long-short', "
+             f"'--out-dir', {str(tmp_path / 'out')!r}]); "
+             "print(code, 'scipy' in sys.modules)"],
+            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(src)},
+        )
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.splitlines()[-1] == "0 False"
+        assert (tmp_path / "out" / "backtest.json").exists()
+
     def test_stationarity_leaves_scipy_stats_unloaded(self, tmp_path):
         # scipy.stats takes about three times as long to import as scipy.special
         path = synth(tmp_path, **{"--steps": 200, "--assets": 3})

@@ -250,6 +250,8 @@ class TestSerialisation:
             ("t", 3.9, "t must be an integer, got 3.9"),
             ("t", True, "t must be an integer, got True"),
             ("posterior", MISSING, "posterior is missing"),
+            *[("tau", value, "tau must be a number") for value in (True, "0.9", None, [0.9])],
+            *[("tau", value, "tau must be finite") for value in (float("nan"), float("inf"))],
         ],
     )
     def test_snapshot_validation(self, field, value, message):
