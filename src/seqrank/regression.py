@@ -52,6 +52,14 @@ _RESET_FLOOR = 1e-12
 # steps whose rank-one updates are held as pending rows before one blocked
 # update folds them into the matrices
 _FLUSH_STEPS = 32
+# a step whose downdate would leave a diagonal entry of P below c S's over
+# this flushes at once and applies its downdate directly: a pending
+# downdate never exceeds a third of S's diagonal, so S - H' H keeps the
+# digits that the step-by-step recursion P / tau - s g g' keeps
+_DIRECT_RATIO = 1.5
+# the fields of a snapshot; one written while Q was a matrix of its own
+# carries Q, x_prev and q_resets and is refused
+_SNAPSHOT_FIELDS = frozenset({"d", "ridge_lambda", "tau", "t", "theta", "P", "phi", "y_prev", "p_resets"})
 
 
 @dataclass(frozen=True)
@@ -73,10 +81,15 @@ class CurdsWheyState:
     ``T`` and ``F`` once each, against the vectors it needs, plus O(d k)
     for the ``k`` pending rows. Every ``_FLUSH_STEPS`` steps one matrix
     product per matrix folds the rows into the bases, and ``S`` absorbs
-    ``c``. ``H' H`` is formed as one product of ``H`` with its own
-    transpose, which numpy computes exactly symmetric (BLAS syrk); ``S``
-    must stay exactly symmetric, and an asymmetric product such as ``(G'
-    a) G`` makes the recursion diverge at small ``tau``.
+    ``c``. A step whose downdate would take a diagonal entry of ``P`` below
+    two thirds of ``c S``'s flushes at once and applies its own downdate
+    to ``S`` directly, as ``P / tau - s g g'``. So ``S - H' H`` never
+    cancels much of ``S``, whether ``P`` shrinks fast (a weak prior, a
+    large return) or ``c`` grows fast (a small ``tau``). ``H' H`` is
+    formed as one product of ``H`` with its own transpose, which numpy
+    computes exactly symmetric (BLAS syrk); ``S`` must stay exactly
+    symmetric, and an asymmetric product such as ``(G' a) G`` makes the
+    recursion diverge at small ``tau``.
 
     ``P``'s diagonal and first column are kept as vectors, updated each
     step: the diagonal feeds the reset check and the column the derived
@@ -172,6 +185,7 @@ class CurdsWheyState:
         diag -= gain * gain * scale
         col0 /= tau
         col0 -= gain * gain[0] * scale
+        c_prev = self._c
         self._c /= tau
         self._G[k] = gain
         self._U[k] = resid
@@ -191,11 +205,25 @@ class CurdsWheyState:
         self._k = k + 1
         if float(diag.min()) < _RESET_FLOOR:
             logger.warning("P diagonal collapsed at step %d; resetting to prior", self.t + 1)
+            self._a[k] = 0.0
             self._flush()
             self._S.fill(0.0)
             np.fill_diagonal(self._S, 1.0 / self.ridge_lambda)
             self._resync()
             self.p_resets += 1
+        elif not scale > 0.0 or self._c * float((self._S.diagonal() / diag).max()) > _DIRECT_RATIO:
+            # held as a pending row, this downdate would cancel too much of S
+            # (or, with P no longer positive definite, have no real square
+            # root): fold in the others at the previous step's scale, then
+            # update as the step-by-step recursion does, P / tau - s g g'
+            self._a[k] = 0.0
+            self._c = c_prev
+            self._flush()
+            self._S /= tau
+            np.matmul(gain[:, None], gain[None, :], out=self._S_buf)
+            self._S_buf *= scale
+            self._S -= self._S_buf
+            self._resync()
         elif self._k == _FLUSH_STEPS:
             self._flush()
         X[0] = X[1]
@@ -271,12 +299,11 @@ class CurdsWheyState:
         """Load a snapshot; every matrix must have its shape and be finite.
 
         ``P`` must equal its transpose bit for bit, because :meth:`step`
-        keeps symmetry rather than restoring it. A snapshot written before
-        ``Q`` was derived carries ``Q``, ``x_prev`` and ``q_resets``; it
-        loads only if ``q_resets`` is 0 and ``x_prev`` is ``(1, y_prev)``
-        bit for bit, the case in which its ``Q`` is the one derived from
-        ``P``.
+        keeps symmetry rather than restoring it.
         """
+        unknown = sorted(set(payload) - _SNAPSHOT_FIELDS)
+        if unknown:
+            raise ValueError(f"snapshot field {unknown[0]} is not part of the format")
         state = cls(
             snapshot_count("d", snapshot_field(payload, "d")),
             snapshot_real("ridge_lambda", snapshot_field(payload, "ridge_lambda")),
@@ -289,12 +316,6 @@ class CurdsWheyState:
             raise ValueError("snapshot field P must be symmetric")
         phi = snapshot_array(payload, "phi", (d, d))
         y_prev = snapshot_array(payload, "y_prev", (d,))
-        if "Q" in payload:
-            if snapshot_count("q_resets", payload.get("q_resets", 0)) != 0:
-                raise ValueError("snapshot field q_resets must be 0: a Q reset apart from P is not derived from P")
-            x_prev = snapshot_array(payload, "x_prev", (d + 1,))
-            if x_prev.tobytes() != np.concatenate(([1.0], y_prev)).tobytes():
-                raise ValueError("snapshot field x_prev must equal (1, y_prev) bit for bit")
         state._T, state._S, state._F = theta, P, phi
         state._resync()
         state._x[0, 1:] = state._x[2, 1:] = state._y[0] = y_prev

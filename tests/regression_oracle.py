@@ -8,11 +8,15 @@ that ``CurdsWheyState`` steps on, its ``Q`` equals the Schur complement
 that the state derives from ``P``, so the two agree up to floating point
 until a reset. A ``P`` reset here leaves ``Q`` alone.
 
-``weighted_ridge`` is the batch solution the recursions track at a
-forgetting factor ``tau < 1``.
+``precise_forecasts`` runs the same recursion in 40-digit decimal
+arithmetic, the reference against which the float recursions' rounding is
+measured. ``weighted_ridge`` is the batch solution the recursions track at
+a forgetting factor ``tau < 1``.
 """
 
 from __future__ import annotations
+
+from decimal import Decimal, localcontext
 
 import numpy as np
 
@@ -71,6 +75,48 @@ class GeneralCurdsWhey:
         """Step on the pair ``CurdsWheyState.step(r)`` uses: ``x = (1, r)``, ``y = r``."""
         r = np.asarray(r, dtype=float)
         return self.step(np.concatenate(([1.0], r)), r)
+
+
+def precise_forecasts(rets, ridge_lambda: float, tau: float, digits: int = 40) -> list[Forecast]:
+    """``GeneralCurdsWhey.step_return`` over ``rets`` in ``digits``-digit decimals, without resets.
+
+    Every float converts to a decimal exactly, so the only rounding is the
+    decimal arithmetic's own, some 24 digits finer than a float's.
+    """
+    with localcontext() as ctx:
+        ctx.prec = digits
+        tau, lam = Decimal(tau), Decimal(ridge_lambda)
+        rows = [[Decimal(v) for v in r] for r in np.asarray(rets, dtype=float).tolist()]
+        d = len(rows[0])
+
+        def mv(A, v):
+            return [sum(a * b for a, b in zip(row, v)) for row in A]
+
+        def update(P, B, x, y):
+            """One rank-one step of coefficients ``B`` and surrogate ``P`` on the pair (``x``, ``y``)."""
+            Px = mv(P, x)
+            scale = 1 + sum(a * b for a, b in zip(x, Px)) / tau
+            gain = [v / (scale * tau) for v in Px]
+            resid = [a - b for a, b in zip(y, mv(B, x))]
+            B = [[b + u * g for b, g in zip(row, gain)] for row, u in zip(B, resid)]
+            P = [[p / tau - gi * gj * scale for p, gj in zip(row, gain)] for row, gi in zip(P, gain)]
+            return P, B
+
+        def prior(m):
+            return [[1 / lam if i == j else Decimal(0) for j in range(m)] for i in range(m)]
+
+        P, Q = prior(d + 1), prior(d)
+        theta = [[Decimal(0)] * (d + 1) for _ in range(d)]
+        phi = [[Decimal(0)] * d for _ in range(d)]
+        y_prev = [Decimal(0)] * d
+        out = []
+        for y in rows:
+            P, theta = update(P, theta, [Decimal(1)] + y_prev, y)
+            y_hat = mv(theta, [Decimal(1)] + y)
+            Q, phi = update(Q, phi, y_prev, y_hat)
+            out.append(Forecast(y_hat=np.array(y_hat, dtype=float), y_tilde=np.array(mv(phi, y_hat), dtype=float)))
+            y_prev = y
+    return out
 
 
 def _pair_weights(n: int, tau: float) -> np.ndarray:

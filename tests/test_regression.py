@@ -22,7 +22,7 @@ from seqrank import (
 from seqrank.regression import _FLUSH_STEPS
 
 from conftest import MISSING
-from regression_oracle import GeneralCurdsWhey, weighted_gram, weighted_ridge
+from regression_oracle import GeneralCurdsWhey, precise_forecasts, weighted_gram, weighted_ridge
 
 
 def ar_stream(d, n, seed, noise=0.5, mapping=None):
@@ -196,36 +196,123 @@ class TestAgainstGeneralRecursion:
         want = np.asarray(want)
         assert np.all(np.abs(got - want) <= tolerance * (1.0 + np.abs(want)))
 
-    def assert_small_stream(self, data, ridge_lambdas, tolerance):
+    @staticmethod
+    def deviation(got, want):
+        """Largest ``|got - want| / (1 + |want|)`` over both stages' forecasts."""
+        return max(
+            float(np.max(np.abs(got.y_hat - want.y_hat) / (1.0 + np.abs(want.y_hat)))),
+            float(np.max(np.abs(got.y_tilde - want.y_tilde) / (1.0 + np.abs(want.y_tilde)))),
+        )
+
+    # Where the old recursion is itself inaccurate, no other arithmetic can
+    # agree with it to 1e-12: at lambda = 1e-3 it is up to 1.3e-10 from
+    # 40-digit arithmetic, and the forecaster with Q derived but every
+    # update applied at once is up to 3.5e-11 from it. There the stream is
+    # held to the old recursion's own accuracy: the largest ratio of the two
+    # recursions' errors against 40-digit arithmetic seen in 3 000 draws was
+    # 6.9, and 7.5 for that unblocked forecaster.
+    ACCURACY_RATIO = 16.0
+
+    @given(data=st.data())
+    def test_small_streams(self, data):
         d = data.draw(st.integers(1, 8), label="d")
-        tau = data.draw(st.floats(0.9, 1.0, exclude_min=True), label="tau")
-        ridge_lambda = data.draw(st.sampled_from(ridge_lambdas), label="lambda")
-        # past _FLUSH_STEPS, so a flush is stepped through
+        # down to the shortest window that covers the d + 1 regressors,
+        # 1 / (1 - tau) = d + 1, where c grows by up to 2 a step
+        tau = data.draw(st.floats(d / (d + 1), 1.0, exclude_min=True), label="tau")
+        ridge_lambda = data.draw(st.sampled_from([1e-3, 0.5, 1.0, 40.0]), label="lambda")
+        # past _FLUSH_STEPS, so a full block is stepped through
         n = data.draw(st.integers(1, 2 * _FLUSH_STEPS + 5), label="n")
         values = st.one_of(st.floats(-2.0, 2.0, allow_nan=False), st.sampled_from([0.0, -0.0]))
         rets = [data.draw(st.lists(values, min_size=d, max_size=d)) for _ in range(n)]
         state = CurdsWheyState(d, ridge_lambda, tau)
         reference = GeneralCurdsWhey(d, ridge_lambda, tau)
+        got = [state.step(r) for r in rets]
+        want = [reference.step_return(r) for r in rets]
+        assert state.p_resets == reference.p_resets == reference.q_resets == 0
+        if max(map(self.deviation, got, want)) <= self.TOLERANCE:
+            return
+        precise = precise_forecasts(rets, ridge_lambda, tau)
+        error = max(map(self.deviation, got, precise))
+        reference_error = max(map(self.deviation, want, precise))
+        assert error <= self.ACCURACY_RATIO * reference_error
+
+    # P shrinks fast against its last flushed value under a weak prior and
+    # c grows fast under a short window; held as pending rows, such steps
+    # cancelled S down to P / c and lost 1e-12 on 32 zero returns then a one
+    # at lambda = 1e-3 and 4e-8 at tau = 0.55, lambda = 1
+    @pytest.mark.parametrize(
+        "d,ridge_lambda,tau,rets",
+        [
+            (1, 1e-3, 0.906, [[0.0]] * 32 + [[1.0], [0.5], [0.0]]),
+            (2, 1e-3, 0.7, ar_stream(2, 69, seed=2)),
+            (1, 1.0, 0.55, ar_stream(1, 69, seed=1)),
+            (2, 1.0, 0.7, ar_stream(2, 69, seed=2)),
+        ],
+    )
+    def test_fast_shrinking_p(self, d, ridge_lambda, tau, rets):
+        state = CurdsWheyState(d, ridge_lambda, tau)
+        reference = GeneralCurdsWhey(d, ridge_lambda, tau)
         for r in rets:
+            assert self.deviation(state.step(r), reference.step_return(r)) <= self.TOLERANCE
+
+    def test_indefinite_p(self):
+        # rounding after a huge return can leave P indefinite with a positive
+        # diagonal; a step whose scale is then negative has a downdate with
+        # no real square root, which is applied at once as the old recursion
+        # applies it. P = [[1, 2], [2, 1]] against x = (1, -2) gives scale
+        # 1 - 3 / tau.
+        P = [[1.0, 2.0], [2.0, 1.0]]
+        payload = {**CurdsWheyState(1, 1.0, 0.99).to_json_dict(), "P": P, "y_prev": [-2.0]}
+        state = CurdsWheyState.from_json_dict(payload)
+        reference = GeneralCurdsWhey(1, 1.0, 0.99)
+        reference.P, reference.Q = np.array(P), np.array([[1.0 - 2.0 * 2.0 / 1.0]])
+        reference.x_prev, reference.y_prev = np.array([1.0, -2.0]), np.array([-2.0])
+        for r in ar_stream(1, 40, seed=4):
             got = state.step(r)
             want = reference.step_return(r)
-            self.assert_close(got.y_hat, want.y_hat, tolerance)
-            self.assert_close(got.y_tilde, want.y_tilde, tolerance)
-        assert state.p_resets == reference.p_resets == 0
+            assert self.deviation(got, want) <= self.TOLERANCE
+            assert np.isfinite(state.P).all()
 
-    # the largest error seen in 3 000 draws was 6.4e-14
-    @given(data=st.data())
-    def test_small_streams(self, data):
-        self.assert_small_stream(data, [0.5, 1.0, 40.0], self.TOLERANCE)
+    # 1e8 collapses a P diagonal below the reset floor in one step
+    large = st.one_of(
+        st.floats(-2.0, 2.0, allow_nan=False),
+        st.sampled_from([0.0, -0.0, 1e8, -1e8]),
+    )
 
-    # With lambda = 1e-3 the prior P is 1000 I, and the first block's pending
-    # downdates cancel it down to O(1 - tau) only at the flush, where the old
-    # recursion cancelled a step at a time; the largest error seen in 3 000
-    # draws was 4.3e-11 (3.7e-12 on 32 zero returns then a one, at tau = 0.906,
-    # where the old recursion is within 1.4e-16 of exact rational arithmetic)
     @given(data=st.data())
-    def test_small_streams_with_a_weak_prior(self, data):
-        self.assert_small_stream(data, [1e-3], 1e-9)
+    def test_small_streams_through_resets(self, data):
+        d = data.draw(st.integers(1, 8), label="d")
+        tau = data.draw(st.floats(d / (d + 1), 1.0, exclude_min=True), label="tau")
+        # at lambda = 1e-3 the prior's entries are 1000, whose rounding unit
+        # is 1.1e-13, so a diagonal that a 1e8 return collapses lands within
+        # ten units of the 1e-12 floor, and rounding decides the reset
+        ridge_lambda = data.draw(st.sampled_from([0.5, 1.0, 40.0]), label="lambda")
+        n = data.draw(st.integers(1, 2 * _FLUSH_STEPS + 5), label="n")
+        rets = [data.draw(st.lists(self.large, min_size=d, max_size=d)) for _ in range(n)]
+        state = CurdsWheyState(d, ridge_lambda, tau)
+        reference = GeneralCurdsWhey(d, ridge_lambda, tau)
+        comparable, large_seen = True, False
+        for r in rets:
+            # a 1e8 return along a direction in which P is already singular
+            # meets rounding of P scaled by 1e16, so resets are compared only
+            # while the old recursion's P has stayed positive definite
+            comparable = comparable and np.linalg.eigvalsh(reference.P).min() > 0.0
+            resets = state.p_resets
+            got = state.step(r)
+            want = reference.step_return(r)
+            assert np.isfinite(got.y_hat).all() and np.isfinite(got.y_tilde).all()
+            P = state.P
+            assert np.isfinite(P).all() and same_bits(P, P.T)
+            if state.p_resets > resets:
+                assert np.array_equal(P, np.eye(d + 1) / ridge_lambda)
+            if comparable:
+                assert state.p_resets == reference.p_resets == reference.q_resets
+            # after a 1e8 return the forecasts are products of 1e8 with
+            # rounding, not of the data
+            large_seen = large_seen or bool(np.any(np.abs(r) == 1e8))
+            if comparable and not large_seen:
+                self.assert_close(got.y_hat, want.y_hat, self.TOLERANCE)
+                self.assert_close(got.y_tilde, want.y_tilde, self.TOLERANCE)
 
     def test_p_reset_resets_derived_q(self):
         rng = np.random.default_rng(8)
@@ -243,9 +330,9 @@ class TestAgainstGeneralRecursion:
                 # Q restarts from the prior with P
                 assert state.p_resets == reference.p_resets == reference.q_resets == 1
                 assert np.array_equal(state.P, np.eye(d + 1))
-            if day > 4:
-                # forecasts of order 1e20 after the spike
-                self.assert_close(got.y_tilde, want.y_tilde, 1e-9)
+            if day < 3:
+                self.assert_close(got.y_tilde, want.y_tilde, self.TOLERANCE)
+            assert np.isfinite(got.y_tilde).all()
         assert (state.p_resets, state.q_resets) == (1, 0)
 
 
@@ -363,21 +450,6 @@ class TestSnapshots:
         for name in ("theta", "P", "phi"):
             assert rel(getattr(resumed, name), getattr(full, name)) < 1e-12, name
 
-    def test_legacy_snapshot_with_q_resumes(self):
-        rets = ar_stream(3, 100, seed=12)
-        reference = GeneralCurdsWhey(3, 1.0, 0.99)
-        for r in rets[:50]:
-            reference.step_return(r)
-        legacy = {
-            "d": 3, "ridge_lambda": 1.0, "tau": 0.99, "t": reference.t,
-            **{name: getattr(reference, name).tolist() for name in ("theta", "P", "phi", "Q", "x_prev", "y_prev")},
-            "p_resets": 0, "q_resets": 0,
-        }
-        state = CurdsWheyState.from_json_dict(json.loads(json.dumps(legacy)))
-        assert state.t == 50
-        for r in rets[50:]:
-            assert rel(state.step(r).y_tilde, reference.step_return(r).y_tilde) < 1e-12
-
     def test_loaded_state_owns_its_arrays(self):
         rets = ar_stream(2, 20, seed=6)
         source = CurdsWheyState(2, 1.0, 0.99)
@@ -405,6 +477,10 @@ class TestSnapshots:
             ("t", 2.5, "t must be an integer, got 2.5"),
             ("d", True, "d must be an integer, got True"),
             ("theta", MISSING, "theta is missing"),
+            # a snapshot written while Q was a matrix of its own
+            ("Q", [[1.0, 0.0], [0.0, 1.0]], "Q is not part of the format"),
+            ("x_prev", [1.0, 0.0, 0.0], "x_prev is not part of the format"),
+            ("q_resets", 0, "q_resets is not part of the format"),
             *[(name, value, f"{name} must be a number")
               for name in ("tau", "ridge_lambda") for value in (True, "0.9", None, [0.9])],
             *[(name, value, f"{name} must be finite")
@@ -413,32 +489,6 @@ class TestSnapshots:
     )
     def test_snapshot_validation(self, field, value, message):
         payload = CurdsWheyState(2, 1.0, 0.999).to_json_dict()
-        if value is MISSING:
-            del payload[field]
-        else:
-            payload[field] = value
-        with pytest.raises(ValueError, match=message):
-            CurdsWheyState.from_json_dict(payload)
-
-    @pytest.mark.parametrize(
-        "field,value,message",
-        [
-            ("q_resets", 1, "q_resets must be 0"),
-            ("q_resets", -1, "q_resets must be >= 0"),
-            ("x_prev", [0.5, 0.25, -0.5], r"x_prev must equal \(1, y_prev\)"),
-            ("x_prev", [1.0, 0.25, 0.0], r"x_prev must equal \(1, y_prev\)"),
-            ("x_prev", [1.0, float("nan"), -0.5], "x_prev contains non-finite"),
-            ("x_prev", MISSING, "x_prev is missing"),
-        ],
-    )
-    def test_legacy_snapshot_validation(self, field, value, message):
-        # y_prev (0.25, -0.0): an x_prev of (1, 0.25, 0.0) differs in one bit
-        payload = {
-            **CurdsWheyState(2, 1.0, 0.999).to_json_dict(),
-            "y_prev": [0.25, -0.0], "Q": [[1.0, 0.0], [0.0, 1.0]],
-            "x_prev": [1.0, 0.25, -0.0], "q_resets": 0,
-        }
-        CurdsWheyState.from_json_dict(payload)
         if value is MISSING:
             del payload[field]
         else:
