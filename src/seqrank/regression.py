@@ -82,10 +82,11 @@ class CurdsWheyState:
     for the ``k`` pending rows. Every ``_FLUSH_STEPS`` steps one matrix
     product per matrix folds the rows into the bases, and ``S`` absorbs
     ``c``. A step whose downdate would take a diagonal entry of ``P`` below
-    two thirds of ``c S``'s flushes at once and applies its own downdate
-    to ``S`` directly, as ``P / tau - s g g'``. So ``S - H' H`` never
-    cancels much of ``S``, whether ``P`` shrinks fast (a weak prior, a
-    large return) or ``c`` grows fast (a small ``tau``). ``H' H`` is
+    two thirds of ``c S``'s folds the pending downdates into ``S`` at once
+    and applies its own directly, as ``P / tau - s g g'``; its rows stay
+    pending for ``theta`` and ``phi``. So ``S - H' H`` never cancels much
+    of ``S``, whether ``P`` shrinks fast (a weak prior, a large return) or
+    ``c`` grows fast (a small ``tau``). ``H' H`` is
     formed as one product of ``H`` with its own transpose, which numpy
     computes exactly symmetric (BLAS syrk); ``S`` must stay exactly
     symmetric, and an asymmetric product such as ``(G' a) G`` makes the
@@ -130,8 +131,9 @@ class CurdsWheyState:
         # rows y_prev and y_hat, the vectors phi is read against
         self._y = np.zeros((2, d))
         # pending rows: stage-one gains g and residuals u with P's downdate
-        # weights a, and stage-two gains w and residuals v
-        self._k = 0
+        # weights a, and stage-two gains w and residuals v. Rows before j
+        # have their downdates in S already; H is rows j to k
+        self._k = self._j = 0
         self._G = np.empty((_FLUSH_STEPS, m))
         self._a = np.empty(_FLUSH_STEPS)
         self._U = np.empty((_FLUSH_STEPS, d))
@@ -161,7 +163,7 @@ class CurdsWheyState:
             raise ValueError(f"return vector must have shape ({self.d},), got {y.shape}")
         if not np.isfinite(y).all():
             raise ValueError("return vector contains non-finite values")
-        tau, k = self.tau, self._k
+        tau, j, k = self.tau, self._j, self._k
         X, Y = self._x, self._y
         X[1, 1:] = y
         G, U = self._G[:k], self._U[:k]
@@ -170,7 +172,7 @@ class CurdsWheyState:
         TX = self._T @ X[:2].T
         TX += U.T @ GX[:, :2]
         Py = self._S @ X[2]
-        Py -= G.T @ (self._a[:k] * GX[:, 2])
+        Py -= G[j:].T @ (self._a[j:k] * GX[j:, 2])
         Py *= self._c
         diag, col0 = self._diag, self._col0
         Px = col0 + Py
@@ -216,15 +218,14 @@ class CurdsWheyState:
             # (or, with P no longer positive definite, have no real square
             # root): fold in the others at the previous step's scale, then
             # update as the step-by-step recursion does, P / tau - s g g'
-            self._a[k] = 0.0
-            self._c = c_prev
-            self._flush()
+            self._fold_P(k, c_prev)
             self._S /= tau
             np.matmul(gain[:, None], gain[None, :], out=self._S_buf)
             self._S_buf *= scale
             self._S -= self._S_buf
+            self._j = self._k
             self._resync()
-        elif self._k == _FLUSH_STEPS:
+        if self._k == _FLUSH_STEPS:
             self._flush()
         X[0] = X[1]
         X[2, 1:] = y
@@ -232,22 +233,30 @@ class CurdsWheyState:
         self.t += 1
         return Forecast(y_hat=y_hat, y_tilde=y_tilde)
 
+    def _fold_P(self, end: int, c: float) -> None:
+        """Fold the downdates of pending rows ``j`` to ``end`` into ``S``, then scale it by ``c``."""
+        j = self._j
+        if end > j:
+            H = self._H[j:end]
+            np.multiply(self._G[j:end], np.sqrt(self._a[j:end])[:, None], out=H)
+            np.matmul(H.T, H, out=self._S_buf)
+            self._S -= self._S_buf
+        if c != 1.0:
+            self._S *= c
+        self._c = 1.0
+        self._j = end
+
     def _flush(self) -> None:
         """Fold the pending rows into ``S``, ``T`` and ``F`` and set ``c`` to 1."""
         k = self._k
         if k == 0:
             return
-        H = self._H[:k]
-        np.multiply(self._G[:k], np.sqrt(self._a[:k])[:, None], out=H)
-        np.matmul(H.T, H, out=self._S_buf)
-        self._S -= self._S_buf
-        self._S *= self._c
+        self._fold_P(k, self._c)
         np.matmul(self._U[:k].T, self._G[:k], out=self._T_buf)
         self._T += self._T_buf
         np.matmul(self._V[:k].T, self._W[:k], out=self._F_buf)
         self._F += self._F_buf
-        self._c = 1.0
-        self._k = 0
+        self._k = self._j = 0
         self._resync()
 
     def _resync(self) -> None:
@@ -261,8 +270,8 @@ class CurdsWheyState:
 
     @property
     def P(self) -> np.ndarray:
-        k = self._k
-        H = self._G[:k] * np.sqrt(self._a[:k])[:, None]
+        j, k = self._j, self._k
+        H = self._G[j:k] * np.sqrt(self._a[j:k])[:, None]
         return self._c * (self._S - H.T @ H)
 
     @property
