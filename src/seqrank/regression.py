@@ -53,9 +53,9 @@ _RESET_FLOOR = 1e-12
 # update folds them into the matrices
 _FLUSH_STEPS = 32
 # a step whose downdate would leave a diagonal entry of P below c S's over
-# this flushes at once and applies its downdate directly: a pending
-# downdate never exceeds a third of S's diagonal, so S - H' H keeps the
-# digits that the step-by-step recursion P / tau - s g g' keeps
+# this folds the pending downdates into S and applies its own directly: a
+# pending downdate never exceeds a third of S's diagonal, so S - H' H keeps
+# the digits that the step-by-step recursion P / tau - s g g' keeps
 _DIRECT_RATIO = 1.5
 # the fields of a snapshot; one written while Q was a matrix of its own
 # carries Q, x_prev and q_resets and is refused

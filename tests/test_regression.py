@@ -207,10 +207,10 @@ class TestAgainstGeneralRecursion:
     # Where the old recursion is itself inaccurate, no other arithmetic can
     # agree with it to 1e-12: at lambda = 1e-3 it is up to 1.3e-10 from
     # 40-digit arithmetic, and the forecaster with Q derived but every
-    # update applied at once is up to 3.5e-11 from it. There the stream is
-    # held to the old recursion's own accuracy: the largest ratio of the two
-    # recursions' errors against 40-digit arithmetic seen in 3 000 draws was
-    # 6.9, and 7.5 for that unblocked forecaster.
+    # update applied in place each step is up to 3.5e-11 from it. There the
+    # stream is held to the old recursion's own accuracy: the largest ratio
+    # of the two recursions' errors against 40-digit arithmetic seen in
+    # 3 000 draws was 6.9, and 7.5 for that unblocked forecaster.
     ACCURACY_RATIO = 16.0
 
     @given(data=st.data())
@@ -238,7 +238,7 @@ class TestAgainstGeneralRecursion:
 
     # P shrinks fast against its last flushed value under a weak prior and
     # c grows fast under a short window; held as pending rows, such steps
-    # cancelled S down to P / c and lost 1e-12 on 32 zero returns then a one
+    # cancelled S down to P / c and lost 5e-12 on 32 zero returns then a one
     # at lambda = 1e-3 and 4e-8 at tau = 0.55, lambda = 1
     @pytest.mark.parametrize(
         "d,ridge_lambda,tau,rets",
@@ -265,7 +265,8 @@ class TestAgainstGeneralRecursion:
         payload = {**CurdsWheyState(1, 1.0, 0.99).to_json_dict(), "P": P, "y_prev": [-2.0]}
         state = CurdsWheyState.from_json_dict(payload)
         reference = GeneralCurdsWhey(1, 1.0, 0.99)
-        reference.P, reference.Q = np.array(P), np.array([[1.0 - 2.0 * 2.0 / 1.0]])
+        # Q is P's Schur complement, 1 - 2 * 2 / 1
+        reference.P, reference.Q = np.array(P), np.array([[-3.0]])
         reference.x_prev, reference.y_prev = np.array([1.0, -2.0]), np.array([-2.0])
         for r in ar_stream(1, 40, seed=4):
             got = state.step(r)
