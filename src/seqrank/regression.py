@@ -76,25 +76,26 @@ class CurdsWheyState:
     A step makes three rank-one updates: ``theta += u g'``, ``P <- P / tau
     - s g g'`` and ``phi += v w'``. They are not applied one by one. Each
     matrix is a base plus pending rows: ``theta = T + U' G``, ``phi = F +
-    V' W`` and ``P = c (S - H' H)`` with ``H = sqrt(a) G`` row by row and
-    the scalar ``c <- c / tau`` carrying the forgetting. A step reads ``S``,
-    ``T`` and ``F`` once each, against the vectors it needs, plus O(d k)
-    for the ``k`` pending rows. Every ``_FLUSH_STEPS`` steps one matrix
-    product per matrix folds the rows into the bases, and ``S`` absorbs
-    ``c``. A step whose downdate would take a diagonal entry of ``P`` below
-    two thirds of ``c S``'s folds the pending downdates into ``S`` at once
-    and applies its own directly, as ``P / tau - s g g'``; its rows stay
-    pending for ``theta`` and ``phi``. So ``S - H' H`` never cancels much
-    of ``S``, whether ``P`` shrinks fast (a weak prior, a large return) or
-    ``c`` grows fast (a small ``tau``). ``H' H`` is
-    formed as one product of ``H`` with its own transpose, which numpy
-    computes exactly symmetric (BLAS syrk); ``S`` must stay exactly
-    symmetric, and an asymmetric product such as ``(G' a) G`` makes the
-    recursion diverge at small ``tau``.
+    V' W`` and ``P = c (S - H' H)`` with ``H = sqrt(a) G`` row by row over
+    the rows whose downdates are not in ``S`` yet, and the scalar ``c <- c
+    / tau`` carrying the forgetting. A step reads ``S``, ``T`` and ``F``
+    once each, against the vectors it needs, plus O(d k) for the ``k``
+    pending rows. Every ``_FLUSH_STEPS`` steps one matrix product per
+    matrix folds the rows into the bases, and ``S`` absorbs ``c``. A step
+    whose downdate would take a diagonal entry of ``P`` below two thirds of
+    ``c S``'s folds the pending downdates into ``S`` at once and applies
+    its own directly, as ``P / tau - s g g'``; its rows stay pending for
+    ``theta`` and ``phi``. So ``S - H' H`` never cancels much of ``S``,
+    whether ``P`` shrinks fast (a weak prior, a large return) or ``c``
+    grows fast (a small ``tau``). ``H' H`` is formed as one product of
+    ``H`` with its own transpose, which numpy computes exactly symmetric
+    (BLAS syrk); ``S`` must stay exactly symmetric, and an asymmetric
+    product such as ``(G' a) G`` makes the recursion diverge at small
+    ``tau``.
 
     ``P``'s diagonal and first column are kept as vectors, updated each
     step: the diagonal feeds the reset check and the column the derived
-    ``Q``. Both are re-read from ``S`` at each flush.
+    ``Q``. Both are re-read from ``S`` whenever it takes the downdates in.
 
     ``theta``, ``P``, ``phi`` and ``y_prev`` read back as fresh arrays with
     the pending rows applied; reading them changes nothing.
