@@ -9,7 +9,6 @@ the SVG chart land in --out-dir.
 """
 
 import argparse
-import json
 from pathlib import Path
 
 from seqrank import (
@@ -22,6 +21,7 @@ from seqrank import (
     write_csv,
 )
 from seqrank.backtest import render_equity_csv, render_equity_svg
+from seqrank.cli import json_chunks
 from seqrank.stats import render_report_table
 
 SECTORS = ("manufacturing", "energy", "trade", "life sciences", "finance")
@@ -74,6 +74,12 @@ def metric_table(columns: dict[str, dict]) -> str:
     return "\n".join(lines)
 
 
+def write_json(path: Path, payload: dict) -> None:
+    """Write ``payload`` as the CLI writes its reports: strict JSON, so a
+    NaN or an infinity raises before the file is opened."""
+    path.write_text("".join(json_chunks(payload)))
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--assets", type=int, default=40)
@@ -92,9 +98,7 @@ def main() -> int:
 
     report = monthly_stationarity_report(panel, max_shift=6, alpha=0.05)
     print(render_report_table(report))
-    (out / "stationarity.json").write_text(
-        json.dumps(report.to_json_dict(), sort_keys=True, indent=2) + "\n"
-    )
+    write_json(out / "stationarity.json", report.to_json_dict())
 
     runs = {
         "cw long": BacktestConfig(mode="long-only", strategy="curds-whey"),
@@ -115,8 +119,8 @@ def main() -> int:
                 for sector, counts in sorted(result.sector_selection.items()):
                     print(f"  {sector:<16} long {counts['long']:>6}  short {counts['short']:>6}")
                 print()
-        (out / f"backtest_{name.replace(' ', '_').replace('/', '')}.json").write_text(
-            json.dumps(result.to_json_dict(), sort_keys=True, indent=2) + "\n"
+        write_json(
+            out / f"backtest_{name.replace(' ', '_').replace('/', '')}.json", result.to_json_dict()
         )
 
     print("net-of-cost performance:")

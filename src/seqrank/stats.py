@@ -337,11 +337,18 @@ class MonthPairTest:
     result: TTestResult
 
     def to_json_dict(self) -> dict:
+        # TTestResult.to_json_dict's keys, inlined: one dict per test
+        result = self.result
         return {
             "shift": self.shift,
             "month": self.month,
             "prior_month": self.prior_month,
-            **self.result.to_json_dict(),
+            "t_stat": result.t_stat,
+            "dof": result.dof,
+            "critical_value": result.critical_value,
+            "reject": result.reject,
+            "alpha": result.alpha,
+            "sidedness": result.sidedness,
         }
 
 

@@ -11,10 +11,13 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import seqrank
+import seqrank.cli as cli
 from seqrank import JumpDiffusionConfig, load_csv, write_csv
-from seqrank.cli import _emit, _sha256, main
+from seqrank.cli import _emit, _sha256, json_chunks, main
 
 from conftest import constant_growth_panel, dominance_panel
 
@@ -204,6 +207,101 @@ class TestRank:
             assert np.allclose(json.loads(line)["posterior"], 0.2, atol=1e-12)
 
 
+def reference_text(payload):
+    return json.dumps(payload, sort_keys=True, indent=2, allow_nan=False) + "\n"
+
+
+def outcome(write, payload):
+    """The text ``write`` makes of ``payload``, or the type of its error."""
+    try:
+        return write(payload)
+    except (TypeError, ValueError) as exc:
+        return type(exc)
+
+
+# strings that would fool a writer splicing the record boundary or the
+# indent into the C encoder's output
+TRICKY_TEXT = st.sampled_from(
+    ['},\n    {"', '},\n      {', "}\n]", "\n", "a\nb", "\r\t\x00\x1f\x7f", "é€😀", "\u2028", '"\\', ""]
+)
+TEXT = TRICKY_TEXT | st.text(max_size=8)
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+SCALARS = (
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.integers(min_value=2**63, max_value=2**70)
+    | st.integers(min_value=-(2**70), max_value=-(2**63) - 1)
+    | FINITE
+    | st.just(-0.0)
+    | FINITE.map(np.float64)
+    | TEXT
+)
+NON_FINITE = st.sampled_from([math.nan, -math.nan, math.inf, -math.inf, np.float64("nan")])
+
+
+def payloads(leaves):
+    records = st.lists(st.dictionaries(TEXT, leaves, min_size=1, max_size=6), max_size=5)
+    return st.recursive(
+        leaves | records | st.just({}) | st.just([]),
+        lambda children: (
+            st.lists(children, max_size=4)
+            | st.lists(children, max_size=3).map(tuple)
+            | st.dictionaries(TEXT, children, max_size=4)
+            | st.dictionaries(st.integers() | FINITE | st.booleans(), children, max_size=3)
+            | st.lists(st.dictionaries(TEXT, leaves, min_size=1, max_size=4), max_size=4)
+        ),
+        max_leaves=30,
+    )
+
+
+class TestJsonChunks:
+    @settings(max_examples=400)
+    @given(payloads(SCALARS))
+    def test_same_text_as_json_dumps_with_indent(self, payload):
+        assert outcome(lambda p: "".join(json_chunks(p)), payload) == outcome(reference_text, payload)
+
+    @settings(max_examples=200)
+    @given(payloads(SCALARS | NON_FINITE))
+    def test_same_errors_as_json_dumps(self, payload):
+        assert outcome(lambda p: "".join(json_chunks(p)), payload) == outcome(reference_text, payload)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, np.float64("nan")])
+    @pytest.mark.parametrize(
+        "place",
+        [
+            lambda bad: bad,
+            lambda bad: {"a": bad},
+            lambda bad: [1, bad],
+            lambda bad: {"rows": [{"x": 1.0}, {"x": bad}]},
+            lambda bad: {"a": {"b": [{"c": {"d": bad}}]}},
+            lambda bad: {bad: 1},
+        ],
+        ids=["scalar", "flat-dict", "flat-list", "records", "nested", "key"],
+    )
+    def test_non_finite_floats_raise(self, bad, place):
+        with pytest.raises(ValueError):
+            reference_text(place(bad))
+        with pytest.raises(ValueError):
+            "".join(json_chunks(place(bad)))
+
+    def test_keys_of_every_json_kind(self):
+        for payload in (
+            {2: "a", 1.5: ["b"], True: {}},
+            {"m": {None: [{"n": None}]}},
+            {"k": {-1: 0, 10**20: 1, -0.0: 2}},
+        ):
+            assert "".join(json_chunks(payload)) == json.dumps(payload, sort_keys=True, indent=2) + "\n"
+        with pytest.raises(TypeError):
+            "".join(json_chunks({"a": {(1, 2): [0]}}))
+
+    def test_stationarity_report_matches(self, tmp_path):
+        path = synth(tmp_path, **{"--steps": 300, "--assets": 4})
+        assert run_cli("stationarity", path, "--max-shift", 3, "--out-dir", tmp_path) == 0
+        text = (tmp_path / "stationarity.json").read_text()
+        assert text == reference_text(json.loads(text))
+
+
 class TestEmit:
     def test_failed_write_leaves_no_temporaries_and_no_new_files(self, tmp_path):
         (tmp_path / "a.txt").write_text("old a")
@@ -223,6 +321,37 @@ class TestEmit:
             _emit(tmp_path, {"a.txt": "new a", "b.txt": "new b"})
         assert sorted(p.name for p in tmp_path.iterdir()) == ["b.txt"]
         assert (tmp_path / "b.txt").read_text() == "old b"
+
+    def test_failing_chunk_producer_leaves_old_outputs(self, tmp_path):
+        (tmp_path / "a.json").write_text("old a")
+        payload = {"rows": [{"x": 1.0}] * 1000 + [{"x": math.nan}], "z": 0}
+        with pytest.raises(ValueError):
+            _emit(tmp_path, {"b.txt": "new b", "a.json": json_chunks(payload)})
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["a.json"]
+        assert (tmp_path / "a.json").read_text() == "old a"
+
+    def test_stationarity_with_a_non_finite_value_keeps_old_outputs(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        path = synth(tmp_path / "panel", **{"--steps": 300, "--assets": 4})
+        out = tmp_path / "out"
+        assert run_cli("stationarity", path, "--max-shift", 3, "--out-dir", out) == 0
+        old = {p.name: p.read_bytes() for p in out.iterdir()}
+        report_of = cli.monthly_stationarity_report
+
+        def nan_in_last_test(*args, **kwargs):
+            report = report_of(*args, **kwargs)
+            last = report.assets[-1]
+            pair = last.pair_tests[-1]
+            pair = dataclasses.replace(pair, result=dataclasses.replace(pair.result, t_stat=math.nan))
+            last = dataclasses.replace(last, pair_tests=last.pair_tests[:-1] + (pair,))
+            return dataclasses.replace(report, assets=report.assets[:-1] + (last,))
+
+        monkeypatch.setattr(cli, "monthly_stationarity_report", nan_in_last_test)
+        capsys.readouterr()
+        assert run_cli("stationarity", path, "--max-shift", 3, "--out-dir", out) == 1
+        assert "error:" in capsys.readouterr().err
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == old
 
     def test_runs_leave_exactly_their_outputs(self, tmp_path):
         path = synth(tmp_path / "panel")
