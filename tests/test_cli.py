@@ -291,7 +291,7 @@ class TestJsonChunks:
             {"m": {None: [{"n": None}]}},
             {"k": {-1: 0, 10**20: 1, -0.0: 2}},
         ):
-            assert "".join(json_chunks(payload)) == json.dumps(payload, sort_keys=True, indent=2) + "\n"
+            assert "".join(json_chunks(payload)) == reference_text(payload)
         with pytest.raises(TypeError):
             "".join(json_chunks({"a": {(1, 2): [0]}}))
 
