@@ -96,7 +96,8 @@ def _scalar(value) -> str:
 
 
 # _flat and _records test each distinct type once: an isinstance call per
-# value would take a fifth of the writer's time on the stationarity report
+# value took about an eighth of the writer's time on a d = 50 stationarity
+# report
 
 
 def _flat(items) -> bool:
