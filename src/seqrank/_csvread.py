@@ -60,8 +60,11 @@ def distinct(cells: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def read_columns(path: Path):
-    """Per-row ``(dates, assets, bids, asks)`` of a panel CSV's data rows,
-    and ``{asset: sector}`` or None; ``build_panel`` takes them as they are."""
+    """A panel CSV's data rows as codes: ``(days, date_index, names,
+    asset_index, bids, asks, sectors)``, where row ``i`` quotes asset
+    ``names[asset_index[i]]`` on ``days[date_index[i]]``, ``days`` and
+    ``names`` are sorted and distinct, and ``sectors`` is ``{asset:
+    sector}`` or None."""
     with path.open(newline="", encoding="utf-8") as handle:
         header = next(csv.reader(handle), None)
         if header is None:
@@ -171,12 +174,11 @@ class _Table:
 
     def columns(self, path: Path):
         """Run the row checks on the columns; see ``read_columns``."""
-        cols = {
-            name: np.concatenate(parts) if parts else np.empty(0, dtype=np.int64)
-            for name, parts in self.parts.items()
-        }
-        rows = cols["row"]
-        bids, asks = np.asarray(cols["bid"], dtype=float), np.asarray(cols["ask"], dtype=float)
+        # each per-row array is dropped once its checks are made: at the
+        # paper's scale each is 2.5-5 MB
+        kinds = {"row": np.int64, "bid": float, "ask": float}
+        cols = {name: _join(parts, kinds.get(name, np.int32)) for name, parts in self.parts.items()}
+        rows, bids, asks = cols.pop("row"), cols.pop("bid"), cols.pop("ask")
         errors = [] if self.error is None else [self.error]
 
         def first(failing: np.ndarray, rank: int, message) -> None:
@@ -196,17 +198,20 @@ class _Table:
                 ordinals[code] = dt.date.fromisoformat(text.strip()).toordinal()
             except ValueError as exc:
                 date_errors[code] = str(exc)
-        bad_date = np.isin(cols["date"], list(date_errors))
-        first(bad_date, DATE, lambda i: date_errors[int(cols["date"][i])])
-        ordinal = ordinals[cols["date"]]
+        date_codes = cols.pop("date")
+        if date_errors:
+            first(np.isin(date_codes, list(date_errors)), DATE, lambda i: date_errors[int(date_codes[i])])
+        day_ordinals, day_of_code = np.unique(ordinals, return_inverse=True)
+        date_index = day_of_code.astype(np.int32)[date_codes]
+        del date_codes
 
         def day(i: int) -> dt.date:
-            return dt.date.fromordinal(int(ordinal[i]))
+            return dt.date.fromordinal(int(day_ordinals[date_index[i]]))
 
         stripped = [text.strip() for text in self.codes["asset"]]
         names = sorted(set(stripped))
         index = {name: i for i, name in enumerate(names)}
-        asset = np.array([index[name] for name in stripped], dtype=np.intp)[cols["asset"]]
+        asset = np.array([index[name] for name in stripped], dtype=np.int32)[cols.pop("asset")]
         if "" in index:
             first(asset == index[""], ASSET, lambda i: "empty asset name")
         first(~(np.isfinite(bids) & np.isfinite(asks)), FINITE,
@@ -220,23 +225,38 @@ class _Table:
         order = np.argsort(asset, kind="stable")
         grouped = asset[order]
         leading = order[np.flatnonzero(np.diff(grouped, prepend=-1))]  # each asset's first row
-        prev, cur = order[:-1], order[1:]
+        cur = order[1:]
         same = grouped[1:] == grouped[:-1]
-        step = ordinal[cur] - ordinal[prev]
-        first(cur[same & (step == 0)], ORDER,
+        del grouped
+        seen = date_index[order]
+        first(cur[same & (seen[1:] == seen[:-1])], ORDER,
               lambda i: f"duplicate (date, asset) pair ({day(i)}, {names[asset[i]]})")
-        first(cur[same & (step < 0)], ORDER, lambda i: f"dates for {names[asset[i]]} are not increasing")
+        first(cur[same & (seen[1:] < seen[:-1])], ORDER, lambda i: f"dates for {names[asset[i]]} are not increasing")
+        del order, cur, same, seen
 
         sectors = None
         if "sector" in self.codes:
             labels = list(dict.fromkeys(text.strip() for text in self.codes["sector"]))
             code = {label: i for i, label in enumerate(labels)}
-            sector = np.array([code[text.strip()] for text in self.codes["sector"]], dtype=np.intp)
-            sector = sector[cols["sector"]]
+            sector = np.array([code[text.strip()] for text in self.codes["sector"]], dtype=np.int32)
+            sector = sector[cols.pop("sector")]
             first(sector != sector[leading][asset], SECTOR, lambda i: f"conflicting sector for {names[asset[i]]}")
             sectors = {name: labels[sector[i]] for name, i in zip(names, leading)}
         if errors:
             row, _, message = min(errors)
             raise ValueError(f"{path}:{row}: {message}")
-        days = (ordinal - _EPOCH_ORDINAL).astype("datetime64[D]")
-        return days, np.array(names, dtype=str)[asset], bids, asks, sectors
+        days = (day_ordinals - _EPOCH_ORDINAL).astype("datetime64[D]")
+        return days, date_index, names, asset, bids, asks, sectors
+
+
+def _join(parts: list[np.ndarray], dtype) -> np.ndarray:
+    """``np.concatenate(parts)``, emptying ``parts`` as it goes so that each
+    part is freed once copied."""
+    joined = np.empty(sum(map(len, parts)), dtype=dtype)
+    start = 0
+    parts.reverse()
+    while parts:
+        part = parts.pop()
+        joined[start : start + len(part)] = part
+        start += len(part)
+    return joined

@@ -19,7 +19,6 @@ import functools
 import hashlib
 import json
 import logging
-import os
 import sys
 from collections.abc import Iterable, Iterator
 from dataclasses import asdict
@@ -30,6 +29,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
+from ._atomic import write_files
 from .backtest import (
     BacktestConfig,
     BacktestError,
@@ -170,29 +170,10 @@ def json_chunks(payload) -> Iterator[str]:
 
 
 def _emit(out_dir: Path, files: dict[str, str | Iterable[str]]) -> list[Path]:
-    """Write every output to a temporary file in ``out_dir``, then rename
-    them all into place. A body is a string or an iterable of text chunks,
-    which are written as they come and never joined. If anything fails
-    first, producing a chunk included, the temporary files are removed and
-    no file under an output name has been touched."""
+    """``write_files`` into ``out_dir``, made first if missing: every output
+    appears whole, or none is touched."""
     out_dir.mkdir(parents=True, exist_ok=True)
-    staged: list[tuple[Path, Path]] = []
-    try:
-        for name, body in files.items():
-            temporary = out_dir / f".{name}.{os.urandom(6).hex()}.tmp"
-            with temporary.open("x", encoding="utf-8", newline="") as handle:
-                staged.append((temporary, out_dir / name))
-                if isinstance(body, str):
-                    handle.write(body)
-                else:
-                    handle.writelines(body)
-        for temporary, path in staged:
-            temporary.replace(path)
-    except BaseException:
-        for temporary, _ in staged:
-            temporary.unlink(missing_ok=True)
-        raise
-    return [path for _, path in staged]
+    return write_files(out_dir, files)
 
 
 def _cmd_synth(args: argparse.Namespace) -> int:
@@ -307,34 +288,35 @@ def _cmd_backtest(args: argparse.Namespace) -> int:
 def _cmd_rank(args: argparse.Namespace) -> int:
     panel_path = Path(args.panel)
     panel = load_csv(panel_path)
-    ranker = RankerState(panel.n_assets, args.tau)
-    lines = []
-    for i in range(panel.returns.shape[0]):
-        ranker.update(panel.returns[i])
-        ranking = ranker.rank()
-        lines.append(
-            json.dumps(
-                {
-                    "date": panel.dates[i + 1].isoformat(),
-                    "order": [panel.assets[j] for j in ranking.order],
-                    "order_index": ranking.order.tolist(),
-                    "posterior": ranking.posterior.tolist(),
-                },
-                sort_keys=True,
-            )
-        )
     manifest = _manifest(
         "rank", {"panel": panel_path.name, "tau": args.tau}, {panel_path.name: _sha256(panel_path)}
     )
     written = _emit(
         Path(args.out_dir),
         {
-            "rank.jsonl": "\n".join(lines) + "\n",
+            "rank.jsonl": _rank_lines(panel, args.tau),
             "rank.manifest.json": json_chunks(manifest),
         },
     )
-    print(f"wrote {written[0]} ({len(lines)} days)")
+    print(f"wrote {written[0]} ({panel.returns.shape[0]} days)")
     return 0
+
+
+def _rank_lines(panel: QuotePanel, tau: float) -> Iterator[str]:
+    """One JSON line per day, ranked as the day's returns arrive."""
+    ranker = RankerState(panel.n_assets, tau)
+    for date, returns in zip(panel.dates[1:], panel.returns):
+        ranker.update(returns)
+        ranking = ranker.rank()
+        yield json.dumps(
+            {
+                "date": date.isoformat(),
+                "order": [panel.assets[j] for j in ranking.order],
+                "order_index": ranking.order.tolist(),
+                "posterior": ranking.posterior.tolist(),
+            },
+            sort_keys=True,
+        ) + "\n"
 
 
 def _fmt(value: float | None) -> str:

@@ -4,7 +4,8 @@ A :class:`QuotePanel` is the core container: date-aligned bid/ask matrices
 for two or more assets, with mid prices, simple returns and half-spread
 rates materialised once at construction, stored row by row (C order) and
 frozen afterwards. Panels are immutable, so they can be shared freely
-across threads.
+across threads, and a panel made from another live panel's own ``bids``
+and ``asks`` (to re-label it, say) shares all five of its matrices.
 
 Synthetic panels come from :func:`simulate_jump_diffusion`, a seeded
 generator that combines Gaussian diffusion (optionally cross-correlated
@@ -18,6 +19,7 @@ from __future__ import annotations
 
 import datetime as dt
 import re
+import weakref
 from dataclasses import dataclass, field
 from itertools import chain, repeat
 from pathlib import Path
@@ -25,6 +27,7 @@ from typing import TYPE_CHECKING, Mapping
 
 import numpy as np
 
+from ._atomic import write_files
 from ._csvread import CSV_COLUMNS, distinct, read_columns
 
 if TYPE_CHECKING:
@@ -52,7 +55,10 @@ class QuotePanel:
     dates. ``mids``, ``returns`` (shape ``(n - 1, d)``, where row ``t`` is
     the return from date ``t`` to date ``t + 1``) and ``half_spread_rates``
     are derived in ``__post_init__`` and all five arrays are then frozen
-    and C-contiguous, whatever the memory order of the quotes given.
+    and C-contiguous, whatever the memory order of the quotes given. The
+    quotes given are copied, unless they are another live panel's own
+    ``bids`` and ``asks``: then the new panel shares that panel's five
+    arrays.
     """
 
     dates: tuple[dt.date, ...]
@@ -67,8 +73,12 @@ class QuotePanel:
     def __post_init__(self) -> None:
         dates = tuple(self.dates)
         assets = tuple(str(a) for a in self.assets)
-        bids = np.array(self.bids, dtype=float, order="C")
-        asks = np.array(self.asks, dtype=float, order="C")
+        source = _PANELS.get(id(self.bids))
+        if source is None or source.bids is not self.bids or source.asks is not self.asks:
+            source = None
+            bids, asks = _adopt(self.bids), _adopt(self.asks)
+        else:
+            bids, asks = source.bids, source.asks
         n, d = len(dates), len(assets)
         if d < 2:
             raise ValueError(f"a panel needs at least 2 assets, got {d}")
@@ -89,20 +99,30 @@ class QuotePanel:
         if self.sectors is not None and len(self.sectors) != d:
             raise ValueError("sectors, when given, must label every asset")
 
-        mids = 0.5 * (bids + asks)
-        returns = mids[1:] / mids[:-1] - 1.0
-        rates = 0.5 * (asks - bids) / mids
-        for arr in (bids, asks, mids, returns, rates):
-            arr.setflags(write=False)
-        object.__setattr__(self, "dates", dates)
-        object.__setattr__(self, "assets", assets)
+        if source is None:
+            # 0.5 * (bids + asks), mids[1:] / mids[:-1] - 1 and
+            # 0.5 * (asks - bids) / mids, each into one new array
+            mids = np.add(bids, asks)
+            mids *= 0.5
+            returns = np.divide(mids[1:], mids[:-1])
+            returns -= 1.0
+            rates = np.subtract(asks, bids)
+            rates *= 0.5
+            rates /= mids
+            for arr in (bids, asks, mids, returns, rates):
+                arr.setflags(write=False)
+        else:
+            mids, returns, rates = source.mids, source.returns, source.half_spread_rates
         object.__setattr__(self, "bids", bids)
         object.__setattr__(self, "asks", asks)
         object.__setattr__(self, "mids", mids)
         object.__setattr__(self, "returns", returns)
         object.__setattr__(self, "half_spread_rates", rates)
+        object.__setattr__(self, "dates", dates)
+        object.__setattr__(self, "assets", assets)
         if self.sectors is not None:
             object.__setattr__(self, "sectors", tuple(str(s) for s in self.sectors))
+        _PANELS[id(bids)] = self
 
     @property
     def n_dates(self) -> int:
@@ -111,6 +131,27 @@ class QuotePanel:
     @property
     def n_assets(self) -> int:
         return len(self.assets)
+
+
+# Arrays seqrank made for a panel and froze, by id, for QuotePanel to take
+# as they are; any other array given to it is copied.
+_FRESH: weakref.WeakValueDictionary[int, np.ndarray] = weakref.WeakValueDictionary()
+# The latest live panel built on each bids array, by id of that array.
+_PANELS: weakref.WeakValueDictionary[int, QuotePanel] = weakref.WeakValueDictionary()
+
+
+def _hand_over(*arrays: np.ndarray) -> None:
+    """Freeze C-ordered float ``arrays`` that nothing else holds, for the
+    next ``QuotePanel`` given them to take without a copy."""
+    for arr in arrays:
+        arr.setflags(write=False)
+        _FRESH[id(arr)] = arr
+
+
+def _adopt(value) -> np.ndarray:
+    if _FRESH.pop(id(value), None) is value:
+        return value
+    return np.array(value, dtype=float, order="C")
 
 
 def build_panel(
@@ -134,40 +175,53 @@ def build_panel(
     """
     day = np.asarray(dates, dtype="datetime64[D]")
     labels, asset_index = distinct(np.asarray(assets, dtype=str))
-    names = labels.tolist()
     bids = np.asarray(bids, dtype=float)
     asks = np.asarray(asks, dtype=float)
     if not (day.ndim == 1 and day.shape == asset_index.shape == bids.shape == asks.shape):
         raise ValueError("dates, assets, bids and asks must be 1-D and of equal length")
-    d = len(names)
+    days, date_index = np.unique(day, return_inverse=True)
+    return _pivot(days, date_index, labels.tolist(), asset_index, bids, asks, sectors)
+
+
+def _pivot(days, date_index, names, asset_index, bids, asks, sectors) -> QuotePanel:
+    """``build_panel`` on quotes given as codes: row ``i`` quotes asset
+    ``names[asset_index[i]]`` on ``days[date_index[i]]``, where ``days`` are
+    sorted and distinct and ``names`` too."""
+    d, m = len(names), days.size
     if d < 2:
         raise ValueError(f"need quotes for at least 2 assets, got {d}")
-    days, date_index = np.unique(day, return_inverse=True)
-    # cells sort date-major, so the cells of the shared dates form the panel row by row
-    keys = date_index * d + asset_index
-    cells, first = np.unique(keys, return_index=True)
-    if cells.size < keys.size:
+    keys = np.multiply(date_index, d, dtype=np.intp)
+    keys += asset_index
+    quoted = np.zeros(m * d, dtype=bool)
+    quoted[keys] = True
+    if np.count_nonzero(quoted) < keys.size:
         keys.sort()
         pair = keys[1:][keys[1:] == keys[:-1]][0]
         raise ValueError(
             f"duplicate (date, asset) pair ({days[pair // d]}, {names[pair % d]})"
         )
-    shared = np.bincount(cells // d, minlength=days.size) == d
+    shared = quoted.reshape(m, d).all(axis=1)
+    bid_matrix, ask_matrix = np.empty((m, d)), np.empty((m, d))
+    np.put(bid_matrix, keys, bids)
+    np.put(ask_matrix, keys, asks)
+    del keys
+    if not shared.all():
+        bid_matrix, ask_matrix = bid_matrix[shared], ask_matrix[shared]
     n = int(shared.sum())
     if n < 3:
         raise ValueError(f"assets share only {n} dates; at least 3 are required")
-    rows = first[shared[cells // d]]
     sector_tuple = None
     if sectors is not None:
         missing = [a for a in names if a not in sectors]
         if missing:
             raise ValueError(f"sector labels missing for assets: {missing}")
         sector_tuple = tuple(sectors[a] for a in names)
+    _hand_over(bid_matrix, ask_matrix)
     return QuotePanel(
         dates=tuple(days[shared].tolist()),
         assets=tuple(names),
-        bids=bids[rows].reshape(n, d),
-        asks=asks[rows].reshape(n, d),
+        bids=bid_matrix,
+        asks=ask_matrix,
         sectors=sector_tuple,
     )
 
@@ -268,23 +322,40 @@ def simulate_jump_diffusion(config: JumpDiffusionConfig) -> QuotePanel:
     rng = np.random.Generator(np.random.PCG64(config.seed))
     chol = _correlation_cholesky(config.cross_correlation, d)
 
-    shocks = rng.standard_normal((n, d)) @ chol.T
+    # The textbook expression (tests/timeseries_oracle.py) worked in place:
+    # the same draws and floating-point operations in the same order, on at
+    # most four (n, d) buffers at a time.
+    draws = rng.standard_normal((n, d))
+    increments = draws @ chol.T
     counts = rng.poisson(config.jump_intensity, size=(n, d))
-    jump_z = rng.standard_normal((n, d))
-    # Sum of k iid normal jumps has mean k * jump_mean and variance k * jump_stdev^2.
-    jumps = counts * config.jump_mean + np.sqrt(counts) * config.jump_stdev * jump_z
+    jump_z = rng.standard_normal(out=draws)
+    # Sum of k iid normal jumps has mean k * jump_mean and variance k * jump_stdev^2:
+    # counts * jump_mean + sqrt(counts) * jump_stdev * jump_z
+    jumps = np.sqrt(counts)
+    jumps *= config.jump_stdev
+    jumps *= jump_z
+    jumps += np.multiply(counts, config.jump_mean, out=jump_z)
+    del counts, draws, jump_z
 
-    drift = config.drift_vector() - 0.5 * config.volatility**2
-    increments = drift[None, :] + config.volatility * shocks + jumps
-    log_mids = np.log(config.start_price) + np.vstack(
-        [np.zeros(d), np.cumsum(increments, axis=0)]
-    )
-    mids = np.exp(log_mids)
+    # drift + volatility * shocks + jumps
+    increments *= config.volatility
+    np.add(config.drift_vector() - 0.5 * config.volatility**2, increments, out=increments)
+    increments += jumps
+    del jumps
+    # exp(log(start_price) + [0, cumsum(increments)]), then the quotes
+    mids = np.empty((n + 1, d))
+    mids[0] = 0.0
+    np.cumsum(increments, axis=0, out=mids[1:])
+    del increments
+    mids += np.log(config.start_price)
+    np.exp(mids, out=mids)
     half = 0.5 * config.spread
-    bids = mids * (1.0 - half)
-    asks = mids * (1.0 + half)
+    asks = np.multiply(mids, 1.0 + half)
+    bids = mids
+    bids *= 1.0 - half
     dates = weekday_range(config.start_date, n + 1)
     assets = tuple(f"A{i:03d}" for i in range(d))
+    _hand_over(bids, asks)
     return QuotePanel(dates=dates, assets=assets, bids=bids, asks=asks)
 
 
@@ -294,11 +365,22 @@ def write_csv(panel: QuotePanel, path: str | Path) -> None:
     Columns are ``date,asset,bid,ask,mid`` plus ``sector`` when the panel
     carries sector labels; prices use shortest round-trip float text, so a
     write/load cycle reproduces the panel exactly. LF line endings, UTF-8.
+    The text goes to a temporary file beside ``path``, renamed onto it only
+    once complete, so a failure leaves ``path`` as it was.
     """
-    Path(path).write_text(render_csv(panel), encoding="utf-8", newline="")
+    path = Path(path)
+    write_files(path.parent, {path.name: render_csv(panel)})
 
 
-def render_csv(panel: QuotePanel) -> str:
+# CSV rows rendered per text block
+_BLOCK_ROWS = 1 << 14
+
+
+def render_csv(panel: QuotePanel) -> list[str]:
+    """The text of ``write_csv``, as one string per block of dates.
+
+    Fails before rendering anything on a label that would not round-trip.
+    """
     labels = panel.assets + (panel.sectors or ())
     unsafe = sorted({label for label in labels if _UNSAFE_LABEL.search(label)})
     if unsafe:
@@ -306,19 +388,24 @@ def render_csv(panel: QuotePanel) -> str:
             f"labels must not contain ',', '\"', CR or LF, nor start or end with "
             f"whitespace: {unsafe}"
         )
-    header = list(CSV_COLUMNS) + ["mid"]
+    header = list(CSV_COLUMNS) + ["mid"] + (["sector"] if panel.sectors is not None else [])
     d = panel.n_assets
-    columns = [
-        chain.from_iterable(repeat(day.isoformat(), d) for day in panel.dates),
-        chain.from_iterable(repeat(panel.assets, panel.n_dates)),
-        map(repr, panel.bids.ravel().tolist()),
-        map(repr, panel.asks.ravel().tolist()),
-        map(repr, panel.mids.ravel().tolist()),
-    ]
-    if panel.sectors is not None:
-        header.append("sector")
-        columns.append(chain.from_iterable(repeat(panel.sectors, panel.n_dates)))
-    return "\n".join(chain([",".join(header)], map(",".join, zip(*columns)))) + "\n"
+    step = max(1, _BLOCK_ROWS // d)
+    blocks = [",".join(header) + "\n"]
+    for start in range(0, panel.n_dates, step):
+        rows = slice(start, start + step)
+        dates = panel.dates[rows]
+        columns = [
+            chain.from_iterable(repeat(day.isoformat(), d) for day in dates),
+            chain.from_iterable(repeat(panel.assets, len(dates))),
+            map(repr, panel.bids[rows].ravel().tolist()),
+            map(repr, panel.asks[rows].ravel().tolist()),
+            map(repr, panel.mids[rows].ravel().tolist()),
+        ]
+        if panel.sectors is not None:
+            columns.append(chain.from_iterable(repeat(panel.sectors, len(dates))))
+        blocks.append("\n".join(map(",".join, zip(*columns))) + "\n")
+    return blocks
 
 
 def load_csv(path: str | Path) -> QuotePanel:
@@ -342,6 +429,6 @@ def load_csv(path: str | Path) -> QuotePanel:
         raise FileNotFoundError(f"panel file not found: {path}")
     columns = read_columns(path)
     try:
-        return build_panel(*columns)
+        return _pivot(*columns)
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None

@@ -206,6 +206,21 @@ class TestRank:
         for line in (tmp_path / "rank.jsonl").read_text().strip().splitlines():
             assert np.allclose(json.loads(line)["posterior"], 0.2, atol=1e-12)
 
+    def test_lines_are_streamed_not_joined(self, tmp_path, monkeypatch):
+        path = synth(tmp_path / "panel")
+        bodies = {}
+        emit = cli._emit
+
+        def recording(out_dir, files):
+            bodies.update(files)
+            return emit(out_dir, files)
+
+        monkeypatch.setattr(cli, "_emit", recording)
+        assert run_cli("rank", path, "--out-dir", tmp_path / "out") == 0
+        assert not isinstance(bodies["rank.jsonl"], str)
+        text = (tmp_path / "out" / "rank.jsonl").read_text()
+        assert text.endswith("}\n") and len(text.splitlines()) == 120
+
 
 def reference_text(payload):
     return json.dumps(payload, sort_keys=True, indent=2, allow_nan=False) + "\n"

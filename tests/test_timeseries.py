@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from seqrank import (
@@ -19,6 +19,7 @@ from seqrank import (
 )
 
 from conftest import panel_from_mids
+from timeseries_oracle import oracle_quotes
 
 
 def long_form(columns: dict[str, tuple]) -> tuple[list, list, list, list]:
@@ -127,7 +128,49 @@ class TestBuildPanel:
         assert days == tuple(sorted(days))
 
 
+@st.composite
+def generator_configs(draw):
+    """Generator settings over the whole domain: per-asset or shared
+    drift, no jumps or many, correlation down to just above -1 / (d - 1)."""
+    d = draw(st.integers(2, 7))
+    rate = st.floats(-0.02, 0.02)
+    drift = draw(st.one_of(rate, st.lists(rate, min_size=d, max_size=d).map(tuple)))
+    share = draw(st.floats(-0.99, 0.99))
+    return JumpDiffusionConfig(
+        drift=drift,
+        volatility=draw(st.floats(0.0, 0.05)),
+        jump_intensity=draw(st.sampled_from([0.0, 0.03, 2.5])),
+        jump_mean=draw(st.floats(-0.05, 0.05)),
+        jump_stdev=draw(st.floats(0.0, 0.1)),
+        n_steps=draw(st.integers(2, 60)),
+        n_assets=d,
+        cross_correlation=share if share >= 0.0 else share / (d - 1),
+        seed=draw(st.integers(0, 2**63)),
+        spread=draw(st.floats(0.0, 1.5)),
+        start_price=draw(st.sampled_from([0.37, 1.0, 100.0])),
+    )
+
+
 class TestJumpDiffusion:
+    @given(generator_configs())
+    @example(JumpDiffusionConfig(
+        drift=(0.01, -0.02), volatility=0.03, jump_intensity=0.0, n_steps=2, n_assets=2,
+        cross_correlation=-0.8, seed=5,
+    ))
+    @example(JumpDiffusionConfig(
+        volatility=0.012, jump_intensity=0.5, jump_mean=-0.01, jump_stdev=0.03, n_steps=40,
+        n_assets=5, cross_correlation=-0.2, seed=11,
+    ))
+    @example(JumpDiffusionConfig(  # the paper's 250 assets
+        drift=0.0002, volatility=0.012, jump_intensity=0.03, jump_mean=-0.01, jump_stdev=0.03,
+        n_steps=400, n_assets=250, cross_correlation=0.25, seed=1,
+    ))
+    def test_matches_the_textbook_expression_bit_for_bit(self, config):
+        panel = simulate_jump_diffusion(config)
+        bids, asks = oracle_quotes(config)
+        assert panel.bids.tobytes() == bids.tobytes()
+        assert panel.asks.tobytes() == asks.tobytes()
+
     def test_deterministic_exponential_path(self):
         cfg = JumpDiffusionConfig(drift=0.002, volatility=0.0, n_steps=50, n_assets=3, seed=4)
         panel = simulate_jump_diffusion(cfg)
