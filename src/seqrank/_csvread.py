@@ -9,17 +9,25 @@ the rest of the file is read row by row with ``csv.reader`` and
 ``float()``, up to the first row that fails to parse. The row checks then
 run once on the columns, and the earliest failing row is reported, with
 the message the check made in the row-at-a-time loader this replaced.
+Every other chunk is parsed in a forked child when two CPUs are usable
+(``_Table.read``, ``seqrank._fork``).
 """
 
 from __future__ import annotations
 
 import csv
 import datetime as dt
+import os
+import stat
+from collections import deque
+from contextlib import closing
 from itertools import chain, compress, islice, repeat
 from pathlib import Path
 from typing import Iterable
 
 import numpy as np
+
+from ._fork import split_map
 
 CSV_COLUMNS = ("date", "asset", "bid", "ask")
 
@@ -64,7 +72,12 @@ def read_columns(path: Path):
     asset_index, bids, asks, sectors)``, where row ``i`` quotes asset
     ``names[asset_index[i]]`` on ``days[date_index[i]]``, ``days`` and
     ``names`` are sorted and distinct, and ``sectors`` is ``{asset:
-    sector}`` or None."""
+    sector}`` or None.
+
+    Every other chunk is parsed by a forked child when two CPUs are usable
+    (see ``_Table.read``); codes are given and rows numbered in this
+    process, in file order, so the result does not depend on it.
+    """
     with path.open(newline="", encoding="utf-8") as handle:
         header = next(csv.reader(handle), None)
         if header is None:
@@ -74,13 +87,21 @@ def read_columns(path: Path):
         if missing:
             raise ValueError(f"{path}: header is missing columns {missing}")
         table = _Table(len(header), {name: header.index(name) for name in header})
-        row = 2
-        while lines := list(islice(handle, _CHUNK_LINES)):
-            if not table.add_chunk(lines, row):
-                table.add_rows(chain(lines, handle), row)
-                break
-            row += len(lines)
+        table.read(path, handle)
     return table.columns(path)
+
+
+def _chunks(handle):
+    """``(first file row, lines)`` for each chunk of ``_CHUNK_LINES`` lines
+    after the header."""
+    row = 2
+    while lines := list(islice(handle, _CHUNK_LINES)):
+        yield row, lines
+        row += len(lines)
+
+
+def _identity(info: os.stat_result) -> tuple[int, ...]:
+    return info.st_dev, info.st_ino, info.st_size, info.st_mtime_ns
 
 
 class _Table:
@@ -98,8 +119,11 @@ class _Table:
         self.parts: dict[str, list] = {name: [] for name in ("row", "bid", "ask", *self.codes)}
         self.error: tuple[int, int, str] | None = None
 
-    def _append(self, rows, bids, asks, texts: dict[str, tuple[list[str], np.ndarray]]) -> None:
-        # copies: a field of the parsed table would keep the whole table alive
+    def append(self, rows, bids, asks, texts: dict[str, tuple[list[str], np.ndarray]]) -> None:
+        """Add parsed rows; each text column is ``(texts, inverse)``, and
+        its texts get codes here, in order of first sight."""
+        # copies: a field of a parsed table, or an array unpickled from the
+        # child's message, would keep the whole table or message alive
         self.parts["row"].append(np.array(rows, dtype=np.int64))
         self.parts["bid"].append(np.array(bids, dtype=float))
         self.parts["ask"].append(np.array(asks, dtype=float))
@@ -108,35 +132,74 @@ class _Table:
             lookup = np.array([codes.setdefault(v, len(codes)) for v in values], dtype=np.int32)
             self.parts[name].append(lookup[inverse])
 
-    def add_chunk(self, lines: list[str], first_row: int) -> bool:
-        """Parse ``lines``, file rows from ``first_row`` on, with
-        ``np.loadtxt``; False, adding nothing, if they need the csv module."""
+    def read(self, path: Path, handle) -> None:
+        """Read the data lines left in ``handle``, the open ``path``: in
+        chunks by ``parse``, through ``split_map``, and by ``add_rows`` from
+        the first chunk that needs the csv module on. The forked child opens
+        ``path`` again, because a descriptor shared across ``fork`` shares
+        its offset, and parses nothing unless ``path`` is still the regular
+        file this process reads: a pipe opened again would hand the child
+        lines meant for this process."""
+        info = os.fstat(handle.fileno())
+        same_file = _identity(info)
+
+        def reopen():
+            if not stat.S_ISREG(info.st_mode):
+                raise OSError(f"{path} is not a regular file")
+            with path.open(newline="", encoding="utf-8") as again:
+                if _identity(os.fstat(again.fileno())) != same_file:
+                    raise OSError(f"{path} was replaced")
+                next(csv.reader(again), None)
+                yield from _chunks(again)
+
+        ahead = deque()  # chunks read for the parse and not yet in the table
+
+        def chunks():
+            for chunk in _chunks(handle):
+                ahead.append(chunk)
+                yield chunk
+
+        with closing(split_map(self.parse, chunks(), reopen)) as parsed:
+            for chunk in parsed:
+                if chunk is None:
+                    break
+                self.append(*chunk)
+                ahead.popleft()
+                del chunk  # before the next chunk is parsed
+        if ahead:
+            self.add_rows(chain(chain.from_iterable(lines for _, lines in ahead), handle), ahead[0][0])
+
+    def parse(self, chunk: tuple[int, list[str]]):
+        """The ``append`` arguments for ``chunk``, ``(first_row, lines)``,
+        parsed by ``np.loadtxt``; None if the lines need the csv module.
+        Reads nothing of the table but its layout."""
+        first_row, lines = chunk
         text = "".join(lines)
         if any(char in text for char in _CSV_ONLY):
-            return False
+            return None
         rows = np.arange(first_row, first_row + len(lines))
         if not all(map(str.strip, lines, repeat(_BLANK_ROW))):
             keep = [bool(line.strip(_BLANK_ROW)) for line in lines]
             rows, lines = rows[keep], list(compress(lines, keep))
         if not lines:
-            return True
-        for cell_bytes in (_CELL_BYTES, max(map(len, lines))):
+            return rows, [], [], {}
+        for wide in (False, True):
+            # a cell that fills its field may have been cut short: read again wider
+            cell_bytes = max(map(len, lines)) if wide else _CELL_BYTES
             dtype = [(f"unused{i}", "S1") for i in range(self.width)]
             for name in ("bid", "ask", *self.codes):
                 dtype[self.col[name]] = (name, "f8" if name in ("bid", "ask") else f"S{cell_bytes}")
             try:
                 table = np.loadtxt(lines, dtype=dtype, delimiter=",", comments=None, ndmin=1)
             except ValueError:
-                return False
+                return None
             texts = {}
             for name in self.codes:
                 values, inverse = distinct(table[name])
                 texts[name] = ([v.decode("latin-1") for v in values.tolist()], inverse)
-            # a cell that fills its field may have been cut short
             if all(len(v) < cell_bytes for values, _ in texts.values() for v in values):
                 break
-        self._append(rows, table["bid"], table["ask"], texts)
-        return True
+        return rows, table["bid"], table["ask"], texts
 
     def add_rows(self, lines: Iterable[str], first_row: int) -> None:
         """Read ``lines`` as ``csv.reader`` and ``float()`` do, up to and
@@ -170,7 +233,7 @@ class _Table:
         for name, values in cells.items():
             index = {value: i for i, value in enumerate(dict.fromkeys(values))}
             texts[name] = (list(index), np.array([index[v] for v in values], dtype=np.intp))
-        self._append(rows, bids, asks, texts)
+        self.append(rows, bids, asks, texts)
 
     def columns(self, path: Path):
         """Run the row checks on the columns; see ``read_columns``."""

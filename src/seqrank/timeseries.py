@@ -20,6 +20,7 @@ from __future__ import annotations
 import datetime as dt
 import re
 import weakref
+from contextlib import closing
 from dataclasses import dataclass, field
 from itertools import chain, repeat
 from pathlib import Path
@@ -29,6 +30,7 @@ import numpy as np
 
 from ._atomic import write_files
 from ._csvread import CSV_COLUMNS, distinct, read_columns
+from ._fork import split_map
 
 if TYPE_CHECKING:
     from numpy.typing import ArrayLike
@@ -380,6 +382,9 @@ def render_csv(panel: QuotePanel) -> list[str]:
     """The text of ``write_csv``, as one string per block of dates.
 
     Fails before rendering anything on a label that would not round-trip.
+    The blocks are rendered in two processes when two CPUs are usable and
+    there are at least two blocks (see ``seqrank._fork``); the text is the
+    same either way.
     """
     labels = panel.assets + (panel.sectors or ())
     unsafe = sorted({label for label in labels if _UNSAFE_LABEL.search(label)})
@@ -391,8 +396,8 @@ def render_csv(panel: QuotePanel) -> list[str]:
     header = list(CSV_COLUMNS) + ["mid"] + (["sector"] if panel.sectors is not None else [])
     d = panel.n_assets
     step = max(1, _BLOCK_ROWS // d)
-    blocks = [",".join(header) + "\n"]
-    for start in range(0, panel.n_dates, step):
+
+    def block(start: int) -> str:
         rows = slice(start, start + step)
         dates = panel.dates[rows]
         columns = [
@@ -404,8 +409,11 @@ def render_csv(panel: QuotePanel) -> list[str]:
         ]
         if panel.sectors is not None:
             columns.append(chain.from_iterable(repeat(panel.sectors, len(dates))))
-        blocks.append("\n".join(map(",".join, zip(*columns))) + "\n")
-    return blocks
+        return "\n".join(map(",".join, zip(*columns))) + "\n"
+
+    starts = range(0, panel.n_dates, step)
+    with closing(split_map(block, starts, lambda: starts)) as blocks:
+        return [",".join(header) + "\n", *blocks]
 
 
 def load_csv(path: str | Path) -> QuotePanel:

@@ -3,8 +3,10 @@
 from __future__ import annotations
 
 import datetime as dt
+import os
 
 import numpy as np
+import pytest
 from hypothesis import settings
 
 from seqrank import JumpDiffusionConfig, QuotePanel, simulate_jump_diffusion, weekday_range
@@ -14,6 +16,26 @@ settings.load_profile("suite")
 
 # a snapshot validation case that deletes its field instead of setting it
 MISSING = object()
+
+
+def assert_no_child() -> None:
+    """Fail if this process has a child, running or exited and not reaped."""
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.fixture
+def forks(monkeypatch):
+    """The calls of ``os.fork`` made in this process during the test."""
+    calls = []
+    fork = os.fork
+
+    def counted():
+        calls.append(os.getpid())
+        return fork()
+
+    monkeypatch.setattr(os, "fork", counted)
+    return calls
 
 
 def panel_from_mids(mids: np.ndarray, spread: float = 0.0, start: dt.date = dt.date(2020, 1, 6)):

@@ -3,13 +3,18 @@
 Panels must agree bit for bit, and a bad file must fail with the same
 ``path:row: message``. Each file is also read with tiny chunks, so chunk
 boundaries and the switch from ``np.loadtxt`` to the ``csv`` module fall
-in the middle of the data.
+in the middle of the data, and at the smallest sizes also with every
+other chunk parsed in a forked child.
 """
 
 from __future__ import annotations
 
 import datetime as dt
+import os
+import signal
 import tempfile
+import threading
+import time
 from pathlib import Path
 
 import numpy as np
@@ -18,11 +23,16 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 import seqrank._csvread as _csvread
+import seqrank._fork as _fork
 from seqrank import load_csv, weekday_range
 
+from conftest import assert_no_child
 from csv_oracle import oracle_load_csv
 
 CHUNK_SIZES = (1, 2, 3, 5, _csvread._CHUNK_LINES)
+# sizes also read with the child parsing every other chunk; each such read
+# forks once, so the hypothesis tests take one size, in half their examples
+SPLIT_SIZES = (1, 3)
 
 
 def outcome(loader, path):
@@ -35,21 +45,28 @@ def outcome(loader, path):
     return ("panel", panel.dates, panel.assets, panel.sectors, panel.bids, panel.asks)
 
 
-def assert_same_outcome(path, chunk_sizes=CHUNK_SIZES):
+def assert_same_outcome(path, chunk_sizes=CHUNK_SIZES, split_sizes=SPLIT_SIZES):
     expected = outcome(oracle_load_csv, path)
     for size in chunk_sizes:
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(_csvread, "_CHUNK_LINES", size)
-            got = outcome(load_csv, path)
-        assert got[0] == expected[0], (size, got, expected)
-        if got[0] == "error":
-            assert got[1] == expected[1], size
-        else:
-            assert got[1:4] == expected[1:4], size
-            for a, b in zip(got[4:], expected[4:]):
-                assert a.dtype == b.dtype and np.array_equal(a, b), size
-                assert np.array_equal(a.view(np.int64), b.view(np.int64)), size
+        for cpus in (1, 2) if size in split_sizes else (1,):
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(_csvread, "_CHUNK_LINES", size)
+                mp.setattr(_fork, "usable_cpus", lambda: cpus)
+                got = outcome(load_csv, path)
+            assert_no_child()
+            assert_same(got, expected, (size, cpus))
     return expected
+
+
+def assert_same(got, expected, note=None):
+    assert got[0] == expected[0], (note, got, expected)
+    if got[0] == "error":
+        assert got[1] == expected[1], note
+    else:
+        assert got[1:4] == expected[1:4], note
+        for a, b in zip(got[4:], expected[4:]):
+            assert a.dtype == b.dtype and np.array_equal(a, b), note
+            assert np.array_equal(a.view(np.int64), b.view(np.int64)), note
 
 
 VALID = [
@@ -166,6 +183,127 @@ def test_too_few_shared_dates_names_the_file(tmp_path):
     )
 
 
+# two assets over six dates: file rows 2-13, which chunks of two lines
+# give to this process (rows 2-3, 6-7, 10-11) and to the child (4-5, 8-9, 12-13)
+LONG = ["date,asset,bid,ask,sector"] + [
+    f"2021-01-{4 + day:02d},{name},{base + day}.9,{base + day + 1}.1,{sector}"
+    for day in range(6) for name, base, sector in (("x", 10, "tech"), ("y", 20, "energy"))
+]
+PARENT_ROW, CHILD_ROW = 6, 8
+
+
+@pytest.mark.parametrize("row", [PARENT_ROW, CHILD_ROW])
+@pytest.mark.parametrize("case", ["csv module", "blank first line", "bad float"])
+def test_each_share_of_the_chunks_reads_like_the_oracle(tmp_path, forks, row, case):
+    lines = list(LONG)
+    if case == "csv module":
+        lines[row - 1] = lines[row - 1].replace(",y,", ',"y",')
+    elif case == "blank first line":
+        lines.insert(row - 1, " ,")
+    else:
+        lines[row - 1] = lines[row - 1].replace(".9,", ".9x,")
+    path = tmp_path / "p.csv"
+    path.write_text("\n".join(lines) + "\n")
+    expected = assert_same_outcome(path, chunk_sizes=(2,), split_sizes=(2,))
+    assert len(forks) == 1
+    if case == "bad float":
+        assert expected[1].startswith(f"{path}:{row}: could not convert string to float")
+    else:
+        assert expected[0] == "panel" and len(expected[1]) == 6
+
+
+def test_the_switch_to_the_csv_module_ends_the_child(tmp_path, monkeypatch, forks):
+    lines = list(LONG)
+    lines[PARENT_ROW - 1] = lines[PARENT_ROW - 1].replace(",y,", ',"y",')
+    path = tmp_path / "p.csv"
+    path.write_text("\n".join(lines) + "\n")
+    add_rows = _csvread._Table.add_rows
+
+    def checked(self, lines, first_row):
+        assert_no_child()
+        return add_rows(self, lines, first_row)
+
+    monkeypatch.setattr(_csvread, "_CHUNK_LINES", 2)
+    monkeypatch.setattr(_fork, "usable_cpus", lambda: 2)
+    monkeypatch.setattr(_csvread._Table, "add_rows", checked)
+    assert_same(outcome(load_csv, path), outcome(oracle_load_csv, path))
+    assert len(forks) == 1
+
+
+def test_an_interrupt_in_this_process_ends_the_child(tmp_path, monkeypatch, forks):
+    path = tmp_path / "p.csv"
+    path.write_text("\n".join(LONG) + "\n")
+    calls = []
+
+    def interrupted(self, *chunk):
+        calls.append(1)
+        if len(calls) == 3:
+            raise KeyboardInterrupt
+
+    monkeypatch.setattr(_csvread, "_CHUNK_LINES", 2)
+    monkeypatch.setattr(_fork, "usable_cpus", lambda: 2)
+    monkeypatch.setattr(_csvread._Table, "append", interrupted)
+    with pytest.raises(KeyboardInterrupt):
+        load_csv(path)
+    assert len(forks) == 1
+    assert_no_child()
+
+
+def test_a_file_replaced_before_the_child_opens_it_is_not_read(tmp_path, monkeypatch):
+    # the child opens the path again; it must not parse another file there
+    path = tmp_path / "p.csv"
+    path.write_text("\n".join(LONG) + "\n")
+    expected = outcome(oracle_load_csv, path)
+    other = tmp_path / "other.csv"
+    other.write_text("\n".join(line.replace(".9,", ".5,") for line in LONG) + "\n")
+    fork = os.fork
+
+    def replacing():
+        os.replace(other, path)
+        return fork()
+
+    monkeypatch.setattr(_csvread, "_CHUNK_LINES", 2)
+    monkeypatch.setattr(_fork, "usable_cpus", lambda: 2)
+    monkeypatch.setattr(os, "fork", replacing)
+    assert_same(outcome(load_csv, path), expected)
+    assert_no_child()
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no named pipes")
+def test_a_pipe_is_read_in_this_process_alone(tmp_path, monkeypatch, forks):
+    # opened again, a pipe would hand the child lines this process needs
+    text = "\n".join(LONG) + "\n"
+    plain, fifo = tmp_path / "p.csv", tmp_path / "fifo.csv"
+    plain.write_text(text)
+    os.mkfifo(fifo)
+
+    def write():
+        with fifo.open("w") as pipe:
+            pipe.write(text[:200])
+            pipe.flush()
+            time.sleep(0.3)  # the rest once the child could be reading
+            pipe.write(text[200:])
+
+    def timed_out(signum, frame):
+        raise TimeoutError("load_csv of a pipe")
+
+    writer = threading.Thread(target=write)
+    writer.start()
+    monkeypatch.setattr(_csvread, "_CHUNK_LINES", 2)
+    monkeypatch.setattr(_fork, "usable_cpus", lambda: 2)
+    alarm = signal.signal(signal.SIGALRM, timed_out)
+    signal.alarm(10)
+    try:
+        got = outcome(load_csv, fifo)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, alarm)
+        writer.join(timeout=10)
+    assert len(forks) == 1
+    assert_same(got, outcome(oracle_load_csv, plain))
+    assert_no_child()
+
+
 NAMES = ["A", "B", "b", "Zürich", "Łódź", "x y"]
 PAD = st.sampled_from(["", " ", "  ", "\t", " \t "])
 
@@ -207,21 +345,21 @@ def panel_files(draw):
     return newline.join([header] + rows) + newline * draw(st.booleans())
 
 
-@given(text=panel_files())
-@example(text="date,asset,bid,ask\n2021-03-01,A,1.0,1.0\n")
-def test_columnar_loader_matches_the_oracle(text):
+@given(text=panel_files(), split=st.booleans())
+@example(text="date,asset,bid,ask\n2021-03-01,A,1.0,1.0\n", split=True)
+def test_columnar_loader_matches_the_oracle(text, split):
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "panel.csv"
         path.write_text(text, encoding="utf-8", newline="")
-        assert_same_outcome(path)
+        assert_same_outcome(path, split_sizes=(2,) * split)
 
 
 EDIT_TEXT = st.sampled_from(list('0123456789,.-_ "\t\r\nxyzéŁ\x1c\x00e+inf') + ["", "\r\n"])
 
 
 @given(edits=st.lists(st.tuples(st.floats(0, 1, exclude_max=True), st.sampled_from("ird"), EDIT_TEXT),
-                      min_size=1, max_size=4))
-def test_edited_files_load_or_fail_like_the_oracle(edits):
+                      min_size=1, max_size=4), split=st.booleans())
+def test_edited_files_load_or_fail_like_the_oracle(edits, split):
     text = "\n".join(VALID) + "\n"
     for where, kind, new in edits:
         i = int(where * len(text))
@@ -232,7 +370,7 @@ def test_edited_files_load_or_fail_like_the_oracle(edits):
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "panel.csv"
         path.write_text(text, encoding="utf-8", newline="")
-        assert_same_outcome(path)
+        assert_same_outcome(path, split_sizes=(2,) * split)
 
 
 @given(cells=st.lists(st.text(st.sampled_from("ab é\tZ"), max_size=9), max_size=30),
