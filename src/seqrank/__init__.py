@@ -6,7 +6,6 @@ from .backtest import (
     BacktestConfig,
     BacktestError,
     BacktestReport,
-    DailyRecord,
     MetricsBlock,
     compute_metrics,
     cw_weights,
@@ -43,7 +42,6 @@ __all__ = [
     "BacktestConfig",
     "BacktestError",
     "BacktestReport",
-    "DailyRecord",
     "MetricsBlock",
     "compute_metrics",
     "cw_weights",

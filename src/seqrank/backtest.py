@@ -4,9 +4,9 @@ Each day the engine feeds the latest return vector into the two-stage
 recursive forecaster, scores every asset, buys the top slice of the
 cross-section (and sells the bottom slice in long/short mode), charges a
 transaction cost of half-spread rate times absolute weight change per
-asset, and accrues the next day's return on the chosen weights. Records
-are stamped with the rebalance date; the gross return booked on a record
-spans that close to the next.
+asset, and accrues the next day's return on the chosen weights. Each day
+of the ledger is stamped with its rebalance date; the gross return booked
+on it spans that close to the next.
 
 Two strategies share the engine: ``curds-whey`` scores assets by the shrunk
 forecasts and equal-weights each leg, while ``nbar`` feeds the forecasts
@@ -46,7 +46,6 @@ from .timeseries import QuotePanel
 __all__ = [
     "BacktestError",
     "BacktestConfig",
-    "DailyRecord",
     "MetricsBlock",
     "BacktestReport",
     "select_decile",
@@ -223,30 +222,6 @@ def transaction_cost(
 
 
 @dataclass(frozen=True)
-class DailyRecord:
-    """One rebalance day: pnl decomposition plus selection sizes."""
-
-    date: dt.date
-    gross_return: float
-    cost: float
-    net_return: float
-    turnover: float
-    n_long: int
-    n_short: int
-
-    def to_json_dict(self) -> dict:
-        return {
-            "date": self.date.isoformat(),
-            "gross": self.gross_return,
-            "cost": self.cost,
-            "net": self.net_return,
-            "turnover": self.turnover,
-            "n_long": self.n_long,
-            "n_short": self.n_short,
-        }
-
-
-@dataclass(frozen=True)
 class MetricsBlock:
     """Summary statistics of a daily net-return series.
 
@@ -348,23 +323,38 @@ def compute_metrics(daily_net: Sequence[float] | np.ndarray) -> MetricsBlock:
     )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BacktestReport:
-    """Everything one run produced: per-day records and metric blocks."""
+    """Everything one run produced: the daily ledger as columns, and metric blocks.
+
+    Entry ``i`` of the read-only float arrays ``gross``, ``cost``, ``net``,
+    ``turnover`` and ``benchmark`` books the rebalance on ``dates[i]``. The
+    long leg holds ``n_long`` assets and the short leg ``n_short`` on every
+    day.
+    """
 
     config: BacktestConfig
-    records: tuple[DailyRecord, ...]
-    benchmark_returns: tuple[float, ...]
+    dates: tuple[dt.date, ...]
+    gross: np.ndarray
+    cost: np.ndarray
+    net: np.ndarray
+    turnover: np.ndarray
+    benchmark: np.ndarray
+    n_long: int
+    n_short: int
     strategy_metrics: MetricsBlock
     benchmark_metrics: MetricsBlock
     sector_selection: dict[str, dict[str, int]] | None = None
 
     def to_json_dict(self) -> dict:
+        legs = {"n_long": self.n_long, "n_short": self.n_short}
+        columns = (self.gross, self.cost, self.net, self.turnover, self.benchmark)
         return {
             "config": self.config.to_json_dict(),
             "days": [
-                {**rec.to_json_dict(), "benchmark": bench}
-                for rec, bench in zip(self.records, self.benchmark_returns)
+                {"date": date.isoformat(), "gross": g, "cost": c, "net": r, "turnover": t,
+                 "benchmark": b, **legs}
+                for date, g, c, r, t, b in zip(self.dates, *(col.tolist() for col in columns))
             ],
             "metrics": {
                 "strategy": self.strategy_metrics.to_json_dict(),
@@ -532,22 +522,9 @@ def run_backtest(panel: QuotePanel, config: BacktestConfig) -> BacktestReport:
             short_tally += np.bincount(sector_of[block.shorts].ravel(), minlength=len(short_tally))
         prev = weights[-1].copy()
 
-    n_long, n_short = block.longs.shape[1], block.shorts.shape[1]
     net = gross - cost
-    records = tuple(
-        DailyRecord(
-            date=date,
-            gross_return=g,
-            cost=c,
-            net_return=r,
-            turnover=t,
-            n_long=n_long,
-            n_short=n_short,
-        )
-        for date, g, c, r, t in zip(
-            panel.dates[1:], gross.tolist(), cost.tolist(), net.tolist(), turnover.tolist()
-        )
-    )
+    for column in (gross, cost, net, turnover, benchmark):
+        column.setflags(write=False)
     tallies = None
     if sector_of is not None:
         tallies = {
@@ -556,8 +533,14 @@ def run_backtest(panel: QuotePanel, config: BacktestConfig) -> BacktestReport:
         }
     return BacktestReport(
         config=config,
-        records=records,
-        benchmark_returns=tuple(benchmark.tolist()),
+        dates=panel.dates[1 : n_days + 1],
+        gross=gross,
+        cost=cost,
+        net=net,
+        turnover=turnover,
+        benchmark=benchmark,
+        n_long=block.longs.shape[1],
+        n_short=block.shorts.shape[1],
         strategy_metrics=compute_metrics(net),
         benchmark_metrics=compute_metrics(benchmark),
         sector_selection=tallies,
@@ -566,14 +549,13 @@ def run_backtest(panel: QuotePanel, config: BacktestConfig) -> BacktestReport:
 
 def equity_rows(report: BacktestReport) -> list[tuple[str, float, float]]:
     """Per-day cumulative net sums for the strategy and the benchmark."""
-    rows = []
-    cum_strategy = 0.0
-    cum_benchmark = 0.0
-    for rec, bench in zip(report.records, report.benchmark_returns):
-        cum_strategy += rec.net_return
-        cum_benchmark += bench
-        rows.append((rec.date.isoformat(), cum_strategy, cum_benchmark))
-    return rows
+    # np.cumsum adds a 1-D array in order, as a running sum does (a test pins
+    # it); starting from 0.0 turns a leading -0.0 into 0.0 as that sum does
+    strategy, benchmark = (
+        np.cumsum(np.concatenate(([0.0], column)))[1:].tolist()
+        for column in (report.net, report.benchmark)
+    )
+    return list(zip((date.isoformat() for date in report.dates), strategy, benchmark))
 
 
 def render_equity_csv(report: BacktestReport) -> str:

@@ -31,6 +31,11 @@ import numpy as np
 from . import __version__
 from ._atomic import write_files
 from .backtest import (
+    COST_MODELS,
+    MODES,
+    NBAR_INPUTS,
+    NBAR_MEMBERSHIPS,
+    STRATEGIES,
     BacktestConfig,
     BacktestError,
     render_equity_csv,
@@ -359,14 +364,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     back = sub.add_parser("backtest", help="run a strategy and the benchmark over a panel")
     back.add_argument("panel", help="panel CSV path")
-    back.add_argument("--mode", choices=("long-only", "long-short"), default="long-only")
-    back.add_argument("--strategy", choices=("curds-whey", "nbar"), default="curds-whey")
+    back.add_argument("--mode", choices=MODES, default="long-only")
+    back.add_argument("--strategy", choices=STRATEGIES, default="curds-whey")
     back.add_argument("--tau", type=float, default=0.999)
     back.add_argument("--lambda", dest="ridge_lambda", type=float, default=1.0)
     back.add_argument("--decile", type=float, default=0.1)
-    back.add_argument("--nbar-input", choices=("forecasts", "realised"), default="forecasts")
-    back.add_argument("--nbar-membership", choices=("by-p", "by-forecast"), default="by-p")
-    back.add_argument("--cost", choices=("half-spread", "zero"), default="half-spread")
+    back.add_argument("--nbar-input", choices=NBAR_INPUTS, default="forecasts")
+    back.add_argument("--nbar-membership", choices=NBAR_MEMBERSHIPS, default="by-p")
+    back.add_argument("--cost", choices=COST_MODELS, default="half-spread")
     back.add_argument("--out-dir", default=".")
     back.set_defaults(func=_cmd_backtest)
 

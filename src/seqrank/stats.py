@@ -31,6 +31,7 @@ rate equal to alpha).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import compress
 from typing import Sequence
 
 import numpy as np
@@ -42,8 +43,6 @@ __all__ = [
     "AdfResult",
     "LeveneResult",
     "TTestResult",
-    "MonthGroup",
-    "MonthPairTest",
     "AssetDiagnostics",
     "ShiftRejection",
     "StationarityReport",
@@ -140,16 +139,6 @@ class TTestResult:
     reject: bool
     alpha: float
     sidedness: str
-
-    def to_json_dict(self) -> dict:
-        return {
-            "t_stat": self.t_stat,
-            "dof": self.dof,
-            "critical_value": self.critical_value,
-            "reject": self.reject,
-            "alpha": self.alpha,
-            "sidedness": self.sidedness,
-        }
 
 
 def adf_test(
@@ -309,57 +298,11 @@ def welch_t_test(
 
 
 @dataclass(frozen=True)
-class MonthGroup:
-    year: int
-    month: int
-    count: int
-    mean: float
-    var: float
-
-    @property
-    def label(self) -> str:
-        return f"{self.year:04d}-{self.month:02d}"
-
-    def to_json_dict(self) -> dict:
-        return {
-            "month": self.label,
-            "count": self.count,
-            "mean": self.mean,
-            "var": self.var,
-        }
-
-
-@dataclass(frozen=True)
-class MonthPairTest:
-    shift: int
-    month: str
-    prior_month: str
-    result: TTestResult
-
-    def to_json_dict(self) -> dict:
-        # TTestResult.to_json_dict's keys, inlined: one dict per test
-        result = self.result
-        return {
-            "shift": self.shift,
-            "month": self.month,
-            "prior_month": self.prior_month,
-            "t_stat": result.t_stat,
-            "dof": result.dof,
-            "critical_value": result.critical_value,
-            "reject": result.reject,
-            "alpha": result.alpha,
-            "sidedness": result.sidedness,
-        }
-
-
-@dataclass(frozen=True)
 class AssetDiagnostics:
     asset: str
     adf_price: AdfResult | None
     adf_return: AdfResult | None
     levene: LeveneResult | None
-    month_groups: tuple[MonthGroup, ...]
-    pair_tests: tuple[MonthPairTest, ...]
 
     def to_json_dict(self) -> dict:
         return {
@@ -367,8 +310,6 @@ class AssetDiagnostics:
             "adf_price": self.adf_price.to_json_dict() if self.adf_price else None,
             "adf_return": self.adf_return.to_json_dict() if self.adf_return else None,
             "levene": self.levene.to_json_dict() if self.levene else None,
-            "month_groups": [g.to_json_dict() for g in self.month_groups],
-            "t_tests": [p.to_json_dict() for p in self.pair_tests],
         }
 
 
@@ -392,13 +333,35 @@ class ShiftRejection:
         }
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class StationarityReport:
+    """Per-asset diagnostics, with the monthly groups and mean tests as columns.
+
+    Every asset shares the kept ``months`` (``"YYYY-MM"`` labels), their
+    return ``counts`` and the candidate ``pairs``: one row ``(month, earlier
+    month, shift)`` per mean test, the months as indices into ``months``.
+    The other arrays have one row per asset, in the order of ``assets``:
+    ``means`` and ``variances`` one column per month; ``t_stat``, ``dof``,
+    ``critical_value``, ``reject`` and ``tested`` one column per pair. A
+    pair whose Welch statistic is undefined has ``tested`` False, NaN in
+    the three float arrays and ``reject`` False. Every array is read-only.
+    """
+
     alpha: float
     sidedness: str
     max_shift: int
     adf_level: float
     assets: tuple[AssetDiagnostics, ...]
+    months: tuple[str, ...]
+    counts: np.ndarray
+    means: np.ndarray
+    variances: np.ndarray
+    pairs: np.ndarray
+    t_stat: np.ndarray
+    dof: np.ndarray
+    critical_value: np.ndarray
+    reject: np.ndarray
+    tested: np.ndarray
     rejection_by_shift: tuple[ShiftRejection, ...]
     skipped: dict[str, int]
     price_nonstationary_fraction: float | None
@@ -406,12 +369,35 @@ class StationarityReport:
     levene_rejection_fraction: float | None
 
     def to_json_dict(self) -> dict:
+        # the keys that a pair's test rows share across assets
+        pair_keys = [
+            {"shift": shift, "month": self.months[i], "prior_month": self.months[k],
+             "alpha": self.alpha, "sidedness": self.sidedness}
+            for i, k, shift in self.pairs.tolist()
+        ]
+        counts = self.counts.tolist()
+        assets = []
+        for j, diag in enumerate(self.assets):
+            groups = zip(self.months, counts, self.means[j].tolist(), self.variances[j].tolist())
+            tests = zip(pair_keys, self.t_stat[j].tolist(), self.dof[j].tolist(),
+                        self.critical_value[j].tolist(), self.reject[j].tolist())
+            assets.append({
+                **diag.to_json_dict(),
+                "month_groups": [
+                    {"month": month, "count": n, "mean": mean, "var": var}
+                    for month, n, mean, var in groups
+                ],
+                "t_tests": [
+                    {**keys, "t_stat": t_stat, "dof": dof, "critical_value": critical, "reject": reject}
+                    for keys, t_stat, dof, critical, reject in compress(tests, self.tested[j].tolist())
+                ],
+            })
         return {
             "alpha": self.alpha,
             "sidedness": self.sidedness,
             "max_shift": self.max_shift,
             "adf_level": self.adf_level,
-            "assets": [a.to_json_dict() for a in self.assets],
+            "assets": assets,
             "rejection_by_shift": [s.to_json_dict() for s in self.rejection_by_shift],
             "skipped": dict(self.skipped),
             "price_nonstationary_fraction": self.price_nonstationary_fraction,
@@ -460,7 +446,6 @@ def monthly_stationarity_report(
         (int(codes[s]), int(s), int(e)) for s, e in zip(starts, ends) if e - s >= min_month_obs
     ]
     kept_index = {code: i for i, (code, _, _) in enumerate(kept)}
-    labels = [f"{code // 12:04d}-{code % 12 + 1:02d}" for code, _, _ in kept]
     # (month, earlier month, shift) index triples, the same for every asset
     candidates = [
         (i, kept_index[code - shift], shift)
@@ -468,14 +453,21 @@ def monthly_stationarity_report(
         for shift in range(1, max_shift + 1)
         if code - shift in kept_index
     ]
+    pairs = np.array(candidates, dtype=np.int64).reshape(-1, 3)
+    counts = np.array([end - start for _, start, end in kept], dtype=np.int64)
+    shape = (len(panel.assets), len(candidates))
+    means = np.empty((len(panel.assets), len(kept)))
+    variances = np.empty_like(means)
+    t_stat = np.full(shape, np.nan)
+    dof = np.full(shape, np.nan)
+    tested = np.zeros(shape, dtype=bool)
 
     adf_level = _nearest_level(alpha, DEFAULT_ADF_LEVELS)
     skipped = {"adf_price": 0, "adf_return": 0, "levene": 0, "t_test": 0}
     price_flags: list[bool] = []
     return_flags: list[bool] = []
     levene_flags: list[bool] = []
-    dofs: list[float] = []
-    partial = []
+    per_asset: list[AssetDiagnostics] = []
     for j, asset in enumerate(panel.assets):
         prices = panel.mids[:, j]
         rets = np.ascontiguousarray(panel.returns[:, j])
@@ -494,10 +486,8 @@ def monthly_stationarity_report(
 
         samples = [rets[start:end] for _, start, end in kept]
         moments = [(len(v), float(v.mean()), float(v.var(ddof=1))) for v in samples]
-        month_groups = tuple(
-            MonthGroup(year=code // 12, month=code % 12 + 1, count=n, mean=mean, var=var)
-            for (code, _, _), (n, mean, var) in zip(kept, moments)
-        )
+        means[j] = [mean for _, mean, _ in moments]
+        variances[j] = [var for _, _, var in moments]
 
         levene = None
         if len(kept) >= 2:
@@ -507,56 +497,23 @@ def monthly_stationarity_report(
             except DegenerateDataError:
                 skipped["levene"] += 1
 
-        welch = []
-        for i, k, shift in candidates:
+        for p, (i, k, _) in enumerate(candidates):
             try:
-                t_stat, dof = _welch(*moments[i], *moments[k])
+                t_stat[j, p], dof[j, p] = _welch(*moments[i], *moments[k])
             except DegenerateDataError:
                 skipped["t_test"] += 1
-                continue
-            welch.append((i, k, shift, t_stat, dof))
-            dofs.append(dof)
-        partial.append((asset, adf_price, adf_return, levene, month_groups, welch))
+            else:
+                tested[j, p] = True
+        per_asset.append(AssetDiagnostics(asset, adf_price, adf_return, levene))
 
     from scipy.special import stdtrit
-    criticals = iter(stdtrit(np.array(dofs, dtype=float), 1.0 - _tail(alpha, sidedness)).tolist())
-    shift_tests = {k: 0 for k in range(1, max_shift + 1)}
-    shift_rejects = {k: 0 for k in range(1, max_shift + 1)}
-    per_asset: list[AssetDiagnostics] = []
-    for asset, adf_price, adf_return, levene, month_groups, welch in partial:
-        pair_tests = []
-        for (i, k, shift, t_stat, dof), critical in zip(welch, criticals):
-            reject = abs(t_stat) > critical
-            shift_tests[shift] += 1
-            shift_rejects[shift] += int(reject)
-            pair_tests.append(
-                MonthPairTest(
-                    shift=shift,
-                    month=labels[i],
-                    prior_month=labels[k],
-                    result=TTestResult(
-                        t_stat=t_stat,
-                        dof=dof,
-                        critical_value=critical,
-                        reject=reject,
-                        alpha=alpha,
-                        sidedness=sidedness,
-                    ),
-                )
-            )
-        per_asset.append(
-            AssetDiagnostics(
-                asset=asset,
-                adf_price=adf_price,
-                adf_return=adf_return,
-                levene=levene,
-                month_groups=month_groups,
-                pair_tests=tuple(pair_tests),
-            )
-        )
-
+    critical_value = stdtrit(dof, 1.0 - _tail(alpha, sidedness))
+    reject = tested & (np.abs(t_stat) > critical_value)
+    for column in (counts, means, variances, pairs, t_stat, dof, critical_value, reject, tested):
+        column.setflags(write=False)
+    shifts = pairs[:, 2]
     rejection_by_shift = tuple(
-        ShiftRejection(shift=k, n_tests=shift_tests[k], n_rejections=shift_rejects[k])
+        ShiftRejection(k, int(tested[:, shifts == k].sum()), int(reject[:, shifts == k].sum()))
         for k in range(1, max_shift + 1)
     )
     return StationarityReport(
@@ -565,6 +522,16 @@ def monthly_stationarity_report(
         max_shift=max_shift,
         adf_level=adf_level,
         assets=tuple(per_asset),
+        months=tuple(f"{code // 12:04d}-{code % 12 + 1:02d}" for code, _, _ in kept),
+        counts=counts,
+        means=means,
+        variances=variances,
+        pairs=pairs,
+        t_stat=t_stat,
+        dof=dof,
+        critical_value=critical_value,
+        reject=reject,
+        tested=tested,
         rejection_by_shift=rejection_by_shift,
         skipped=skipped,
         price_nonstationary_fraction=(
@@ -604,28 +571,16 @@ def render_report_table(report: StationarityReport) -> str:
     shift-1 test statistics, degrees of freedom, critical values and 0/1
     rejections; rows are the usual describe() statistics.
     """
-    counts, means, variances = [], [], []
-    tstats, dofs, cvs, rejects = [], [], [], []
-    for diag in report.assets:
-        for group in diag.month_groups:
-            counts.append(group.count)
-            means.append(group.mean)
-            variances.append(group.var)
-        for pair in diag.pair_tests:
-            if pair.shift != 1:
-                continue
-            tstats.append(pair.result.t_stat)
-            dofs.append(pair.result.dof)
-            cvs.append(pair.result.critical_value)
-            rejects.append(float(pair.result.reject))
+    # ravel and boolean selections keep the asset-major order that _describe's sums depend on
+    shift1 = report.tested & (report.pairs[:, 2] == 1)
     columns = {
-        "count": _describe(np.asarray(counts, dtype=float)),
-        "mean": _describe(np.asarray(means, dtype=float)),
-        "var": _describe(np.asarray(variances, dtype=float)),
-        "test stat": _describe(np.asarray(tstats, dtype=float)),
-        "dof": _describe(np.asarray(dofs, dtype=float)),
-        "cv": _describe(np.asarray(cvs, dtype=float)),
-        "reject H0": _describe(np.asarray(rejects, dtype=float)),
+        "count": _describe(np.tile(report.counts.astype(float), len(report.assets))),
+        "mean": _describe(report.means.ravel()),
+        "var": _describe(report.variances.ravel()),
+        "test stat": _describe(report.t_stat[shift1]),
+        "dof": _describe(report.dof[shift1]),
+        "cv": _describe(report.critical_value[shift1]),
+        "reject H0": _describe(report.reject[shift1].astype(float)),
     }
     width = 11
     lines = [

@@ -15,7 +15,6 @@ import numpy as np
 from seqrank.backtest import (
     BacktestError,
     BacktestReport,
-    DailyRecord,
     compute_metrics,
     cw_weights,
     nbar_weights,
@@ -44,8 +43,12 @@ def oracle_run_backtest(panel, config) -> BacktestReport:
     zero_rates = np.zeros(d)
 
     weights_prev = np.zeros(d)
-    records: list[DailyRecord] = []
-    benchmark: list[float] = []
+    columns: dict[str, list[float]] = {
+        name: [] for name in ("gross", "cost", "net", "turnover", "benchmark")
+    }
+    dates = []
+    n_long: set[int] = set()
+    n_short: set[int] = set()
     tallies: dict[str, dict[str, int]] | None = None
     if panel.sectors is not None:
         tallies = {sector: {"long": 0, "short": 0} for sector in sorted(set(panel.sectors))}
@@ -71,18 +74,14 @@ def oracle_run_backtest(panel, config) -> BacktestReport:
         cost = transaction_cost(weights_prev, target, rates)
         r_next = rets[i + 1]
         gross = float(target @ r_next)
-        records.append(
-            DailyRecord(
-                date=today,
-                gross_return=gross,
-                cost=cost,
-                net_return=gross - cost,
-                turnover=float(np.abs(target - weights_prev).sum()),
-                n_long=len(long_set),
-                n_short=len(short_set),
-            )
-        )
-        benchmark.append(float(r_next.mean()))
+        dates.append(today)
+        columns["gross"].append(gross)
+        columns["cost"].append(cost)
+        columns["net"].append(gross - cost)
+        columns["turnover"].append(float(np.abs(target - weights_prev).sum()))
+        columns["benchmark"].append(float(r_next.mean()))
+        n_long.add(len(long_set))
+        n_short.add(len(short_set))
         if tallies is not None:
             for idx in long_set:
                 tallies[panel.sectors[idx]]["long"] += 1
@@ -90,11 +89,15 @@ def oracle_run_backtest(panel, config) -> BacktestReport:
                 tallies[panel.sectors[idx]]["short"] += 1
         weights_prev = target
 
+    # the report holds one leg size per run, so every day's legs must agree
+    (n_long,), (n_short,) = n_long, n_short
     return BacktestReport(
         config=config,
-        records=tuple(records),
-        benchmark_returns=tuple(benchmark),
-        strategy_metrics=compute_metrics([rec.net_return for rec in records]),
-        benchmark_metrics=compute_metrics(benchmark),
+        dates=tuple(dates),
+        **{name: np.array(values) for name, values in columns.items()},
+        n_long=n_long,
+        n_short=n_short,
+        strategy_metrics=compute_metrics(columns["net"]),
+        benchmark_metrics=compute_metrics(columns["benchmark"]),
         sector_selection=tallies,
     )

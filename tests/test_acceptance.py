@@ -218,18 +218,12 @@ def test_backtest_accounting_and_cost_monotonicity():
         rep = run_backtest(panel, config)
         rep_zero = run_backtest(zero, config)
         rep_wide = run_backtest(wide, config)
-        exact = all(r.net_return == r.gross_return - r.cost for r in rep.records)
-        zero_ok = all(r.net_return == r.gross_return for r in rep_zero.records)
-        mono = all(
-            w.net_return <= r.net_return + 1e-15
-            for w, r in zip(rep_wide.records, rep.records)
-        )
+        exact = bool(np.all(rep.net == rep.gross - rep.cost))
+        zero_ok = bool(np.all(rep_zero.net == rep_zero.gross))
+        mono = bool(np.all(rep_wide.net <= rep.net + 1e-15))
         # re-quoting at a wider spread reconstructs the same mids only up to
         # float rounding, so gross agreement is checked at 1e-12
-        same_gross = all(
-            abs(w.gross_return - r.gross_return) < 1e-12
-            for w, r in zip(rep_wide.records, rep.records)
-        )
+        same_gross = bool(np.all(np.abs(rep_wide.gross - rep.gross) < 1e-12))
         ok = ok and exact and zero_ok and mono and same_gross
         details.append(f"seed {seed} ok={exact and zero_ok and mono}")
     gate("backtest accounting identity and cost monotonicity", ok, "; ".join(details))

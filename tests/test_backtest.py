@@ -1,5 +1,6 @@
 """Selection, weighting, costs, the array backtest against its daily loop, and metrics."""
 
+import dataclasses
 import datetime as dt
 import gc
 import json
@@ -40,6 +41,7 @@ from seqrank.backtest import (
     _FORECASTS,
     _forecast_matrix,
     _target_blocks,
+    equity_rows,
     render_equity_csv,
     render_equity_svg,
 )
@@ -251,47 +253,41 @@ class TestRunBacktest:
         expected = math.exp(0.001) - 1.0
         for strategy in ("curds-whey", "nbar"):
             report = run_backtest(panel, BacktestConfig(strategy=strategy, cost_model="half-spread"))
-            gross = np.array([rec.gross_return for rec in report.records])
-            cost = np.array([rec.cost for rec in report.records])
-            assert np.allclose(gross, expected, atol=1e-12)
-            assert np.all(cost == 0.0)  # zero spread panel
+            assert np.allclose(report.gross, expected, atol=1e-12)
+            assert np.all(report.cost == 0.0)  # zero spread panel
 
     def test_deterministic_panel_long_short_nets_to_zero(self):
         panel = constant_growth_panel(d=10, n_dates=40, rate=0.001)
         report = run_backtest(panel, BacktestConfig(mode="long-short"))
-        gross = np.array([rec.gross_return for rec in report.records])
-        assert np.allclose(gross, 0.0, atol=1e-14)
+        assert np.allclose(report.gross, 0.0, atol=1e-14)
 
     def test_stable_membership_stops_paying_costs(self):
         # strict cross-sectional ordering keeps membership fixed once learned
         panel = dominance_panel(d=10, n_dates=60, spread=0.002)
         report = run_backtest(panel, BacktestConfig())
-        costs = [rec.cost for rec in report.records]
+        costs = report.cost
         assert costs[0] > 0.0
         assert np.allclose(costs[10:], 0.0, atol=1e-15)
 
     def test_accounting_identity(self, noisy_panel):
         report = run_backtest(noisy_panel, BacktestConfig(mode="long-short", strategy="nbar"))
-        for rec in report.records:
-            assert rec.net_return == rec.gross_return - rec.cost
+        assert np.array_equal(report.net, report.gross - report.cost)
 
     def test_zero_cost_model_matches_gross(self, noisy_panel):
         report = run_backtest(noisy_panel, BacktestConfig(cost_model="zero"))
-        for rec in report.records:
-            assert rec.cost == 0.0
-            assert rec.net_return == rec.gross_return
+        assert np.all(report.cost == 0.0)
+        assert np.array_equal(report.net, report.gross)
 
     def test_cost_model_changes_net_not_gross(self, noisy_panel):
         priced = run_backtest(noisy_panel, BacktestConfig(cost_model="half-spread"))
         free = run_backtest(noisy_panel, BacktestConfig(cost_model="zero"))
-        for a, b in zip(priced.records, free.records):
-            assert a.gross_return == b.gross_return
-            assert a.net_return == b.net_return - a.cost
+        assert np.array_equal(priced.gross, free.gross)
+        assert np.array_equal(priced.net, free.net - priced.cost)
 
     def test_benchmark_is_cross_sectional_mean(self, noisy_panel):
         report = run_backtest(noisy_panel, BacktestConfig())
         rets = noisy_panel.returns
-        for i, bench in enumerate(report.benchmark_returns):
+        for i, bench in enumerate(report.benchmark.tolist()):
             assert bench == pytest.approx(rets[i + 1].mean(), abs=1e-12)
 
     def test_deterministic_reruns(self, noisy_panel):
@@ -304,12 +300,11 @@ class TestRunBacktest:
         panel = dominance_panel(d=8, n_dates=120)
         report = run_backtest(panel, BacktestConfig(strategy="nbar", nbar_input="realised"))
         # membership settles on the fastest-compounding asset
-        later = report.records[20:]
-        assert all(rec.n_long == 1 for rec in later)
+        assert report.n_long == 1
 
     def test_short_leg_populated_in_long_short(self, noisy_panel):
         report = run_backtest(noisy_panel, BacktestConfig(mode="long-short"))
-        assert all(rec.n_short >= 1 for rec in report.records)
+        assert report.n_short >= 1
 
     def test_sector_tallies(self):
         base = simulate_jump_diffusion(
@@ -322,25 +317,23 @@ class TestRunBacktest:
         report = run_backtest(panel, BacktestConfig(mode="long-short"))
         tallies = report.sector_selection
         assert set(tallies) == {"tech", "energy", "health"}
-        n_days = len(report.records)
-        assert sum(s["long"] for s in tallies.values()) == sum(r.n_long for r in report.records)
-        assert sum(s["short"] for s in tallies.values()) == sum(r.n_short for r in report.records)
+        n_days = len(report.dates)
+        assert sum(s["long"] for s in tallies.values()) == n_days * report.n_long
+        assert sum(s["short"] for s in tallies.values()) == n_days * report.n_short
         assert n_days > 0
 
     def test_panel_too_short(self):
         with pytest.raises(ValueError, match="at least 4 dates"):
             run_backtest(constant_growth_panel(d=3, n_dates=3), BacktestConfig())
         report = run_backtest(constant_growth_panel(d=3, n_dates=4), BacktestConfig())
-        assert len(report.records) == 2
+        assert len(report.dates) == len(report.net) == 2
 
     def test_membership_source_changes_selection(self, noisy_panel):
         by_p = run_backtest(noisy_panel, BacktestConfig(strategy="nbar", nbar_membership="by-p"))
         by_fc = run_backtest(
             noisy_panel, BacktestConfig(strategy="nbar", nbar_membership="by-forecast")
         )
-        gross_p = [rec.gross_return for rec in by_p.records]
-        gross_fc = [rec.gross_return for rec in by_fc.records]
-        assert gross_p != gross_fc  # smoothed posterior and raw forecasts disagree
+        assert not np.array_equal(by_p.gross, by_fc.gross)  # smoothed posterior and raw forecasts disagree
 
     def test_forecaster_runs_only_when_read(self, noisy_panel, monkeypatch):
         from seqrank import CurdsWheyState
@@ -352,7 +345,7 @@ class TestRunBacktest:
         monkeypatch.setattr(CurdsWheyState, "step", refuse)
         realised = BacktestConfig(strategy="nbar", nbar_input="realised", nbar_membership="by-p")
         report = run_backtest(noisy_panel, realised)
-        assert len(report.records) == noisy_panel.returns.shape[0] - 1
+        assert len(report.net) == noisy_panel.returns.shape[0] - 1
 
         calls = []
 
@@ -388,8 +381,8 @@ class TestReportRendering:
         lines = render_equity_csv(report).strip().splitlines()
         assert lines[0] == "date,cum_net_strategy,cum_net_benchmark"
         last = lines[-1].split(",")
-        assert float(last[1]) == pytest.approx(sum(r.net_return for r in report.records), abs=1e-12)
-        assert float(last[2]) == pytest.approx(sum(report.benchmark_returns), abs=1e-12)
+        assert float(last[1]) == pytest.approx(sum(report.net.tolist()), abs=1e-12)
+        assert float(last[2]) == pytest.approx(sum(report.benchmark.tolist()), abs=1e-12)
 
     def test_svg_contains_both_series(self, noisy_panel):
         report = run_backtest(noisy_panel, BacktestConfig())
@@ -406,6 +399,50 @@ class TestReportRendering:
             BacktestConfig(tau=0.0)
         with pytest.raises(ValueError):
             BacktestConfig(ridge_lambda=-1.0)
+
+
+# returns from subnormal to 1e300, signed zeros among them; 200 of the
+# largest still sum to a finite value
+MIXED_RETURNS = st.one_of(
+    st.floats(-1e-300, 1e-300),
+    st.floats(-1.0, 1.0),
+    st.floats(-1e300, 1e300),
+    st.sampled_from([0.0, -0.0]),
+)
+
+
+@pytest.fixture(scope="module")
+def short_report():
+    return run_backtest(constant_growth_panel(d=3, n_dates=4), BacktestConfig())
+
+
+class TestLedgerColumns:
+    """The daily ledger is a set of read-only columns, one entry per day."""
+
+    def test_columns_are_read_only(self, noisy_panel):
+        report = run_backtest(noisy_panel, BacktestConfig(mode="long-short", strategy="nbar"))
+        n_days = noisy_panel.n_dates - 2
+        assert report.dates == noisy_panel.dates[1:-1]
+        for name in ("gross", "cost", "net", "turnover", "benchmark"):
+            column = getattr(report, name)
+            assert column.shape == (n_days,), name
+            with pytest.raises(ValueError, match="read-only"):
+                column[0] = 1.0
+
+    @given(net=st.lists(MIXED_RETURNS, min_size=2, max_size=200), data=st.data())
+    def test_equity_rows_are_python_running_sums(self, short_report, net, data):
+        benchmark = data.draw(st.lists(MIXED_RETURNS, min_size=len(net), max_size=len(net)))
+        dates = weekday_range(dt.date(2021, 3, 1), len(net))
+        report = dataclasses.replace(
+            short_report, dates=dates, net=np.array(net), benchmark=np.array(benchmark)
+        )
+        want = []
+        cum_net = cum_benchmark = 0.0
+        for date, r, b in zip(dates, net, benchmark):
+            cum_net += r
+            cum_benchmark += b
+            want.append((date.isoformat(), cum_net.hex(), cum_benchmark.hex()))
+        assert [(day, s.hex(), b.hex()) for day, s, b in equity_rows(report)] == want
 
 
 def report_text(report):
@@ -533,7 +570,7 @@ class TestAgainstDailyLoop:
             config = BacktestConfig(mode="long-short", strategy=strategy, nbar_input=nbar_input, tau=tau)
             report = run_backtest(panel, config)
             assert_same_text(report_text(report), report_text(oracle_run_backtest(panel, config)))
-            assert report.records[0].n_long == max(1, math.floor(d * 0.1))
+            assert report.n_long == max(1, math.floor(d * 0.1))
 
     @pytest.mark.parametrize("at_step", [1, 5, 27])
     @pytest.mark.parametrize(

@@ -356,11 +356,9 @@ class TestEmit:
 
         def nan_in_last_test(*args, **kwargs):
             report = report_of(*args, **kwargs)
-            last = report.assets[-1]
-            pair = last.pair_tests[-1]
-            pair = dataclasses.replace(pair, result=dataclasses.replace(pair.result, t_stat=math.nan))
-            last = dataclasses.replace(last, pair_tests=last.pair_tests[:-1] + (pair,))
-            return dataclasses.replace(report, assets=report.assets[:-1] + (last,))
+            t_stat = report.t_stat.copy()
+            t_stat[tuple(np.argwhere(report.tested)[-1])] = math.nan
+            return dataclasses.replace(report, t_stat=t_stat)
 
         monkeypatch.setattr(cli, "monthly_stationarity_report", nan_in_last_test)
         capsys.readouterr()

@@ -84,7 +84,7 @@ def test_a_shared_panel_is_still_checked():
 
 
 @pytest.mark.parametrize("shuffled", [False, True])
-def test_load_csv_peaks_at_twelve_matrices(tmp_path, monkeypatch, shuffled):
+def test_load_csv_peaks_at_nine_matrices(tmp_path, monkeypatch, shuffled):
     # chunks of 4 096 lines keep a chunk's share of this 64 000-row file
     # near that of the 32 768-line chunks at the paper's 625 000 rows
     monkeypatch.setattr(_csvread, "_CHUNK_LINES", 1 << 12)
@@ -97,7 +97,9 @@ def test_load_csv_peaks_at_twelve_matrices(tmp_path, monkeypatch, shuffled):
         days = np.array(rows, dtype=object).reshape(panel.n_dates, panel.n_assets)
         path.write_text(header + "".join(rng.permuted(days, axis=1).ravel()))
     loaded, peak, _ = traced(lambda: load_csv(path))
-    assert peak <= 12.0
+    # the loader needs 8.3 in both row orders; one that keeps its two
+    # looked-ahead chunks alive for the whole load needs 9.9
+    assert peak <= 9.0, peak
     assert loaded.sectors == SECTORS
     assert all(np.array_equal(getattr(loaded, name), getattr(panel, name)) for name in FIELDS)
 

@@ -204,9 +204,7 @@ class TestMonthlyReport:
         for item in report.rejection_by_shift:
             assert 0.0 <= item.frequency <= 1.0
         assert len(report.assets) == panel.n_assets
-        for diag in report.assets:
-            for group in diag.month_groups:
-                assert group.count >= 12
+        assert np.all(report.counts >= 12)
 
     def test_random_walk_prices_stationary_returns(self, panel):
         report = monthly_stationarity_report(panel, max_shift=2)
@@ -231,9 +229,7 @@ class TestMonthlyReport:
 
     def test_min_month_obs_excludes_short_months(self, panel):
         report = monthly_stationarity_report(panel, max_shift=2, min_month_obs=21)
-        for diag in report.assets:
-            for group in diag.month_groups:
-                assert group.count >= 21
+        assert np.all(report.counts >= 21)
 
     def test_min_month_obs_below_two_rejected(self, panel):
         # a one-return month has no sample variance
@@ -341,26 +337,84 @@ class TestBatchedReportOracle:
         skipped = 0
         tests = {k: 0 for k in range(1, max_shift + 1)}
         rejects = {k: 0 for k in range(1, max_shift + 1)}
-        for diag, (kept, pairs) in zip(report.assets, oracle_pairs(
+        payload = report.to_json_dict()["assets"]
+        for j, (kept, pairs) in enumerate(oracle_pairs(
                 panel, max_shift, alpha, sidedness, min_month_obs)):
-            assert [g.label for g in diag.month_groups] == [f"{y:04d}-{m:02d}" for y, m in kept]
-            for group, values in zip(diag.month_groups, kept.values()):
-                assert group.count == len(values)
-                assert same_bits(group.mean, values.mean())
-                assert same_bits(group.var, values.var(ddof=1))
+            assert list(report.months) == [f"{y:04d}-{m:02d}" for y, m in kept]
+            assert len(report.counts) == len(kept)
+            for m, values in enumerate(kept.values()):
+                assert report.counts[m] == len(values)
+                assert same_bits(report.means[j, m], values.mean())
+                assert same_bits(report.variances[j, m], values.var(ddof=1))
+            assert [(g["month"], g["count"], g["mean"].hex(), g["var"].hex())
+                    for g in payload[j]["month_groups"]] == [
+                (f"{y:04d}-{m:02d}", len(v), v.mean().hex(), v.var(ddof=1).hex())
+                for (y, m), v in kept.items()
+            ]
             expected = [p for p in pairs if p[3] is not None]
             skipped += len(pairs) - len(expected)
-            assert len(diag.pair_tests) == len(expected)
-            for pair, (shift, month, prior, result) in zip(diag.pair_tests, expected):
-                assert (pair.shift, pair.month, pair.prior_month) == (shift, month, prior)
-                assert same_bits(pair.result.t_stat, result.t_stat)
-                assert same_bits(pair.result.dof, result.dof)
-                assert same_bits(pair.result.critical_value, result.critical_value)
-                assert pair.result.reject is result.reject
-                assert (pair.result.alpha, pair.result.sidedness) == (alpha, sidedness)
+            assert int(report.tested[j].sum()) == len(expected)
+            assert len(report.pairs) == len(pairs)
+            for (i, k, pair_shift), tested, (shift, month, prior, result) in zip(
+                    report.pairs.tolist(), report.tested[j].tolist(), pairs):
+                assert (pair_shift, report.months[i], report.months[k]) == (shift, month, prior)
+                assert tested is (result is not None)
+            rows = [(p, *pair) for p, pair in enumerate(pairs) if pair[3] is not None]
+            for (p, shift, month, prior, result), row in zip(rows, payload[j]["t_tests"], strict=True):
+                assert same_bits(report.t_stat[j, p], result.t_stat)
+                assert same_bits(report.dof[j, p], result.dof)
+                assert same_bits(report.critical_value[j, p], result.critical_value)
+                assert bool(report.reject[j, p]) is result.reject
+                assert (report.alpha, report.sidedness) == (alpha, sidedness)
+                assert row == {
+                    "shift": shift, "month": month, "prior_month": prior,
+                    "t_stat": result.t_stat, "dof": result.dof,
+                    "critical_value": result.critical_value, "reject": result.reject,
+                    "alpha": alpha, "sidedness": sidedness,
+                }
+                assert all(same_bits(row[key], getattr(result, key))
+                           for key in ("t_stat", "dof", "critical_value"))
                 tests[shift] += 1
                 rejects[shift] += result.reject
         assert report.skipped["t_test"] == skipped
         assert [(s.shift, s.n_tests, s.n_rejections) for s in report.rejection_by_shift] == [
             (k, tests[k], rejects[k]) for k in range(1, max_shift + 1)
         ]
+
+    def test_degenerate_pair_is_untested_and_has_no_json_row(self):
+        rng = np.random.default_rng(3)
+        months = [rng.normal(0.0, 0.01, 15).tolist() for _ in range(8)]
+        # 2019-05 and 2019-06 hold one value, which sums exactly, in both assets:
+        # their variances are 0, so their pair has no statistic
+        months[4] = months[5] = [0.25] * 15
+        report = monthly_stationarity_report(stand_in_panel(months), max_shift=2)
+        labels = list(report.months)
+        p = report.pairs.tolist().index([labels.index("2019-06"), labels.index("2019-05"), 1])
+        assert not report.tested[:, p].any()
+        assert not report.reject[:, p].any()
+        for column in (report.t_stat, report.dof, report.critical_value):
+            assert np.isnan(column[:, p]).all()
+        assert report.skipped["t_test"] == 2
+        assert int(report.tested.sum()) == 2 * len(report.pairs) - 2
+        rows = [
+            (row["month"], row["prior_month"])
+            for asset in report.to_json_dict()["assets"]
+            for row in asset["t_tests"]
+        ]
+        assert ("2019-06", "2019-05") not in rows
+        assert len(rows) == 2 * len(report.pairs) - 2
+
+
+def test_report_columns_are_read_only(panel):
+    report = monthly_stationarity_report(panel, max_shift=2)
+    n_months, n_pairs = len(report.months), len(report.pairs)
+    assert report.counts.shape == (n_months,)
+    assert report.pairs.shape == (n_pairs, 3)
+    shapes = {"means": n_months, "variances": n_months, "t_stat": n_pairs, "dof": n_pairs,
+              "critical_value": n_pairs, "reject": n_pairs, "tested": n_pairs}
+    for name, columns in shapes.items():
+        assert getattr(report, name).shape == (panel.n_assets, columns), name
+    for name in ("counts", "pairs", *shapes):
+        column = getattr(report, name)
+        with pytest.raises(ValueError, match="read-only"):
+            column[(0,) * column.ndim] = 0
