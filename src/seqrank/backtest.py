@@ -66,6 +66,7 @@ NBAR_MEMBERSHIPS = ("by-p", "by-forecast")
 COST_MODELS = ("half-spread", "zero")
 
 TRADING_DAYS_PER_YEAR = 252
+SVG_WIDTH, SVG_HEIGHT = 800, 400
 # days per accounting block: a block's temporaries are a few (64, d) arrays,
 # small beside the (n - 2, d) forecast matrix kept in _FORECASTS
 _BLOCK_DAYS = 64
@@ -565,8 +566,8 @@ def render_equity_csv(report: BacktestReport) -> str:
     return "\n".join(lines) + "\n"
 
 
-def render_equity_svg(report: BacktestReport, width: int = 800, height: int = 400) -> str:
-    """Static two-line SVG chart of the cumulative net curves."""
+def render_equity_svg(report: BacktestReport) -> str:
+    """Static two-line SVG chart, ``SVG_WIDTH`` by ``SVG_HEIGHT``, of the cumulative net curves."""
     rows = equity_rows(report)
     series = {
         "strategy": [row[1] for row in rows],
@@ -579,16 +580,16 @@ def render_equity_svg(report: BacktestReport, width: int = 800, height: int = 40
     n = len(rows)
 
     def to_xy(i: int, value: float) -> tuple[float, float]:
-        x = pad + (width - 2 * pad) * (i / max(n - 1, 1))
-        y = height - pad - (height - 2 * pad) * ((value - lo) / span)
+        x = pad + (SVG_WIDTH - 2 * pad) * (i / max(n - 1, 1))
+        y = SVG_HEIGHT - pad - (SVG_HEIGHT - 2 * pad) * ((value - lo) / span)
         return x, y
 
     colors = {"strategy": "#1f77b4", "benchmark": "#888888"}
     parts = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
-        f'viewBox="0 0 {width} {height}">',
-        f'<rect x="0" y="0" width="{width}" height="{height}" fill="white"/>',
-        f'<rect x="{pad}" y="{pad}" width="{width - 2 * pad}" height="{height - 2 * pad}" '
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{SVG_WIDTH}" height="{SVG_HEIGHT}" '
+        f'viewBox="0 0 {SVG_WIDTH} {SVG_HEIGHT}">',
+        f'<rect x="0" y="0" width="{SVG_WIDTH}" height="{SVG_HEIGHT}" fill="white"/>',
+        f'<rect x="{pad}" y="{pad}" width="{SVG_WIDTH - 2 * pad}" height="{SVG_HEIGHT - 2 * pad}" '
         f'fill="none" stroke="#cccccc"/>',
     ]
     for name, values in series.items():

@@ -23,19 +23,16 @@ from typing import Sequence
 
 import numpy as np
 
-from ._snapshot import snapshot_array, snapshot_count, snapshot_field, snapshot_real
-
 __all__ = ["RankerState", "RankOutput"]
 
 logger = logging.getLogger(__name__)
 
 _RENORM_LOG_TOLERANCE = 1e-12
-_SNAPSHOT_SUM_TOLERANCE = 1e-9
 
 
 @dataclass(frozen=True)
 class RankOutput:
-    """A ranking snapshot: expert indices sorted by descending posterior.
+    """A ranking at one step: expert indices sorted by descending posterior.
 
     Ties are broken by ascending index, so the output is deterministic.
     """
@@ -98,35 +95,3 @@ class RankerState:
         """Indices sorted by descending posterior, ties by ascending index."""
         order = np.argsort(-self.p, kind="stable")
         return RankOutput(order=order, posterior=self.p.copy())
-
-    def to_json_dict(self) -> dict:
-        """Snapshot of the full state, suitable for resumable runs."""
-        return {
-            "d": self.d,
-            "tau": self.tau,
-            "t": self.t,
-            "win_mean": self.m.tolist(),
-            "posterior": self.p.tolist(),
-        }
-
-    @classmethod
-    def from_json_dict(cls, payload: dict) -> "RankerState":
-        """Load and validate a snapshot."""
-        state = cls(
-            snapshot_count("d", snapshot_field(payload, "d")),
-            snapshot_real("tau", snapshot_field(payload, "tau")),
-        )
-        d = state.d
-        m = snapshot_array(payload, "win_mean", (d,))
-        if m.min() < 0.0 or m.max() > 1.0:
-            raise ValueError("snapshot field win_mean must lie in [0, 1]")
-        p = snapshot_array(payload, "posterior", (d,))
-        if p.min() < 0.0:
-            raise ValueError("snapshot field posterior must be non-negative")
-        if abs(float(p.sum()) - 1.0) > _SNAPSHOT_SUM_TOLERANCE:
-            raise ValueError(f"snapshot field posterior must sum to 1, got {float(p.sum())!r}")
-        state.m = m
-        state.p = p
-        state.t = snapshot_count("t", snapshot_field(payload, "t"))
-        return state
-

@@ -40,8 +40,6 @@ from typing import Sequence
 
 import numpy as np
 
-from ._snapshot import snapshot_array, snapshot_count, snapshot_field, snapshot_real
-
 __all__ = ["CurdsWheyState", "Forecast", "batch_ridge", "batch_shrinkage"]
 
 logger = logging.getLogger(__name__)
@@ -57,9 +55,6 @@ _FLUSH_STEPS = 32
 # pending downdate never exceeds a third of S's diagonal, so S - H' H keeps
 # the digits that the step-by-step recursion P / tau - s g g' keeps
 _DIRECT_RATIO = 1.5
-# the fields of a snapshot; one written while Q was a matrix of its own
-# carries Q, x_prev and q_resets and is refused
-_SNAPSHOT_FIELDS = frozenset({"d", "ridge_lambda", "tau", "t", "theta", "P", "phi", "y_prev", "p_resets"})
 
 
 @dataclass(frozen=True)
@@ -283,55 +278,6 @@ class CurdsWheyState:
     @property
     def y_prev(self) -> np.ndarray:
         return self._y[0].copy()
-
-    def to_json_dict(self) -> dict:
-        """Row-major snapshot of every matrix, for resumable runs.
-
-        It flushes the pending rows first, so the snapshot's matrices are
-        the state's own bases and a state loaded from it steps on
-        bit-identically with this one. ``Q`` is derived and not saved.
-        """
-        self._flush()
-        return {
-            "d": self.d,
-            "ridge_lambda": self.ridge_lambda,
-            "tau": self.tau,
-            "t": self.t,
-            "theta": self._T.tolist(),
-            "P": self._S.tolist(),
-            "phi": self._F.tolist(),
-            "y_prev": self._y[0].tolist(),
-            "p_resets": self.p_resets,
-        }
-
-    @classmethod
-    def from_json_dict(cls, payload: dict) -> "CurdsWheyState":
-        """Load a snapshot; every matrix must have its shape and be finite.
-
-        ``P`` must equal its transpose bit for bit, because :meth:`step`
-        keeps symmetry rather than restoring it.
-        """
-        unknown = sorted(set(payload) - _SNAPSHOT_FIELDS)
-        if unknown:
-            raise ValueError(f"snapshot field {unknown[0]} is not part of the format")
-        state = cls(
-            snapshot_count("d", snapshot_field(payload, "d")),
-            snapshot_real("ridge_lambda", snapshot_field(payload, "ridge_lambda")),
-            snapshot_real("tau", snapshot_field(payload, "tau")),
-        )
-        d = state.d
-        theta = snapshot_array(payload, "theta", (d, d + 1))
-        P = snapshot_array(payload, "P", (d + 1, d + 1))
-        if P.tobytes() != P.T.tobytes():
-            raise ValueError("snapshot field P must be symmetric")
-        phi = snapshot_array(payload, "phi", (d, d))
-        y_prev = snapshot_array(payload, "y_prev", (d,))
-        state._T, state._S, state._F = theta, P, phi
-        state._resync()
-        state._x[0, 1:] = state._x[2, 1:] = state._y[0] = y_prev
-        state.t = snapshot_count("t", snapshot_field(payload, "t"))
-        state.p_resets = snapshot_count("p_resets", payload.get("p_resets", 0))
-        return state
 
 
 def batch_ridge(X: np.ndarray, Y: np.ndarray, ridge_lambda: float) -> np.ndarray:

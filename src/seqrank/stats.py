@@ -18,8 +18,8 @@ Student-t and F critical values come from ``scipy.special.stdtrit`` and
 ``scipy.special.fdtri``, scipy's incomplete-beta based quantile routines,
 not lookup tables. The monthly report evaluates every Welch pair's
 statistic first and then all their critical values in one vectorised
-``stdtrit`` call; :func:`welch_t_test` and :func:`levene_test` stay the
-scalar references it is tested against.
+``stdtrit`` call; :func:`welch_t_test` stays the scalar reference it is
+tested against, while :func:`levene_test` is called once per asset.
 
 Sidedness of the mean test is configurable because daily-return studies
 report both conventions: ``"one-sided"`` compares ``|t|`` against the
@@ -68,17 +68,6 @@ DEFAULT_ADF_LEVELS = (0.01, 0.05, 0.10)
 
 class DegenerateDataError(ValueError):
     """Raised when a test statistic is undefined for the given data."""
-
-
-def _unit_root_critical_value(alpha: float, nobs: int) -> float:
-    try:
-        b0, b1, b2, b3 = _UNIT_ROOT_SURFACE[alpha]
-    except KeyError:
-        raise ValueError(
-            f"unit-root critical values are available at levels "
-            f"{sorted(_UNIT_ROOT_SURFACE)}, not {alpha}"
-        ) from None
-    return b0 + b1 / nobs + b2 / nobs**2 + b3 / nobs**3
 
 
 @dataclass(frozen=True)
@@ -141,11 +130,8 @@ class TTestResult:
     sidedness: str
 
 
-def adf_test(
-    series: Sequence[float] | np.ndarray,
-    alpha_levels: Sequence[float] = DEFAULT_ADF_LEVELS,
-) -> AdfResult:
-    """Unit-root test: OLS of ``diff(y)`` on ``[1, y_lagged]``.
+def adf_test(series: Sequence[float] | np.ndarray) -> AdfResult:
+    """Unit-root test: OLS of ``diff(y)`` on ``[1, y_lagged]``, at levels 0.01, 0.05 and 0.10.
 
     Needs at least 20 observations. Raises :class:`DegenerateDataError`
     for constant series and for series whose differences are fitted with
@@ -177,8 +163,10 @@ def adf_test(
     xtx_inv = np.linalg.inv(X.T @ X)
     stderr = float(np.sqrt(sigma2 * xtx_inv[1, 1]))
     t_stat = float(coef[1]) / stderr
-    levels = tuple(float(a) for a in alpha_levels)
-    critical = {a: _unit_root_critical_value(a, nobs) for a in levels}
+    critical = {
+        a: b0 + b1 / nobs + b2 / nobs**2 + b3 / nobs**3
+        for a, (b0, b1, b2, b3) in _UNIT_ROOT_SURFACE.items()
+    }
     reject = {a: bool(t_stat < cv) for a, cv in critical.items()}
     return AdfResult(
         theta0=float(coef[0]),

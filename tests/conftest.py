@@ -14,10 +14,6 @@ from seqrank import JumpDiffusionConfig, QuotePanel, simulate_jump_diffusion, we
 settings.register_profile("suite", deadline=None, max_examples=50)
 settings.load_profile("suite")
 
-# a snapshot validation case that deletes its field instead of setting it
-MISSING = object()
-
-
 def assert_no_child() -> None:
     """Fail if this process has a child, running or exited and not reaped."""
     with pytest.raises(ChildProcessError):

@@ -297,10 +297,15 @@ class TestRunBacktest:
         assert a.to_json_dict() == b.to_json_dict()
 
     def test_dominant_asset_gets_selected(self):
-        panel = dominance_panel(d=8, n_dates=120)
+        base = dominance_panel(d=8, n_dates=120)
+        panel = QuotePanel(
+            dates=base.dates, assets=base.assets, bids=base.bids, asks=base.asks,
+            sectors=("lead",) + ("rest",) * 7,
+        )
         report = run_backtest(panel, BacktestConfig(strategy="nbar", nbar_input="realised"))
-        # membership settles on the fastest-compounding asset
+        # the one long slot holds the fastest-compounding asset on every day
         assert report.n_long == 1
+        assert report.sector_selection["lead"]["long"] == len(report.dates)
 
     def test_short_leg_populated_in_long_short(self, noisy_panel):
         report = run_backtest(noisy_panel, BacktestConfig(mode="long-short"))

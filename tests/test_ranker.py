@@ -1,6 +1,4 @@
-"""Pairwise-win ranker: hand-traced values, invariants, and serialisation."""
-
-import json
+"""Pairwise-win ranker: hand-traced values, invariants, and ranking order."""
 
 import numpy as np
 import pytest
@@ -8,8 +6,6 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from seqrank import RankerState
-
-from conftest import MISSING
 
 perf_vectors = st.lists(
     st.floats(min_value=-10, max_value=10, allow_nan=False), min_size=4, max_size=4
@@ -194,71 +190,3 @@ class TestRank:
         state = RankerState(3, 0.9)
         state.p = np.array([0.1, 0.8, 0.1])
         assert np.array_equal(state.rank().order, [1, 0, 2])
-
-
-class TestSerialisation:
-    def test_round_trip_resumes_identically(self):
-        rng = np.random.default_rng(5)
-        series = rng.normal(size=(100, 4))
-        full = RankerState(4, 0.99)
-        for row in series:
-            full.update(row)
-        half = RankerState(4, 0.99)
-        for row in series[:50]:
-            half.update(row)
-        resumed = RankerState.from_json_dict(json.loads(json.dumps(half.to_json_dict())))
-        for row in series[50:]:
-            resumed.update(row)
-        assert resumed.t == full.t
-        assert np.array_equal(resumed.p, full.p)
-        assert np.array_equal(resumed.m, full.m)
-
-    def test_snapshot_keys(self):
-        payload = traced_state().to_json_dict()
-        assert set(payload) == {"d", "tau", "t", "win_mean", "posterior"}
-
-    def test_loaded_state_owns_its_arrays(self):
-        series = np.random.default_rng(7).normal(size=(20, 4))
-        source = RankerState(4, 0.9)
-        for row in series[:10]:
-            source.update(row)
-        payload = {**source.to_json_dict(), "win_mean": source.m, "posterior": source.p}
-        before = {name: payload[name].copy() for name in ("win_mean", "posterior")}
-        loaded = RankerState.from_json_dict(payload)
-        for row in series[10:]:
-            loaded.update(row)
-        for name, value in before.items():
-            assert np.array_equal(payload[name], value), name
-
-    def test_shape_validation(self):
-        payload = RankerState(3, 0.9).to_json_dict()
-        payload["posterior"] = [0.5, 0.5]
-        with pytest.raises(ValueError, match="posterior must have shape"):
-            RankerState.from_json_dict(payload)
-
-    @pytest.mark.parametrize(
-        "field,value,message",
-        [
-            ("win_mean", [0.5, 0.5], "win_mean must have shape"),
-            ("posterior", [0.5, float("nan"), 0.5], "posterior contains non-finite"),
-            ("win_mean", [0.1, float("inf"), 0.1], "win_mean contains non-finite"),
-            ("posterior", [0.6, 0.6, -0.2], "posterior must be non-negative"),
-            ("posterior", [0.5, 0.3, 0.3], "posterior must sum to 1"),
-            ("win_mean", [0.1, 1.5, 0.1], r"win_mean must lie in \[0, 1\]"),
-            ("win_mean", [0.1, -0.1, 0.1], r"win_mean must lie in \[0, 1\]"),
-            ("t", -1, "t must be >= 0"),
-            ("t", 3.9, "t must be an integer, got 3.9"),
-            ("t", True, "t must be an integer, got True"),
-            ("posterior", MISSING, "posterior is missing"),
-            *[("tau", value, "tau must be a number") for value in (True, "0.9", None, [0.9])],
-            *[("tau", value, "tau must be finite") for value in (float("nan"), float("inf"))],
-        ],
-    )
-    def test_snapshot_validation(self, field, value, message):
-        payload = traced_state().to_json_dict()
-        if value is MISSING:
-            del payload[field]
-        else:
-            payload[field] = value
-        with pytest.raises(ValueError, match=message):
-            RankerState.from_json_dict(payload)

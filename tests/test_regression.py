@@ -4,7 +4,6 @@ The forecaster steps on return streams: each step pairs the lagged input
 ``(1, r_{s-1})`` (with ``r_0 = 0``) with the target ``r_s``.
 """
 
-import json
 import tracemalloc
 
 import numpy as np
@@ -21,7 +20,6 @@ from seqrank import (
 )
 from seqrank.regression import _FLUSH_STEPS
 
-from conftest import MISSING
 from regression_oracle import GeneralCurdsWhey, precise_forecasts, weighted_gram, weighted_ridge
 
 
@@ -262,8 +260,10 @@ class TestAgainstGeneralRecursion:
         # applies it. P = [[1, 2], [2, 1]] against x = (1, -2) gives scale
         # 1 - 3 / tau.
         P = [[1.0, 2.0], [2.0, 1.0]]
-        payload = {**CurdsWheyState(1, 1.0, 0.99).to_json_dict(), "P": P, "y_prev": [-2.0]}
-        state = CurdsWheyState.from_json_dict(payload)
+        state = CurdsWheyState(1, 1.0, 0.99)
+        state._S[...] = P
+        state._resync()
+        state._x[0, 1:] = state._x[2, 1:] = state._y[0] = -2.0
         reference = GeneralCurdsWhey(1, 1.0, 0.99)
         # Q is P's Schur complement, 1 - 2 * 2 / 1
         reference.P, reference.Q = np.array(P), np.array([[-3.0]])
@@ -370,7 +370,8 @@ class TestBlockedUpdates:
                 first = getattr(reader, name)
                 first[...] = np.nan  # a read is a copy
                 assert np.isfinite(getattr(reader, name)).all(), name
-        assert json.dumps(reader.to_json_dict()) == json.dumps(twin.to_json_dict())
+        for name in ("theta", "P", "phi", "y_prev"):
+            assert same_bits(getattr(reader, name), getattr(twin, name)), name
 
     def test_matrices_stay_symmetric_and_finite_on_market_like_data(self):
         panel = simulate_jump_diffusion(
@@ -420,82 +421,6 @@ class TestForgetting:
         run_stream(state, first)
         run_stream(state, second)
         assert np.linalg.norm(state.theta - A2) < np.linalg.norm(state.theta - A1)
-
-
-class TestSnapshots:
-    FIELDS = ["d", "ridge_lambda", "tau", "t", "theta", "P", "phi", "y_prev", "p_resets"]
-
-    def test_snapshot_flushes_pending_rows(self):
-        state = CurdsWheyState(3, 1.0, 0.99)
-        run_stream(state, ar_stream(3, _FLUSH_STEPS + 5, seed=3))
-        materialised = {name: getattr(state, name) for name in ("theta", "P", "phi")}
-        payload = state.to_json_dict()
-        assert list(payload) == self.FIELDS
-        for name, value in materialised.items():
-            assert rel(payload[name], value) < 1e-14, name
-            # after the flush the state's matrices are the snapshot's
-            assert same_bits(getattr(state, name), payload[name]), name
-
-    @pytest.mark.parametrize("split", [40, 2 * _FLUSH_STEPS])
-    def test_resumes_bit_identically_and_near_uninterrupted(self, split):
-        rets = ar_stream(3, 120, seed=4)
-        full = CurdsWheyState(3, 1.0, 0.999)
-        run_stream(full, rets)
-        saved = CurdsWheyState(3, 1.0, 0.999)
-        run_stream(saved, rets[:split])
-        resumed = CurdsWheyState.from_json_dict(json.loads(json.dumps(saved.to_json_dict())))
-        for r in rets[split:]:
-            assert same_bits(resumed.step(r).y_tilde, saved.step(r).y_tilde)
-        assert json.dumps(resumed.to_json_dict()) == json.dumps(saved.to_json_dict())
-        assert (resumed.t, resumed.p_resets) == (full.t, full.p_resets)
-        for name in ("theta", "P", "phi"):
-            assert rel(getattr(resumed, name), getattr(full, name)) < 1e-12, name
-
-    def test_loaded_state_owns_its_arrays(self):
-        rets = ar_stream(2, 20, seed=6)
-        source = CurdsWheyState(2, 1.0, 0.99)
-        run_stream(source, rets[:10])
-        names = ("theta", "P", "phi", "y_prev")
-        payload = {**source.to_json_dict(), **{name: getattr(source, name) for name in names}}
-        before = {name: payload[name].copy() for name in names}
-        loaded = CurdsWheyState.from_json_dict(payload)
-        run_stream(loaded, rets[10:])
-        for name in names:
-            assert same_bits(payload[name], before[name]), name
-
-    @pytest.mark.parametrize(
-        "field,value,message",
-        [
-            ("theta", [[0.0, 0.0, 0.0]], "theta must have shape"),
-            ("P", [[1.0, 0.0, 0.0], [0.0, float("nan"), 0.0], [0.0, 0.0, 1.0]], "P contains non-finite"),
-            ("phi", [[0.0, float("inf")], [0.0, 0.0]], "phi contains non-finite"),
-            ("theta", [[0.0, float("nan"), 0.0]] * 2, "theta contains non-finite"),
-            ("y_prev", [float("inf"), 0.0], "y_prev contains non-finite"),
-            ("t", -1, "t must be >= 0"),
-            ("p_resets", -2, "p_resets must be >= 0"),
-            ("P", [[1.0, 0.5, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]], "P must be symmetric"),
-            ("P", [[1.0, -0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]], "P must be symmetric"),
-            ("t", 2.5, "t must be an integer, got 2.5"),
-            ("d", True, "d must be an integer, got True"),
-            ("theta", MISSING, "theta is missing"),
-            # a snapshot written while Q was a matrix of its own
-            ("Q", [[1.0, 0.0], [0.0, 1.0]], "Q is not part of the format"),
-            ("x_prev", [1.0, 0.0, 0.0], "x_prev is not part of the format"),
-            ("q_resets", 0, "q_resets is not part of the format"),
-            *[(name, value, f"{name} must be a number")
-              for name in ("tau", "ridge_lambda") for value in (True, "0.9", None, [0.9])],
-            *[(name, value, f"{name} must be finite")
-              for name in ("tau", "ridge_lambda") for value in (float("nan"), float("inf"))],
-        ],
-    )
-    def test_snapshot_validation(self, field, value, message):
-        payload = CurdsWheyState(2, 1.0, 0.999).to_json_dict()
-        if value is MISSING:
-            del payload[field]
-        else:
-            payload[field] = value
-        with pytest.raises(ValueError, match=message):
-            CurdsWheyState.from_json_dict(payload)
 
 
 class TestBatchSolvers:

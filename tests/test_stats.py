@@ -86,11 +86,6 @@ class TestAdf:
         with pytest.raises(ValueError, match="too short"):
             adf_test(np.arange(10, dtype=float) ** 2)
 
-    def test_unsupported_level(self):
-        rng = np.random.default_rng(1)
-        with pytest.raises(ValueError, match="levels"):
-            adf_test(np.cumsum(rng.normal(size=50)), alpha_levels=(0.025,))
-
 
 class TestLevene:
     def test_identical_groups_w_zero(self):
