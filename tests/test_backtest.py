@@ -395,6 +395,18 @@ class TestReportRendering:
         assert svg.startswith("<svg") or svg.startswith('<svg xmlns') or "<svg" in svg
         assert svg.count("<polyline") == 2
 
+    def test_svg_is_800_by_400_with_points_inside(self, noisy_panel):
+        svg = render_equity_svg(run_backtest(noisy_panel, BacktestConfig()))
+        assert svg.startswith('<svg xmlns="http://www.w3.org/2000/svg" width="800" height="400" '
+                              'viewBox="0 0 800 400">')
+        points = [
+            tuple(float(v) for v in pair.split(","))
+            for line in re.findall(r'points="([^"]*)"', svg)
+            for pair in line.split()
+        ]
+        assert points
+        assert all(0.0 <= x <= 800.0 and 0.0 <= y <= 400.0 for x, y in points)
+
     def test_config_validation(self):
         with pytest.raises(ValueError):
             BacktestConfig(mode="upside-down")

@@ -57,10 +57,17 @@ class TestInit:
     def test_two_experts(self):
         assert np.array_equal(RankerState(2, 0.5).p, [0.5, 0.5])
 
-    @pytest.mark.parametrize("d,tau", [(1, 0.9), (0, 0.9), (3, 0.0), (3, 1.5), (3, -0.1)])
+    @pytest.mark.parametrize("d,tau", [(1, 0.9), (0, 0.9), (3, 0.0), (3, 1.5), (3, -0.1),
+                                       (2.5, 0.9), ("3", 0.9), (None, 0.9),
+                                       (3, float("nan")), (3, float("inf"))])
     def test_domain(self, d, tau):
         with pytest.raises(ValueError):
             RankerState(d, tau)
+
+    def test_numpy_integer_d(self):
+        state = RankerState(np.int64(3), 0.9)
+        assert type(state.d) is int and state.d == 3
+        assert state.p.shape == (3,)
 
 
 class TestUpdate:
@@ -107,6 +114,30 @@ class TestUpdate:
             state.update([1.0, 2.0])
         with pytest.raises(ValueError):
             state.update([1.0, np.nan, 2.0])
+
+    @pytest.mark.parametrize("vec", [[1.0, 2.0], [1.0, 2.0, 3.0, 4.0], [[1.0, 2.0, 3.0]], 5.0, []],
+                             ids=["short", "long", "row", "scalar", "empty"])
+    def test_rejects_wrong_shape(self, vec):
+        with pytest.raises(ValueError, match="shape"):
+            RankerState(3, 0.9).update(vec)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite(self, bad):
+        with pytest.raises(ValueError, match="non-finite"):
+            RankerState(3, 0.9).update([1.0, bad, 2.0])
+
+    def test_rejected_update_changes_nothing(self):
+        state = RankerState(3, 0.9)
+        rng = np.random.default_rng(6)
+        for _ in range(5):
+            assert state.update(rng.normal(size=3)) is state
+        m, p = state.m.copy(), state.p.copy()
+        for vec in ([1.0, 2.0], [1.0, np.inf, 2.0]):
+            with pytest.raises(ValueError):
+                state.update(vec)
+        assert state.t == 5
+        assert m.tobytes() == state.m.tobytes()
+        assert p.tobytes() == state.p.tobytes()
 
     @given(vectors=st.lists(perf_vectors, min_size=1, max_size=30))
     def test_conservation_and_bounds(self, vectors):
@@ -185,6 +216,13 @@ class TestRank:
 
     def test_uniform_ties_identity(self):
         assert np.array_equal(RankerState(5, 0.9).rank().order, np.arange(5))
+
+    def test_posterior_is_a_copy(self):
+        state = traced_state()
+        ranked = state.rank()
+        ranked.posterior[...] = 0.0
+        assert np.allclose(state.p, [5 / 12, 1 / 4, 1 / 3], atol=1e-12)
+        assert np.array_equal(state.rank().order, [0, 2, 1])
 
     def test_unique_max(self):
         state = RankerState(3, 0.9)

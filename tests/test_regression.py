@@ -82,10 +82,18 @@ class TestInit:
         assert not hasattr(state, "x_prev")
 
     @pytest.mark.parametrize("d,lam,tau", [(0, 1.0, 0.9), (2, 0.0, 0.9), (2, -1.0, 0.9),
-                                           (2, 1.0, 0.0), (2, 1.0, 1.5)])
+                                           (2, 1.0, 0.0), (2, 1.0, 1.5),
+                                           (2.5, 1.0, 0.9), ("2", 1.0, 0.9), (-1, 1.0, 0.9),
+                                           (2, float("nan"), 0.9), (2, 1.0, float("nan")),
+                                           (2, 1.0, -0.1)])
     def test_domain(self, d, lam, tau):
         with pytest.raises(ValueError):
             CurdsWheyState(d, lam, tau)
+
+    def test_numpy_integer_d(self):
+        state = CurdsWheyState(np.int32(2), 1.0, 0.9)
+        assert type(state.d) is int and state.d == 2
+        assert state.theta.shape == (2, 3)
 
 
 class TestStep:
@@ -122,6 +130,43 @@ class TestStep:
         with pytest.raises(ValueError, match="non-finite"):
             state.step([np.inf, 0.2])
         assert state.t == 0
+
+    @pytest.mark.parametrize("r", [[0.1], [1.0, 0.1, 0.2], [[0.1, 0.2]], 0.5, []],
+                             ids=["short", "long", "row", "scalar", "empty"])
+    def test_rejects_wrong_shape(self, r):
+        with pytest.raises(ValueError, match="shape"):
+            CurdsWheyState(2, 1.0, 0.9).step(r)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite(self, bad):
+        with pytest.raises(ValueError, match="non-finite"):
+            CurdsWheyState(2, 1.0, 0.9).step([0.1, bad])
+
+    @pytest.mark.parametrize("n", [0, 5, _FLUSH_STEPS, _FLUSH_STEPS + 3])
+    def test_rejected_step_changes_nothing(self, n):
+        # n steps leave 0, 5, 0 and 3 rows pending
+        rets = ar_stream(3, n + 1, seed=12)
+        state = CurdsWheyState(3, 1.0, 0.99)
+        twin = CurdsWheyState(3, 1.0, 0.99)
+        for r in rets[:n]:
+            state.step(r)
+            twin.step(r)
+        for r in ([0.1, 0.2], [0.1, np.nan, 0.2]):
+            with pytest.raises(ValueError):
+                state.step(r)
+        assert state.t == n
+        for name in ("theta", "P", "phi", "y_prev"):
+            assert same_bits(getattr(state, name), getattr(twin, name)), name
+        assert same_bits(state.step(rets[n]).y_tilde, twin.step(rets[n]).y_tilde)
+
+    @pytest.mark.parametrize("n", [1, _FLUSH_STEPS, _FLUSH_STEPS + 1])
+    def test_y_prev_is_the_last_return(self, n):
+        rets = ar_stream(2, n, seed=13)
+        state = CurdsWheyState(2, 1.0, 0.99)
+        for r in rets:
+            state.step(r)
+        assert state.t == n
+        assert same_bits(state.y_prev, rets[-1])
 
 
 class TestBatchEquivalence:
@@ -373,6 +418,29 @@ class TestBlockedUpdates:
         for name in ("theta", "P", "phi", "y_prev"):
             assert same_bits(getattr(reader, name), getattr(twin, name)), name
 
+    @pytest.mark.parametrize("name", ["theta", "P", "phi", "y_prev"])
+    def test_readback_is_a_fresh_array(self, name):
+        # 5 rows pending, so theta, P and phi are base plus pending rows
+        state = CurdsWheyState(3, 1.0, 0.99)
+        for r in ar_stream(3, _FLUSH_STEPS + 5, seed=14):
+            state.step(r)
+        first, second = getattr(state, name), getattr(state, name)
+        assert first is not second and not np.shares_memory(first, second)
+        for internal in vars(state).values():
+            if isinstance(internal, np.ndarray):
+                assert not np.shares_memory(first, internal)
+
+    @pytest.mark.parametrize("tau", [0.5, 0.9, 0.99])
+    def test_p_exactly_symmetric_at_each_step(self, tau):
+        # at tau = 0.5 the forgetting window is shorter than d + 1 regressors
+        rng = np.random.default_rng(3)
+        state = CurdsWheyState(4, 1.0, tau)
+        for _ in range(100):
+            forecast = state.step(rng.normal(scale=0.01, size=4))
+            P = state.P
+            assert same_bits(P, P.T)
+            assert np.isfinite(P).all() and np.isfinite(forecast.y_tilde).all()
+
     def test_matrices_stay_symmetric_and_finite_on_market_like_data(self):
         panel = simulate_jump_diffusion(
             JumpDiffusionConfig(volatility=0.015, jump_intensity=0.05, jump_stdev=0.03,
@@ -467,3 +535,20 @@ class TestBatchSolvers:
             batch_ridge(np.ones((5, 2)), np.ones(5), 0.0)
         with pytest.raises(ValueError):
             batch_ridge(np.ones((5, 2)), np.ones(4), 1.0)
+
+    @pytest.mark.parametrize("ridge_lambda", [0.0, -1.0, float("nan")])
+    def test_rejects_non_positive_penalty(self, ridge_lambda):
+        with pytest.raises(ValueError, match="ridge_lambda must be positive"):
+            batch_ridge(np.ones((5, 2)), np.ones(5), ridge_lambda)
+
+    def test_needs_an_observation(self):
+        with pytest.raises(ValueError, match="at least one observation"):
+            batch_ridge(np.ones((0, 2)), np.ones((0, 1)), 1.0)
+
+    def test_one_dimensional_target_is_one_column(self):
+        rng = np.random.default_rng(5)
+        X = rng.normal(size=(20, 3))
+        y = rng.normal(size=20)
+        theta = batch_ridge(X, y, 0.5)
+        assert theta.shape == (3, 1)
+        assert same_bits(theta, batch_ridge(X, y[:, None], 0.5))

@@ -86,6 +86,34 @@ class TestAdf:
         with pytest.raises(ValueError, match="too short"):
             adf_test(np.arange(10, dtype=float) ** 2)
 
+    @pytest.mark.parametrize(
+        "series,message",
+        [(np.ones((30, 2)), "one-dimensional"),
+         (np.r_[np.arange(29.0) ** 2, np.nan], "non-finite"),
+         (np.r_[np.arange(29.0) ** 2, np.inf], "non-finite")],
+        ids=["two-dimensional", "nan", "inf"],
+    )
+    def test_bad_series_rejected(self, series, message):
+        with pytest.raises(ValueError, match=message):
+            adf_test(series)
+
+    def test_reports_the_three_levels(self):
+        y = np.cumsum(np.random.default_rng(7).normal(size=80))
+        result = adf_test(y)
+        assert tuple(result.critical_values) == (0.01, 0.05, 0.10)
+        assert tuple(result.reject_unit_root) == (0.01, 0.05, 0.10)
+        assert result.nobs == 79
+
+    @pytest.mark.parametrize("alpha,asymptotic", [(0.01, -3.43035), (0.05, -2.86154),
+                                                  (0.10, -2.56677)])
+    def test_short_series_widen_critical_values(self, alpha, asymptotic):
+        # the finite-sample terms push a short series' critical value further
+        # below the asymptotic one, and less so as the series grows
+        rng = np.random.default_rng(8)
+        cvs = [adf_test(np.cumsum(rng.normal(size=n))).critical_values[alpha]
+               for n in (20, 60, 500)]
+        assert cvs[0] < cvs[1] < cvs[2] < asymptotic
+
 
 class TestLevene:
     def test_identical_groups_w_zero(self):
