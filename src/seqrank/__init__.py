@@ -8,11 +8,7 @@ from .backtest import (
     BacktestReport,
     MetricsBlock,
     compute_metrics,
-    cw_weights,
-    nbar_weights,
     run_backtest,
-    select_decile,
-    transaction_cost,
 )
 from .ranker import RankerState, RankOutput
 from .regression import CurdsWheyState, Forecast, batch_ridge, batch_shrinkage
@@ -44,11 +40,7 @@ __all__ = [
     "BacktestReport",
     "MetricsBlock",
     "compute_metrics",
-    "cw_weights",
-    "nbar_weights",
     "run_backtest",
-    "select_decile",
-    "transaction_cost",
     "RankerState",
     "RankOutput",
     "CurdsWheyState",

@@ -20,13 +20,13 @@ whole panel once and keeps the forecast matrix in ``_FORECASTS``, keyed
 weakly by panel, with its ``(tau, ridge_lambda)``, so the strategies,
 modes, slice sizes and cost models that read the same forecasts share one
 pass. The accounting pass steps the ranker and books the days in blocks
-of whole-array operations. Every portfolio rule is in this module; the
-ranker supplies only its posterior. ``select_decile``, ``cw_weights``,
-``nbar_weights`` and ``transaction_cost`` are the per-day reference for
-that arithmetic, on plain weight vectors (longs positive, shorts
-negative); the tests compare the two bit for bit. Two threads that run
-one panel at once may both compute the forecasts; either result is the
-same matrix.
+of whole-array operations. Every portfolio rule is in this module, once:
+``select_decile``, ``cw_weights``, ``nbar_weights`` and
+``transaction_cost`` each take a block of days as ``(days, d)`` arrays,
+one day per row, with weights signed (longs positive, shorts negative).
+The ranker supplies only its posterior. Two threads that run one panel
+at once may both compute the forecasts; either result is the same
+matrix.
 """
 
 from __future__ import annotations
@@ -108,118 +108,97 @@ class BacktestConfig:
             raise ValueError(f"decile_fraction must lie in (0, 0.5], got {self.decile_fraction}")
         if not (0.0 < self.tau <= 1.0):
             raise ValueError(f"tau must lie in (0, 1], got {self.tau}")
-        if not (self.ridge_lambda > 0.0):
-            raise ValueError(f"ridge_lambda must be positive, got {self.ridge_lambda}")
+        if not (0.0 < self.ridge_lambda < math.inf):
+            raise ValueError(f"ridge_lambda must be positive and finite, got {self.ridge_lambda}")
 
     def to_json_dict(self) -> dict:
         return asdict(self)
 
 
-def select_decile(
-    scores: Sequence[float] | np.ndarray,
-    fraction: float = 0.1,
-    mode: str = "long-only",
-) -> tuple[list[int], list[int]]:
-    """Top and bottom slices of the cross-section, ``k = max(1, floor(d * fraction))``.
+def select_decile(scores: np.ndarray, fraction: float, mode: str) -> tuple[np.ndarray, np.ndarray]:
+    """Each day's top and bottom slices of the cross-section, ``k = max(1, floor(d * fraction))``.
 
-    Per-day reference for the selection ``run_backtest`` makes on whole
-    arrays.
-
-    Assets are ordered by descending score with ties broken by ascending
-    index; the long set is the head of that order and the short set the
-    tail (empty in long-only mode). ``fraction <= 0.5`` keeps ``k <= d / 2``,
-    so the two never overlap. Both come back as sorted lists of ``int``.
+    ``scores`` holds one day per row, ``(days, d)``. Each row is ordered by
+    descending score with ties broken by ascending index; the long leg is
+    the head of that order and the short leg the tail (no columns in
+    long-only mode). Both legs come back as ``(days, k)`` asset indices,
+    each row sorted ascending. ``fraction <= 0.5`` keeps ``k <= d / 2``, so
+    the legs never overlap.
     """
-    if mode not in MODES:
-        raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
-    if not (0.0 < fraction <= 0.5):
-        raise ValueError(f"fraction must lie in (0, 0.5], got {fraction}")
-    s = np.asarray(scores, dtype=float)
-    d = len(s)
-    if d < 2:
-        raise ValueError(f"need at least 2 scores, got {d}")
-    if not np.isfinite(s).all():
+    if not np.isfinite(scores).all():
         raise ValueError("scores contain non-finite values")
+    d = scores.shape[1]
     k = max(1, int(math.floor(d * fraction)))
-    order = np.argsort(-s, kind="stable")
-    long_set = np.sort(order[:k]).tolist()
+    order = np.argsort(-scores, axis=1, kind="stable")
+    longs = np.sort(order[:, :k], axis=1)
     if mode == "long-only":
-        return long_set, []
-    return long_set, np.sort(order[d - k :]).tolist()
+        return longs, order[:, :0]
+    return longs, np.sort(order[:, d - k :], axis=1)
 
 
-def _leg(d: int, members: Sequence[int]) -> list[int]:
-    """A leg's asset indices as a list; repeated or out-of-range ones raise."""
-    idx = list(members)
-    if len(set(idx)) != len(idx):
-        raise ValueError("member set contains duplicates")
-    if idx and (min(idx) < 0 or max(idx) >= d):
-        raise ValueError(f"member indices must lie in [0, {d - 1}]")
-    return idx
+def cw_weights(d: int, longs: np.ndarray, shorts: np.ndarray) -> np.ndarray:
+    """Equal weights on each day's legs: ``+1/k`` per long, ``-1/k`` per short.
 
-
-def cw_weights(d: int, long_set: Sequence[int], short_set: Sequence[int]) -> np.ndarray:
-    """Equal weights of 1/k on each leg: +1/len(long) long, -1/len(short) short.
-
-    Per-day reference for ``run_backtest``'s curds-whey weights.
+    ``longs`` and ``shorts`` are ``select_decile``'s ``(days, k)`` legs; the
+    result is ``(days, d)``.
     """
-    weights = np.zeros(d)
-    if long_set:
-        weights[_leg(d, long_set)] = 1.0 / len(long_set)
-    if short_set:
-        weights[_leg(d, short_set)] -= 1.0 / len(short_set)
+    weights = np.zeros((len(longs), d))
+    rows = np.arange(len(longs))[:, None]
+    weights[rows, longs] = 1.0 / longs.shape[1]
+    if shorts.shape[1]:
+        weights[rows, shorts] -= 1.0 / shorts.shape[1]
     return weights
 
 
-def nbar_weights(
-    state: RankerState, long_set: Sequence[int], short_set: Sequence[int]
-) -> np.ndarray:
-    """Posterior-proportional long leg and complement-proportional short leg.
+def nbar_weights(posterior: np.ndarray, longs: np.ndarray, shorts: np.ndarray) -> np.ndarray:
+    """Posterior-proportional long leg and complement-proportional short leg, day by day.
 
-    Each long weighs ``p`` over its leg's sum of ``p``, each short
-    ``1 - p`` over its leg's sum, so an asset with posterior 1 gets no
-    short weight. Per-day reference for ``run_backtest``'s nbar weights.
+    On row ``j`` of the ``(days, d)`` posterior each long weighs ``p`` over
+    its leg's sum of ``p``, and each short ``1 - p`` over its leg's sum of
+    ``1 - p``, so an asset with posterior 1 gets no short weight. The legs
+    are ``select_decile``'s; the result is ``(days, d)``.
     """
-    weights = np.zeros(state.d)
-    if long_set:
-        idx = _leg(state.d, long_set)
-        picked = state.p[idx]
-        total = float(picked.sum())
-        if total <= 0.0:
-            raise ValueError("selected posteriors sum to zero")
-        weights[idx] += picked / total
-    if short_set:
-        idx = _leg(state.d, short_set)
-        complement = 1.0 - state.p[idx]
-        total = float(complement.sum())
-        if total <= 0.0:
+    weights = np.zeros(posterior.shape)
+    rows = np.arange(len(posterior))[:, None]
+    picked = np.take_along_axis(posterior, longs, axis=1)
+    total = picked.sum(axis=1, keepdims=True)
+    if (total <= 0.0).any():
+        raise ValueError("selected posteriors sum to zero")
+    weights[rows, longs] += picked / total
+    if shorts.shape[1]:
+        complement = 1.0 - np.take_along_axis(posterior, shorts, axis=1)
+        total = complement.sum(axis=1, keepdims=True)
+        if (total <= 0.0).any():
             raise ValueError("every selected posterior is 1; short weights undefined")
-        weights[idx] -= complement / total
+        weights[rows, shorts] -= complement / total
     return weights
 
 
 def transaction_cost(
-    prev: Sequence[float] | np.ndarray,
-    new: Sequence[float] | np.ndarray,
-    half_spread_rates: Sequence[float] | np.ndarray,
-) -> float:
-    """Cost rate of a rebalance from weights ``prev`` to ``new``: sum of
-    half-spread rate times |weight change|.
+    prev: np.ndarray, weights: np.ndarray, rates: np.ndarray | None
+) -> tuple[np.ndarray, np.ndarray]:
+    """Each day's cost rate and turnover over a block of rebalances.
 
-    Per-day reference for ``run_backtest``'s costs and turnover.
+    Row ``j`` of the ``(days, d)`` ``weights`` rebalances from row ``j - 1``,
+    and row 0 from ``prev``. A day's turnover is its sum of |weight change|
+    and its cost is the half-spread ``rates`` row times that change;
+    ``rates=None`` costs nothing. Returns ``(cost, turnover)``, one entry
+    per day.
     """
-    prev = np.asarray(prev, dtype=float)
-    new = np.asarray(new, dtype=float)
-    rates = np.asarray(half_spread_rates, dtype=float)
-    if new.ndim != 1:
-        raise ValueError("weights must be a vector")
-    if rates.shape != prev.shape or rates.shape != new.shape:
-        raise ValueError("weights and spread rates must share one length")
-    if not (np.isfinite(prev).all() and np.isfinite(new).all()):
+    if not np.isfinite(weights).all():
         raise ValueError("weights contain non-finite values")
-    if (rates < 0.0).any():
-        raise ValueError("half-spread rates must be non-negative")
-    return float(rates @ np.abs(new - prev))
+    change = np.empty_like(weights)
+    np.subtract(weights[0], prev, out=change[0])
+    np.subtract(weights[1:], weights[:-1], out=change[1:])
+    np.abs(change, out=change)
+    cost = np.zeros(len(weights))
+    if rates is not None:
+        if (rates < 0.0).any():
+            raise ValueError("half-spread rates must be non-negative")
+        # one product per day: a batched product may sum in another order
+        for j, (rate, step) in enumerate(zip(rates, change)):
+            cost[j] = rate @ step
+    return cost, change.sum(axis=1)
 
 
 @dataclass(frozen=True)
@@ -407,10 +386,10 @@ class _Block(NamedTuple):
 def _target_blocks(panel: QuotePanel, config: BacktestConfig) -> Iterator[_Block]:
     """The day's scores, legs and target weights, ``_BLOCK_DAYS`` days at a time.
 
-    The ranker steps one day at a time inside each block; selection and
-    weighting are row-wise array operations with the per-day helpers'
-    arithmetic and checks. Each block holds only a few ``(block, d)``
-    arrays besides the panel's forecast matrix.
+    The ranker steps one day at a time inside each block; ``select_decile``
+    and ``cw_weights`` or ``nbar_weights`` then take the block's rows at
+    once. Each block holds only a few ``(block, d)`` arrays besides the
+    panel's forecast matrix.
     """
     d = panel.n_assets
     rets = panel.returns
@@ -422,8 +401,6 @@ def _target_blocks(panel: QuotePanel, config: BacktestConfig) -> Iterator[_Block
     if not (nbar and realised and by_p):
         forecasts = _forecast_matrix(panel, config.tau, config.ridge_lambda)
     ranker = RankerState(d, config.tau) if nbar else None
-    k = max(1, int(math.floor(d * config.decile_fraction)))
-    long_short = config.mode == "long-short"
 
     for start in range(0, n_days, _BLOCK_DAYS):
         stop = min(start + _BLOCK_DAYS, n_days)
@@ -436,30 +413,11 @@ def _target_blocks(panel: QuotePanel, config: BacktestConfig) -> Iterator[_Block
             for row, r in zip(posterior, performance):
                 row[:] = ranker.update(r).p
             scores = posterior if by_p else forecasts[start:stop]
-        if not np.isfinite(scores).all():
-            raise ValueError("scores contain non-finite values")
-        order = np.argsort(-scores, axis=1, kind="stable")
-        longs = np.sort(order[:, :k], axis=1)
-        shorts = np.sort(order[:, d - k :], axis=1) if long_short else order[:, :0]
-        rows = np.arange(stop - start)[:, None]
-        weights = np.zeros((stop - start, d))
+        longs, shorts = select_decile(scores, config.decile_fraction, config.mode)
         if ranker is None:
-            weights[rows, longs] = 1.0 / k
-            weights[rows, shorts] -= 1.0 / k
+            weights = cw_weights(d, longs, shorts)
         else:
-            picked = np.take_along_axis(posterior, longs, axis=1)
-            total = picked.sum(axis=1, keepdims=True)
-            if (total <= 0.0).any():
-                raise ValueError("selected posteriors sum to zero")
-            weights[rows, longs] += picked / total
-            if long_short:
-                complement = 1.0 - np.take_along_axis(posterior, shorts, axis=1)
-                total = complement.sum(axis=1, keepdims=True)
-                if (total <= 0.0).any():
-                    raise ValueError("every selected posterior is 1; short weights undefined")
-                weights[rows, shorts] -= complement / total
-        if not np.isfinite(weights).all():
-            raise ValueError("weights contain non-finite values")
+            weights = nbar_weights(posterior, longs, shorts)
         yield _Block(start, scores, posterior, longs, shorts, weights)
 
 
@@ -476,9 +434,9 @@ def run_backtest(panel: QuotePanel, config: BacktestConfig) -> BacktestReport:
 
     The forecasts are computed once per panel and ``(tau, ridge_lambda)``
     and kept in ``_FORECASTS`` (see ``_forecast_matrix``); the ranker and the
-    accounting run on every call. The report is bit-identical to booking
-    each day through ``select_decile``, ``cw_weights`` or ``nbar_weights``
-    and ``transaction_cost``.
+    accounting run on every call. The accounting books blocks of days:
+    ``select_decile``, ``cw_weights`` or ``nbar_weights`` set each block's
+    targets and ``transaction_cost`` its costs and turnover.
     """
     d = panel.n_assets
     rets = panel.returns
@@ -488,11 +446,7 @@ def run_backtest(panel: QuotePanel, config: BacktestConfig) -> BacktestReport:
             "return and the metric block needs 2 records"
         )
     n_days = rets.shape[0] - 1
-    rates = None
-    if config.cost_model == "half-spread":
-        rates = panel.half_spread_rates[1 : n_days + 1]
-        if (rates < 0.0).any():
-            raise ValueError("half-spread rates must be non-negative")
+    rates = panel.half_spread_rates[1 : n_days + 1] if config.cost_model == "half-spread" else None
     sector_of = None
     if panel.sectors is not None:
         sector_names = sorted(set(panel.sectors))
@@ -503,21 +457,18 @@ def run_backtest(panel: QuotePanel, config: BacktestConfig) -> BacktestReport:
 
     gross = np.empty(n_days)
     benchmark = rets[1:].mean(axis=1)
-    cost = np.zeros(n_days)
+    cost = np.empty(n_days)
     turnover = np.empty(n_days)
     prev = np.zeros(d)
     for block in _target_blocks(panel, config):
         weights = block.weights
-        change = np.empty_like(weights)
-        np.subtract(weights[0], prev, out=change[0])
-        np.subtract(weights[1:], weights[:-1], out=change[1:])
-        np.abs(change, out=change)
-        turnover[block.start : block.start + len(weights)] = change.sum(axis=1)
-        # one product per day: a batched product may sum in another order
-        for j, i in enumerate(range(block.start, block.start + len(weights))):
+        days = slice(block.start, block.start + len(weights))
+        cost[days], turnover[days] = transaction_cost(
+            prev, weights, None if rates is None else rates[days]
+        )
+        # one product per day, as in transaction_cost
+        for j, i in enumerate(range(days.start, days.stop)):
             gross[i] = weights[j] @ rets[i + 1]
-            if rates is not None:
-                cost[i] = rates[i] @ change[j]
         if sector_of is not None:
             long_tally += np.bincount(sector_of[block.longs].ravel(), minlength=len(long_tally))
             short_tally += np.bincount(sector_of[block.shorts].ravel(), minlength=len(short_tally))

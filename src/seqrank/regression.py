@@ -104,8 +104,8 @@ class CurdsWheyState:
     def __init__(self, d: int, ridge_lambda: float, tau: float) -> None:
         if not isinstance(d, (int, np.integer)) or d < 1:
             raise ValueError(f"d must be an integer >= 1, got {d!r}")
-        if not (ridge_lambda > 0.0):
-            raise ValueError(f"ridge_lambda must be positive, got {ridge_lambda}")
+        if not (0.0 < ridge_lambda < np.inf):
+            raise ValueError(f"ridge_lambda must be positive and finite, got {ridge_lambda}")
         if not (0.0 < tau <= 1.0):
             raise ValueError(f"tau must lie in (0, 1], got {tau}")
         self.d = d = int(d)
@@ -285,10 +285,10 @@ def batch_ridge(X: np.ndarray, Y: np.ndarray, ridge_lambda: float) -> np.ndarray
 
     ``X`` is ``n x m`` and ``Y`` is ``n x q`` (a 1-d ``Y`` is treated as a
     single column); the result is ``m x q``, mapping inputs to outputs.
-    Always well posed for positive ``ridge_lambda``.
+    Always well posed for positive finite ``ridge_lambda``.
     """
-    if not (ridge_lambda > 0.0):
-        raise ValueError(f"ridge_lambda must be positive, got {ridge_lambda}")
+    if not (0.0 < ridge_lambda < np.inf):
+        raise ValueError(f"ridge_lambda must be positive and finite, got {ridge_lambda}")
     X = np.atleast_2d(np.asarray(X, dtype=float))
     Y = np.asarray(Y, dtype=float)
     if Y.ndim == 1:

@@ -1,28 +1,80 @@
-"""Day-by-day backtest loop, kept as the oracle for ``run_backtest``.
+"""Day-by-day backtest loop and portfolio rules, kept as the oracle for ``seqrank.backtest``.
 
-This is the loop ``seqrank.backtest.run_backtest`` replaced: each day it
-steps a fresh forecaster, updates the ranker, and books the day through
-the per-day helpers (``select_decile``, ``cw_weights`` or
-``nbar_weights``, ``transaction_cost``) with one weight vector per day
-and Python ``int`` lists for the legs. The tests compare the array
-backtest's reports against it bit for bit.
+``seqrank.backtest`` books the days in blocks, with ``select_decile``,
+``cw_weights``, ``nbar_weights`` and ``transaction_cost`` taking
+``(days, d)`` arrays. This module keeps the same rules one day at a time,
+on plain weight vectors (longs positive, shorts negative) and Python
+``int`` lists for the legs, and the loop ``run_backtest`` replaced: each
+day it steps a fresh forecaster, updates the ranker, and books the day
+through those per-day rules. The tests compare the block functions and
+the array backtest's reports against them bit for bit.
 """
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
-from seqrank.backtest import (
-    BacktestError,
-    BacktestReport,
-    compute_metrics,
-    cw_weights,
-    nbar_weights,
-    select_decile,
-    transaction_cost,
-)
+from seqrank.backtest import BacktestError, BacktestReport, compute_metrics
 from seqrank.ranker import RankerState
 from seqrank.regression import CurdsWheyState
+
+
+def select_decile(scores, fraction: float, mode: str) -> tuple[list[int], list[int]]:
+    """Top and bottom slices of one day's scores, ``k = max(1, floor(d * fraction))``.
+
+    Assets are ordered by descending score with ties broken by ascending
+    index; the long set is the head of that order and the short set the
+    tail (empty in long-only mode), each a sorted list of ``int``.
+    """
+    s = np.asarray(scores, dtype=float)
+    if not np.isfinite(s).all():
+        raise ValueError("scores contain non-finite values")
+    d = len(s)
+    k = max(1, int(math.floor(d * fraction)))
+    order = np.argsort(-s, kind="stable")
+    long_set = np.sort(order[:k]).tolist()
+    if mode == "long-only":
+        return long_set, []
+    return long_set, np.sort(order[d - k :]).tolist()
+
+
+def cw_weights(d: int, long_set: list[int], short_set: list[int]) -> np.ndarray:
+    """Equal weights of 1/k on each leg: +1/len(long) long, -1/len(short) short."""
+    weights = np.zeros(d)
+    if long_set:
+        weights[long_set] = 1.0 / len(long_set)
+    if short_set:
+        weights[short_set] -= 1.0 / len(short_set)
+    return weights
+
+
+def nbar_weights(p: np.ndarray, long_set: list[int], short_set: list[int]) -> np.ndarray:
+    """Each long weighs ``p`` over its leg's sum of ``p``, each short ``1 - p`` over its leg's sum."""
+    weights = np.zeros(len(p))
+    if long_set:
+        picked = p[long_set]
+        total = float(picked.sum())
+        if total <= 0.0:
+            raise ValueError("selected posteriors sum to zero")
+        weights[long_set] += picked / total
+    if short_set:
+        complement = 1.0 - p[short_set]
+        total = float(complement.sum())
+        if total <= 0.0:
+            raise ValueError("every selected posterior is 1; short weights undefined")
+        weights[short_set] -= complement / total
+    return weights
+
+
+def transaction_cost(prev: np.ndarray, new: np.ndarray, half_spread_rates: np.ndarray) -> float:
+    """Cost rate of one rebalance: sum of half-spread rate times |weight change|."""
+    if not (np.isfinite(prev).all() and np.isfinite(new).all()):
+        raise ValueError("weights contain non-finite values")
+    if (half_spread_rates < 0.0).any():
+        raise ValueError("half-spread rates must be non-negative")
+    return float(half_spread_rates @ np.abs(new - prev))
 
 
 def oracle_run_backtest(panel, config) -> BacktestReport:
@@ -67,7 +119,7 @@ def oracle_run_backtest(panel, config) -> BacktestReport:
             member_scores = scores
         long_set, short_set = select_decile(member_scores, config.decile_fraction, config.mode)
         if ranker is not None:
-            target = nbar_weights(ranker, long_set, short_set)
+            target = nbar_weights(ranker.p, long_set, short_set)
         else:
             target = cw_weights(d, long_set, short_set)
         rates = zero_rates if zero_cost else panel.half_spread_rates[i + 1]

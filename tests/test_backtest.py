@@ -24,12 +24,8 @@ from seqrank import (
     QuotePanel,
     RankerState,
     compute_metrics,
-    cw_weights,
-    nbar_weights,
     run_backtest,
-    select_decile,
     simulate_jump_diffusion,
-    transaction_cost,
     weekday_range,
 )
 from seqrank.backtest import (
@@ -41,149 +37,192 @@ from seqrank.backtest import (
     _FORECASTS,
     _forecast_matrix,
     _target_blocks,
+    cw_weights,
     equity_rows,
+    nbar_weights,
     render_equity_csv,
     render_equity_svg,
+    select_decile,
+    transaction_cost,
 )
 
+import backtest_oracle as oracle
 from backtest_oracle import oracle_run_backtest
 
 from conftest import constant_growth_panel, dominance_panel, fresh_copy, panel_from_mids
 
 
-def traced_ranker():
-    return RankerState(3, 0.5).update([0.3, 0.1, 0.2])
+def legs(*rows):
+    """A ``(days, k)`` leg array from one index list per day."""
+    return np.array(rows, dtype=np.intp)
+
+
+NO_LEG = legs([], [])
+
+# posterior after one update at tau 0.5 from uniform on returns (0.3, 0.1, 0.2)
+TRACED_P = RankerState(3, 0.5).update([0.3, 0.1, 0.2]).p
 
 
 class TestSelectDecile:
     def test_sp250_scale(self):
         scores = np.linspace(1, 0, 250)
-        long_set, short_set = select_decile(scores, 0.1, "long-short")
-        assert len(long_set) == 25 and len(short_set) == 25
+        longs, shorts = select_decile(np.stack([scores, scores[::-1]]), 0.1, "long-short")
+        assert longs.shape == shorts.shape == (2, 25)
+        assert np.array_equal(longs, [np.arange(25), np.arange(225, 250)])
+        assert np.array_equal(shorts, [np.arange(225, 250), np.arange(25)])
 
     def test_strict_ordering(self):
-        scores = [10, 9, 8, 7, 6, 5, 4, 3, 2, 1]
-        long_set, short_set = select_decile(scores, 0.1, "long-short")
-        assert long_set == [0] and short_set == [9]
+        scores = np.array([[10, 9, 8, 7, 6, 5, 4, 3, 2, 1], [1, 2, 3, 4, 5, 6, 7, 8, 9, 10]], float)
+        longs, shorts = select_decile(scores, 0.1, "long-short")
+        assert longs.tolist() == [[0], [9]] and shorts.tolist() == [[9], [0]]
 
     def test_tie_break_is_deterministic(self):
-        long_set, short_set = select_decile(np.ones(10), 0.1, "long-short")
-        assert long_set == [0] and short_set == [9]
+        # ties go to the lower index: the head of a tie is long, its tail short
+        scores = np.array([np.ones(10), [1, 1, 1, 1, 0, 0, 0, 0, 2, 2]])
+        longs, shorts = select_decile(scores, 0.2, "long-short")
+        assert longs.tolist() == [[0, 1], [8, 9]]
+        assert shorts.tolist() == [[8, 9], [6, 7]]
 
     def test_long_only_has_no_short_set(self):
-        assert select_decile(np.arange(10.0), 0.2, "long-only") == ([8, 9], [])
+        longs, shorts = select_decile(np.array([np.arange(10.0), -np.arange(10.0)]), 0.2, "long-only")
+        assert longs.tolist() == [[8, 9], [0, 1]]
+        assert shorts.shape == (2, 0)
 
     def test_minimum_one_per_leg(self):
-        long_set, short_set = select_decile([3.0, 1.0, 2.0], 0.1, "long-short")
-        assert long_set == [0] and short_set == [1]
+        longs, shorts = select_decile(np.array([[3.0, 1.0, 2.0], [1.0, 2.0, 3.0]]), 0.1, "long-short")
+        assert longs.tolist() == [[0], [2]] and shorts.tolist() == [[1], [0]]
 
-    @given(seed=st.integers(0, 10_000), d=st.integers(2, 40),
-           frac=st.floats(0.05, 0.5))
-    def test_legs_disjoint_and_sized(self, seed, d, frac):
-        scores = np.random.default_rng(seed).normal(size=d)
-        long_set, short_set = select_decile(scores, frac, "long-short")
+    @given(seed=st.integers(0, 10_000), d=st.integers(2, 40), days=st.integers(1, 5),
+           frac=st.floats(0.05, 0.5), ties=st.booleans())
+    def test_legs_disjoint_and_sized(self, seed, d, days, frac, ties):
+        scores = np.random.default_rng(seed).normal(size=(days, d))
+        if ties:
+            scores = scores.round()
+        longs, shorts = select_decile(scores, frac, "long-short")
         k = max(1, math.floor(d * frac))
-        assert len(long_set) == k
-        assert len(short_set) <= k
-        assert not set(long_set) & set(short_set)
+        assert longs.shape == shorts.shape == (days, k)
+        for row, long_row, short_row in zip(scores, longs, shorts):
+            assert not set(long_row) & set(short_row)
+            assert (long_row.tolist(), short_row.tolist()) == oracle.select_decile(row, frac, "long-short")
 
-    def test_domain(self):
-        with pytest.raises(ValueError):
-            select_decile([1.0], 0.1, "long-only")
-        with pytest.raises(ValueError):
-            select_decile([1.0, 2.0], 0.6, "long-only")
-        with pytest.raises(ValueError):
-            select_decile([1.0, 2.0], 0.1, "sideways")
+    def test_non_finite_scores_rejected(self):
+        scores = np.array([[1.0, 2.0, 3.0], [1.0, np.nan, 3.0]])
+        with pytest.raises(ValueError, match="scores contain non-finite values"):
+            select_decile(scores, 0.1, "long-only")
 
 
 class TestWeights:
     def test_equal_weight_leg(self):
-        weights = cw_weights(250, list(range(25)), [])
-        assert np.allclose(weights[:25], 0.04)
-        assert weights[25:].sum() == 0.0
+        weights = cw_weights(250, legs(range(25), range(225, 250)), NO_LEG)
+        assert np.allclose(weights[0, :25], 0.04) and weights[0, 25:].sum() == 0.0
+        assert np.allclose(weights[1, 225:], 0.04) and weights[1, :225].sum() == 0.0
 
     def test_single_pair(self):
-        assert np.array_equal(cw_weights(4, [0], [1]), [1.0, -1.0, 0.0, 0.0])
+        weights = cw_weights(4, legs([0], [3]), legs([1], [2]))
+        assert np.array_equal(weights, [[1.0, -1.0, 0.0, 0.0], [0.0, 0.0, -1.0, 1.0]])
 
     def test_long_only_never_negative(self):
-        assert (cw_weights(6, [1, 4], []) >= 0.0).all()
+        assert (cw_weights(6, legs([1, 4], [0, 5]), NO_LEG) >= 0.0).all()
 
     def test_nbar_uniform_reduces_to_equal_weight(self):
-        ranker = RankerState(6, 0.9)
-        got = nbar_weights(ranker, [0, 3], [2, 5])
-        want = cw_weights(6, [0, 3], [2, 5])
-        assert np.allclose(got, want, atol=1e-12)
-        assert np.allclose(nbar_weights(RankerState(5, 0.9), [0, 2, 4], [])[[0, 2, 4]], 1 / 3)
+        uniform = np.full((2, 6), 1 / 6)
+        longs, shorts = legs([0, 3], [1, 2]), legs([2, 5], [0, 4])
+        assert np.allclose(nbar_weights(uniform, longs, shorts), cw_weights(6, longs, shorts), atol=1e-12)
 
     def test_nbar_hand_trace_long(self):
-        weights = nbar_weights(traced_ranker(), [0, 2], [])
-        assert np.allclose(weights, [5 / 9, 0.0, 4 / 9], atol=1e-12)
+        assert np.allclose(TRACED_P, [5 / 12, 3 / 12, 4 / 12], atol=1e-12)
+        posterior = np.stack([TRACED_P, np.full(3, 1 / 3)])
+        weights = nbar_weights(posterior, legs([0, 2], [0, 2]), NO_LEG)
+        assert np.allclose(weights, [[5 / 9, 0.0, 4 / 9], [0.5, 0.0, 0.5]], atol=1e-12)
 
     def test_nbar_hand_trace_short(self):
-        weights = nbar_weights(traced_ranker(), [], [1, 2])
-        assert np.allclose(weights, [0.0, -9 / 17, -8 / 17], atol=1e-12)
+        posterior = np.stack([TRACED_P, TRACED_P])
+        weights = nbar_weights(posterior, legs([0], [1]), legs([1, 2], [0, 2]))
+        assert np.allclose(weights, [[1.0, -9 / 17, -8 / 17], [-7 / 15, 1.0, -8 / 15]], atol=1e-12)
 
     def test_nbar_singleton_legs(self):
-        weights = nbar_weights(traced_ranker(), [1], [0])
-        assert np.allclose(weights, [-1.0, 1.0, 0.0], atol=1e-12)
+        posterior = np.stack([TRACED_P, TRACED_P])
+        weights = nbar_weights(posterior, legs([1], [2]), legs([0], [1]))
+        assert np.allclose(weights, [[-1.0, 1.0, 0.0], [0.0, -1.0, 1.0]], atol=1e-12)
 
     def test_nbar_short_weight_zero_for_certain_asset(self):
-        ranker = RankerState(3, 0.9)
-        ranker.p = np.array([1.0, 0.0, 0.0])
-        assert np.allclose(nbar_weights(ranker, [], [0, 1]), [0.0, -1.0, 0.0])
+        # an asset with posterior 1 leaves every other long at 0, so the
+        # legs overlap here to give the long leg a positive sum
+        posterior = np.array([[1.0, 0.0, 0.0], [0.0, 0.0, 1.0]])
+        weights = nbar_weights(posterior, legs([0], [2]), legs([0, 1], [1, 2]))
+        assert np.array_equal(weights, [[1.0, -1.0, 0.0], [0.0, -1.0, 1.0]])
         with pytest.raises(ValueError, match="short weights undefined"):
-            nbar_weights(ranker, [], [0])
+            nbar_weights(posterior, legs([0], [2]), legs([0], [2]))
         with pytest.raises(ValueError, match="selected posteriors sum to zero"):
-            nbar_weights(ranker, [1, 2], [])
-
-    @pytest.mark.parametrize("weigh", [
-        lambda legs: cw_weights(3, *legs),
-        lambda legs: nbar_weights(traced_ranker(), *legs),
-    ], ids=["cw", "nbar"])
-    @pytest.mark.parametrize("legs,message", [
-        (([0, 0], []), "duplicates"),
-        (([], [2, 2]), "duplicates"),
-        (([5], []), r"must lie in \[0, 2\]"),
-        (([], [-1]), r"must lie in \[0, 2\]"),
-    ])
-    def test_member_validation(self, weigh, legs, message):
-        with pytest.raises(ValueError, match=message):
-            weigh(legs)
+            nbar_weights(posterior, legs([0], [0]), NO_LEG)
 
     def test_legs_sum_to_one(self):
         rng = np.random.default_rng(0)
         ranker = RankerState(10, 0.99)
-        for _ in range(30):
-            ranker.update(rng.normal(size=10))
-        weights = nbar_weights(ranker, [0, 1, 2], [7, 8, 9])
-        longs = weights[weights > 0]
-        shorts = weights[weights < 0]
-        assert longs.sum() == pytest.approx(1.0, abs=1e-12)
-        assert shorts.sum() == pytest.approx(-1.0, abs=1e-12)
-        assert np.abs(weights).sum() <= 2.0 + 1e-12
+        posterior = np.array([ranker.update(rng.normal(size=10)).p for _ in range(30)])
+        weights = nbar_weights(posterior, *select_decile(posterior, 0.3, "long-short"))
+        assert np.allclose(np.where(weights > 0, weights, 0.0).sum(axis=1), 1.0, atol=1e-12)
+        assert np.allclose(np.where(weights < 0, weights, 0.0).sum(axis=1), -1.0, atol=1e-12)
+        assert (np.abs(weights).sum(axis=1) <= 2.0 + 1e-12).all()
+
+    @given(seed=st.integers(0, 10_000), d=st.integers(2, 30), days=st.integers(1, 70),
+           frac=st.sampled_from([0.05, 0.1, 1 / 3, 0.5]), mode=st.sampled_from(MODES),
+           ties=st.booleans())
+    def test_rows_match_the_per_day_oracle(self, seed, d, days, frac, mode, ties):
+        rng = np.random.default_rng(seed)
+        rets = rng.normal(size=(days, d))
+        ranker = RankerState(d, 0.9)
+        posterior = np.array([ranker.update(r.round() if ties else r).p for r in rets])
+        longs, shorts = select_decile(posterior, frac, mode)
+        cw, nbar = cw_weights(d, longs, shorts), nbar_weights(posterior, longs, shorts)
+        for j, p in enumerate(posterior):
+            long_set, short_set = oracle.select_decile(p, frac, mode)
+            assert (longs[j].tolist(), shorts[j].tolist()) == (long_set, short_set)
+            assert cw[j].tobytes() == oracle.cw_weights(d, long_set, short_set).tobytes()
+            assert nbar[j].tobytes() == oracle.nbar_weights(p, long_set, short_set).tobytes()
 
 
 class TestTransactionCost:
     def test_no_rebalance_no_cost(self):
         w = np.array([0.5, 0.5])
-        assert transaction_cost(w, w, [0.01, 0.01]) == 0.0
+        cost, turnover = transaction_cost(w, np.stack([w, w]), np.full((2, 2), 0.01))
+        assert cost.tolist() == [0.0, 0.0] and turnover.tolist() == [0.0, 0.0]
 
     def test_entry_cost(self):
-        assert transaction_cost(np.zeros(2), [0.04, 0.0], [0.01, 0.01]) == pytest.approx(4e-4, abs=1e-18)
+        weights = np.array([[0.04, 0.0], [0.04, 0.0]])
+        cost, turnover = transaction_cost(np.zeros(2), weights, np.full((2, 2), 0.01))
+        assert cost.tolist() == pytest.approx([4e-4, 0.0], abs=1e-18)
+        assert turnover.tolist() == [0.04, 0.0]
 
     def test_flip_cost(self):
-        assert transaction_cost([0.5], [-0.5], [0.002]) == pytest.approx(0.002, abs=1e-18)
+        weights = np.array([[-0.5], [0.5]])
+        cost, turnover = transaction_cost(np.array([0.5]), weights, np.array([[0.002], [0.001]]))
+        assert cost.tolist() == pytest.approx([0.002, 0.001], abs=1e-18)
+        assert turnover.tolist() == [1.0, 1.0]
+
+    def test_no_rates_cost_nothing(self):
+        cost, turnover = transaction_cost(np.zeros(2), np.array([[0.5, -0.5], [-0.5, 0.5]]), None)
+        assert cost.tolist() == [0.0, 0.0] and turnover.tolist() == [1.0, 2.0]
+
+    def test_each_row_is_its_own_dot_product(self):
+        rng = np.random.default_rng(4)
+        prev = rng.normal(size=250)
+        weights = rng.normal(size=(64, 250))
+        rates = rng.uniform(0.0, 0.01, size=(64, 250))
+        cost, turnover = transaction_cost(prev, weights, rates)
+        for j, (before, row) in enumerate(zip(np.vstack([prev, weights[:-1]]), weights)):
+            assert cost[j].hex() == oracle.transaction_cost(before, row, rates[j]).hex()
+            assert cost[j].hex() == float(rates[j] @ np.abs(row - before)).hex()
+            assert turnover[j].hex() == float(np.abs(row - before).sum()).hex()
 
     @pytest.mark.parametrize("prev,new,rates,message", [
-        ([0.0, 0.0], [0.0, 0.0], [-0.001, 0.0], "rates must be non-negative"),
-        ([0.0, 0.0], [0.0, float("nan")], [0.001, 0.001], "weights contain non-finite"),
-        ([float("inf"), 0.0], [0.0, 0.0], [0.001, 0.001], "weights contain non-finite"),
-        ([0.0, 0.0], [0.0, 0.0, 0.0], [0.001, 0.001], "share one length"),
-        ([[0.0, 0.0]], [[0.0, 0.0]], [[0.001, 0.001]], "weights must be a vector"),
+        ([0.0, 0.0], [[0.0, 0.0]], [[-0.001, 0.0]], "rates must be non-negative"),
+        ([0.0, 0.0], [[0.0, 0.0], [0.0, float("nan")]], [[0.001, 0.001]] * 2, "weights contain non-finite"),
+        ([0.0, 0.0], [[float("inf"), 0.0]], [[0.001, 0.001]], "weights contain non-finite"),
     ])
     def test_rejects(self, prev, new, rates, message):
         with pytest.raises(ValueError, match=message):
-            transaction_cost(prev, new, rates)
+            transaction_cost(np.array(prev), np.array(new), np.array(rates))
 
 
 class TestMetrics:
@@ -416,6 +455,11 @@ class TestReportRendering:
             BacktestConfig(tau=0.0)
         with pytest.raises(ValueError):
             BacktestConfig(ridge_lambda=-1.0)
+
+    @pytest.mark.parametrize("ridge_lambda", [math.inf, math.nan])
+    def test_non_finite_ridge_lambda_rejected(self, ridge_lambda):
+        with pytest.raises(ValueError, match="ridge_lambda must be positive and finite"):
+            BacktestConfig(ridge_lambda=ridge_lambda)
 
 
 # returns from subnormal to 1e300, signed zeros among them; 200 of the

@@ -165,6 +165,14 @@ class TestBacktest:
         assert "decile" in capsys.readouterr().err
         assert not (tmp_path / "bad/backtest.json").exists()
 
+    @pytest.mark.parametrize("value", ["inf", "nan"])
+    def test_non_finite_lambda_rejected(self, tmp_path, capsys, value):
+        path = synth(tmp_path)
+        code = run_cli("backtest", path, "--lambda", value, "--out-dir", tmp_path / "bad")
+        assert code == 1
+        assert capsys.readouterr().err.startswith("error: ridge_lambda must be positive and finite")
+        assert not (tmp_path / "bad").exists()
+
     def test_hyperparameter_flags_echoed(self, tmp_path):
         path = synth(tmp_path)
         assert run_cli(

@@ -82,3 +82,6 @@ def test_span_map_installs_traces_a_backtest_and_restores(tmp_path):
     assert values["timeseries.load_csv.rows"] == 61 * 4
     assert values["cli.bytes_written"] > 0
     assert values["backtest.run_backtest.self_s"] > 0.0
+    # the portfolio rules the span map wraps are the ones the run calls
+    for name in ("backtest.select_decile.s", "backtest.weights.s", "backtest.transaction_cost.s"):
+        assert values[name] > 0.0, name

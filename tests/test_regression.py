@@ -90,6 +90,12 @@ class TestInit:
         with pytest.raises(ValueError):
             CurdsWheyState(d, lam, tau)
 
+    @pytest.mark.parametrize("ridge_lambda", [float("inf"), float("nan")])
+    def test_rejects_non_finite_penalty(self, ridge_lambda):
+        # an infinite penalty makes the prior P zero: every step would reset it
+        with pytest.raises(ValueError, match="ridge_lambda must be positive and finite"):
+            CurdsWheyState(2, ridge_lambda, 0.9)
+
     def test_numpy_integer_d(self):
         state = CurdsWheyState(np.int32(2), 1.0, 0.9)
         assert type(state.d) is int and state.d == 2
@@ -536,9 +542,9 @@ class TestBatchSolvers:
         with pytest.raises(ValueError):
             batch_ridge(np.ones((5, 2)), np.ones(4), 1.0)
 
-    @pytest.mark.parametrize("ridge_lambda", [0.0, -1.0, float("nan")])
+    @pytest.mark.parametrize("ridge_lambda", [0.0, -1.0, float("nan"), float("inf")])
     def test_rejects_non_positive_penalty(self, ridge_lambda):
-        with pytest.raises(ValueError, match="ridge_lambda must be positive"):
+        with pytest.raises(ValueError, match="ridge_lambda must be positive and finite"):
             batch_ridge(np.ones((5, 2)), np.ones(5), ridge_lambda)
 
     def test_needs_an_observation(self):
