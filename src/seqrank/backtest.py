@@ -125,6 +125,8 @@ def select_decile(scores: np.ndarray, fraction: float, mode: str) -> tuple[np.nd
     each row sorted ascending. ``fraction <= 0.5`` keeps ``k <= d / 2``, so
     the legs never overlap.
     """
+    if mode not in MODES or not (0.0 < fraction <= 0.5):
+        raise ValueError(f"mode must be one of {MODES} and fraction in (0, 0.5], got {mode!r}, {fraction}")
     if not np.isfinite(scores).all():
         raise ValueError("scores contain non-finite values")
     d = scores.shape[1]
@@ -185,6 +187,8 @@ def transaction_cost(
     ``rates=None`` costs nothing. Returns ``(cost, turnover)``, one entry
     per day.
     """
+    if prev.shape != weights.shape[1:] or (rates is not None and rates.shape != weights.shape):
+        raise ValueError("prev, weights and spread rates must share one length")
     if not np.isfinite(weights).all():
         raise ValueError("weights contain non-finite values")
     change = np.empty_like(weights)

@@ -105,6 +105,11 @@ class TestSelectDecile:
             assert not set(long_row) & set(short_row)
             assert (long_row.tolist(), short_row.tolist()) == oracle.select_decile(row, frac, "long-short")
 
+    @pytest.mark.parametrize("fraction,mode", [(0.1, "long_only"), (0.6, "long-short"), (0.0, "long-only")])
+    def test_rejects_bad_arguments(self, fraction, mode):
+        with pytest.raises(ValueError, match="mode must be one of"):
+            select_decile(np.zeros((2, 10)), fraction, mode)
+
     def test_non_finite_scores_rejected(self):
         scores = np.array([[1.0, 2.0, 3.0], [1.0, np.nan, 3.0]])
         with pytest.raises(ValueError, match="scores contain non-finite values"):
@@ -128,6 +133,8 @@ class TestWeights:
         uniform = np.full((2, 6), 1 / 6)
         longs, shorts = legs([0, 3], [1, 2]), legs([2, 5], [0, 4])
         assert np.allclose(nbar_weights(uniform, longs, shorts), cw_weights(6, longs, shorts), atol=1e-12)
+        weights = nbar_weights(np.full((2, 5), 0.2), legs([0, 2, 4], [1, 3, 4]), NO_LEG)
+        assert np.allclose(weights[0, [0, 2, 4]], 1 / 3) and np.allclose(weights[1, [1, 3, 4]], 1 / 3)
 
     def test_nbar_hand_trace_long(self):
         assert np.allclose(TRACED_P, [5 / 12, 3 / 12, 4 / 12], atol=1e-12)
@@ -219,6 +226,9 @@ class TestTransactionCost:
         ([0.0, 0.0], [[0.0, 0.0]], [[-0.001, 0.0]], "rates must be non-negative"),
         ([0.0, 0.0], [[0.0, 0.0], [0.0, float("nan")]], [[0.001, 0.001]] * 2, "weights contain non-finite"),
         ([0.0, 0.0], [[float("inf"), 0.0]], [[0.001, 0.001]], "weights contain non-finite"),
+        ([0.0, 0.0], [[0.0, 0.0], [0.0, 0.0]], [[0.001, 0.001]], "share one length"),
+        ([0.0], [[0.0, 0.0]], [[0.001, 0.001]], "share one length"),
+        ([0.0, 0.0], [0.0, 0.0], [0.001, 0.001], "share one length"),
     ])
     def test_rejects(self, prev, new, rates, message):
         with pytest.raises(ValueError, match=message):
