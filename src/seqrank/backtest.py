@@ -24,9 +24,10 @@ of whole-array operations. Every portfolio rule is in this module, once:
 ``select_decile``, ``cw_weights``, ``nbar_weights`` and
 ``transaction_cost`` each take a block of days as ``(days, d)`` arrays,
 one day per row, with weights signed (longs positive, shorts negative).
-The ranker supplies only its posterior. Two threads that run one panel
-at once may both compute the forecasts; either result is the same
-matrix.
+A block's daily costs and gross returns are one stacked product each, in
+which every day keeps the bits of its own dot product. The ranker
+supplies only its posterior. Two threads that run one panel at once may
+both compute the forecasts; either result is the same matrix.
 """
 
 from __future__ import annotations
@@ -123,19 +124,52 @@ def select_decile(scores: np.ndarray, fraction: float, mode: str) -> tuple[np.nd
     the head of that order and the short leg the tail (no columns in
     long-only mode). Both legs come back as ``(days, k)`` asset indices,
     each row sorted ascending. ``fraction <= 0.5`` keeps ``k <= d / 2``, so
-    the legs never overlap.
+    the legs never overlap; long-short mode needs ``d >= 2``.
+
+    One row sort gives each leg's edge: the k-th largest score for the long
+    leg, the k-th smallest for the short leg. A leg holds the scores beyond
+    its edge and as many scores at its edge as it has room for, the
+    lowest-index ones for the long leg and the highest-index ones for the
+    short leg: the stable descending order's head and tail.
     """
     if mode not in MODES or not (0.0 < fraction <= 0.5):
         raise ValueError(f"mode must be one of {MODES} and fraction in (0, 0.5], got {mode!r}, {fraction}")
     if not np.isfinite(scores).all():
         raise ValueError("scores contain non-finite values")
-    d = scores.shape[1]
+    days, d = scores.shape
+    if mode == "long-short" and d < 2:
+        raise ValueError(f"long-short selection needs at least 2 assets, got {d}")
     k = max(1, int(math.floor(d * fraction)))
-    order = np.argsort(-scores, axis=1, kind="stable")
-    longs = np.sort(order[:, :k], axis=1)
+    ranked = np.sort(scores, axis=1)
+    # a leg's room at its edge: how many of its k sorted slots hold the edge score
+    top = ranked[:, d - k, None]
+    room = (ranked[:, d - k :] == top).sum(axis=1)
+    longs = _leg(scores > top, scores == top, room, lowest_first=True).reshape(days, k)
     if mode == "long-only":
-        return longs, order[:, :0]
-    return longs, np.sort(order[:, d - k :], axis=1)
+        return longs, longs[:, :0]
+    bottom = ranked[:, k - 1, None]
+    room = (ranked[:, :k] == bottom).sum(axis=1)
+    return longs, _leg(scores < bottom, scores == bottom, room, lowest_first=False).reshape(days, k)
+
+
+def _leg(beyond: np.ndarray, at_edge: np.ndarray, room: np.ndarray, lowest_first: bool) -> np.ndarray:
+    """One leg per row: the scores ``beyond`` the row's edge and ``room`` of those ``at_edge``.
+
+    ``beyond`` and ``at_edge`` are ``(days, d)`` masks; the tied scores fill
+    each row's room from the lowest index when ``lowest_first``, else from
+    the highest. Returns the members' column indices, row after row, each
+    row ascending. Fills ``beyond`` in place.
+    """
+    days, d = beyond.shape
+    tied = np.flatnonzero(at_edge)
+    rows = tied // d
+    counts = np.bincount(rows, minlength=days)
+    # each tied score's place among its row's ties, from the side the leg fills first
+    place = np.arange(len(tied)) - (np.cumsum(counts) - counts)[rows]
+    if not lowest_first:
+        place = counts[rows] - 1 - place
+    np.put(beyond, tied[place < room[rows]], True)
+    return np.flatnonzero(beyond) % d
 
 
 def cw_weights(d: int, longs: np.ndarray, shorts: np.ndarray) -> np.ndarray:
@@ -195,14 +229,20 @@ def transaction_cost(
     np.subtract(weights[0], prev, out=change[0])
     np.subtract(weights[1:], weights[:-1], out=change[1:])
     np.abs(change, out=change)
-    cost = np.zeros(len(weights))
-    if rates is not None:
-        if (rates < 0.0).any():
-            raise ValueError("half-spread rates must be non-negative")
-        # one product per day: a batched product may sum in another order
-        for j, (rate, step) in enumerate(zip(rates, change)):
-            cost[j] = rate @ step
-    return cost, change.sum(axis=1)
+    if rates is None:
+        return np.zeros(len(weights)), change.sum(axis=1)
+    if (rates < 0.0).any():
+        raise ValueError("half-spread rates must be non-negative")
+    return _row_dots(rates, change), change.sum(axis=1)
+
+
+def _row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``a[j] @ b[j]`` for every row ``j`` of two ``(days, d)`` arrays, in one call.
+
+    numpy computes each stacked vector-by-vector product with the kernel
+    that ``a[j] @ b[j]`` uses, so every entry has that product's bits.
+    """
+    return np.matmul(a[:, None, :], b[:, :, None])[:, 0, 0]
 
 
 @dataclass(frozen=True)
@@ -470,9 +510,7 @@ def run_backtest(panel: QuotePanel, config: BacktestConfig) -> BacktestReport:
         cost[days], turnover[days] = transaction_cost(
             prev, weights, None if rates is None else rates[days]
         )
-        # one product per day, as in transaction_cost
-        for j, i in enumerate(range(days.start, days.stop)):
-            gross[i] = weights[j] @ rets[i + 1]
+        gross[days] = _row_dots(weights, rets[days.start + 1 : days.stop + 1])
         if sector_of is not None:
             long_tally += np.bincount(sector_of[block.longs].ravel(), minlength=len(long_tally))
             short_tally += np.bincount(sector_of[block.shorts].ravel(), minlength=len(short_tally))

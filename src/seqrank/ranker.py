@@ -70,7 +70,7 @@ class RankerState:
         """Fold one performance vector into the win statistics.
 
         ``m`` decays toward ``c / d`` where ``c_j = #{i : r_i <= r_j}``
-        comes from one sort, and the posterior moves a step ``(1 - tau)``
+        comes from one argsort, and the posterior moves a step ``(1 - tau)``
         toward the likelihood ``q``. The posterior is renormalised to unit
         sum afterwards; anything beyond a machine-epsilon correction is
         logged.
@@ -80,7 +80,12 @@ class RankerState:
             raise ValueError(f"performance vector must have shape ({self.d},), got {r.shape}")
         if not np.isfinite(r).all():
             raise ValueError("performance vector contains non-finite values")
-        wins = np.searchsorted(np.sort(r), r, side="right")
+        # sorted keys let each search start where the last one ended; the
+        # counts go back to the assets through the sort order
+        order = np.argsort(r)
+        ranked = r[order]
+        wins = np.empty(self.d, dtype=np.intp)
+        wins[order] = np.searchsorted(ranked, ranked, side="right")
         self.m *= self.tau
         self.m += (1.0 - self.tau) * (wins / self.d)
         self.p = self.tau * self.p + (1.0 - self.tau) * self.q

@@ -44,8 +44,10 @@ __all__ = ["CurdsWheyState", "Forecast", "batch_ridge", "batch_shrinkage"]
 
 logger = logging.getLogger(__name__)
 
-# a P diagonal below this triggers a reset to the prior; resets are counted
-# on the state and logged
+# a P diagonal below this share of the prior's 1 / ridge_lambda triggers a
+# reset to the prior; resets are counted on the state and logged. Scaled with
+# the prior, the floor keeps the same ~4 500 rounding units of the prior's
+# entries between it and zero at every ridge_lambda
 _RESET_FLOOR = 1e-12
 # steps whose rank-one updates are held as pending rows before one blocked
 # update folds them into the matrices
@@ -151,8 +153,9 @@ class CurdsWheyState:
         ``phi`` against the pair (``y_prev``, ``y_hat``), with ``Q y_prev``
         taken from the ``P`` before its update; form ``y_tilde = phi @
         y_hat``; then roll ``y_prev`` forward to ``r``. If a diagonal entry
-        of the updated ``P`` falls below 1e-12, ``P`` is reset to the prior
-        (with a log line), and with it the derived ``Q``.
+        of the updated ``P`` falls below ``1e-12 / ridge_lambda``, 1e-12
+        times the prior's, ``P`` is reset to the prior (with a log line),
+        and with it the derived ``Q``.
         """
         y = np.asarray(r, dtype=float)
         if y.shape != (self.d,):
@@ -201,7 +204,7 @@ class CurdsWheyState:
         self._V[k] = resid2
 
         self._k = k + 1
-        if float(diag.min()) < _RESET_FLOOR:
+        if float(diag.min()) < _RESET_FLOOR / self.ridge_lambda:
             logger.warning("P diagonal collapsed at step %d; resetting to prior", self.t + 1)
             self._a[k] = 0.0
             self._flush()

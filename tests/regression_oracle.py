@@ -50,7 +50,7 @@ class GeneralCurdsWhey:
         gain = Px / (scale * tau)
         self.theta = self.theta + np.outer(y - self.theta @ self.x_prev, gain)
         self.P = self.P / tau - np.outer(gain, gain) * scale
-        if float(self.P.diagonal().min()) < _RESET_FLOOR:
+        if float(self.P.diagonal().min()) < _RESET_FLOOR / self.ridge_lambda:
             self.P = np.eye(self.d + 1) / self.ridge_lambda
             self.p_resets += 1
 
@@ -61,7 +61,7 @@ class GeneralCurdsWhey:
         gain2 = Qy / (scale2 * tau)
         self.phi = self.phi + np.outer(y_hat - self.phi @ self.y_prev, gain2)
         self.Q = self.Q / tau - np.outer(gain2, gain2) * scale2
-        if float(self.Q.diagonal().min()) < _RESET_FLOOR:
+        if float(self.Q.diagonal().min()) < _RESET_FLOOR / self.ridge_lambda:
             self.Q = np.eye(self.d) / self.ridge_lambda
             self.q_resets += 1
 

@@ -105,6 +105,43 @@ class TestSelectDecile:
             assert not set(long_row) & set(short_row)
             assert (long_row.tolist(), short_row.tolist()) == oracle.select_decile(row, frac, "long-short")
 
+    @pytest.mark.parametrize("kind", ["normal", "rounded", "all-equal", "signed-zeros", "mixed"])
+    @pytest.mark.parametrize("mode", MODES)
+    def test_paper_scale_blocks_match_the_stable_sort(self, kind, mode):
+        # d = 250 and 64-day blocks, as the backtest calls it: rounded scores,
+        # uniform posteriors and +-0.0 put many ties at the slice edges
+        rng = np.random.default_rng(250)
+        normal = rng.normal(size=(64, 250))
+        scores = {
+            "normal": normal,
+            "rounded": normal.round(),
+            "all-equal": np.full((64, 250), 1 / 250),
+            "signed-zeros": rng.choice([0.0, -0.0], size=(64, 250)),
+            "mixed": np.where(rng.random((64, 250)) < 0.5, rng.choice([0.0, -0.0, 1.0], size=(64, 250)), normal),
+        }[kind]
+        longs, shorts = select_decile(scores, 0.1, mode)
+        assert longs.shape == (64, 25) and shorts.shape == (64, 25 if mode == "long-short" else 0)
+        for row, long_row, short_row in zip(scores, longs, shorts):
+            assert (long_row.tolist(), short_row.tolist()) == oracle.select_decile(row, 0.1, mode)
+
+    @pytest.mark.parametrize("d", [3, 5, 7, 251])
+    @pytest.mark.parametrize("mode", MODES)
+    def test_half_at_odd_d(self, d, mode):
+        # k = (d - 1) / 2 leaves one asset between the legs
+        rng = np.random.default_rng(d)
+        scores = np.vstack([rng.normal(size=(3, d)), rng.integers(0, 2, size=(3, d)), np.zeros((1, d))])
+        longs, shorts = select_decile(scores, 0.5, mode)
+        assert longs.shape[1] == d // 2
+        for row, long_row, short_row in zip(scores, longs, shorts):
+            assert (long_row.tolist(), short_row.tolist()) == oracle.select_decile(row, 0.5, mode)
+            assert not set(long_row) & set(short_row)
+
+    def test_long_short_needs_two_assets(self):
+        with pytest.raises(ValueError, match="at least 2 assets"):
+            select_decile(np.array([[1.0], [2.0]]), 0.5, "long-short")
+        longs, shorts = select_decile(np.array([[1.0], [2.0]]), 0.5, "long-only")
+        assert longs.tolist() == [[0], [0]] and shorts.shape == (2, 0)
+
     @pytest.mark.parametrize("fraction,mode", [(0.1, "long_only"), (0.6, "long-short"), (0.0, "long-only")])
     def test_rejects_bad_arguments(self, fraction, mode):
         with pytest.raises(ValueError, match="mode must be one of"):
@@ -211,11 +248,15 @@ class TestTransactionCost:
         cost, turnover = transaction_cost(np.zeros(2), np.array([[0.5, -0.5], [-0.5, 0.5]]), None)
         assert cost.tolist() == [0.0, 0.0] and turnover.tolist() == [1.0, 2.0]
 
-    def test_each_row_is_its_own_dot_product(self):
+    @pytest.mark.parametrize("d", [1, 2, 7, 250, 251])
+    @pytest.mark.parametrize("days", [1, 64])
+    def test_each_row_is_its_own_dot_product(self, d, days):
+        # one stacked call must give each day the bits of its own product;
+        # BLAS kernels treat the remainder lengths differently
         rng = np.random.default_rng(4)
-        prev = rng.normal(size=250)
-        weights = rng.normal(size=(64, 250))
-        rates = rng.uniform(0.0, 0.01, size=(64, 250))
+        prev = rng.normal(size=d)
+        weights = rng.normal(size=(days, d))
+        rates = rng.uniform(0.0, 0.01, size=(days, d))
         cost, turnover = transaction_cost(prev, weights, rates)
         for j, (before, row) in enumerate(zip(np.vstack([prev, weights[:-1]]), weights)):
             assert cost[j].hex() == oracle.transaction_cost(before, row, rates[j]).hex()
@@ -626,8 +667,9 @@ class TestAgainstDailyLoop:
             assert_same_text(report_text(run_backtest(panel, config)), want)
 
     # numpy sorts fewer than 17 items by insertion, which is stable whatever
-    # the kind asked for, so only d = 40 shows an unstable sort on tied scores
-    @pytest.mark.parametrize("d", [2, 3, 7, 11, 40])
+    # the kind asked for, so only d >= 40 shows an unstable sort on tied
+    # scores; d = 251 is the paper's scale with a BLAS remainder length
+    @pytest.mark.parametrize("d", [2, 3, 7, 11, 40, 251])
     @pytest.mark.parametrize("kind", PRICE_KINDS)
     def test_fixed_sizes_and_single_member_legs(self, d, kind):
         panel = panel_from_mids(price_paths(kind, 90, d, np.random.default_rng(d)), spread=0.004)

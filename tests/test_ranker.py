@@ -108,6 +108,22 @@ class TestUpdate:
             assert bound_err <= 1e-12
             assert sum_err < 1e-12
 
+    @pytest.mark.parametrize("d", [2, 7, 250, 251])
+    @pytest.mark.parametrize("kind", ["rounded", "few-levels", "signed-zeros", "all-equal"])
+    def test_win_counts_match_the_pairwise_definition(self, d, kind):
+        # after one update from m = 0, m is (1 - tau) c / d with
+        # c_j = #{i : r_i <= r_j}, the O(d^2) count of the win matrix
+        rng = np.random.default_rng(d)
+        r = {
+            "rounded": rng.normal(size=d).round(1),
+            "few-levels": rng.integers(-2, 3, size=d).astype(float),
+            "signed-zeros": rng.choice([-0.0, 0.0, 1.0, -1.0], size=d),
+            "all-equal": np.full(d, 0.25),
+        }[kind]
+        tau = 0.9
+        c = (r[:, None] <= r).sum(axis=0)
+        assert RankerState(d, tau).update(r).m.tobytes() == ((1.0 - tau) * (c / d)).tobytes()
+
     def test_rejects_bad_input(self):
         state = RankerState(3, 0.9)
         with pytest.raises(ValueError):

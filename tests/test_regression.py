@@ -335,9 +335,11 @@ class TestAgainstGeneralRecursion:
     def test_small_streams_through_resets(self, data):
         d = data.draw(st.integers(1, 8), label="d")
         tau = data.draw(st.floats(d / (d + 1), 1.0, exclude_min=True), label="tau")
-        # at lambda = 1e-3 the prior's entries are 1000, whose rounding unit
-        # is 1.1e-13, so a diagonal that a 1e8 return collapses lands within
-        # ten units of the 1e-12 floor, and rounding decides the reset
+        # lambda = 1e-3 stays out: there the positive-definiteness guard
+        # below can pass on a P that is singular to rounding, and the old
+        # recursion's own P and Q then reset on different days (d = 3,
+        # tau = 0.9296875, returns (0, 0, 1e8), (1e8, 1e8, 0),
+        # (-1e8, -1e8, 0), (0, 0, 0): P resets on the last step, Q does not)
         ridge_lambda = data.draw(st.sampled_from([0.5, 1.0, 40.0]), label="lambda")
         n = data.draw(st.integers(1, 2 * _FLUSH_STEPS + 5), label="n")
         rets = [data.draw(st.lists(self.large, min_size=d, max_size=d)) for _ in range(n)]
@@ -386,6 +388,31 @@ class TestAgainstGeneralRecursion:
                 self.assert_close(got.y_tilde, want.y_tilde, self.TOLERANCE)
             assert np.isfinite(got.y_tilde).all()
         assert (state.p_resets, state.q_resets) == (1, 0)
+
+    def test_resets_agree_at_a_weak_prior(self):
+        # a 1e8 return collapses a P diagonal to a few rounding units of the
+        # prior's 1 / ridge_lambda; against an absolute floor, rounding
+        # decided the reset at lambda = 1e-3, and the two recursions reset on
+        # different days in about one such stream in seven. With the floor
+        # scaled to the prior, about one in 6 000 still disagrees, by the
+        # singular-P case that test_small_streams_through_resets describes
+        rng = np.random.default_rng(11)
+        for _ in range(100):
+            d = int(rng.integers(1, 9))
+            tau = float(rng.uniform(d / (d + 1), 1.0))
+            rets = rng.uniform(-2.0, 2.0, size=(int(rng.integers(1, 70)), d))
+            large = rng.random(rets.shape) < 0.15
+            rets[large] = rng.choice([0.0, -0.0, 1e8, -1e8], size=int(large.sum()))
+            state = CurdsWheyState(d, 1e-3, tau)
+            reference = GeneralCurdsWhey(d, 1e-3, tau)
+            # compared while the old recursion's P stays positive definite,
+            # as in test_small_streams_through_resets
+            for r in rets:
+                if not np.linalg.eigvalsh(reference.P).min() > 0.0:
+                    break
+                state.step(r)
+                reference.step_return(r)
+                assert state.p_resets == reference.p_resets == reference.q_resets
 
 
 class TestBlockedUpdates:
