@@ -16,18 +16,19 @@ alongside. The engine is deterministic: identical panel and config give an
 identical report.
 
 A run makes two passes. The signal pass steps the forecaster over the
-whole panel once and keeps the forecast matrix in ``_FORECASTS``, keyed
-weakly by panel, with its ``(tau, ridge_lambda)``, so the strategies,
-modes, slice sizes and cost models that read the same forecasts share one
-pass. The accounting pass steps the ranker and books the days in blocks
-of whole-array operations. Every portfolio rule is in this module, once:
+whole panel once, and for nbar folds the ranker over the forecasts or the
+realised returns ``_BLOCK_DAYS`` days per call. ``_FORECASTS`` keeps these
+signals, keyed weakly by panel, with their ``(tau, ridge_lambda)``, so the
+strategies, modes, slice sizes and cost models that read the same signal
+share one pass. The accounting pass books the days in blocks of
+whole-array operations. Every portfolio rule is in this module, once:
 ``select_decile``, ``cw_weights``, ``nbar_weights`` and
 ``transaction_cost`` each take a block of days as ``(days, d)`` arrays,
 one day per row, with weights signed (longs positive, shorts negative).
 A block's daily costs and gross returns are one stacked product each, in
 which every day keeps the bits of its own dot product. The ranker
 supplies only its posterior. Two threads that run one panel at once may
-both compute the forecasts; either result is the same matrix.
+both compute a signal; either result is the same array.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ from __future__ import annotations
 import datetime as dt
 import math
 import weakref
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, field
 from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
@@ -68,13 +69,28 @@ COST_MODELS = ("half-spread", "zero")
 
 TRADING_DAYS_PER_YEAR = 252
 SVG_WIDTH, SVG_HEIGHT = 800, 400
-# days per accounting block: a block's temporaries are a few (64, d) arrays,
-# small beside the (n - 2, d) forecast matrix kept in _FORECASTS
+# days per ranker call and per accounting block: a block's temporaries are
+# a few (64, d) arrays, small beside the (n - 2, d) signals kept in _FORECASTS
 _BLOCK_DAYS = 64
 
-# panel -> ((tau, ridge_lambda), read-only forecast matrix) of the latest
-# curds-whey pass over that panel; an entry goes when its panel is freed
-_FORECASTS: weakref.WeakKeyDictionary[QuotePanel, tuple] = weakref.WeakKeyDictionary()
+
+@dataclass
+class _Signals:
+    """One panel's signals for one ``(tau, ridge_lambda)``, each built on first use.
+
+    ``forecasts`` is the read-only ``(n - 2, d)`` forecast matrix;
+    ``posteriors`` maps an ``nbar_input`` to the ranker's posterior after
+    each booked day, as read-only ``_BLOCK_DAYS``-row blocks.
+    """
+
+    key: tuple[float, float]
+    forecasts: np.ndarray | None = None
+    posteriors: dict[str, tuple[np.ndarray, ...]] = field(default_factory=dict)
+
+
+# panel -> its signals for the latest (tau, ridge_lambda) a run read; an
+# entry goes when its panel is freed
+_FORECASTS: weakref.WeakKeyDictionary[QuotePanel, _Signals] = weakref.WeakKeyDictionary()
 
 
 class BacktestError(RuntimeError):
@@ -388,21 +404,36 @@ class BacktestReport:
         }
 
 
+def _signals(panel: QuotePanel, tau: float, ridge_lambda: float) -> _Signals | None:
+    """The panel's entry in ``_FORECASTS`` if it holds ``(tau, ridge_lambda)``; any other goes."""
+    entry = _FORECASTS.get(panel)
+    if entry is not None and entry.key == (tau, ridge_lambda):
+        return entry
+    # drop the old signals before new ones are built, so one key's are held
+    _FORECASTS.pop(panel, None)
+    return None
+
+
+def _store(panel: QuotePanel, tau: float, ridge_lambda: float) -> _Signals:
+    """The entry to store a finished signal in, made if ``_signals`` found none."""
+    entry = _signals(panel, tau, ridge_lambda)
+    if entry is None:
+        entry = _FORECASTS[panel] = _Signals((tau, ridge_lambda))
+    return entry
+
+
 def _forecast_matrix(panel: QuotePanel, tau: float, ridge_lambda: float) -> np.ndarray:
     """Curds-whey forecasts for every booked day, as one read-only ``(n - 2, d)`` array.
 
     Row ``i`` is ``y_tilde`` after the forecaster has folded in return row
-    ``i``: the scores for ``panel.dates[i + 1]``. ``_FORECASTS`` keeps the
-    panel's latest matrix with its ``(tau, ridge_lambda)``, so runs that
-    share the pair share one pass. A pass that meets a non-finite forecast
-    raises and stores nothing.
+    ``i``: the scores for ``panel.dates[i + 1]``. The matrix joins the
+    panel's signals in ``_FORECASTS`` under ``(tau, ridge_lambda)``, so runs
+    that share the pair share one pass. A pass that meets a non-finite
+    forecast raises and stores nothing.
     """
-    key = (tau, ridge_lambda)
-    memo = _FORECASTS.get(panel)
-    if memo is not None and memo[0] == key:
-        return memo[1]
-    # drop the old matrix before the new one is built, so at most one is held
-    _FORECASTS.pop(panel, None)
+    entry = _signals(panel, tau, ridge_lambda)
+    if entry is not None and entry.forecasts is not None:
+        return entry.forecasts
     rets = panel.returns
     d = panel.n_assets
     model = CurdsWheyState(d, ridge_lambda, tau)
@@ -412,8 +443,35 @@ def _forecast_matrix(panel: QuotePanel, tau: float, ridge_lambda: float) -> np.n
         if not np.isfinite(row).all():
             raise BacktestError(f"non-finite forecast at {panel.dates[i + 1].isoformat()}")
     forecasts.setflags(write=False)
-    _FORECASTS[panel] = (key, forecasts)
+    _store(panel, tau, ridge_lambda).forecasts = forecasts
     return forecasts
+
+
+def _posterior_blocks(panel: QuotePanel, config: BacktestConfig) -> tuple[np.ndarray, ...]:
+    """The ranker's posterior after each booked day, in read-only ``_BLOCK_DAYS``-row blocks.
+
+    The ranker reads ``config.nbar_input``: the forecasts, or the day's
+    realised returns. Block ``b`` holds the days from ``b * _BLOCK_DAYS``,
+    each block one ``RankerState.update`` call. The blocks join the
+    panel's signals in ``_FORECASTS``, so every nbar run on the same input
+    and ``(tau, ridge_lambda)`` reads one ranker pass.
+    """
+    tau, ridge_lambda = config.tau, config.ridge_lambda
+    entry = _signals(panel, tau, ridge_lambda)
+    if entry is not None and config.nbar_input in entry.posteriors:
+        return entry.posteriors[config.nbar_input]
+    n_days = panel.returns.shape[0] - 1
+    if config.nbar_input == "realised":
+        performance = panel.returns[:n_days]
+    else:
+        performance = _forecast_matrix(panel, tau, ridge_lambda)
+    ranker = RankerState(panel.n_assets, tau)
+    blocks = tuple(ranker.update(performance[start : start + _BLOCK_DAYS])
+                   for start in range(0, n_days, _BLOCK_DAYS))
+    for block in blocks:
+        block.setflags(write=False)
+    _store(panel, tau, ridge_lambda).posteriors[config.nbar_input] = blocks
+    return blocks
 
 
 class _Block(NamedTuple):
@@ -430,35 +488,29 @@ class _Block(NamedTuple):
 def _target_blocks(panel: QuotePanel, config: BacktestConfig) -> Iterator[_Block]:
     """The day's scores, legs and target weights, ``_BLOCK_DAYS`` days at a time.
 
-    The ranker steps one day at a time inside each block; ``select_decile``
-    and ``cw_weights`` or ``nbar_weights`` then take the block's rows at
-    once. Each block holds only a few ``(block, d)`` arrays besides the
-    panel's forecast matrix.
+    The posterior rows come from the panel's signals; ``select_decile`` and
+    ``cw_weights`` or ``nbar_weights`` take the block's rows at once. Each
+    block holds only a few ``(block, d)`` arrays besides the panel's
+    signals.
     """
     d = panel.n_assets
-    rets = panel.returns
-    n_days = rets.shape[0] - 1
+    n_days = panel.returns.shape[0] - 1
     nbar = config.strategy == "nbar"
-    realised = config.nbar_input == "realised"
     by_p = config.nbar_membership == "by-p"
-    forecasts = None
-    if not (nbar and realised and by_p):
+    forecasts = posteriors = None
+    if not (nbar and config.nbar_input == "realised" and by_p):
         forecasts = _forecast_matrix(panel, config.tau, config.ridge_lambda)
-    ranker = RankerState(d, config.tau) if nbar else None
+    if nbar:
+        posteriors = _posterior_blocks(panel, config)
 
-    for start in range(0, n_days, _BLOCK_DAYS):
-        stop = min(start + _BLOCK_DAYS, n_days)
-        posterior = None
-        if ranker is None:
-            scores = forecasts[start:stop]
+    for index, start in enumerate(range(0, n_days, _BLOCK_DAYS)):
+        posterior = None if posteriors is None else posteriors[index]
+        if posterior is not None and by_p:
+            scores = posterior
         else:
-            posterior = np.empty((stop - start, d))
-            performance = rets[start:stop] if realised else forecasts[start:stop]
-            for row, r in zip(posterior, performance):
-                row[:] = ranker.update(r).p
-            scores = posterior if by_p else forecasts[start:stop]
+            scores = forecasts[start : start + _BLOCK_DAYS]
         longs, shorts = select_decile(scores, config.decile_fraction, config.mode)
-        if ranker is None:
+        if posterior is None:
             weights = cw_weights(d, longs, shorts)
         else:
             weights = nbar_weights(posterior, longs, shorts)
@@ -476,9 +528,10 @@ def run_backtest(panel: QuotePanel, config: BacktestConfig) -> BacktestReport:
     forecaster is not run when nothing reads it: nbar on realised returns
     with members chosen by posterior.
 
-    The forecasts are computed once per panel and ``(tau, ridge_lambda)``
-    and kept in ``_FORECASTS`` (see ``_forecast_matrix``); the ranker and the
-    accounting run on every call. The accounting books blocks of days:
+    The forecasts and each input's ranker posterior are computed once per
+    panel and ``(tau, ridge_lambda)`` and kept in ``_FORECASTS`` (see
+    ``_forecast_matrix`` and ``_posterior_blocks``); the accounting runs on
+    every call. It books blocks of days:
     ``select_decile``, ``cw_weights`` or ``nbar_weights`` set each block's
     targets and ``transaction_cost`` its costs and turnover.
     """

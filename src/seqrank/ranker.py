@@ -11,6 +11,11 @@ exponential smoothing of ``q`` with the same decay. Because the win
 indicator depends only on the ordering of the performance vector, the
 whole state is invariant to positive affine rescalings of the input.
 
+``update`` folds in one day or a block of days in one call: one argsort
+per block gives every row's win counts, and the ``m`` and ``p``
+recursions then run row by row on preallocated rows, so a block gives
+the bits of the same days folded in one at a time.
+
 Updates are strictly sequential; a state may be handed between threads
 but never shared mutably.
 """
@@ -23,7 +28,7 @@ from typing import Sequence
 
 import numpy as np
 
-__all__ = ["RankerState", "RankOutput"]
+__all__ = ["RankerState", "RankOutput", "rank_order"]
 
 logger = logging.getLogger(__name__)
 
@@ -63,40 +68,101 @@ class RankerState:
     @property
     def q(self) -> np.ndarray:
         """Likelihood: ``m`` normalised to unit sum; uniform while ``m`` is 0, as at ``tau = 1``."""
-        total = float(self.m.sum())
-        return self.m / total if total > 0.0 else np.full(self.d, 1.0 / self.d)
+        return _likelihood(self.m[None, :])[0]
 
-    def update(self, performance: Sequence[float] | np.ndarray) -> "RankerState":
-        """Fold one performance vector into the win statistics.
+    def update(self, performance: Sequence[float] | np.ndarray) -> np.ndarray:
+        """Fold one performance vector ``(d,)``, or a block of them ``(days, d)``, into the state.
 
-        ``m`` decays toward ``c / d`` where ``c_j = #{i : r_i <= r_j}``
-        comes from one argsort, and the posterior moves a step ``(1 - tau)``
-        toward the likelihood ``q``. The posterior is renormalised to unit
-        sum afterwards; anything beyond a machine-epsilon correction is
-        logged.
+        Each row in turn decays ``m`` toward ``c / d``, where
+        ``c_j = #{i : r_i <= r_j}``, and moves the posterior a step
+        ``(1 - tau)`` toward the likelihood ``q``, then renormalises it to
+        unit sum. Returns the posterior after each row, as a new array shaped
+        like ``performance``; ``m``, ``p`` and ``t`` then hold the last
+        row's state. The whole input is checked before the state changes. A
+        renormalisation beyond a machine-epsilon correction is logged, once
+        per call.
         """
         r = np.asarray(performance, dtype=float)
-        if r.shape != (self.d,):
-            raise ValueError(f"performance vector must have shape ({self.d},), got {r.shape}")
-        if not np.isfinite(r).all():
-            raise ValueError("performance vector contains non-finite values")
-        # sorted keys let each search start where the last one ended; the
-        # counts go back to the assets through the sort order
-        order = np.argsort(r)
-        ranked = r[order]
-        wins = np.empty(self.d, dtype=np.intp)
-        wins[order] = np.searchsorted(ranked, ranked, side="right")
-        self.m *= self.tau
-        self.m += (1.0 - self.tau) * (wins / self.d)
-        self.p = self.tau * self.p + (1.0 - self.tau) * self.q
-        norm = float(self.p.sum())
-        if abs(norm - 1.0) > _RENORM_LOG_TOLERANCE * self.d:
-            logger.warning("posterior sum drifted to %+.3e at step %d", norm - 1.0, self.t + 1)
-        self.p /= norm
-        self.t += 1
-        return self
+        block = r[None, :] if r.ndim == 1 else r
+        if block.ndim != 2 or block.shape[1] != self.d or len(block) == 0:
+            raise ValueError(
+                f"performance must have shape ({self.d},) or (days >= 1, {self.d}), got {r.shape}"
+            )
+        if not np.isfinite(block).all():
+            raise ValueError("performance contains non-finite values")
+        days, tau = len(block), self.tau
+        # each row's (1 - tau) * (c / d) at once; the recursions then run a
+        # row at a time, with the operands of a one-day update in its order
+        m_rows = _win_counts(block) / self.d
+        m_rows *= 1.0 - tau
+        decayed = np.empty(self.d)
+        prev = self.m
+        for row in m_rows:
+            np.multiply(prev, tau, out=decayed)
+            row += decayed
+            prev = row
+        self.m = m_rows[-1].copy()
+        # each row's (1 - tau) * q, in place of m
+        steps = _likelihood(m_rows, out=m_rows)
+        steps *= 1.0 - tau
+        posterior = np.empty((days, self.d))
+        norms = np.empty(days)
+        prev = self.p
+        for j, (row, step) in enumerate(zip(posterior, steps)):
+            np.multiply(prev, tau, out=row)
+            row += step
+            norms[j] = row.sum()
+            row /= norms[j]
+            prev = row
+        self._log_drift(norms)
+        self.p = posterior[-1].copy()
+        self.t += days
+        return posterior[0] if r.ndim == 1 else posterior
+
+    def _log_drift(self, norms: np.ndarray) -> None:
+        """One warning for the rows of an update whose posterior sum drifted from 1."""
+        drift = norms - 1.0
+        drifted = np.abs(drift) > _RENORM_LOG_TOLERANCE * self.d
+        if drifted.any():
+            worst = int(np.abs(drift).argmax())
+            logger.warning(
+                "posterior sum drifted on %d of %d steps from step %d; largest %+.3e at step %d",
+                int(drifted.sum()), len(norms), self.t + 1 + int(drifted.argmax()),
+                drift[worst], self.t + 1 + worst,
+            )
 
     def rank(self) -> RankOutput:
         """Indices sorted by descending posterior, ties by ascending index."""
-        order = np.argsort(-self.p, kind="stable")
-        return RankOutput(order=order, posterior=self.p.copy())
+        return RankOutput(order=rank_order(self.p), posterior=self.p.copy())
+
+
+def rank_order(posterior: np.ndarray) -> np.ndarray:
+    """Indices by descending posterior along the last axis, ties by ascending index."""
+    return np.argsort(-posterior, axis=-1, kind="stable")
+
+
+def _win_counts(block: np.ndarray) -> np.ndarray:
+    """``c_j = #{i : r_i <= r_j}`` for every row of a ``(days, d)`` block, from one argsort.
+
+    In a sorted row, a value's count is the end of its run of equal values.
+    """
+    days, d = block.shape
+    order = np.argsort(block, axis=1)
+    ranked = np.take_along_axis(block, order, axis=1)
+    ends = np.full((days, d), d, dtype=np.intp)
+    np.copyto(ends[:, :-1], np.arange(1, d), where=ranked[:, 1:] != ranked[:, :-1])
+    del ranked
+    counts = np.minimum.accumulate(ends[:, ::-1], axis=1)[:, ::-1]
+    np.put_along_axis(ends, order, counts, axis=1)
+    return ends
+
+
+def _likelihood(m: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Each row of ``(days, d)`` ``m`` over its sum; uniform where a row sums to 0.
+
+    A row's sum has the bits of the 1-D sum of that row.
+    """
+    totals = m.sum(axis=1, keepdims=True)
+    q = np.divide(m, totals, out=out, where=totals > 0.0)
+    q[totals[:, 0] <= 0.0] = 1.0 / m.shape[1]
+    return q

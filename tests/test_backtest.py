@@ -36,6 +36,7 @@ from seqrank.backtest import (
     STRATEGIES,
     _FORECASTS,
     _forecast_matrix,
+    _posterior_blocks,
     _target_blocks,
     cw_weights,
     equity_rows,
@@ -60,7 +61,7 @@ def legs(*rows):
 NO_LEG = legs([], [])
 
 # posterior after one update at tau 0.5 from uniform on returns (0.3, 0.1, 0.2)
-TRACED_P = RankerState(3, 0.5).update([0.3, 0.1, 0.2]).p
+TRACED_P = RankerState(3, 0.5).update([0.3, 0.1, 0.2])
 
 
 class TestSelectDecile:
@@ -202,8 +203,7 @@ class TestWeights:
 
     def test_legs_sum_to_one(self):
         rng = np.random.default_rng(0)
-        ranker = RankerState(10, 0.99)
-        posterior = np.array([ranker.update(rng.normal(size=10)).p for _ in range(30)])
+        posterior = RankerState(10, 0.99).update(rng.normal(size=(30, 10)))
         weights = nbar_weights(posterior, *select_decile(posterior, 0.3, "long-short"))
         assert np.allclose(np.where(weights > 0, weights, 0.0).sum(axis=1), 1.0, atol=1e-12)
         assert np.allclose(np.where(weights < 0, weights, 0.0).sum(axis=1), -1.0, atol=1e-12)
@@ -215,8 +215,7 @@ class TestWeights:
     def test_rows_match_the_per_day_oracle(self, seed, d, days, frac, mode, ties):
         rng = np.random.default_rng(seed)
         rets = rng.normal(size=(days, d))
-        ranker = RankerState(d, 0.9)
-        posterior = np.array([ranker.update(r.round() if ties else r).p for r in rets])
+        posterior = RankerState(d, 0.9).update(rets.round() if ties else rets)
         longs, shorts = select_decile(posterior, frac, mode)
         cw, nbar = cw_weights(d, longs, shorts), nbar_weights(posterior, longs, shorts)
         for j, p in enumerate(posterior):
@@ -756,6 +755,18 @@ MEMO_CONFIGS = (
     BacktestConfig(mode="long-short", strategy="nbar", nbar_input="realised"),
     BacktestConfig(mode="long-short", strategy="curds-whey", tau=0.99),
     BacktestConfig(mode="long-short", strategy="nbar", ridge_lambda=5.0),
+    BacktestConfig(mode="long-short", strategy="nbar"),
+    BacktestConfig(mode="long-only", strategy="nbar", nbar_input="realised", nbar_membership="by-forecast"),
+    BacktestConfig(mode="long-only", strategy="nbar", nbar_input="realised", tau=0.99),
+    BacktestConfig(mode="long-only", strategy="nbar", nbar_membership="by-forecast", cost_model="zero"),
+)
+# the sweep benchmark's five configurations
+SWEEP_CONFIGS = (
+    BacktestConfig(mode="long-only", strategy="curds-whey"),
+    BacktestConfig(mode="long-short", strategy="curds-whey"),
+    BacktestConfig(mode="long-only", strategy="nbar"),
+    BacktestConfig(mode="long-short", strategy="nbar"),
+    BacktestConfig(mode="long-short", strategy="nbar", nbar_input="realised"),
 )
 
 
@@ -772,8 +783,22 @@ def fresh_reports(memo_panel):
     return [report_text(run_backtest(fresh_copy(memo_panel), config)) for config in MEMO_CONFIGS]
 
 
+def count_updates(monkeypatch):
+    """Count ``RankerState.update`` calls; returns the list of the rows each call folds in."""
+    calls = []
+    update = RankerState.update
+
+    def counted(self, performance):
+        calls.append(len(performance))
+        return update(self, performance)
+
+    monkeypatch.setattr(RankerState, "update", counted)
+    return calls
+
+
 class TestForecastMemo:
-    """``_FORECASTS`` keeps one matrix per panel: the latest ``(tau, ridge_lambda)``."""
+    """``_FORECASTS`` keeps one signal entry per panel: the latest ``(tau, ridge_lambda)``'s
+    forecasts and ranker posteriors."""
 
     @given(order=st.permutations(range(len(MEMO_CONFIGS))))
     def test_any_order_on_one_panel_matches_fresh_panels(self, memo_panel, fresh_reports, order):
@@ -781,16 +806,29 @@ class TestForecastMemo:
         for index in order:
             assert_same_text(report_text(run_backtest(panel, MEMO_CONFIGS[index])), fresh_reports[index])
 
-    def test_memoised_matrix_is_read_only(self, memo_panel):
+    def test_memoised_signals_are_read_only(self, memo_panel):
         panel = fresh_copy(memo_panel)
         run_backtest(panel, BacktestConfig())
-        key, forecasts = _FORECASTS[panel]
-        assert key == (0.999, 1.0)
+        entry = _FORECASTS[panel]
+        forecasts = entry.forecasts
+        assert entry.key == (0.999, 1.0) and entry.posteriors == {}
         assert forecasts.shape == (panel.n_dates - 2, panel.n_assets)
         assert not forecasts.flags.writeable
         with pytest.raises(ValueError):
             forecasts[0, 0] = 0.0
         assert _forecast_matrix(panel, 0.999, 1.0) is forecasts
+
+        for nbar_input in NBAR_INPUTS:
+            config = BacktestConfig(strategy="nbar", nbar_input=nbar_input)
+            run_backtest(panel, config)
+            blocks = entry.posteriors[nbar_input]
+            assert [block.shape for block in blocks] == [(64, 6), (panel.n_dates - 2 - 64, 6)]
+            for block in blocks:
+                assert not block.flags.writeable
+                with pytest.raises(ValueError):
+                    block[0, 0] = 0.0
+            assert _posterior_blocks(panel, config) is blocks
+        assert _FORECASTS[panel] is entry and entry.forecasts is forecasts
 
     def test_four_forecast_columns_step_once_per_day(self, monkeypatch):
         # the sweep's scale in days; d = 3 keeps each step cheap
@@ -805,18 +843,52 @@ class TestForecastMemo:
         assert len(calls) == 2499
         assert calls == list(range(2499))
 
+    def test_sweep_runs_the_ranker_twice_then_never(self, monkeypatch):
+        panel = simulate_jump_diffusion(
+            JumpDiffusionConfig(volatility=0.01, n_steps=2500, n_assets=3, seed=9, spread=0.001)
+        )
+        calls = count_updates(monkeypatch)
+        for config in SWEEP_CONFIGS:
+            run_backtest(panel, config)
+        # one pass over the forecasts and one over the realised returns,
+        # 64 days per call: 2 x 40 calls for 2 499 days
+        assert calls == 2 * ([64] * 39 + [2499 - 39 * 64])
+        calls.clear()
+        for config in SWEEP_CONFIGS:
+            run_backtest(panel, config)
+        assert calls == []
+
     def test_second_key_replaces_the_first(self, memo_panel, monkeypatch):
         panel = fresh_copy(memo_panel)
         n_days = panel.n_dates - 2
         calls = count_steps(monkeypatch)
         run_backtest(panel, BacktestConfig(tau=0.999))
         run_backtest(panel, BacktestConfig(tau=0.99))
-        assert _FORECASTS[panel][0] == (0.99, 1.0)
+        assert _FORECASTS[panel].key == (0.99, 1.0)
         run_backtest(panel, BacktestConfig(tau=0.99, strategy="nbar"))
         assert len(calls) == 2 * n_days
         run_backtest(panel, BacktestConfig(tau=0.999))
         assert len(calls) == 3 * n_days
-        assert _FORECASTS[panel][0] == (0.999, 1.0)
+        assert _FORECASTS[panel].key == (0.999, 1.0)
+
+    def test_new_key_drops_all_three_signals(self, memo_panel, monkeypatch):
+        panel = fresh_copy(memo_panel)
+        for nbar_input in NBAR_INPUTS:
+            run_backtest(panel, BacktestConfig(strategy="nbar", nbar_input=nbar_input))
+        entry = _FORECASTS[panel]
+        assert entry.forecasts is not None and sorted(entry.posteriors) == sorted(NBAR_INPUTS)
+        updates = count_updates(monkeypatch)
+        run_backtest(panel, BacktestConfig(strategy="nbar", ridge_lambda=2.0))
+        assert len(updates) == 2
+        entry = _FORECASTS[panel]
+        assert entry.key == (0.999, 2.0) and list(entry.posteriors) == ["forecasts"]
+        run_backtest(panel, BacktestConfig(tau=0.99))
+        entry = _FORECASTS[panel]
+        assert entry.key == (0.99, 1.0) and entry.posteriors == {}
+        run_backtest(panel, BacktestConfig(strategy="nbar", nbar_input="realised"))
+        entry = _FORECASTS[panel]
+        assert entry.forecasts is None and list(entry.posteriors) == ["realised"]
+        assert len(updates) == 4
 
     def test_failed_pass_is_not_memoised(self, memo_panel, monkeypatch):
         panel = fresh_copy(memo_panel)
@@ -828,6 +900,24 @@ class TestForecastMemo:
                 run_backtest(panel, BacktestConfig())
             assert panel not in _FORECASTS
         assert len(calls) == 2 * 40
+
+    def test_failed_ranker_pass_is_not_memoised(self, memo_panel, fresh_reports, monkeypatch):
+        panel = fresh_copy(memo_panel)
+        run_backtest(panel, BacktestConfig())
+        forecasts = _FORECASTS[panel].forecasts
+        update = RankerState.update
+
+        def failing(self, performance):
+            if self.t:
+                raise ValueError("planted")
+            return update(self, performance)
+
+        monkeypatch.setattr(RankerState, "update", failing)
+        with pytest.raises(ValueError, match="planted"):
+            run_backtest(panel, MEMO_CONFIGS[2])
+        assert _FORECASTS[panel].posteriors == {} and _FORECASTS[panel].forecasts is forecasts
+        monkeypatch.setattr(RankerState, "update", update)
+        assert_same_text(report_text(run_backtest(panel, MEMO_CONFIGS[2])), fresh_reports[2])
 
     def test_entry_goes_with_its_panel(self, memo_panel, monkeypatch):
         # an empty map of the memo's own type, so no other test's panel is in it
@@ -849,8 +939,10 @@ class TestMemoryGuard:
     On the paper's panel (d = 250, 2 500 dates) one such matrix is 5 MB,
     and the CLI's peak, set by reading the CSV, sits about 19 MB above the
     memory in use once the panel is loaded: three matrices stay inside
-    that headroom. Measured peaks: 2.0 matrices for curds-whey and 2.1 for
-    nbar long/short at this size, 1.5 at the paper's size.
+    that headroom. The count includes the signals the run leaves in
+    ``_FORECASTS``: the forecasts, and for nbar the ranker's posterior.
+    Measured peaks: 2.3 matrices for curds-whey and 2.7 for nbar
+    long/short at this size, 1.5 and 2.1 at the paper's size.
     """
 
     MATRICES = 3

@@ -1,11 +1,15 @@
-"""Pairwise-win ranker: hand-traced values, invariants, and ranking order."""
+"""Pairwise-win ranker: hand-traced values, invariants, block updates, and ranking order."""
+
+import logging
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import seqrank.ranker as ranker_module
 from seqrank import RankerState
+from seqrank.ranker import rank_order
 
 perf_vectors = st.lists(
     st.floats(min_value=-10, max_value=10, allow_nan=False), min_size=4, max_size=4
@@ -13,7 +17,29 @@ perf_vectors = st.lists(
 
 
 def traced_state():
-    return RankerState(3, 0.5).update([0.3, 0.1, 0.2])
+    state = RankerState(3, 0.5)
+    state.update([0.3, 0.1, 0.2])
+    return state
+
+
+def searchsorted_update(m, p, r, tau):
+    """One day of the recursion as written before block updates: ``(m, p)`` after ``r``.
+
+    Win counts come from a binary search of the sorted row; a block update
+    must reproduce every row of this, bit for bit.
+    """
+    d = len(r)
+    order = np.argsort(r)
+    ranked = r[order]
+    wins = np.empty(d, dtype=np.intp)
+    wins[order] = np.searchsorted(ranked, ranked, side="right")
+    m = m * tau
+    m += (1.0 - tau) * (wins / d)
+    total = float(m.sum())
+    q = m / total if total > 0.0 else np.full(d, 1.0 / d)
+    p = tau * p + (1.0 - tau) * q
+    p /= float(p.sum())
+    return m, p
 
 
 def matrix_reference(series, tau):
@@ -122,7 +148,9 @@ class TestUpdate:
         }[kind]
         tau = 0.9
         c = (r[:, None] <= r).sum(axis=0)
-        assert RankerState(d, tau).update(r).m.tobytes() == ((1.0 - tau) * (c / d)).tobytes()
+        state = RankerState(d, tau)
+        state.update(r)
+        assert state.m.tobytes() == ((1.0 - tau) * (c / d)).tobytes()
 
     def test_rejects_bad_input(self):
         state = RankerState(3, 0.9)
@@ -131,8 +159,11 @@ class TestUpdate:
         with pytest.raises(ValueError):
             state.update([1.0, np.nan, 2.0])
 
-    @pytest.mark.parametrize("vec", [[1.0, 2.0], [1.0, 2.0, 3.0, 4.0], [[1.0, 2.0, 3.0]], 5.0, []],
-                             ids=["short", "long", "row", "scalar", "empty"])
+    @pytest.mark.parametrize(
+        "vec",
+        [[1.0, 2.0], [1.0, 2.0, 3.0, 4.0], [[1.0, 2.0]] * 5, np.zeros((0, 3)), np.zeros((2, 1, 3)), 5.0, []],
+        ids=["short", "long", "narrow-block", "no-rows", "3-d", "scalar", "empty"],
+    )
     def test_rejects_wrong_shape(self, vec):
         with pytest.raises(ValueError, match="shape"):
             RankerState(3, 0.9).update(vec)
@@ -146,14 +177,78 @@ class TestUpdate:
         state = RankerState(3, 0.9)
         rng = np.random.default_rng(6)
         for _ in range(5):
-            assert state.update(rng.normal(size=3)) is state
+            assert state.update(rng.normal(size=3)).tobytes() == state.p.tobytes()
         m, p = state.m.copy(), state.p.copy()
-        for vec in ([1.0, 2.0], [1.0, np.inf, 2.0]):
+        late_nan = rng.normal(size=(64, 3))
+        late_nan[-1, 2] = np.nan
+        bad_inputs = ([1.0, 2.0], [1.0, np.inf, 2.0], np.zeros((0, 3)), np.zeros((4, 2)),
+                      np.zeros((1, 4, 3)), late_nan)
+        for vec in bad_inputs:
             with pytest.raises(ValueError):
                 state.update(vec)
         assert state.t == 5
         assert m.tobytes() == state.m.tobytes()
         assert p.tobytes() == state.p.tobytes()
+
+    def test_returns_new_arrays_shaped_like_the_input(self):
+        state = RankerState(4, 0.9)
+        rng = np.random.default_rng(8)
+        day = state.update(rng.normal(size=4))
+        block = state.update(rng.normal(size=(5, 4)).tolist())
+        assert day.shape == (4,) and block.shape == (5, 4) and state.t == 6
+        assert block[-1].tobytes() == state.p.tobytes()
+        assert not np.shares_memory(block, state.p) and not np.shares_memory(day, state.p)
+        block[...] = 0.0
+        assert state.p.sum() == pytest.approx(1.0)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        d=st.integers(2, 260),
+        tau=st.one_of(st.sampled_from([1.0, 0.5, 0.999]), st.floats(0.0, 1.0, exclude_min=True)),
+        sizes=st.lists(st.integers(1, 130), min_size=1, max_size=3),
+        kind=st.sampled_from(["normal", "tie-heavy", "signed-zeros", "mixed"]),
+    )
+    def test_block_update_equals_row_updates(self, seed, d, tau, sizes, kind):
+        rng = np.random.default_rng(seed)
+        series = rng.normal(size=(sum(sizes), d))
+        if kind == "tie-heavy":
+            series = rng.integers(-2, 3, size=series.shape).astype(float)
+        elif kind == "signed-zeros":
+            series = rng.choice([-0.0, 0.0, 1.0], size=series.shape)
+        elif kind == "mixed":
+            series = np.where(rng.random(series.shape) < 0.5, rng.choice([-0.0, 0.0], size=series.shape), series)
+        blocked, daily = RankerState(d, tau), RankerState(d, tau)
+        m, p = np.zeros(d), np.full(d, 1.0 / d)
+        start = 0
+        for size in sizes:
+            posterior = blocked.update(series[start : start + size])
+            assert posterior.shape == (size, d)
+            for row, r in zip(posterior, series[start : start + size]):
+                assert row.tobytes() == daily.update(r).tobytes()
+                m, p = searchsorted_update(m, p, r, tau)
+                assert row.tobytes() == p.tobytes()
+            start += size
+            assert blocked.m.tobytes() == daily.m.tobytes() == m.tobytes()
+            assert blocked.p.tobytes() == daily.p.tobytes()
+            assert blocked.t == daily.t == start
+
+    def test_drift_logs_one_line_per_update(self, caplog, monkeypatch):
+        state = RankerState(3, 0.9)
+        rows = np.random.default_rng(9).normal(size=(64, 3))
+        with caplog.at_level(logging.WARNING, logger="seqrank.ranker"):
+            state.update(rows)
+            assert caplog.records == []
+            # a prior that does not sum to 1 drifts on the first step only
+            state.p = np.array([0.5, 0.5, 0.5])
+            state.update(rows)
+            monkeypatch.setattr(ranker_module, "_RENORM_LOG_TOLERANCE", -1.0)
+            state.update(rows[:10])
+        assert len(caplog.records) == 2
+        first, every = (record.getMessage() for record in caplog.records)
+        assert first.startswith("posterior sum drifted on 1 of 64 steps from step 65; largest +")
+        assert first.endswith("at step 65")
+        assert every.startswith("posterior sum drifted on 10 of 10 steps from step 129; largest ")
 
     @given(vectors=st.lists(perf_vectors, min_size=1, max_size=30))
     def test_conservation_and_bounds(self, vectors):
@@ -168,8 +263,9 @@ class TestUpdate:
     @given(vec=perf_vectors, scale=st.floats(min_value=0.1, max_value=50),
            shift=st.floats(min_value=-100, max_value=100))
     def test_positive_affine_invariance(self, vec, scale, shift):
-        a = RankerState(4, 0.9).update(vec)
-        b = RankerState(4, 0.9).update([scale * v + shift for v in vec])
+        a, b = RankerState(4, 0.9), RankerState(4, 0.9)
+        a.update(vec)
+        b.update([scale * v + shift for v in vec])
         # the win indicator sees identical orderings unless the affine map
         # rounds two nearby values together; tolerate that as approximate
         if np.array_equal(
@@ -244,3 +340,12 @@ class TestRank:
         state = RankerState(3, 0.9)
         state.p = np.array([0.1, 0.8, 0.1])
         assert np.array_equal(state.rank().order, [1, 0, 2])
+
+    def test_block_order_is_each_row_ranked(self):
+        state = RankerState(6, 0.9)
+        series = np.random.default_rng(10).integers(0, 3, size=(40, 6)).astype(float)
+        orders = rank_order(state.update(series))
+        replay = RankerState(6, 0.9)
+        for row, order in zip(series, orders):
+            replay.update(row)
+            assert np.array_equal(order, replay.rank().order)
