@@ -116,7 +116,6 @@ class LeveneResult:
             "dof_within": self.dof_within,
             "critical_value": self.critical_value,
             "reject": self.reject,
-            "alpha": self.alpha,
         }
 
 
@@ -359,8 +358,7 @@ class StationarityReport:
     def to_json_dict(self) -> dict:
         # the keys that a pair's test rows share across assets
         pair_keys = [
-            {"shift": shift, "month": self.months[i], "prior_month": self.months[k],
-             "alpha": self.alpha, "sidedness": self.sidedness}
+            {"shift": shift, "month": self.months[i], "prior_month": self.months[k]}
             for i, k, shift in self.pairs.tolist()
         ]
         counts = self.counts.tolist()
@@ -457,7 +455,7 @@ def monthly_stationarity_report(
     levene_flags: list[bool] = []
     per_asset: list[AssetDiagnostics] = []
     for j, asset in enumerate(panel.assets):
-        prices = panel.mids[:, j]
+        prices = 0.5 * (panel.bids[:, j] + panel.asks[:, j])
         rets = np.ascontiguousarray(panel.returns[:, j])
 
         adf_price = adf_return = None

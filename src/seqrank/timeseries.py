@@ -1,11 +1,11 @@
 """Bid/ask quote panels, return construction, CSV I/O and synthetic data.
 
 A :class:`QuotePanel` is the core container: date-aligned bid/ask matrices
-for two or more assets, with mid prices, simple returns and half-spread
-rates materialised once at construction, stored row by row (C order) and
-frozen afterwards. Panels are immutable, so they can be shared freely
-across threads, and a panel made from another live panel's own ``bids``
-and ``asks`` (to re-label it, say) shares all five of its matrices.
+for two or more assets, with simple returns and half-spread rates derived
+once at construction (the mid price only as a temporary), stored row by row
+(C order) and frozen afterwards. Panels are immutable, so they can be shared
+freely across threads, and a panel made from another live panel's own
+``bids`` and ``asks`` (to re-label it, say) shares all four of its matrices.
 
 Synthetic panels come from :func:`simulate_jump_diffusion`, a seeded
 generator that combines Gaussian diffusion (optionally cross-correlated
@@ -54,13 +54,13 @@ class QuotePanel:
     """Date-aligned bid/ask matrices for ``d >= 2`` assets.
 
     ``bids`` and ``asks`` are ``(n, d)`` arrays over strictly increasing
-    dates. ``mids``, ``returns`` (shape ``(n - 1, d)``, where row ``t`` is
-    the return from date ``t`` to date ``t + 1``) and ``half_spread_rates``
-    are derived in ``__post_init__`` and all five arrays are then frozen
-    and C-contiguous, whatever the memory order of the quotes given. The
-    quotes given are copied, unless they are another live panel's own
-    ``bids`` and ``asks``: then the new panel shares that panel's five
-    arrays.
+    dates. ``returns`` (shape ``(n - 1, d)``, where row ``t`` is the
+    return of the mid ``0.5 * (bid + ask)`` from date ``t`` to date
+    ``t + 1``) and ``half_spread_rates`` are derived in ``__post_init__``
+    and all four arrays are then frozen and C-contiguous, whatever the
+    memory order of the quotes given. The quotes given are copied, unless
+    they are another live panel's own ``bids`` and ``asks``: then the new
+    panel shares that panel's four arrays.
     """
 
     dates: tuple[dt.date, ...]
@@ -68,7 +68,6 @@ class QuotePanel:
     bids: np.ndarray
     asks: np.ndarray
     sectors: tuple[str, ...] | None = None
-    mids: np.ndarray = field(init=False)
     returns: np.ndarray = field(init=False)
     half_spread_rates: np.ndarray = field(init=False)
 
@@ -111,13 +110,12 @@ class QuotePanel:
             rates = np.subtract(asks, bids)
             rates *= 0.5
             rates /= mids
-            for arr in (bids, asks, mids, returns, rates):
+            for arr in (bids, asks, returns, rates):
                 arr.setflags(write=False)
         else:
-            mids, returns, rates = source.mids, source.returns, source.half_spread_rates
+            returns, rates = source.returns, source.half_spread_rates
         object.__setattr__(self, "bids", bids)
         object.__setattr__(self, "asks", asks)
-        object.__setattr__(self, "mids", mids)
         object.__setattr__(self, "returns", returns)
         object.__setattr__(self, "half_spread_rates", rates)
         object.__setattr__(self, "dates", dates)
@@ -277,6 +275,10 @@ class JumpDiffusionConfig:
                     f"per-asset drift needs {self.n_assets} entries, got {len(drift)}"
                 )
             object.__setattr__(self, "drift", drift)
+        for name in ("drift", "volatility", "jump_intensity", "jump_mean", "jump_stdev",
+                     "cross_correlation", "spread", "start_price"):
+            if not np.isfinite(getattr(self, name)).all():
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if self.volatility < 0.0:
             raise ValueError("volatility must be >= 0")
         if self.jump_intensity < 0.0:
@@ -364,7 +366,7 @@ def simulate_jump_diffusion(config: JumpDiffusionConfig) -> QuotePanel:
 def write_csv(panel: QuotePanel, path: str | Path) -> None:
     """Write a panel as long-form CSV (one row per date and asset).
 
-    Columns are ``date,asset,bid,ask,mid`` plus ``sector`` when the panel
+    Columns are ``date,asset,bid,ask`` plus ``sector`` when the panel
     carries sector labels; prices use shortest round-trip float text, so a
     write/load cycle reproduces the panel exactly. LF line endings, UTF-8.
     The text goes to a temporary file beside ``path``, renamed onto it only
@@ -393,7 +395,7 @@ def render_csv(panel: QuotePanel) -> list[str]:
             f"labels must not contain ',', '\"', CR or LF, nor start or end with "
             f"whitespace: {unsafe}"
         )
-    header = list(CSV_COLUMNS) + ["mid"] + (["sector"] if panel.sectors is not None else [])
+    header = list(CSV_COLUMNS) + (["sector"] if panel.sectors is not None else [])
     d = panel.n_assets
     step = max(1, _BLOCK_ROWS // d)
 
@@ -405,7 +407,6 @@ def render_csv(panel: QuotePanel) -> list[str]:
             chain.from_iterable(repeat(panel.assets, len(dates))),
             map(repr, panel.bids[rows].ravel().tolist()),
             map(repr, panel.asks[rows].ravel().tolist()),
-            map(repr, panel.mids[rows].ravel().tolist()),
         ]
         if panel.sectors is not None:
             columns.append(chain.from_iterable(repeat(panel.sectors, len(dates))))

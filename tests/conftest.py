@@ -85,6 +85,7 @@ def drift_switch_panel(d: int, n_steps: int, mu: float, vol: float, seed: int):
         )
     )
     extra_dates = weekday_range(first.dates[-1] + dt.timedelta(days=1), second.n_dates - 1)
-    scale = first.mids[-1] / second.mids[0]
-    mids = np.vstack([first.mids, second.mids[1:] * scale])
+    # at zero spread the bids are the mids
+    scale = first.bids[-1] / second.bids[0]
+    mids = np.vstack([first.bids, second.bids[1:] * scale])
     return QuotePanel(dates=first.dates + extra_dates, assets=first.assets, bids=mids, asks=mids)

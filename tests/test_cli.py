@@ -68,6 +68,11 @@ class TestSynth:
         assert "error:" in capsys.readouterr().err
         assert not (tmp_path / "panel.csv").exists()
 
+    def test_non_finite_volatility_named(self, tmp_path, capsys):
+        assert run_cli("synth", "--vol", "nan", "--out-dir", tmp_path) == 1
+        assert capsys.readouterr().err == "error: volatility must be finite, got nan\n"
+        assert list(tmp_path.iterdir()) == []
+
     def test_constant_return_flags(self, tmp_path):
         path = synth(tmp_path, **{"--vol": 0.0, "--jumps": 0.0, "--drift": 0.001})
         panel = load_csv(path)

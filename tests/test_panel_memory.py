@@ -2,7 +2,7 @@
 
 Budgets count matrices of ``n_dates * n_assets * 8`` bytes, as read by
 ``tracemalloc``, which numpy reports its array buffers to. A panel itself
-holds five: bids, asks, mids, returns and half-spread rates.
+holds four: bids, asks, returns and half-spread rates.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ CONFIG = JumpDiffusionConfig(
 )
 MATRIX = (CONFIG.n_steps + 1) * CONFIG.n_assets * 8
 SECTORS = tuple(("tech", "energy", "finance")[i % 3] for i in range(CONFIG.n_assets))
-FIELDS = ("bids", "asks", "mids", "returns", "half_spread_rates")
+FIELDS = ("bids", "asks", "returns", "half_spread_rates")
 CALLER_DATES = timeseries.weekday_range(CONFIG.start_date, 6)
 
 
@@ -57,10 +57,10 @@ def relabel(panel, **overrides):
 def test_generator_peaks_at_six_matrices():
     panel, peak, net = traced(lambda: simulate_jump_diffusion(CONFIG))
     assert peak <= 6.0, peak
-    assert 4.9 < net < 5.5, net  # the panel's own five
+    assert 3.9 < net < 4.5, net  # the panel's own four
 
 
-def test_relabelling_adds_no_matrix_and_shares_all_five():
+def test_relabelling_adds_no_matrix_and_shares_all_four():
     panel = simulate_jump_diffusion(CONFIG)
     labelled, peak, net = traced(lambda: relabel(panel))
     assert peak < 0.25 and net < 0.05  # the checks' boolean masks, one eighth each
@@ -152,7 +152,6 @@ def test_quotes_from_two_panels_are_copied_and_derived_again():
         assert not np.shares_memory(getattr(mixed, name), getattr(second, name)), name
     assert np.array_equal(mixed.bids, first.bids) and np.array_equal(mixed.asks, second.asks)
     mids = 0.5 * (first.bids + second.asks)
-    assert np.array_equal(mixed.mids, mids)
     assert np.array_equal(mixed.returns, mids[1:] / mids[:-1] - 1.0)
     assert np.array_equal(mixed.half_spread_rates, 0.5 * (second.asks - first.bids) / mids)
 

@@ -243,6 +243,23 @@ class TestMonthlyReport:
         text = json.dumps(report.to_json_dict(), sort_keys=True)
         assert '"rejection_by_shift"' in text
 
+    def test_report_settings_written_once(self, panel):
+        payload = monthly_stationarity_report(panel, max_shift=2, sidedness="one-sided").to_json_dict()
+        assert (payload["alpha"], payload["sidedness"]) == (0.05, "one-sided")
+        rows = [row for asset in payload["assets"] for row in asset["t_tests"]]
+        assert rows and all(
+            set(row) == {"shift", "month", "prior_month", "t_stat", "dof", "critical_value", "reject"}
+            for row in rows
+        )
+        levene = [asset["levene"] for asset in payload["assets"]]
+        assert all(block is not None and "alpha" not in block for block in levene)
+
+    def test_price_unit_root_test_reads_the_mid(self, panel):
+        report = monthly_stationarity_report(panel, max_shift=2)
+        for j, diag in enumerate(report.assets):
+            expected = adf_test(0.5 * (panel.bids[:, j] + panel.asks[:, j]))
+            assert diag.adf_price == expected
+
     def test_table_renders(self, panel):
         report = monthly_stationarity_report(panel, max_shift=2)
         table = render_report_table(report)
@@ -274,10 +291,11 @@ def stand_in_panel(months: list[list[float]]) -> SimpleNamespace:
     """Two-asset panel-like object whose returns are ``months`` (asset A) and
     each month reversed (asset B), on dates from January 2019.
 
-    The report reads only ``dates``, ``assets``, ``mids`` and ``returns``, so
-    the returns can hold values no price path yields, such as a subnormal
-    variance. A 20-return month in 2017, too far back to pair with any
-    other, keeps the unit-root tests well posed.
+    The report reads only ``dates``, ``assets``, ``bids``, ``asks`` and
+    ``returns``, so the returns can hold values no price path yields, such
+    as a subnormal variance. Bids and asks are one price path, which is
+    then also the mid. A 20-return month in 2017, too far back to pair
+    with any other, keeps the unit-root tests well posed.
     """
     burn_in = np.linspace(-0.01, 0.02, 20)
     dates = [dt.date(2016, 12, 31)] + [dt.date(2017, 1, 1 + i) for i in range(20)]
@@ -288,12 +306,9 @@ def stand_in_panel(months: list[list[float]]) -> SimpleNamespace:
         columns[1] += values[::-1]
     returns = np.array(columns).T
     steps = np.arange(len(dates), dtype=float)
-    return SimpleNamespace(
-        dates=tuple(dates),
-        assets=("A", "B"),
-        mids=100.0 + np.column_stack([np.cos(steps), np.sin(steps)]),
-        returns=returns,
-    )
+    prices = 100.0 + np.column_stack([np.cos(steps), np.sin(steps)])
+    return SimpleNamespace(dates=tuple(dates), assets=("A", "B"), bids=prices, asks=prices,
+                           returns=returns)
 
 
 def oracle_pairs(panel, max_shift, alpha, sidedness, min_month_obs):
@@ -393,7 +408,6 @@ class TestBatchedReportOracle:
                     "shift": shift, "month": month, "prior_month": prior,
                     "t_stat": result.t_stat, "dof": result.dof,
                     "critical_value": result.critical_value, "reject": result.reject,
-                    "alpha": alpha, "sidedness": sidedness,
                 }
                 assert all(same_bits(row[key], getattr(result, key))
                            for key in ("t_stat", "dof", "critical_value"))

@@ -18,6 +18,8 @@ from seqrank import (
     write_csv,
 )
 
+from seqrank.timeseries import render_csv
+
 from conftest import panel_from_mids
 from timeseries_oracle import oracle_quotes
 
@@ -102,13 +104,14 @@ class TestBuildPanel:
     def test_derived_matrices_exact(self):
         mids = np.array([[10.0, 20.0], [11.0, 19.0], [12.1, 20.9]])
         panel = panel_from_mids(mids, spread=0.002)
-        assert np.array_equal(panel.mids, 0.5 * (panel.bids + panel.asks))
-        assert np.array_equal(panel.returns, panel.mids[1:] / panel.mids[:-1] - 1.0)
+        mids = 0.5 * (panel.bids + panel.asks)
+        assert np.array_equal(panel.returns, mids[1:] / mids[:-1] - 1.0)
+        assert np.array_equal(panel.half_spread_rates, 0.5 * (panel.asks - panel.bids) / mids)
 
     def test_panel_is_frozen(self):
         panel = panel_from_mids(np.full((3, 2), 50.0))
         with pytest.raises(ValueError):
-            panel.mids[0, 0] = 1.0
+            panel.returns[0, 0] = 1.0
 
     def test_arrays_stored_in_c_order(self):
         bids = np.asfortranarray(100.0 + np.arange(12.0).reshape(4, 3))
@@ -117,8 +120,9 @@ class TestBuildPanel:
         panel = QuotePanel(
             dates=weekday_range(dt.date(2021, 1, 4), 4), assets=("a", "b", "c"), bids=bids, asks=asks
         )
-        arrays = (panel.bids, panel.asks, panel.mids, panel.returns, panel.half_spread_rates)
-        assert all(arr.flags.c_contiguous for arr in arrays)
+        arrays = {name: value for name, value in vars(panel).items() if isinstance(value, np.ndarray)}
+        assert list(arrays) == ["bids", "asks", "returns", "half_spread_rates"]
+        assert all(arr.flags.c_contiguous and not arr.flags.writeable for arr in arrays.values())
         assert np.array_equal(panel.bids, bids) and np.array_equal(panel.asks, asks)
 
     def test_weekday_range_skips_weekends(self):
@@ -198,7 +202,7 @@ class TestJumpDiffusion:
     def test_log_return_mean_matches_drift(self):
         cfg = JumpDiffusionConfig(drift=0.0005, volatility=0.01, n_steps=100_000, n_assets=2, seed=12)
         panel = simulate_jump_diffusion(cfg)
-        log_rets = np.diff(np.log(panel.mids[:, 0]))
+        log_rets = np.log1p(panel.returns[:, 0])
         target = 0.0005 - 0.5 * 0.01**2
         stderr = 0.01 / math.sqrt(len(log_rets))
         assert abs(log_rets.mean() - target) < 3 * stderr
@@ -207,7 +211,7 @@ class TestJumpDiffusion:
         cfg = JumpDiffusionConfig(volatility=0.01, n_steps=20_000, n_assets=3,
                                   cross_correlation=0.7, seed=3)
         panel = simulate_jump_diffusion(cfg)
-        log_rets = np.diff(np.log(panel.mids), axis=0)
+        log_rets = np.log1p(panel.returns)
         corr = np.corrcoef(log_rets.T)
         off_diag = corr[np.triu_indices(3, k=1)]
         assert np.all(np.abs(off_diag - 0.7) < 0.05)
@@ -233,6 +237,21 @@ class TestJumpDiffusion:
     def test_config_domain(self, kwargs):
         with pytest.raises(ValueError):
             JumpDiffusionConfig(**kwargs)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize(
+        "name",
+        ["drift", "volatility", "jump_intensity", "jump_mean", "jump_stdev",
+         "cross_correlation", "spread", "start_price"],
+    )
+    def test_non_finite_parameter_named(self, name, value):
+        with pytest.raises(ValueError, match=f"^{name} must be finite"):
+            JumpDiffusionConfig(**{name: value})
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_per_asset_drift_named(self, value):
+        with pytest.raises(ValueError, match="^drift must be finite"):
+            JumpDiffusionConfig(drift=(0.001, value, 0.0), n_assets=3)
 
     def test_negative_correlation_psd_guard(self):
         cfg = JumpDiffusionConfig(n_assets=5, n_steps=10, cross_correlation=-0.5, seed=0)
@@ -267,7 +286,7 @@ class TestCsv:
         )
         panel = load_csv(path)
         assert panel.assets == ("x", "y")
-        assert panel.mids[0, 0] == 10.0
+        assert 0.5 * (panel.bids[0, 0] + panel.asks[0, 0]) == 10.0
 
     def test_crossed_quote_names_row(self, tmp_path):
         path = tmp_path / "p.csv"
@@ -332,6 +351,32 @@ class TestCsv:
             write_csv(labelled, tmp_path / "p.csv")
         assert repr(label) in str(exc.value)
         assert not (tmp_path / "p.csv").exists()
+
+    @pytest.mark.parametrize("sectors", [None, ("tech", "energy")])
+    def test_header_has_no_mid(self, sectors):
+        panel = simulate_jump_diffusion(JumpDiffusionConfig(n_steps=5, n_assets=2, seed=1))
+        labelled = QuotePanel(dates=panel.dates, assets=panel.assets, bids=panel.bids,
+                              asks=panel.asks, sectors=sectors)
+        header = render_csv(labelled)[0]
+        assert header == "date,asset,bid,ask" + (",sector" if sectors else "") + "\n"
+
+    def test_file_with_a_mid_column_still_loads(self, tmp_path):
+        rows = [
+            ("2021-01-04", "x", "9.9", "10.1", "10.0", "tech"),
+            ("2021-01-04", "y", "19.9", "20.1", "20.0", "energy"),
+            ("2021-01-05", "x", "10.9", "11.1", "11.0", "tech"),
+            ("2021-01-05", "y", "20.9", "21.1", "21.0", "energy"),
+            ("2021-01-06", "x", "11.9", "12.1", "12.0", "tech"),
+            ("2021-01-06", "y", "21.9", "22.1", "22.0", "energy"),
+        ]
+        old, new = tmp_path / "old.csv", tmp_path / "new.csv"
+        old.write_text("date,asset,bid,ask,mid,sector\n" + "".join(",".join(r) + "\n" for r in rows))
+        new.write_text("date,asset,bid,ask,sector\n"
+                       + "".join(",".join(r[:4] + r[5:]) + "\n" for r in rows))
+        a, b = load_csv(old), load_csv(new)
+        assert (a.dates, a.assets, a.sectors) == (b.dates, b.assets, b.sectors)
+        for name in ("bids", "asks", "returns", "half_spread_rates"):
+            assert np.array_equal(getattr(a, name), getattr(b, name)), name
 
     def test_sector_column_round_trip(self, tmp_path):
         panel = simulate_jump_diffusion(JumpDiffusionConfig(n_steps=5, n_assets=2, seed=1))
