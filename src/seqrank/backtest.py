@@ -17,11 +17,11 @@ identical report.
 
 A run makes two passes. The signal pass steps the forecaster over the
 whole panel once, and for nbar folds the ranker over the forecasts or the
-realised returns ``_BLOCK_DAYS`` days per call. ``_FORECASTS`` keeps these
-signals, keyed weakly by panel, with their ``(tau, ridge_lambda)``, so the
+realised returns in one call. ``_signal`` keeps each of these matrices,
+keyed weakly by panel, with their ``(tau, ridge_lambda)``, so the
 strategies, modes, slice sizes and cost models that read the same signal
-share one pass. The accounting pass books the days in blocks of
-whole-array operations. Every portfolio rule is in this module, once:
+share one pass. The accounting pass books the days in ``_BLOCK_DAYS``-day
+blocks of whole-array operations. Every portfolio rule is in this module, once:
 ``select_decile``, ``cw_weights``, ``nbar_weights`` and
 ``transaction_cost`` each take a block of days as ``(days, d)`` arrays,
 one day per row, with weights signed (longs positive, shorts negative).
@@ -36,8 +36,8 @@ from __future__ import annotations
 import datetime as dt
 import math
 import weakref
-from dataclasses import asdict, dataclass, field
-from typing import Iterator, NamedTuple, Sequence
+from dataclasses import asdict, dataclass
+from typing import Callable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -69,28 +69,15 @@ COST_MODELS = ("half-spread", "zero")
 
 TRADING_DAYS_PER_YEAR = 252
 SVG_WIDTH, SVG_HEIGHT = 800, 400
-# days per ranker call and per accounting block: a block's temporaries are
-# a few (64, d) arrays, small beside the (n - 2, d) signals kept in _FORECASTS
+# days per accounting block: a block's temporaries are a few (64, d)
+# arrays, small beside the (n - 2, d) signals kept in _SIGNALS
 _BLOCK_DAYS = 64
 
-
-@dataclass
-class _Signals:
-    """One panel's signals for one ``(tau, ridge_lambda)``, each built on first use.
-
-    ``forecasts`` is the read-only ``(n - 2, d)`` forecast matrix;
-    ``posteriors`` maps an ``nbar_input`` to the ranker's posterior after
-    each booked day, as read-only ``_BLOCK_DAYS``-row blocks.
-    """
-
-    key: tuple[float, float]
-    forecasts: np.ndarray | None = None
-    posteriors: dict[str, tuple[np.ndarray, ...]] = field(default_factory=dict)
-
-
-# panel -> its signals for the latest (tau, ridge_lambda) a run read; an
-# entry goes when its panel is freed
-_FORECASTS: weakref.WeakKeyDictionary[QuotePanel, _Signals] = weakref.WeakKeyDictionary()
+# panel -> ((tau, ridge_lambda), {signal name: read-only (n - 2, d) matrix})
+# for the latest pair a run read; an entry goes when its panel is freed
+_SIGNALS: weakref.WeakKeyDictionary[
+    QuotePanel, tuple[tuple[float, float], dict[str, np.ndarray]]
+] = weakref.WeakKeyDictionary()
 
 
 class BacktestError(RuntimeError):
@@ -404,74 +391,66 @@ class BacktestReport:
         }
 
 
-def _signals(panel: QuotePanel, tau: float, ridge_lambda: float) -> _Signals | None:
-    """The panel's entry in ``_FORECASTS`` if it holds ``(tau, ridge_lambda)``; any other goes."""
-    entry = _FORECASTS.get(panel)
-    if entry is not None and entry.key == (tau, ridge_lambda):
-        return entry
-    # drop the old signals before new ones are built, so one key's are held
-    _FORECASTS.pop(panel, None)
-    return None
+def _signal(
+    panel: QuotePanel, tau: float, ridge_lambda: float, name: str, compute: Callable[[], np.ndarray]
+) -> np.ndarray:
+    """The panel's signal ``name`` under ``(tau, ridge_lambda)``, from ``compute()`` on first use.
 
-
-def _store(panel: QuotePanel, tau: float, ridge_lambda: float) -> _Signals:
-    """The entry to store a finished signal in, made if ``_signals`` found none."""
-    entry = _signals(panel, tau, ridge_lambda)
-    if entry is None:
-        entry = _FORECASTS[panel] = _Signals((tau, ridge_lambda))
-    return entry
+    ``_SIGNALS`` holds one pair's signals per panel: a new pair drops the
+    old pair's before ``compute`` runs, so one pair's are held at a time.
+    The result is stored read-only once ``compute`` returns; a pass that
+    raises stores nothing and runs again on the next call.
+    """
+    key = (tau, ridge_lambda)
+    held = _SIGNALS.get(panel)
+    if held is None or held[0] != key:
+        _SIGNALS.pop(panel, None)
+    elif name in held[1]:
+        return held[1][name]
+    value = compute()
+    value.setflags(write=False)
+    _SIGNALS.setdefault(panel, (key, {}))[1][name] = value
+    return value
 
 
 def _forecast_matrix(panel: QuotePanel, tau: float, ridge_lambda: float) -> np.ndarray:
     """Curds-whey forecasts for every booked day, as one read-only ``(n - 2, d)`` array.
 
     Row ``i`` is ``y_tilde`` after the forecaster has folded in return row
-    ``i``: the scores for ``panel.dates[i + 1]``. The matrix joins the
-    panel's signals in ``_FORECASTS`` under ``(tau, ridge_lambda)``, so runs
-    that share the pair share one pass. A pass that meets a non-finite
-    forecast raises and stores nothing.
+    ``i``: the scores for ``panel.dates[i + 1]``. A pass that meets a
+    non-finite forecast raises.
     """
-    entry = _signals(panel, tau, ridge_lambda)
-    if entry is not None and entry.forecasts is not None:
-        return entry.forecasts
-    rets = panel.returns
-    d = panel.n_assets
-    model = CurdsWheyState(d, ridge_lambda, tau)
-    forecasts = np.empty((rets.shape[0] - 1, d))
-    for i, (row, r_today) in enumerate(zip(forecasts, rets)):
-        row[:] = model.step(r_today).y_tilde
-        if not np.isfinite(row).all():
-            raise BacktestError(f"non-finite forecast at {panel.dates[i + 1].isoformat()}")
-    forecasts.setflags(write=False)
-    _store(panel, tau, ridge_lambda).forecasts = forecasts
-    return forecasts
+
+    def compute() -> np.ndarray:
+        rets = panel.returns
+        d = panel.n_assets
+        model = CurdsWheyState(d, ridge_lambda, tau)
+        forecasts = np.empty((rets.shape[0] - 1, d))
+        for i, (row, r_today) in enumerate(zip(forecasts, rets)):
+            row[:] = model.step(r_today).y_tilde
+            if not np.isfinite(row).all():
+                raise BacktestError(f"non-finite forecast at {panel.dates[i + 1].isoformat()}")
+        return forecasts
+
+    return _signal(panel, tau, ridge_lambda, "forecasts", compute)
 
 
-def _posterior_blocks(panel: QuotePanel, config: BacktestConfig) -> tuple[np.ndarray, ...]:
-    """The ranker's posterior after each booked day, in read-only ``_BLOCK_DAYS``-row blocks.
+def _posterior_matrix(panel: QuotePanel, config: BacktestConfig) -> np.ndarray:
+    """The ranker's posterior after each booked day, as one read-only ``(n - 2, d)`` array.
 
-    The ranker reads ``config.nbar_input``: the forecasts, or the day's
-    realised returns. Block ``b`` holds the days from ``b * _BLOCK_DAYS``,
-    each block one ``RankerState.update`` call. The blocks join the
-    panel's signals in ``_FORECASTS``, so every nbar run on the same input
-    and ``(tau, ridge_lambda)`` reads one ranker pass.
+    The ranker reads ``config.nbar_input``, the forecasts or the day's
+    realised returns, in one ``RankerState.update`` call.
     """
     tau, ridge_lambda = config.tau, config.ridge_lambda
-    entry = _signals(panel, tau, ridge_lambda)
-    if entry is not None and config.nbar_input in entry.posteriors:
-        return entry.posteriors[config.nbar_input]
-    n_days = panel.returns.shape[0] - 1
-    if config.nbar_input == "realised":
-        performance = panel.returns[:n_days]
-    else:
-        performance = _forecast_matrix(panel, tau, ridge_lambda)
-    ranker = RankerState(panel.n_assets, tau)
-    blocks = tuple(ranker.update(performance[start : start + _BLOCK_DAYS])
-                   for start in range(0, n_days, _BLOCK_DAYS))
-    for block in blocks:
-        block.setflags(write=False)
-    _store(panel, tau, ridge_lambda).posteriors[config.nbar_input] = blocks
-    return blocks
+
+    def compute() -> np.ndarray:
+        if config.nbar_input == "realised":
+            performance = panel.returns[:-1]
+        else:
+            performance = _forecast_matrix(panel, tau, ridge_lambda)
+        return RankerState(panel.n_assets, tau).update(performance)
+
+    return _signal(panel, tau, ridge_lambda, f"posterior of {config.nbar_input}", compute)
 
 
 class _Block(NamedTuple):
@@ -488,10 +467,10 @@ class _Block(NamedTuple):
 def _target_blocks(panel: QuotePanel, config: BacktestConfig) -> Iterator[_Block]:
     """The day's scores, legs and target weights, ``_BLOCK_DAYS`` days at a time.
 
-    The posterior rows come from the panel's signals; ``select_decile`` and
-    ``cw_weights`` or ``nbar_weights`` take the block's rows at once. Each
-    block holds only a few ``(block, d)`` arrays besides the panel's
-    signals.
+    The block's forecast and posterior rows are slices of the panel's
+    signals; ``select_decile`` and ``cw_weights`` or ``nbar_weights`` take
+    them at once. Each block holds only a few ``(block, d)`` arrays besides
+    the panel's signals.
     """
     d = panel.n_assets
     n_days = panel.returns.shape[0] - 1
@@ -501,14 +480,12 @@ def _target_blocks(panel: QuotePanel, config: BacktestConfig) -> Iterator[_Block
     if not (nbar and config.nbar_input == "realised" and by_p):
         forecasts = _forecast_matrix(panel, config.tau, config.ridge_lambda)
     if nbar:
-        posteriors = _posterior_blocks(panel, config)
+        posteriors = _posterior_matrix(panel, config)
 
-    for index, start in enumerate(range(0, n_days, _BLOCK_DAYS)):
-        posterior = None if posteriors is None else posteriors[index]
-        if posterior is not None and by_p:
-            scores = posterior
-        else:
-            scores = forecasts[start : start + _BLOCK_DAYS]
+    for start in range(0, n_days, _BLOCK_DAYS):
+        days = slice(start, start + _BLOCK_DAYS)
+        posterior = None if posteriors is None else posteriors[days]
+        scores = posterior if posterior is not None and by_p else forecasts[days]
         longs, shorts = select_decile(scores, config.decile_fraction, config.mode)
         if posterior is None:
             weights = cw_weights(d, longs, shorts)
@@ -529,8 +506,8 @@ def run_backtest(panel: QuotePanel, config: BacktestConfig) -> BacktestReport:
     with members chosen by posterior.
 
     The forecasts and each input's ranker posterior are computed once per
-    panel and ``(tau, ridge_lambda)`` and kept in ``_FORECASTS`` (see
-    ``_forecast_matrix`` and ``_posterior_blocks``); the accounting runs on
+    panel and ``(tau, ridge_lambda)`` and kept by ``_signal`` (see
+    ``_forecast_matrix`` and ``_posterior_matrix``); the accounting runs on
     every call. It books blocks of days:
     ``select_decile``, ``cw_weights`` or ``nbar_weights`` set each block's
     targets and ``transaction_cost`` its costs and turnover.

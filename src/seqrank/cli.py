@@ -31,7 +31,6 @@ import numpy as np
 from . import __version__
 from ._atomic import write_files
 from .backtest import (
-    _BLOCK_DAYS,
     COST_MODELS,
     MODES,
     NBAR_INPUTS,
@@ -311,24 +310,21 @@ def _cmd_rank(args: argparse.Namespace) -> int:
 def _rank_lines(panel: QuotePanel, tau: float) -> Iterator[str]:
     """One JSON line per day, ranked as the day's returns arrive.
 
-    The ranker folds in ``_BLOCK_DAYS`` days per call, and each day's row
-    of the posterior is ordered as ``RankerState.rank`` orders it.
+    The ranker folds in every day in one call, and each day's row of the
+    posterior is ordered as ``RankerState.rank`` orders it.
     """
-    ranker = RankerState(panel.n_assets, tau)
-    rets = panel.returns
-    for start in range(0, len(rets), _BLOCK_DAYS):
-        posterior = ranker.update(rets[start : start + _BLOCK_DAYS])
-        days = zip(panel.dates[start + 1 :], rank_order(posterior).tolist(), posterior.tolist())
-        for date, order, p in days:
-            yield json.dumps(
-                {
-                    "date": date.isoformat(),
-                    "order": [panel.assets[j] for j in order],
-                    "order_index": order,
-                    "posterior": p,
-                },
-                sort_keys=True,
-            ) + "\n"
+    posterior = RankerState(panel.n_assets, tau).update(panel.returns)
+    for date, order, p in zip(panel.dates[1:], rank_order(posterior), posterior):
+        order = order.tolist()
+        yield json.dumps(
+            {
+                "date": date.isoformat(),
+                "order": [panel.assets[j] for j in order],
+                "order_index": order,
+                "posterior": p.tolist(),
+            },
+            sort_keys=True,
+        ) + "\n"
 
 
 def _fmt(value: float | None) -> str:

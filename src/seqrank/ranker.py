@@ -11,10 +11,11 @@ exponential smoothing of ``q`` with the same decay. Because the win
 indicator depends only on the ordering of the performance vector, the
 whole state is invariant to positive affine rescalings of the input.
 
-``update`` folds in one day or a block of days in one call: one argsort
-per block gives every row's win counts, and the ``m`` and ``p``
-recursions then run row by row on preallocated rows, so a block gives
-the bits of the same days folded in one at a time.
+``update`` folds in one day or a whole series in one call. One argsort per
+``_BLOCK_ROWS`` rows gives those rows' win counts, and the ``m`` and ``p``
+recursions then run row by row, the posterior rows straight into the
+returned matrix, so a series gives the bits of its days folded in one at
+a time.
 
 Updates are strictly sequential; a state may be handed between threads
 but never shared mutably.
@@ -33,6 +34,9 @@ __all__ = ["RankerState", "RankOutput", "rank_order"]
 logger = logging.getLogger(__name__)
 
 _RENORM_LOG_TOLERANCE = 1e-12
+# rows per argsort in ``update``: the win counts and likelihoods of one
+# slice are a few (64, d) arrays beside the (days, d) posterior it returns
+_BLOCK_ROWS = 64
 
 
 @dataclass(frozen=True)
@@ -71,7 +75,7 @@ class RankerState:
         return _likelihood(self.m[None, :])[0]
 
     def update(self, performance: Sequence[float] | np.ndarray) -> np.ndarray:
-        """Fold one performance vector ``(d,)``, or a block of them ``(days, d)``, into the state.
+        """Fold one performance vector ``(d,)``, or a series of them ``(days, d)``, into the state.
 
         Each row in turn decays ``m`` toward ``c / d``, where
         ``c_j = #{i : r_i <= r_j}``, and moves the posterior a step
@@ -83,41 +87,54 @@ class RankerState:
         per call.
         """
         r = np.asarray(performance, dtype=float)
-        block = r[None, :] if r.ndim == 1 else r
-        if block.ndim != 2 or block.shape[1] != self.d or len(block) == 0:
+        series = r[None, :] if r.ndim == 1 else r
+        if series.ndim != 2 or series.shape[1] != self.d or len(series) == 0:
             raise ValueError(
                 f"performance must have shape ({self.d},) or (days >= 1, {self.d}), got {r.shape}"
             )
-        if not np.isfinite(block).all():
+        if not np.isfinite(series).all():
             raise ValueError("performance contains non-finite values")
-        days, tau = len(block), self.tau
-        # each row's (1 - tau) * (c / d) at once; the recursions then run a
+        days = len(series)
+        posterior = np.empty((days, self.d))
+        norms = np.empty(days)
+        m, p = self.m, self.p
+        for start in range(0, days, _BLOCK_ROWS):
+            rows = slice(start, start + _BLOCK_ROWS)
+            m, p = self._fold(series[rows], m, p, posterior[rows], norms[rows])
+        self._log_drift(norms)
+        self.m, self.p = m, p.copy()
+        self.t += days
+        return posterior[0] if r.ndim == 1 else posterior
+
+    def _fold(
+        self, rows: np.ndarray, m: np.ndarray, p: np.ndarray, posterior: np.ndarray, norms: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Fold a slice of rows into ``m`` and ``p``; returns the last row's ``m`` and ``p``.
+
+        Writes each row's posterior into ``posterior`` and its sum before
+        renormalising into ``norms``. The slice's temporaries go on return.
+        """
+        tau = self.tau
+        # the slice's (1 - tau) * (c / d) at once; the recursions then run a
         # row at a time, with the operands of a one-day update in its order
-        m_rows = _win_counts(block) / self.d
+        m_rows = _win_counts(rows) / self.d
         m_rows *= 1.0 - tau
         decayed = np.empty(self.d)
-        prev = self.m
         for row in m_rows:
-            np.multiply(prev, tau, out=decayed)
+            np.multiply(m, tau, out=decayed)
             row += decayed
-            prev = row
-        self.m = m_rows[-1].copy()
+            m = row
+        m = m.copy()
         # each row's (1 - tau) * q, in place of m
         steps = _likelihood(m_rows, out=m_rows)
         steps *= 1.0 - tau
-        posterior = np.empty((days, self.d))
-        norms = np.empty(days)
-        prev = self.p
         for j, (row, step) in enumerate(zip(posterior, steps)):
-            np.multiply(prev, tau, out=row)
+            np.multiply(p, tau, out=row)
             row += step
             norms[j] = row.sum()
             row /= norms[j]
-            prev = row
-        self._log_drift(norms)
-        self.p = posterior[-1].copy()
-        self.t += days
-        return posterior[0] if r.ndim == 1 else posterior
+            p = row
+        return m, p
 
     def _log_drift(self, norms: np.ndarray) -> None:
         """One warning for the rows of an update whose posterior sum drifted from 1."""

@@ -34,9 +34,9 @@ from seqrank.backtest import (
     NBAR_INPUTS,
     NBAR_MEMBERSHIPS,
     STRATEGIES,
-    _FORECASTS,
+    _SIGNALS,
     _forecast_matrix,
-    _posterior_blocks,
+    _posterior_matrix,
     _target_blocks,
     cw_weights,
     equity_rows,
@@ -797,8 +797,8 @@ def count_updates(monkeypatch):
 
 
 class TestForecastMemo:
-    """``_FORECASTS`` keeps one signal entry per panel: the latest ``(tau, ridge_lambda)``'s
-    forecasts and ranker posteriors."""
+    """``_SIGNALS`` keeps one signal entry per panel: the latest ``(tau, ridge_lambda)``'s
+    forecasts and ranker posteriors, by name."""
 
     @given(order=st.permutations(range(len(MEMO_CONFIGS))))
     def test_any_order_on_one_panel_matches_fresh_panels(self, memo_panel, fresh_reports, order):
@@ -809,9 +809,9 @@ class TestForecastMemo:
     def test_memoised_signals_are_read_only(self, memo_panel):
         panel = fresh_copy(memo_panel)
         run_backtest(panel, BacktestConfig())
-        entry = _FORECASTS[panel]
-        forecasts = entry.forecasts
-        assert entry.key == (0.999, 1.0) and entry.posteriors == {}
+        key, signals = _SIGNALS[panel]
+        forecasts = signals["forecasts"]
+        assert key == (0.999, 1.0) and list(signals) == ["forecasts"]
         assert forecasts.shape == (panel.n_dates - 2, panel.n_assets)
         assert not forecasts.flags.writeable
         with pytest.raises(ValueError):
@@ -821,14 +821,13 @@ class TestForecastMemo:
         for nbar_input in NBAR_INPUTS:
             config = BacktestConfig(strategy="nbar", nbar_input=nbar_input)
             run_backtest(panel, config)
-            blocks = entry.posteriors[nbar_input]
-            assert [block.shape for block in blocks] == [(64, 6), (panel.n_dates - 2 - 64, 6)]
-            for block in blocks:
-                assert not block.flags.writeable
-                with pytest.raises(ValueError):
-                    block[0, 0] = 0.0
-            assert _posterior_blocks(panel, config) is blocks
-        assert _FORECASTS[panel] is entry and entry.forecasts is forecasts
+            posterior = signals[f"posterior of {nbar_input}"]
+            assert posterior.shape == (panel.n_dates - 2, panel.n_assets)
+            assert not posterior.flags.writeable
+            with pytest.raises(ValueError):
+                posterior[0, 0] = 0.0
+            assert _posterior_matrix(panel, config) is posterior
+        assert _SIGNALS[panel][1] is signals and signals["forecasts"] is forecasts
 
     def test_four_forecast_columns_step_once_per_day(self, monkeypatch):
         # the sweep's scale in days; d = 3 keeps each step cheap
@@ -850,9 +849,9 @@ class TestForecastMemo:
         calls = count_updates(monkeypatch)
         for config in SWEEP_CONFIGS:
             run_backtest(panel, config)
-        # one pass over the forecasts and one over the realised returns,
-        # 64 days per call: 2 x 40 calls for 2 499 days
-        assert calls == 2 * ([64] * 39 + [2499 - 39 * 64])
+        # one pass over the forecasts and one over the realised returns, one
+        # call each for all 2 499 days
+        assert calls == [2499, 2499]
         calls.clear()
         for config in SWEEP_CONFIGS:
             run_backtest(panel, config)
@@ -864,31 +863,31 @@ class TestForecastMemo:
         calls = count_steps(monkeypatch)
         run_backtest(panel, BacktestConfig(tau=0.999))
         run_backtest(panel, BacktestConfig(tau=0.99))
-        assert _FORECASTS[panel].key == (0.99, 1.0)
+        assert _SIGNALS[panel][0] == (0.99, 1.0)
         run_backtest(panel, BacktestConfig(tau=0.99, strategy="nbar"))
         assert len(calls) == 2 * n_days
         run_backtest(panel, BacktestConfig(tau=0.999))
         assert len(calls) == 3 * n_days
-        assert _FORECASTS[panel].key == (0.999, 1.0)
+        assert _SIGNALS[panel][0] == (0.999, 1.0)
 
     def test_new_key_drops_all_three_signals(self, memo_panel, monkeypatch):
         panel = fresh_copy(memo_panel)
         for nbar_input in NBAR_INPUTS:
             run_backtest(panel, BacktestConfig(strategy="nbar", nbar_input=nbar_input))
-        entry = _FORECASTS[panel]
-        assert entry.forecasts is not None and sorted(entry.posteriors) == sorted(NBAR_INPUTS)
+        key, signals = _SIGNALS[panel]
+        assert sorted(signals) == ["forecasts", "posterior of forecasts", "posterior of realised"]
         updates = count_updates(monkeypatch)
         run_backtest(panel, BacktestConfig(strategy="nbar", ridge_lambda=2.0))
-        assert len(updates) == 2
-        entry = _FORECASTS[panel]
-        assert entry.key == (0.999, 2.0) and list(entry.posteriors) == ["forecasts"]
+        assert len(updates) == 1
+        key, signals = _SIGNALS[panel]
+        assert key == (0.999, 2.0) and sorted(signals) == ["forecasts", "posterior of forecasts"]
         run_backtest(panel, BacktestConfig(tau=0.99))
-        entry = _FORECASTS[panel]
-        assert entry.key == (0.99, 1.0) and entry.posteriors == {}
+        key, signals = _SIGNALS[panel]
+        assert key == (0.99, 1.0) and list(signals) == ["forecasts"]
         run_backtest(panel, BacktestConfig(strategy="nbar", nbar_input="realised"))
-        entry = _FORECASTS[panel]
-        assert entry.forecasts is None and list(entry.posteriors) == ["realised"]
-        assert len(updates) == 4
+        key, signals = _SIGNALS[panel]
+        assert key == (0.999, 1.0) and list(signals) == ["posterior of realised"]
+        assert len(updates) == 2
 
     def test_failed_pass_is_not_memoised(self, memo_panel, monkeypatch):
         panel = fresh_copy(memo_panel)
@@ -898,39 +897,39 @@ class TestForecastMemo:
         for _ in range(2):
             with pytest.raises(BacktestError, match=f"at {panel.dates[40].isoformat()}$"):
                 run_backtest(panel, BacktestConfig())
-            assert panel not in _FORECASTS
+            assert panel not in _SIGNALS
         assert len(calls) == 2 * 40
 
     def test_failed_ranker_pass_is_not_memoised(self, memo_panel, fresh_reports, monkeypatch):
         panel = fresh_copy(memo_panel)
         run_backtest(panel, BacktestConfig())
-        forecasts = _FORECASTS[panel].forecasts
+        forecasts = _SIGNALS[panel][1]["forecasts"]
         update = RankerState.update
 
         def failing(self, performance):
-            if self.t:
-                raise ValueError("planted")
-            return update(self, performance)
+            # the whole pass runs, then fails before its result is stored
+            update(self, performance)
+            raise ValueError("planted")
 
         monkeypatch.setattr(RankerState, "update", failing)
         with pytest.raises(ValueError, match="planted"):
             run_backtest(panel, MEMO_CONFIGS[2])
-        assert _FORECASTS[panel].posteriors == {} and _FORECASTS[panel].forecasts is forecasts
+        assert _SIGNALS[panel][1] == {"forecasts": forecasts}
         monkeypatch.setattr(RankerState, "update", update)
         assert_same_text(report_text(run_backtest(panel, MEMO_CONFIGS[2])), fresh_reports[2])
 
     def test_entry_goes_with_its_panel(self, memo_panel, monkeypatch):
         # an empty map of the memo's own type, so no other test's panel is in it
-        forecasts = type(_FORECASTS)()
-        monkeypatch.setattr(backtest, "_FORECASTS", forecasts)
+        signals = type(_SIGNALS)()
+        monkeypatch.setattr(backtest, "_SIGNALS", signals)
         panel = fresh_copy(memo_panel)
         run_backtest(panel, BacktestConfig())
-        assert list(forecasts) == [panel]
+        assert list(signals) == [panel]
         ref = weakref.ref(panel)
         del panel
         gc.collect()
         assert ref() is None
-        assert len(forecasts) == 0
+        assert len(signals) == 0
 
 
 class TestMemoryGuard:
@@ -940,7 +939,7 @@ class TestMemoryGuard:
     and the CLI's peak, set by reading the CSV, sits about 19 MB above the
     memory in use once the panel is loaded: three matrices stay inside
     that headroom. The count includes the signals the run leaves in
-    ``_FORECASTS``: the forecasts, and for nbar the ranker's posterior.
+    ``_SIGNALS``: the forecasts, and for nbar the ranker's posterior.
     Measured peaks: 2.3 matrices for curds-whey and 2.7 for nbar
     long/short at this size, 1.5 and 2.1 at the paper's size.
     """

@@ -1,6 +1,7 @@
 """Pairwise-win ranker: hand-traced values, invariants, block updates, and ranking order."""
 
 import logging
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -179,7 +180,8 @@ class TestUpdate:
         for _ in range(5):
             assert state.update(rng.normal(size=3)).tobytes() == state.p.tobytes()
         m, p = state.m.copy(), state.p.copy()
-        late_nan = rng.normal(size=(64, 3))
+        # the NaN sits in the call's last row block
+        late_nan = rng.normal(size=(3 * ranker_module._BLOCK_ROWS + 1, 3))
         late_nan[-1, 2] = np.nan
         bad_inputs = ([1.0, 2.0], [1.0, np.inf, 2.0], np.zeros((0, 3)), np.zeros((4, 2)),
                       np.zeros((1, 4, 3)), late_nan)
@@ -249,6 +251,43 @@ class TestUpdate:
         assert first.startswith("posterior sum drifted on 1 of 64 steps from step 65; largest +")
         assert first.endswith("at step 65")
         assert every.startswith("posterior sum drifted on 10 of 10 steps from step 129; largest ")
+
+        # one call over four row blocks that drifts in the first and the third
+        # still logs one line, with the call's own step numbers
+        caplog.clear()
+        monkeypatch.setattr(ranker_module, "_RENORM_LOG_TOLERANCE", 1e-12)
+        likelihood, blocks = ranker_module._likelihood, []
+
+        def skewed(m, out=None):
+            q = likelihood(m, out=out)
+            blocks.append(len(q))
+            if len(blocks) == 3:
+                q[5] *= 10.0  # the step toward q sums to 1 - tau 10 times over
+            return q
+
+        monkeypatch.setattr(ranker_module, "_likelihood", skewed)
+        size = ranker_module._BLOCK_ROWS
+        state.p = np.array([0.5, 0.5, 0.5])
+        with caplog.at_level(logging.WARNING, logger="seqrank.ranker"):
+            state.update(np.random.default_rng(10).normal(size=(3 * size + 8, 3)))
+        assert blocks == [size, size, size, 8]
+        assert [record.getMessage() for record in caplog.records] == [
+            f"posterior sum drifted on 2 of {3 * size + 8} steps from step 139; "
+            f"largest +9.000e-01 at step {138 + 2 * size + 6}"
+        ]
+
+    def test_series_update_peaks_near_its_posterior(self):
+        # the paper's scale in one call: the returned posterior and one row
+        # block's temporaries, not a second series-sized matrix
+        series = np.random.default_rng(11).normal(size=(2500, 250))
+        RankerState(250, 0.999).update(series[:100])  # first-call allocations outside the count
+        tracemalloc.start()
+        try:
+            RankerState(250, 0.999).update(series)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.25 * series.nbytes
 
     @given(vectors=st.lists(perf_vectors, min_size=1, max_size=30))
     def test_conservation_and_bounds(self, vectors):
