@@ -12,6 +12,7 @@ import argparse
 import numpy as np
 
 from seqrank import RankerState
+from seqrank.ranker import rank_order
 
 
 def steps_to_flip(tau: float, pre_steps: int, d: int = 5, max_post: int = 20_000):
@@ -19,16 +20,22 @@ def steps_to_flip(tau: float, pre_steps: int, d: int = 5, max_post: int = 20_000
     swapped = ladder.copy()
     swapped[0], swapped[1] = ladder[-1], ladder[0]
     state = RankerState(d, tau)
-    for _ in range(pre_steps):
-        state.update(ladder)
-    trail = []
-    for step in range(1, max_post + 1):
-        state.update(swapped)
-        if step % max(1, pre_steps // 10) == 0:
-            trail.append((step, state.p[0], state.p[1]))
-        if state.rank().order[0] == 1:
-            return step, trail
-    return None, trail
+    if pre_steps > 0:
+        state.update(np.tile(ladder, (pre_steps, 1)))
+    # the reversal in calls of up to pre_steps rows, until one crowns expert 1;
+    # row i of the posterior is the state after step i + 1
+    chunk, blocks, leaders = max(1, pre_steps), [], []
+    for start in range(0, max_post, chunk):
+        blocks.append(state.update(np.tile(swapped, (min(chunk, max_post - start), 1))))
+        leaders.append(rank_order(blocks[-1])[:, 0])
+        if (leaders[-1] == 1).any():
+            break
+    posterior, crowned = np.concatenate(blocks), np.concatenate(leaders) == 1
+    flip = int(crowned.argmax()) + 1 if crowned.any() else None
+    every = max(1, pre_steps // 10)
+    trail = [(step, posterior[step - 1, 0], posterior[step - 1, 1])
+             for step in range(every, (flip or max_post) + 1, every)]
+    return flip, trail
 
 
 def main() -> int:
