@@ -7,6 +7,13 @@ them unchanged. A change that moves a digest on purpose updates the file
 by hand and reports, per field, the largest numeric difference and why it
 moved; the digests are never regenerated silently.
 
+numpy's OpenBLAS picks its kernels from the CPU when it loads, and kernels
+for different CPUs sum products in different orders, so the digests hold
+for one kernel. The cases run in a child process that pins ``KERNEL``
+through ``OPENBLAS_CORETYPE``, which is read only when numpy loads; the
+digests then do not depend on the kernel of the process that runs the
+tests.
+
 To print the current digests (for that deliberate update only)::
 
     PYTHONPATH=src python tests/test_golden.py
@@ -18,14 +25,21 @@ import contextlib
 import hashlib
 import io
 import json
+import os
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
 import pytest
 
+import seqrank
 from seqrank.cli import main
 
 DIGESTS = Path(__file__).with_name("golden_digests.json")
+# the OpenBLAS kernel the digests are pinned to: AVX2, which every x86-64
+# runner in use today has
+KERNEL = "Haswell"
 
 SYNTH_FLAGS = [
     "--assets", "12", "--steps", "300", "--drift", "0.0003", "--vol", "0.012",
@@ -78,9 +92,26 @@ def compute_digests(root: Path) -> dict[str, dict[str, str]]:
     return result
 
 
+def pinned_digests(root: Path) -> dict[str, dict[str, str]]:
+    """``compute_digests(root)`` in a child process whose OpenBLAS runs ``KERNEL``.
+
+    The child imports the seqrank that this process imported.
+    """
+    env = dict(os.environ, OPENBLAS_CORETYPE=KERNEL)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(Path(seqrank.__file__).parents[1]), env.get("PYTHONPATH")])
+    )
+    child = subprocess.run(
+        [sys.executable, __file__, "--child", str(root)],
+        env=env, capture_output=True, text=True, timeout=600,
+    )
+    assert child.returncode == 0, f"golden cases under OPENBLAS_CORETYPE={KERNEL} failed:\n{child.stderr}"
+    return json.loads(child.stdout)
+
+
 @pytest.fixture(scope="module")
 def current(tmp_path_factory):
-    return compute_digests(tmp_path_factory.mktemp("golden"))
+    return pinned_digests(tmp_path_factory.mktemp("golden"))
 
 
 def test_every_case_is_pinned(current):
@@ -94,10 +125,14 @@ def test_every_case_is_pinned(current):
 def test_outputs_match_golden_digests(current, case):
     expected = json.loads(DIGESTS.read_text())[case]
     moved = [name for name in expected if current[case].get(name) != expected[name]]
-    assert not moved, f"{case}: outputs changed bytes: {moved}"
+    assert not moved, f"{case}: outputs changed bytes under OPENBLAS_CORETYPE={KERNEL}: {moved}"
 
 
 if __name__ == "__main__":
-    with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stdout(io.StringIO()):
-        digests = compute_digests(Path(tmp))
+    if sys.argv[1:2] == ["--child"]:
+        with contextlib.redirect_stdout(io.StringIO()):
+            digests = compute_digests(Path(sys.argv[2]))
+    else:
+        with tempfile.TemporaryDirectory() as tmp:
+            digests = pinned_digests(Path(tmp))
     print(json.dumps(digests, indent=2, sort_keys=True))
