@@ -21,8 +21,8 @@ realised returns in one call. ``_signal`` keeps each of these matrices,
 keyed weakly by panel, with their ``(tau, ridge_lambda)``, so the
 strategies, modes, slice sizes and cost models that read the same signal
 share one pass. The accounting pass books the days in ``_BLOCK_DAYS``-day
-blocks of whole-array operations. Every portfolio rule is in this module, once:
-``select_decile``, ``cw_weights``, ``nbar_weights`` and
+blocks of whole-array operations. Every portfolio rule is in this module,
+once: ``select_decile``, ``cw_weights``, ``nbar_weights`` and
 ``transaction_cost`` each take a block of days as ``(days, d)`` arrays,
 one day per row, with weights signed (longs positive, shorts negative).
 A block's daily costs and gross returns are one stacked product each, in
