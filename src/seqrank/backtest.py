@@ -15,8 +15,8 @@ posterior. An equal-weight, zero-cost benchmark is always computed
 alongside. The engine is deterministic: identical panel and config give an
 identical report.
 
-A run makes two passes. The signal pass steps the forecaster over the
-whole panel once, and for nbar folds the ranker over the forecasts or the
+A run makes two passes. The signal pass folds the whole panel into the
+forecaster in one call, and for nbar the ranker over the forecasts or the
 realised returns in one call. ``_signal`` keeps each of these matrices,
 keyed weakly by panel, with their ``(tau, ridge_lambda)``, so the
 strategies, modes, slice sizes and cost models that read the same signal
@@ -417,19 +417,18 @@ def _forecast_matrix(panel: QuotePanel, tau: float, ridge_lambda: float) -> np.n
     """Curds-whey forecasts for every booked day, as one read-only ``(n - 2, d)`` array.
 
     Row ``i`` is ``y_tilde`` after the forecaster has folded in return row
-    ``i``: the scores for ``panel.dates[i + 1]``. A pass that meets a
-    non-finite forecast raises.
+    ``i``: the scores for ``panel.dates[i + 1]``. The forecaster folds the
+    returns in one ``CurdsWheyState.step`` call. A pass that yields a
+    non-finite forecast raises, naming the first date that has one.
     """
 
     def compute() -> np.ndarray:
-        rets = panel.returns
-        d = panel.n_assets
-        model = CurdsWheyState(d, ridge_lambda, tau)
-        forecasts = np.empty((rets.shape[0] - 1, d))
-        for i, (row, r_today) in enumerate(zip(forecasts, rets)):
-            row[:] = model.step(r_today).y_tilde
-            if not np.isfinite(row).all():
-                raise BacktestError(f"non-finite forecast at {panel.dates[i + 1].isoformat()}")
+        model = CurdsWheyState(panel.n_assets, ridge_lambda, tau)
+        forecasts = model.step(panel.returns[:-1]).y_tilde
+        finite = np.isfinite(forecasts).all(axis=1)
+        if not finite.all():
+            first = int(finite.argmin())
+            raise BacktestError(f"non-finite forecast at {panel.dates[first + 1].isoformat()}")
         return forecasts
 
     return _signal(panel, tau, ridge_lambda, "forecasts", compute)

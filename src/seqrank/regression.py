@@ -6,23 +6,29 @@ leading one, to the current one: coefficient matrix ``theta`` (``d x
 ``d x d`` shrinkage map ``phi`` that regresses the stage-one prediction on
 the previous return, so correlated targets pull each other's forecasts
 toward directions that have proven predictable (curds and whey, Breiman
-and Friedman 1997). :meth:`CurdsWheyState.step` folds in the return
-vector ``r`` and forecasts the next one as ``phi @ (theta @ (1, r))``.
+and Friedman 1997). :meth:`CurdsWheyState.step` folds in return vectors
+``r``, each paired with the lagged input ``(1, r_{s-1})``, and forecasts
+each next one as ``phi @ (theta @ (1, r))``. With forgetting factor ``tau
+= 1`` the recursions reproduce, up to floating point, the batch ridge
+solutions on those pairs (the oracles :func:`batch_ridge` and
+:func:`batch_shrinkage`); with ``tau < 1`` old pairs are geometrically
+down-weighted, so the coefficients track drifting maps.
 
-Each step pairs the lagged input ``(1, r_{s-1})`` with the current return
-``r_s``, as forecasting requires (today's returns predict tomorrow's).
-With forgetting factor ``tau = 1`` the recursions reproduce, up to
-floating point, the batch ridge solutions on those pairs;
-:func:`batch_ridge` and :func:`batch_shrinkage` provide the oracles. With
-``tau < 1`` old pairs are geometrically down-weighted, so the coefficients
-track drifting maps.
+Stage two's surrogate ``Q`` is never kept: both surrogates start from
+``I / lambda`` and stage two's regressor is stage one's input less its
+leading 1, so ``Q^-1`` is the lower-right block of ``P^-1`` and ``Q = P22 -
+P21 P12 / P11`` (Golub and Van Loan).
 
-Stage two's surrogate ``Q`` is never formed. The lagged input is ``(1,
-r_{s-1})`` and stage two's regressor is ``r_{s-1}``, and both surrogates
-start from ``I / lambda``, so ``Q^-1`` is the lower-right block of
-``P^-1``. The block-inverse identity (Golub and Van Loan) then gives
-``Q = P22 - P21 P12 / P11`` from the same ``P``, so ``Q y_prev`` costs
-O(d) once ``P x_prev`` is known.
+Rows are folded a window at a time. Least squares with forgetting is a
+Kalman filter on fixed coefficients (Sayed and Kailath 1994): from ``P =
+S`` and ``theta' = T``, a window's row ``q`` (from 1) is an update with
+noise variance ``tau^q``, so the rows' a-priori residuals are the Cholesky
+innovations of the Gram matrix ``C C' = diag(tau^q) + X S X'`` of the
+lagged inputs ``X``. With ``E = C^-1 (Y - X T)`` and ``H = C^-1 X S``,
+after row ``q`` ``theta' = T + H[:q]' E[:q]`` and ``P = (S - H[:q]'
+H[:q]) / tau^q``, so ``y_hat = X_c T + tril(X_c H') E`` over the current
+inputs ``X_c``. Stage two is the same on the lagged returns, ``y_hat`` and
+``Q``: ``y_tilde = y_hat phi' + tril(y_hat H2') E2``.
 
 When ``1 / (1 - tau) < d + 1`` the forgetting window is shorter than the
 number of regressors and the recursion is ill-conditioned: forecasts there
@@ -49,19 +55,19 @@ logger = logging.getLogger(__name__)
 # the prior, the floor keeps the same ~4 500 rounding units of the prior's
 # entries between it and zero at every ridge_lambda
 _RESET_FLOOR = 1e-12
-# steps whose rank-one updates are held as pending rows before one blocked
-# update folds them into the matrices
-_FLUSH_STEPS = 32
-# a step whose downdate would leave a diagonal entry of P below c S's over
-# this folds the pending downdates into S and applies its own directly: a
-# pending downdate never exceeds a third of S's diagonal, so S - H' H keeps
+# rows per window: one Cholesky factor per stage folds them in
+_WINDOW = 32
+# a window ends with the first row whose downdates, summed from its start,
+# take more than this share of a diagonal entry of S: S - H' H then keeps
 # the digits that the step-by-step recursion P / tau - s g g' keeps
-_DIRECT_RATIO = 1.5
+_DOWNDATE_SHARE = 1.0 / 3.0
+# row i of a window reads the updates of rows 0 to i
+_LOWER = np.tri(_WINDOW)
 
 
 @dataclass(frozen=True)
 class Forecast:
-    """First-stage prediction and its shrunk counterpart."""
+    """The shrunk forecast ``y_tilde`` of each row a step folds in, and the last row's first-stage ``y_hat``."""
 
     y_hat: np.ndarray
     y_tilde: np.ndarray
@@ -70,37 +76,21 @@ class Forecast:
 class CurdsWheyState:
     """Coupled coefficient/shrinkage recursions on a stream of ``d``-asset returns.
 
-    A step makes three rank-one updates: ``theta += u g'``, ``P <- P / tau
-    - s g g'`` and ``phi += v w'``. They are not applied one by one. Each
-    matrix is a base plus pending rows: ``theta = T + U' G``, ``phi = F +
-    V' W`` and ``P = c (S - H' H)`` with ``H = sqrt(a) G`` row by row over
-    the rows whose downdates are not in ``S`` yet, and the scalar ``c <- c
-    / tau`` carrying the forgetting. A step reads ``S``, ``T`` and ``F``
-    once each, against the vectors it needs, plus O(d k) for the ``k``
-    pending rows. Every ``_FLUSH_STEPS`` steps one matrix product per
-    matrix folds the rows into the bases, and ``S`` absorbs ``c``. A step
-    whose downdate would take a diagonal entry of ``P`` below two thirds of
-    ``c S``'s folds the pending downdates into ``S`` at once and applies
-    its own directly, as ``P / tau - s g g'``; its rows stay pending for
-    ``theta`` and ``phi``. So ``S - H' H`` never cancels much of ``S``,
-    whether ``P`` shrinks fast (a weak prior, a large return) or ``c``
-    grows fast (a small ``tau``). ``H' H`` is formed as one product of
-    ``H`` with its own transpose, which numpy computes exactly symmetric
-    (BLAS syrk); ``S`` must stay exactly symmetric, and an asymmetric
-    product such as ``(G' a) G`` makes the recursion diverge at small
-    ``tau``.
-
-    ``P``'s diagonal and first column are kept as vectors, updated each
-    step: the diagonal feeds the reset check and the column the derived
-    ``Q``. Both are re-read from ``S`` whenever it takes the downdates in.
-
-    ``theta``, ``P``, ``phi`` and ``y_prev`` read back as fresh arrays with
-    the pending rows applied; reading them changes nothing.
+    ``P``, ``theta'`` and ``phi'`` are held as ``S``, ``T`` and ``F``. A
+    window ends with the first row that takes ``P``'s diagonal below the
+    reset floor or whose summed downdates pass ``_DOWNDATE_SHARE`` of
+    ``S``'s, so ``S - H' H`` never cancels much of ``S``, however fast
+    ``P`` shrinks (a weak prior, a large return, a small ``tau``). The next
+    window tries twice the rows this one folded, up to ``_WINDOW``. A
+    one-row window is the step-by-step recursion, which also takes the
+    rows whose Gram matrix has no Cholesky factor (``P`` left indefinite
+    by rounding). ``S`` stays exactly symmetric: an asymmetric downdate
+    makes the recursion diverge at small ``tau``. ``theta``, ``P``,
+    ``phi`` and ``y_prev`` read back as fresh arrays.
     """
 
-    # Q is derived from P, so it is reset with P and has no count of its
-    # own; the attribute stays, always 0, for readers of the old state such
-    # as perfbench/spans.py, which sums p_resets + q_resets
+    # Q is derived from P and reset with it; always 0, kept for readers of
+    # the old state such as perfbench/spans.py, which sums p_resets + q_resets
     q_resets = 0
 
     def __init__(self, d: int, ridge_lambda: float, tau: float) -> None:
@@ -113,174 +103,183 @@ class CurdsWheyState:
         self.d = d = int(d)
         self.ridge_lambda = float(ridge_lambda)
         self.tau = float(tau)
-        self.t = 0
-        self.p_resets = 0
+        self.t = self.p_resets = 0
         m = d + 1
         self._S = np.eye(m) / self.ridge_lambda
-        self._c = 1.0
-        self._T = np.zeros((d, m))
+        self._T = np.zeros((m, d))
         self._F = np.zeros((d, d))
-        self._diag = self._S.diagonal().copy()
-        self._col0 = self._S[:, 0].copy()
-        # rows (1, y_prev) and (1, r), which theta is read against, and (0,
-        # y_prev), which S is: P (1, y_prev) is P's column 0 plus P (0, y_prev)
-        self._x = np.zeros((3, m))
-        self._x[:2, 0] = 1.0
-        # rows y_prev and y_hat, the vectors phi is read against
-        self._y = np.zeros((2, d))
-        # pending rows: stage-one gains g and residuals u with P's downdate
-        # weights a, and stage-two gains w and residuals v. Rows before j
-        # have their downdates in S already; H is rows j to k
-        self._k = self._j = 0
-        self._G = np.empty((_FLUSH_STEPS, m))
-        self._a = np.empty(_FLUSH_STEPS)
-        self._U = np.empty((_FLUSH_STEPS, d))
-        self._W = np.empty((_FLUSH_STEPS, d))
-        self._V = np.empty((_FLUSH_STEPS, d))
-        # a flush writes H and each matrix product into these before applying
-        # them, so no step allocates a matrix
-        self._H = np.empty((_FLUSH_STEPS, m))
+        # row 0 is (1, y_prev) and rows 1 to w a window's (1, r): rows :w are
+        # its lagged inputs and rows 1:w + 1 its current ones; _y drops the 1
+        self._x = np.ones((_WINDOW + 1, m))
+        self._x[0, 1:] = 0.0
+        self._y = self._x[:, 1:]
+        # a fold writes each product here, so a one-row step allocates no matrix
         scratch = np.empty(m * m)
         self._S_buf = scratch.reshape(m, m)
-        self._T_buf = scratch[: d * m].reshape(d, m)
+        self._T_buf = scratch[: m * d].reshape(m, d)
         self._F_buf = scratch[: d * d].reshape(d, d)
+        self._resync()
 
     def step(self, r: Sequence[float] | np.ndarray) -> Forecast:
-        """Fold in return vector ``r`` and forecast the next one.
+        """Fold in one return vector ``(d,)``, or a series of them ``(days, d)``, forecasting after each.
 
-        Order of operations: update ``theta`` and ``P`` against the pair
+        Each row in turn: update ``theta`` and ``P`` against the pair
         (``(1, y_prev)``, ``r``); form ``y_hat = theta @ (1, r)``; update
-        ``phi`` against the pair (``y_prev``, ``y_hat``), with ``Q y_prev``
-        taken from the ``P`` before its update; form ``y_tilde = phi @
-        y_hat``; then roll ``y_prev`` forward to ``r``. If a diagonal entry
-        of the updated ``P`` falls below ``1e-12 / ridge_lambda``, 1e-12
-        times the prior's, ``P`` is reset to the prior (with a log line),
-        and with it the derived ``Q``.
+        ``phi`` against (``y_prev``, ``y_hat``), with ``Q`` derived from the
+        ``P`` before its update; form ``y_tilde = phi @ y_hat``; roll
+        ``y_prev`` forward to ``r``. A diagonal entry of ``P`` below 1e-12
+        times the prior's resets ``P``, and with it ``Q``, to the prior (with
+        a log line). Returns each row's ``y_tilde``, shaped like ``r``, and
+        the last row's ``y_hat``: a series' ``y_hat`` would be a second
+        ``(days, d)`` matrix that no caller reads. The whole input is checked
+        before the state changes.
         """
         y = np.asarray(r, dtype=float)
-        if y.shape != (self.d,):
-            raise ValueError(f"return vector must have shape ({self.d},), got {y.shape}")
-        if not np.isfinite(y).all():
-            raise ValueError("return vector contains non-finite values")
-        tau, j, k = self.tau, self._j, self._k
-        X, Y = self._x, self._y
-        X[1, 1:] = y
-        G, U = self._G[:k], self._U[:k]
+        series = y[None, :] if y.ndim == 1 else y
+        if series.ndim != 2 or series.shape[1] != self.d or len(series) == 0:
+            raise ValueError(
+                f"returns must have shape ({self.d},) or (days >= 1, {self.d}), got {y.shape}"
+            )
+        if not np.isfinite(series).all():
+            raise ValueError("returns contain non-finite values")
+        y_tilde = np.empty(series.shape)
+        y_hat = np.empty((min(len(series), _WINDOW), self.d))
+        start, rows = 0, _WINDOW
+        while start < len(series):
+            rows = min(rows, len(series) - start)
+            self._y[1 : rows + 1] = series[start : start + rows]
+            out = y_hat, y_tilde[start:]
+            folded = (rows > 1 and self._window(rows, *out)) or self._one_row(*out)
+            self._y[0] = self._y[folded]
+            start += folded
+            rows = min(2 * folded, _WINDOW)
+        return Forecast(y_hat=y_hat[folded - 1].copy(), y_tilde=y_tilde[0] if y.ndim == 1 else y_tilde)
 
-        GX = G @ X.T
-        TX = self._T @ X[:2].T
-        TX += U.T @ GX[:, :2]
-        Py = self._S @ X[2]
-        Py -= G[j:].T @ (self._a[j:k] * GX[j:, 2])
-        Py *= self._c
-        diag, col0 = self._diag, self._col0
-        Px = col0 + Py
-        scale = 1.0 + float(X[0] @ Px) / tau
-        gain = Px / (scale * tau)
-        resid = y - TX[:, 0]
-        y_hat = TX[:, 1] + resid * float(gain @ X[1])
+    def _window(self, w: int, y_hat: np.ndarray, y_tilde: np.ndarray) -> int:
+        """Fold in rows 1 to ``w`` of ``_x`` up to the first that trips a check, forecasts into the
+        heads of ``y_hat`` and ``y_tilde``; returns how many, 0 where there is no Cholesky factor."""
+        stage_one = self._stage_one(w)
+        if stage_one is None:
+            return 0
+        n, reset, inverse, XT, E, H, UQ = stage_one
+        X, U, lower = self._x[1 : n + 1], self._y[:n], _LOWER[:n, :n]
+        E, H, y_hat, y_tilde = E[:n], H[:n], y_hat[:n], y_tilde[:n]
+        np.matmul((X @ H.T) * lower, E, out=y_hat)
+        y_hat += XT[1 : n + 1]
+        E2 = inverse[1, :n, :n] @ (y_hat - U @ self._F)
+        H2 = inverse[1, :n, :n] @ UQ[:n]
+        np.matmul((y_hat @ H2.T) * lower, E2, out=y_tilde)
+        y_tilde += y_hat @ self._F
+        _cross(H, H, out=self._S_buf)
+        self._S -= self._S_buf
+        self._S *= self.tau**-n
+        self._fold(H, E, H2, E2, reset)
+        return n
 
-        # Q y_prev = P22 y_prev - P21 (P12 y_prev) / P11, from P before its update
-        Qy = Py[1:] - col0[1:] * (Py[0] / col0[0])
-        diag /= tau
-        diag -= gain * gain * scale
-        col0 /= tau
-        col0 -= gain * gain[0] * scale
-        c_prev = self._c
-        self._c /= tau
-        self._G[k] = gain
-        self._U[k] = resid
-        self._a[k] = scale / self._c
+    def _stage_one(self, w: int) -> tuple | None:
+        """``(n, reset, C^-1 of both stages, X T, E, H, U Q)`` over ``w`` rows, of which the window
+        folds ``n`` and then resets ``P`` if ``reset``; None where there is no Cholesky factor."""
+        S, X, U, decay = self._S, self._x[: w + 1], self._y[:w], self.tau ** np.arange(1.0, w + 1.0)
+        # rows (0, u) S: u's product with S's first column, then S22 u
+        XS = U @ S[1:]
+        # Q u = S22 u - S21 (S12 u) / S11
+        UQ = np.multiply.outer(-XS[:, 0], self._q)
+        UQ += XS[:, 1:]
+        XS += S[0]
+        gram = np.stack((XS @ X[:w].T, UQ @ U.T))
+        gram.reshape(2, -1)[:, :: w + 1] += decay
+        # an overflowed Gram matrix factors with infinite pivots, rows of no
+        # weight; the step-by-step recursion carries the overflow on instead
+        if not np.isfinite(gram).all():
+            return None
+        try:
+            # C^-1 as the inverse of C': LAPACK's pivot search finds nothing
+            # below its diagonal, so row i of C^-1 reads only rows up to i,
+            # however large the later rows
+            inverse = np.linalg.inv(np.linalg.cholesky(gram).swapaxes(1, 2)).swapaxes(1, 2)
+        except np.linalg.LinAlgError:
+            return None
+        XT = X @ self._T
+        E = inverse[0] @ (self._y[1 : w + 1] - XT[:w])
+        H = inverse[0] @ XS
+        downdates = np.cumsum(H * H, axis=0)
+        resets = (S.diagonal() - downdates < decay[:, None] * (_RESET_FLOOR / self.ridge_lambda)).any(axis=1)
+        trips = resets | (downdates > S.diagonal() * _DOWNDATE_SHARE).any(axis=1)
+        n = int(trips.argmax()) + 1 if trips.any() else w
+        return n, bool(resets[n - 1]), inverse, XT, E, H, UQ
 
-        Y[1] = y_hat
-        W, V = self._W[:k], self._V[:k]
-        FY = self._F @ Y.T
-        FY += V.T @ (W @ Y.T)
-        scale2 = 1.0 + float(Y[0] @ Qy) / tau
-        gain2 = Qy / (scale2 * tau)
-        resid2 = y_hat - FY[:, 0]
-        y_tilde = FY[:, 1] + resid2 * float(gain2 @ y_hat)
-        self._W[k] = gain2
-        self._V[k] = resid2
+    def _one_row(self, y_hat: np.ndarray, y_tilde: np.ndarray) -> int:
+        """Fold in row 1 of ``_x`` alone, as the step-by-step recursion does; returns 1."""
+        S, tau, x, u, y_hat, y_tilde = self._S, self.tau, self._x[:2], self._y[0], y_hat[0], y_tilde[0]
+        s = S @ x[0]
+        z = u @ S[1:]
+        XT = x @ self._T
+        scale = tau + float(s @ x[0])
+        resid = self._y[1] - XT[0]
+        np.multiply(resid, float(s @ x[1]) / scale, out=y_hat)
+        y_hat += XT[1]
+        Qu = z[1:] - self._q * z[0]
+        scale2 = tau + float(Qu @ u)
+        resid2 = y_hat - u @ self._F
+        np.multiply(resid2, float(Qu @ y_hat) / scale2, out=y_tilde)
+        y_tilde += y_hat @ self._F
+        # P / tau - g g' r / tau with g = s / r: no square root, so a negative
+        # r, where P is indefinite, is taken as the old recursion takes it
+        gain = (s / scale)[None, :]
+        _cross(gain, gain, out=self._S_buf)
+        self._S_buf *= scale / tau
+        S /= tau
+        S -= self._S_buf
+        reset = float(S.diagonal().min()) < _RESET_FLOOR / self.ridge_lambda
+        self._fold(gain, resid[None, :], (Qu / scale2)[None, :], resid2[None, :], reset)
+        return 1
 
-        self._k = k + 1
-        if float(diag.min()) < _RESET_FLOOR / self.ridge_lambda:
-            logger.warning("P diagonal collapsed at step %d; resetting to prior", self.t + 1)
-            self._a[k] = 0.0
-            self._flush()
-            self._S.fill(0.0)
-            np.fill_diagonal(self._S, 1.0 / self.ridge_lambda)
-            self._resync()
-            self.p_resets += 1
-        elif not scale > 0.0 or self._c * float((self._S.diagonal() / diag).max()) > _DIRECT_RATIO:
-            # held as a pending row, this downdate would cancel too much of S
-            # (or, with P no longer positive definite, have no real square
-            # root): fold in the others at the previous step's scale, then
-            # update as the step-by-step recursion does, P / tau - s g g'
-            self._fold_P(k, c_prev)
-            self._S /= tau
-            np.matmul(gain[:, None], gain[None, :], out=self._S_buf)
-            self._S_buf *= scale
-            self._S -= self._S_buf
-            self._j = self._k
-            self._resync()
-        if self._k == _FLUSH_STEPS:
-            self._flush()
-        X[0] = X[1]
-        X[2, 1:] = y
-        Y[0] = y
-        self.t += 1
-        return Forecast(y_hat=y_hat, y_tilde=y_tilde)
-
-    def _fold_P(self, end: int, c: float) -> None:
-        """Fold the downdates of pending rows ``j`` to ``end`` into ``S``, then scale it by ``c``."""
-        j = self._j
-        if end > j:
-            H = self._H[j:end]
-            np.multiply(self._G[j:end], np.sqrt(self._a[j:end])[:, None], out=H)
-            np.matmul(H.T, H, out=self._S_buf)
-            self._S -= self._S_buf
-        if c != 1.0:
-            self._S *= c
-        self._c = 1.0
-        self._j = end
-
-    def _flush(self) -> None:
-        """Fold the pending rows into ``S``, ``T`` and ``F`` and set ``c`` to 1."""
-        k = self._k
-        if k == 0:
-            return
-        self._fold_P(k, self._c)
-        np.matmul(self._U[:k].T, self._G[:k], out=self._T_buf)
+    def _fold(self, H: np.ndarray, E: np.ndarray, H2: np.ndarray, E2: np.ndarray, reset: bool) -> None:
+        """After ``S``'s downdate: ``theta' += H' E`` and ``phi' += H2' E2``, then the reset, if due."""
+        _cross(H, E, out=self._T_buf)
         self._T += self._T_buf
-        np.matmul(self._V[:k].T, self._W[:k], out=self._F_buf)
+        _cross(H2, E2, out=self._F_buf)
         self._F += self._F_buf
-        self._k = self._j = 0
+        self.t += len(H)
+        if reset:
+            logger.warning("P diagonal collapsed at step %d; resetting to prior", self.t)
+            self._S[...] = np.eye(len(self._S)) / self.ridge_lambda
+            self.p_resets += 1
         self._resync()
 
     def _resync(self) -> None:
-        np.copyto(self._diag, self._S.diagonal())
-        np.copyto(self._col0, self._S[:, 0])
+        """Re-read from ``S`` the column through which stage two derives ``Q``."""
+        self._q = self._S[1:, 0] / self._S[0, 0]
 
     @property
     def theta(self) -> np.ndarray:
-        k = self._k
-        return self._T + self._U[:k].T @ self._G[:k]
+        return self._T.T.copy()
 
     @property
     def P(self) -> np.ndarray:
-        j, k = self._j, self._k
-        H = self._G[j:k] * np.sqrt(self._a[j:k])[:, None]
-        return self._c * (self._S - H.T @ H)
+        return self._S.copy()
 
     @property
     def phi(self) -> np.ndarray:
-        k = self._k
-        return self._F + self._V[:k].T @ self._W[:k]
+        return self._F.T.copy()
 
     @property
     def y_prev(self) -> np.ndarray:
         return self._y[0].copy()
+
+
+def _cross(A: np.ndarray, B: np.ndarray, out: np.ndarray) -> None:
+    """``A' B`` into ``out`` through BLAS, exactly symmetric where ``B is A`` (numpy's syrk).
+
+    numpy multiplies one-row operands without BLAS, several times slower,
+    so those get a zero second row: each entry is one rounded product.
+    """
+    if len(A) == 1:
+        k = A.shape[1]
+        pad = np.zeros((2, k + B.shape[1]))
+        pad[0, :k], pad[0, k:] = A[0], B[0]
+        A, B = pad[:, :k], pad[:, k:]
+    np.matmul(A.T, B, out=out)
 
 
 def batch_ridge(X: np.ndarray, Y: np.ndarray, ridge_lambda: float) -> np.ndarray:

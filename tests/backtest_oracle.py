@@ -5,9 +5,12 @@
 ``(days, d)`` arrays. This module keeps the same rules one day at a time,
 on plain weight vectors (longs positive, shorts negative) and Python
 ``int`` lists for the legs, and the loop ``run_backtest`` replaced: each
-day it steps a fresh forecaster, updates the ranker, and books the day
-through those per-day rules. The tests compare the block functions and
-the array backtest's reports against them bit for bit.
+day it reads that day's forecasts, updates the ranker, and books the day
+through those per-day rules. The forecasts come from one
+``CurdsWheyState.step`` call over the series, as in ``run_backtest``; the
+forecaster's own arithmetic is tested against ``regression_oracle``. The
+tests compare the block functions and the array backtest's reports against
+these bit for bit.
 """
 
 from __future__ import annotations
@@ -90,7 +93,9 @@ def oracle_run_backtest(panel, config) -> BacktestReport:
     realised = config.nbar_input == "realised"
     by_p = config.nbar_membership == "by-p"
     needs_forecast = ranker is None or not (realised and by_p)
-    model = CurdsWheyState(d, config.ridge_lambda, config.tau) if needs_forecast else None
+    forecasts = None
+    if needs_forecast:
+        forecasts = CurdsWheyState(d, config.ridge_lambda, config.tau).step(rets[:-1]).y_tilde
     zero_cost = config.cost_model == "zero"
     zero_rates = np.zeros(d)
 
@@ -108,8 +113,8 @@ def oracle_run_backtest(panel, config) -> BacktestReport:
     for i in range(rets.shape[0] - 1):
         today = panel.dates[i + 1]
         r_today = rets[i]
-        if model is not None:
-            scores = model.step(r_today).y_tilde
+        if forecasts is not None:
+            scores = forecasts[i]
             if not np.isfinite(scores).all():
                 raise BacktestError(f"non-finite forecast at {today.isoformat()}")
         if ranker is not None:

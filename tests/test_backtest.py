@@ -444,7 +444,7 @@ class TestRunBacktest:
         calls = []
 
         def counted(self, r):
-            calls.append(self.t)
+            calls.append(len(r))
             return step(self, r)
 
         monkeypatch.setattr(CurdsWheyState, "step", counted)
@@ -456,7 +456,8 @@ class TestRunBacktest:
             # a fresh panel each time: the latest forecasts are kept per panel
             calls.clear()
             run_backtest(fresh_copy(noisy_panel), config)
-            assert len(calls) == noisy_panel.returns.shape[0] - 1
+            # one call folds in every booked day
+            assert calls == [noisy_panel.returns.shape[0] - 1]
 
     def test_overflowing_panel_halts_with_diagnostic(self):
         from seqrank import BacktestError
@@ -624,14 +625,16 @@ configs = st.builds(
 
 
 def plant_nan(monkeypatch, at_step):
-    """Make the forecaster's ``at_step``-th step (from 1) return a NaN forecast."""
+    """Make the forecaster's ``at_step``-th row (from 1) come out with a NaN forecast,
+    in whichever ``step`` call folds it in."""
     step = CurdsWheyState.step
 
     def planted(self, r):
+        first = self.t
         out = step(self, r)
-        if self.t == at_step:
+        if first < at_step <= self.t:
             y_tilde = out.y_tilde.copy()
-            y_tilde[-1] = np.nan
+            y_tilde.reshape(-1, self.d)[at_step - first - 1, -1] = np.nan
             return Forecast(y_hat=out.y_hat, y_tilde=y_tilde)
         return out
 
@@ -639,12 +642,12 @@ def plant_nan(monkeypatch, at_step):
 
 
 def count_steps(monkeypatch):
-    """Count ``CurdsWheyState.step`` calls; returns the list the calls append to."""
+    """Count ``CurdsWheyState.step`` calls; returns the list of the rows each call folds in."""
     calls = []
     step = CurdsWheyState.step
 
     def counted(self, r):
-        calls.append(self.t)
+        calls.append(len(np.reshape(r, (-1, self.d))))
         return step(self, r)
 
     monkeypatch.setattr(CurdsWheyState, "step", counted)
@@ -839,8 +842,8 @@ class TestForecastMemo:
             for mode in MODES:
                 run_backtest(panel, BacktestConfig(mode=mode, strategy=strategy))
         run_backtest(panel, BacktestConfig(mode="long-short", strategy="nbar", nbar_input="realised"))
-        assert len(calls) == 2499
-        assert calls == list(range(2499))
+        # one call folds in each of the 2 499 days once
+        assert calls == [2499]
 
     def test_sweep_runs_the_ranker_twice_then_never(self, monkeypatch):
         panel = simulate_jump_diffusion(
@@ -865,9 +868,9 @@ class TestForecastMemo:
         run_backtest(panel, BacktestConfig(tau=0.99))
         assert _SIGNALS[panel][0] == (0.99, 1.0)
         run_backtest(panel, BacktestConfig(tau=0.99, strategy="nbar"))
-        assert len(calls) == 2 * n_days
+        assert calls == [n_days] * 2
         run_backtest(panel, BacktestConfig(tau=0.999))
-        assert len(calls) == 3 * n_days
+        assert calls == [n_days] * 3
         assert _SIGNALS[panel][0] == (0.999, 1.0)
 
     def test_new_key_drops_all_three_signals(self, memo_panel, monkeypatch):
@@ -898,7 +901,8 @@ class TestForecastMemo:
             with pytest.raises(BacktestError, match=f"at {panel.dates[40].isoformat()}$"):
                 run_backtest(panel, BacktestConfig())
             assert panel not in _SIGNALS
-        assert len(calls) == 2 * 40
+        # the failed pass runs again in full
+        assert calls == [panel.n_dates - 2] * 2
 
     def test_failed_ranker_pass_is_not_memoised(self, memo_panel, fresh_reports, monkeypatch):
         panel = fresh_copy(memo_panel)

@@ -76,9 +76,10 @@ def test_span_map_installs_traces_a_backtest_and_restores(tmp_path):
         assert dict(vars(owner)) == attrs, owner.__name__
 
     values = spans.layer_metrics([{"spans": tracer.spans, "counts": tracer.counts, "import_s": 0.0}], 1.0)
-    # 61 dates give 59 booked days: one forecaster step each, and one ranker
-    # update for all of them, since 59 days fit in one 64-day block
-    assert values["regression.step.calls"] == 59
+    # 61 dates give 59 booked days: one forecaster call and one ranker
+    # update fold in all of them
+    assert values["regression.step.calls"] == 1
+    assert values["regression.step.s"] > 0.0
     assert values["ranker.update.calls"] == 1
     assert values["ranker.update.s"] > 0.0
     assert values["timeseries.load_csv.rows"] == 61 * 4
