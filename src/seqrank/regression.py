@@ -25,7 +25,7 @@ S`` and ``theta' = T``, a window's row ``q`` (from 1) is an update with
 noise variance ``tau^q``, so the rows' a-priori residuals are the Cholesky
 innovations of the Gram matrix ``C C' = diag(tau^q) + X S X'`` of the
 lagged inputs ``X``. With ``E = C^-1 (Y - X T)`` and ``H = C^-1 X S``,
-after row ``q`` ``theta' = T + H[:q]' E[:q]`` and ``P = (S - H[:q]'
+row ``q`` leaves ``theta' = T + H[:q]' E[:q]`` and ``P = (S - H[:q]'
 H[:q]) / tau^q``, so ``y_hat = X_c T + tril(X_c H') E`` over the current
 inputs ``X_c``. Stage two is the same on the lagged returns, ``y_hat`` and
 ``Q``: ``y_tilde = y_hat phi' + tril(y_hat H2') E2``.
