@@ -16,10 +16,13 @@ Three building blocks and one report:
 
 Student-t and F critical values come from ``scipy.special.stdtrit`` and
 ``scipy.special.fdtri``, scipy's incomplete-beta based quantile routines,
-not lookup tables. The monthly report evaluates every Welch pair's
-statistic first and then all their critical values in one vectorised
-``stdtrit`` call; :func:`welch_t_test` stays the scalar reference it is
-tested against, while :func:`levene_test` is called once per asset.
+not lookup tables. The monthly report works on the panel's kept returns
+as one ``(assets, returns)`` matrix: every asset's monthly means and
+variances, Levene W and Welch pairs are array operations over it, then
+one ``fdtri`` and one ``stdtrit`` call give the critical values. Only
+the unit-root tests run per asset. :func:`levene_test` and
+:func:`welch_t_test` are one-series calls of the same private helpers,
+so the report and the scalar tests cannot drift apart.
 
 Sidedness of the mean test is configurable because daily-return studies
 report both conventions: ``"one-sided"`` compares ``|t|`` against the
@@ -30,6 +33,7 @@ rate equal to alpha).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from itertools import compress
 from typing import Sequence
@@ -177,11 +181,74 @@ def adf_test(series: Sequence[float] | np.ndarray) -> AdfResult:
     )
 
 
+def _group_sums(x: np.ndarray, sizes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each row's group means and sums of squared deviations from them.
+
+    ``x`` is C-contiguous, one row per series with its groups side by side
+    in the order of ``sizes``; both results are ``(rows, groups)``. The
+    groups of one length are reduced together as one C-contiguous
+    ``(rows * groups, length)`` block along axis 1, which sums each group
+    in the same pairwise order, so to the same bits, as ``v.mean()`` and
+    ``v.var(ddof=1)`` on the group alone.
+    """
+    starts = np.cumsum(sizes) - sizes
+    means = np.empty((len(x), len(sizes)))
+    squares = np.empty_like(means)
+    for length in np.unique(sizes).tolist():
+        groups = np.flatnonzero(sizes == length)
+        # take, unlike x[:, index], lays its result out C-contiguous
+        block = x.take(starts[groups, None] + np.arange(length), axis=1).reshape(-1, length)
+        mean = block.mean(axis=1)
+        dev = block - mean[:, None]
+        means[:, groups] = mean.reshape(len(x), -1)
+        squares[:, groups] = (dev * dev).sum(axis=1).reshape(len(x), -1)
+    return means, squares
+
+
+def _moments(x: np.ndarray, sizes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each row's group means and ddof=1 variances (see :func:`_group_sums`)."""
+    means, squares = _group_sums(x, sizes)
+    return means, squares / (sizes - 1)
+
+
+def _levene(
+    x: np.ndarray, sizes: np.ndarray, means: np.ndarray, alpha: float
+) -> list[LeveneResult | None]:
+    """Each row's Levene test across its groups, None where W is not finite.
+
+    ``x`` and ``sizes`` are laid out as for :func:`_group_sums`, and
+    ``means`` are the group means. W is not finite when the absolute
+    deviations carry no within-group variance, or one so small that W
+    overflows. Every row has the same degrees of freedom, so one F
+    quantile serves them all.
+    """
+    k = len(sizes)
+    dof_between, dof_within = k - 1, int(sizes.sum()) - k
+    devs = np.abs(x - np.repeat(means, sizes, axis=1))
+    dev_means, squares = _group_sums(devs, sizes)
+    grand = devs.mean(axis=1)
+    # a left fold over the groups, not numpy's pairwise sum: W's bits depend on the order
+    within = sum(squares.T)
+    between = (sizes * (dev_means - grand[:, None]) ** 2).sum(axis=1)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        w_stat = (dof_within / dof_between) * between / within
+    # scipy.special takes about 0.14 s to import (python -X importtime) and
+    # only the statistical tests need it
+    from scipy.special import fdtri
+    critical = float(fdtri(dof_between, dof_within, 1.0 - alpha))
+    return [
+        LeveneResult(w, dof_between, dof_within, critical, w > critical, alpha)
+        if math.isfinite(w) else None
+        for w in w_stat.tolist()
+    ]
+
+
 def levene_test(groups: Sequence[Sequence[float]], alpha: float = 0.05) -> LeveneResult:
     """Homogeneity-of-variance W statistic on mean-centred absolute deviations.
 
-    Raises :class:`DegenerateDataError` when the within-group deviations
-    carry no variance at all (W would be 0/0 or unbounded).
+    Raises :class:`DegenerateDataError` when W is not finite: the
+    within-group deviations carry no variance at all, or so little that W
+    overflows.
     """
     if not (0.0 < alpha < 1.0):
         raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
@@ -195,44 +262,42 @@ def levene_test(groups: Sequence[Sequence[float]], alpha: float = 0.05) -> Leven
         if not np.isfinite(g).all():
             raise ValueError(f"group {i} contains non-finite values")
     sizes = np.array([len(g) for g in arrays])
-    total = int(sizes.sum())
-    devs = [np.abs(g - g.mean()) for g in arrays]
-    dev_means = np.array([z.mean() for z in devs])
-    grand = float(np.concatenate(devs).mean())
-    within = sum(float(((z - z.mean()) ** 2).sum()) for z in devs)
-    if within == 0.0:
-        raise DegenerateDataError("absolute deviations carry no within-group variance")
-    between = float((sizes * (dev_means - grand) ** 2).sum())
-    dof_between = k - 1
-    dof_within = total - k
-    w_stat = (dof_within / dof_between) * between / within
-    # scipy.special takes 0.4 s to import and only the statistical tests need it
-    from scipy.special import fdtri
-    critical = float(fdtri(dof_between, dof_within, 1.0 - alpha))
-    return LeveneResult(
-        w_stat=float(w_stat),
-        dof_between=dof_between,
-        dof_within=dof_within,
-        critical_value=critical,
-        reject=bool(w_stat > critical),
-        alpha=alpha,
-    )
+    x = np.concatenate(arrays)[None, :]
+    [result] = _levene(x, sizes, _group_sums(x, sizes)[0], alpha)
+    if result is None:
+        raise DegenerateDataError(
+            "absolute deviations carry too little within-group variance for a finite W"
+        )
+    return result
 
 
-def _welch(n1: int, m1: float, v1: float, n2: int, m2: float, v2: float) -> tuple[float, float]:
-    """Welch t statistic and Welch-Satterthwaite degrees of freedom from two
-    samples' sizes, means and ddof=1 variances.
+def _welch(
+    counts: np.ndarray, means: np.ndarray, variances: np.ndarray, pairs: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Welch t statistics, Welch-Satterthwaite degrees of freedom and the
+    mask of defined ones, for every row's group pairs.
 
-    Scalar Python-float arithmetic on purpose: the same expressions in numpy
-    (``a * a`` for ``a ** 2``) move some degrees of freedom by one ulp.
+    ``counts`` are the groups' sizes; ``means`` and ``variances`` (ddof=1)
+    are ``(rows, groups)``; ``pairs`` holds ``(i, k)`` group indices, and
+    pair ``p`` of a row compares its group ``i`` with its group ``k``. A
+    pair is undefined when both groups are constant or their variances
+    underflow in the degrees of freedom; it reads NaN.
+
+    The squares are Python float ``**`` on purpose: numpy's ``a * a`` for
+    ``a ** 2`` moves some degrees of freedom by one ulp. Each group's
+    ``(v / n) ** 2`` is taken once and shared by its pairs.
     """
-    se2 = v1 / n1 + v2 / n2
-    if se2 == 0.0:
-        raise DegenerateDataError("both samples are constant; t statistic undefined")
-    dof_denominator = (v1 / n1) ** 2 / (n1 - 1) + (v2 / n2) ** 2 / (n2 - 1)
-    if dof_denominator == 0.0:
-        raise DegenerateDataError("sample variances underflow; Welch degrees of freedom undefined")
-    return (m1 - m2) / float(np.sqrt(se2)), se2**2 / dof_denominator
+    share = variances / counts
+    share_sq = np.array([a**2 for a in share.ravel().tolist()]).reshape(share.shape) / (counts - 1)
+    first, second = pairs[:, 0], pairs[:, 1]
+    se2 = share[:, first] + share[:, second]
+    dof_denominator = share_sq[:, first] + share_sq[:, second]
+    tested = (se2 != 0.0) & (dof_denominator != 0.0)
+    se2_sq = np.array([a**2 for a in se2.ravel().tolist()]).reshape(se2.shape)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t_stat = np.where(tested, (means[:, first] - means[:, second]) / np.sqrt(se2), np.nan)
+        dof = np.where(tested, se2_sq / dof_denominator, np.nan)
+    return t_stat, dof, tested
 
 
 def _tail(alpha: float, sidedness: str) -> float:
@@ -268,10 +333,14 @@ def welch_t_test(
         raise ValueError("both samples need at least 2 observations")
     if not (np.isfinite(xa).all() and np.isfinite(xb).all()):
         raise ValueError("samples contain non-finite values")
-    t_stat, dof = _welch(
-        len(xa), float(xa.mean()), float(xa.var(ddof=1)),
-        len(xb), float(xb.mean()), float(xb.var(ddof=1)),
-    )
+    sizes = np.array([len(xa), len(xb)])
+    x = np.concatenate([xa, xb])[None, :]
+    t_stat, dof, tested = _welch(sizes, *_moments(x, sizes), np.array([[0, 1]]))
+    if not tested[0, 0]:
+        raise DegenerateDataError(
+            "both samples are constant, or their variances underflow; Welch statistic undefined"
+        )
+    t_stat, dof = float(t_stat[0, 0]), float(dof[0, 0])
     from scipy.special import stdtrit
     critical = float(stdtrit(dof, 1.0 - _tail(alpha, sidedness)))
     return TTestResult(
@@ -427,32 +496,32 @@ def monthly_stationarity_report(
             f"panel spans {len(starts)} calendar months; "
             f"max_shift={max_shift} needs at least {max_shift + 2}"
         )
-    ends = np.append(starts[1:], len(codes))
-    kept = [
-        (int(codes[s]), int(s), int(e)) for s, e in zip(starts, ends) if e - s >= min_month_obs
-    ]
-    kept_index = {code: i for i, (code, _, _) in enumerate(kept)}
+    lengths = np.diff(starts, append=len(codes))
+    keep = lengths >= min_month_obs
+    kept = codes[starts[keep]].tolist()
+    kept_index = {code: i for i, code in enumerate(kept)}
     # (month, earlier month, shift) index triples, the same for every asset
     candidates = [
         (i, kept_index[code - shift], shift)
-        for i, (code, _, _) in enumerate(kept)
+        for i, code in enumerate(kept)
         for shift in range(1, max_shift + 1)
         if code - shift in kept_index
     ]
     pairs = np.array(candidates, dtype=np.int64).reshape(-1, 3)
-    counts = np.array([end - start for _, start, end in kept], dtype=np.int64)
-    shape = (len(panel.assets), len(candidates))
-    means = np.empty((len(panel.assets), len(kept)))
-    variances = np.empty_like(means)
-    t_stat = np.full(shape, np.nan)
-    dof = np.full(shape, np.nan)
-    tested = np.zeros(shape, dtype=bool)
+    counts = lengths[keep]
+    # one row per asset: its returns in the kept months, month after month
+    kept_returns = np.ascontiguousarray(panel.returns[np.repeat(keep, lengths)].T)
+    means, variances = _moments(kept_returns, counts)
+    t_stat, dof, tested = _welch(counts, means, variances, pairs[:, :2])
 
     adf_level = _nearest_level(alpha, DEFAULT_ADF_LEVELS)
-    skipped = {"adf_price": 0, "adf_return": 0, "levene": 0, "t_test": 0}
+    skipped = {"adf_price": 0, "adf_return": 0, "levene": 0, "t_test": int((~tested).sum())}
+    levene: list[LeveneResult | None] = [None] * len(panel.assets)
+    if len(kept) >= 2:
+        levene = _levene(kept_returns, counts, means, alpha)
+        skipped["levene"] = levene.count(None)
     price_flags: list[bool] = []
     return_flags: list[bool] = []
-    levene_flags: list[bool] = []
     per_asset: list[AssetDiagnostics] = []
     for j, asset in enumerate(panel.assets):
         prices = 0.5 * (panel.bids[:, j] + panel.asks[:, j])
@@ -469,28 +538,8 @@ def monthly_stationarity_report(
             return_flags.append(adf_return.reject(adf_level))
         except DegenerateDataError:
             skipped["adf_return"] += 1
-
-        samples = [rets[start:end] for _, start, end in kept]
-        moments = [(len(v), float(v.mean()), float(v.var(ddof=1))) for v in samples]
-        means[j] = [mean for _, mean, _ in moments]
-        variances[j] = [var for _, _, var in moments]
-
-        levene = None
-        if len(kept) >= 2:
-            try:
-                levene = levene_test(samples, alpha=alpha)
-                levene_flags.append(levene.reject)
-            except DegenerateDataError:
-                skipped["levene"] += 1
-
-        for p, (i, k, _) in enumerate(candidates):
-            try:
-                t_stat[j, p], dof[j, p] = _welch(*moments[i], *moments[k])
-            except DegenerateDataError:
-                skipped["t_test"] += 1
-            else:
-                tested[j, p] = True
-        per_asset.append(AssetDiagnostics(asset, adf_price, adf_return, levene))
+        per_asset.append(AssetDiagnostics(asset, adf_price, adf_return, levene[j]))
+    levene_flags = [result.reject for result in levene if result is not None]
 
     from scipy.special import stdtrit
     critical_value = stdtrit(dof, 1.0 - _tail(alpha, sidedness))
@@ -508,7 +557,7 @@ def monthly_stationarity_report(
         max_shift=max_shift,
         adf_level=adf_level,
         assets=tuple(per_asset),
-        months=tuple(f"{code // 12:04d}-{code % 12 + 1:02d}" for code, _, _ in kept),
+        months=tuple(f"{code // 12:04d}-{code % 12 + 1:02d}" for code in kept),
         counts=counts,
         means=means,
         variances=variances,

@@ -12,6 +12,8 @@ from hypothesis import settings
 from seqrank import JumpDiffusionConfig, QuotePanel, simulate_jump_diffusion, weekday_range
 
 settings.register_profile("suite", deadline=None, max_examples=50)
+# ten times the examples, for the bit-for-bit oracles: pytest --hypothesis-profile thorough
+settings.register_profile("thorough", deadline=None, max_examples=500)
 settings.load_profile("suite")
 
 def assert_no_child() -> None:

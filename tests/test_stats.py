@@ -1,7 +1,9 @@
 """Unit-root, variance and mean tests plus the monthly report machinery."""
 
 import datetime as dt
+import inspect
 import json
+import math
 from types import SimpleNamespace
 
 import numpy as np
@@ -20,6 +22,7 @@ from seqrank import (
 )
 from seqrank import stats
 from seqrank.stats import render_report_table
+import stats_oracle as oracle
 
 sample = st.lists(
     st.floats(min_value=-100, max_value=100, allow_nan=False), min_size=5, max_size=40
@@ -142,6 +145,28 @@ class TestLevene:
         with pytest.raises(DegenerateDataError):
             levene_test([[2.0, 2.0, 2.0], [2.0, 2.0, 2.0]])
 
+    def test_subnormal_within_variance_degenerate(self):
+        # the within-group sum of squares is subnormal, so W overflows to inf,
+        # which a strict JSON writer refuses
+        with pytest.raises(DegenerateDataError):
+            levene_test([[0.0, 2.0], [1.0, 5.0], [0.0, 0.0, 3e-160]])
+
+    @given(groups=st.lists(st.lists(st.floats(min_value=-100, max_value=100, allow_nan=False),
+                                    min_size=2, max_size=30), min_size=2, max_size=8))
+    @example(groups=[[0.0, 2.0], [1.0, 5.0], [0.0, 0.0, 3e-160]])
+    @example(groups=[[2.0, 2.0, 2.0], [-1.0, -1.0]])
+    # nine groups: numpy's pairwise sum of the within-group sums is not the left fold
+    @example(groups=[[-0.4, -1.09, -1.36, 0.22], [1.17, 0.72], [-2.0, 0.27, -1.1, 0.03],
+                     [-1.99, -0.23], [-0.26, 0.96, -1.18], [-1.1, -0.33, -0.84],
+                     [1.45, 0.57, 2.43], [0.84, 0.84], [-0.61, -0.07, 1.35, -0.4]])
+    def test_matches_per_group_oracle(self, groups):
+        expected = oracle.levene_w(groups)
+        if not math.isfinite(expected):
+            with pytest.raises(DegenerateDataError):
+                levene_test(groups)
+            return
+        assert same_bits(levene_test(groups).w_stat, expected)
+
     def test_domain_errors(self):
         with pytest.raises(ValueError):
             levene_test([[1.0, 2.0]])
@@ -176,6 +201,22 @@ class TestWelch:
         assert fwd.dof == pytest.approx(rev.dof, rel=1e-12)
         assert fwd.dof >= min(len(a), len(b)) - 1 - 1e-9
         assert fwd.dof <= len(a) + len(b) - 2 + 1e-9
+
+    @given(a=sample, b=sample)
+    @example(a=[0.0] * 5, b=[0.0] * 4 + [3.285107521708261e-98])
+    # squaring with numpy's a * a instead of Python's a ** 2 moves these dofs by one or two
+    # ulps: the first through (v / n) ** 2, the second through se2 ** 2
+    @example(a=[0.598, -0.343, -0.889, -0.085, 0.203], b=[0.958, 0.402, -0.56, 0.099, -0.925])
+    @example(a=[-0.64, 0.69, -0.08, -0.6, -1.46], b=[1.13, 5.3, 0.41, 0.12, -0.31])
+    def test_matches_scalar_oracle(self, a, b):
+        expected = oracle.welch(a, b)
+        if expected is None:
+            with pytest.raises(DegenerateDataError):
+                welch_t_test(a, b)
+            return
+        result = welch_t_test(a, b)
+        assert same_bits(result.t_stat, expected[0])
+        assert same_bits(result.dof, expected[1])
 
     def test_one_sided_uses_looser_gate(self):
         rng = np.random.default_rng(0)
@@ -276,15 +317,30 @@ class TestMonthlyReport:
         with pytest.raises(ValueError, match="min_month_obs"):
             monthly_stationarity_report(panel, max_shift=2, min_month_obs=1)
 
-    @pytest.mark.parametrize("alpha", [0.0, 1.0, -0.1, 1.5, float("nan")])
-    def test_alpha_rejected_before_any_test(self, panel, monkeypatch, alpha):
+    @staticmethod
+    def patch_every_helper(monkeypatch):
+        """Make every function of ``seqrank.stats`` that the report could
+        call, public or private, fail when called."""
         def no_test(*args, **kwargs):
             raise AssertionError("a test ran before alpha was checked")
 
-        for name in ("adf_test", "levene_test", "welch_t_test"):
-            monkeypatch.setattr(stats, name, no_test)
+        for name, value in vars(stats).items():
+            if (inspect.isfunction(value) and value.__module__ == stats.__name__
+                    and name not in ("monthly_stationarity_report", "_check_alpha_and_sidedness")):
+                monkeypatch.setattr(stats, name, no_test)
+
+    @pytest.mark.parametrize("alpha", [0.0, 1.0, -0.1, 1.5, float("nan")])
+    def test_alpha_rejected_before_any_test(self, panel, monkeypatch, alpha):
+        self.patch_every_helper(monkeypatch)
         with pytest.raises(ValueError, match="alpha"):
             monthly_stationarity_report(panel, max_shift=2, alpha=alpha)
+
+    def test_patched_helpers_are_the_ones_the_report_calls(self, panel, monkeypatch):
+        # with a valid alpha the same patches stop the report, so the test
+        # above would see a helper that ran before the check
+        self.patch_every_helper(monkeypatch)
+        with pytest.raises(AssertionError, match="before alpha was checked"):
+            monthly_stationarity_report(panel, max_shift=2, alpha=0.05)
 
 
 def stand_in_panel(months: list[list[float]]) -> SimpleNamespace:
@@ -352,7 +408,8 @@ month_values = st.one_of(
 
 
 class TestBatchedReportOracle:
-    """The batched report against ``welch_t_test`` on the same months, bit for bit."""
+    """The batched report against ``welch_t_test`` and ``levene_test`` on the
+    same months, bit for bit."""
 
     @given(
         months=st.lists(month_values, min_size=7, max_size=10),
@@ -366,18 +423,45 @@ class TestBatchedReportOracle:
         months=[[0.0] * 5, [0.0] * 4 + [3.285107521708261e-98]] * 3 + [[0.0] * 5],
         max_shift=2, min_month_obs=2, sidedness="one-sided", alpha=0.05,
     )
+    # every kept month constant (the 20-return burn-in month is dropped):
+    # no Levene W and no Welch pair is defined
+    @example(months=[[0.25] * 21] * 7, max_shift=2, min_month_obs=21, sidedness="two-sided",
+             alpha=0.05)
+    # the within-group sum of squares of the deviations is subnormal, so W overflows
+    @example(
+        months=[[0.0] * 11 + [2.0] * 11, [1.0] * 11 + [5.0] * 11, [0.0] * 21 + [3e-160]]
+        + [[0.0] * 11 + [2.0] * 11] * 4,
+        max_shift=1, min_month_obs=21, sidedness="one-sided", alpha=0.05,
+    )
     def test_pairs_match_welch_t_test(self, months, max_shift, min_month_obs, sidedness, alpha):
         panel = stand_in_panel(months)
         report = monthly_stationarity_report(
             panel, max_shift=max_shift, alpha=alpha, sidedness=sidedness,
             min_month_obs=min_month_obs,
         )
-        skipped = 0
+        skipped = levene_skipped = 0
+        levene_rejects = []
         tests = {k: 0 for k in range(1, max_shift + 1)}
         rejects = {k: 0 for k in range(1, max_shift + 1)}
-        payload = report.to_json_dict()["assets"]
+        document = report.to_json_dict()
+        json.dumps(document, allow_nan=False)
+        payload = document["assets"]
         for j, (kept, pairs) in enumerate(oracle_pairs(
                 panel, max_shift, alpha, sidedness, min_month_obs)):
+            levene = None
+            if len(kept) >= 2:
+                try:
+                    levene = levene_test(list(kept.values()), alpha=alpha)
+                except DegenerateDataError:
+                    levene_skipped += 1
+            if levene is None:
+                assert report.assets[j].levene is None and payload[j]["levene"] is None
+            else:
+                assert report.assets[j].levene == levene
+                assert same_bits(report.assets[j].levene.w_stat, levene.w_stat)
+                assert same_bits(report.assets[j].levene.critical_value, levene.critical_value)
+                assert payload[j]["levene"] == levene.to_json_dict()
+                levene_rejects.append(levene.reject)
             assert list(report.months) == [f"{y:04d}-{m:02d}" for y, m in kept]
             assert len(report.counts) == len(kept)
             for m, values in enumerate(kept.values()):
@@ -414,6 +498,11 @@ class TestBatchedReportOracle:
                 tests[shift] += 1
                 rejects[shift] += result.reject
         assert report.skipped["t_test"] == skipped
+        assert report.skipped["levene"] == levene_skipped
+        if levene_rejects:
+            assert same_bits(report.levene_rejection_fraction, np.mean(levene_rejects))
+        else:
+            assert report.levene_rejection_fraction is None
         assert [(s.shift, s.n_tests, s.n_rejections) for s in report.rejection_by_shift] == [
             (k, tests[k], rejects[k]) for k in range(1, max_shift + 1)
         ]
