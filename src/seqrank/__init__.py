@@ -11,7 +11,7 @@ from .backtest import (
     run_backtest,
 )
 from .ranker import RankerState, RankOutput
-from .regression import CurdsWheyState, Forecast, batch_ridge, batch_shrinkage
+from .regression import CurdsWheyState, batch_ridge, batch_shrinkage
 from .stats import (
     AdfResult,
     DegenerateDataError,
@@ -44,7 +44,6 @@ __all__ = [
     "RankerState",
     "RankOutput",
     "CurdsWheyState",
-    "Forecast",
     "batch_ridge",
     "batch_shrinkage",
     "AdfResult",

@@ -419,12 +419,14 @@ def _forecast_matrix(panel: QuotePanel, tau: float, ridge_lambda: float) -> np.n
     Row ``i`` is ``y_tilde`` after the forecaster has folded in return row
     ``i``: the scores for ``panel.dates[i + 1]``. The forecaster folds the
     returns in one ``CurdsWheyState.step`` call. A pass that yields a
-    non-finite forecast raises, naming the first date that has one.
+    non-finite forecast, as one that overflows does, raises, naming the
+    first date that has one.
     """
 
     def compute() -> np.ndarray:
         model = CurdsWheyState(panel.n_assets, ridge_lambda, tau)
-        forecasts = model.step(panel.returns[:-1]).y_tilde
+        with np.errstate(over="ignore", invalid="ignore"):
+            forecasts = model.step(panel.returns[:-1])
         finite = np.isfinite(forecasts).all(axis=1)
         if not finite.all():
             first = int(finite.argmin())

@@ -12,10 +12,10 @@ indicator depends only on the ordering of the performance vector, the
 whole state is invariant to positive affine rescalings of the input.
 
 ``update`` folds in one day or a whole series in one call. One argsort per
-``_BLOCK_ROWS`` rows (for a single day, a binary search of its sorted row)
-gives those rows' win counts, and the ``m`` and ``p`` recursions then run
-row by row, the posterior rows straight into the returned matrix, so a
-series gives the bits of its days folded in one at a time.
+``_BLOCK_ROWS`` rows gives those rows' win counts, and the ``m`` and ``p``
+recursions then run row by row, the posterior rows straight into the
+returned matrix, so a series gives the bits of its days folded in one at a
+time.
 
 Updates are strictly sequential; a state may be handed between threads
 but never shared mutably.
@@ -94,47 +94,36 @@ class RankerState:
             )
         if not np.isfinite(series).all():
             raise ValueError("performance contains non-finite values")
-        days = len(series)
+        days, tau = len(series), self.tau
         posterior = np.empty((days, self.d))
         norms = np.empty(days)
         m, p = self.m, self.p
+        decayed = np.empty(self.d)
         for start in range(0, days, _BLOCK_ROWS):
-            rows = slice(start, start + _BLOCK_ROWS)
-            m, p = self._fold(series[rows], m, p, posterior[rows], norms[rows])
+            # the slice's (1 - tau) * (c / d) at once; the recursions then run
+            # a row at a time, with the operands of a one-day update in its order
+            m_rows = _win_counts(series[start : start + _BLOCK_ROWS]) / self.d
+            m_rows *= 1.0 - tau
+            for row in m_rows:
+                np.multiply(m, tau, out=decayed)
+                row += decayed
+                m = row
+            m = m.copy()
+            # each row's (1 - tau) * q, in place of m
+            _likelihood(m_rows, out=m_rows)
+            m_rows *= 1.0 - tau
+            for j, (row, step) in enumerate(zip(posterior[start:], m_rows), start):
+                np.multiply(p, tau, out=row)
+                row += step
+                norms[j] = row.sum()
+                row /= norms[j]
+                p = row
+            # the slice's block goes before the next slice's win counts
+            del m_rows, step
         self._log_drift(norms)
         self.m, self.p = m, p.copy()
         self.t += days
         return posterior[0] if r.ndim == 1 else posterior
-
-    def _fold(
-        self, rows: np.ndarray, m: np.ndarray, p: np.ndarray, posterior: np.ndarray, norms: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Fold a slice of rows into ``m`` and ``p``; returns the last row's ``m`` and ``p``.
-
-        Writes each row's posterior into ``posterior`` and its sum before
-        renormalising into ``norms``. The slice's temporaries go on return.
-        """
-        tau = self.tau
-        # the slice's (1 - tau) * (c / d) at once; the recursions then run a
-        # row at a time, with the operands of a one-day update in its order
-        m_rows = _win_counts(rows) / self.d
-        m_rows *= 1.0 - tau
-        decayed = np.empty(self.d)
-        for row in m_rows:
-            np.multiply(m, tau, out=decayed)
-            row += decayed
-            m = row
-        m = m.copy()
-        # each row's (1 - tau) * q, in place of m
-        steps = _likelihood(m_rows, out=m_rows)
-        steps *= 1.0 - tau
-        for j, (row, step) in enumerate(zip(posterior, steps)):
-            np.multiply(p, tau, out=row)
-            row += step
-            norms[j] = row.sum()
-            row /= norms[j]
-            p = row
-        return m, p
 
     def _log_drift(self, norms: np.ndarray) -> None:
         """One warning for the rows of an update whose posterior sum drifted from 1."""
@@ -164,11 +153,6 @@ def _win_counts(block: np.ndarray) -> np.ndarray:
     In a sorted row, a value's count is the end of its run of equal values.
     """
     days, d = block.shape
-    if days == 1:
-        # one day's counts from a binary search of its sorted row: the same
-        # integers from two numpy calls instead of a dozen, a fifth less time
-        # for a one-day update
-        return np.searchsorted(np.sort(block[0]), block, side="right")
     order = np.argsort(block, axis=1)
     # row indices beside order: numpy's take/put_along_axis build the same
     # index pair in Python on every call

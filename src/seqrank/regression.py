@@ -41,12 +41,11 @@ threads but never shared mutably.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-__all__ = ["CurdsWheyState", "Forecast", "batch_ridge", "batch_shrinkage"]
+__all__ = ["CurdsWheyState", "batch_ridge", "batch_shrinkage"]
 
 logger = logging.getLogger(__name__)
 
@@ -63,14 +62,6 @@ _WINDOW = 32
 _DOWNDATE_SHARE = 1.0 / 3.0
 # row i of a window reads the updates of rows 0 to i
 _LOWER = np.tri(_WINDOW)
-
-
-@dataclass(frozen=True)
-class Forecast:
-    """The shrunk forecast ``y_tilde`` of each row a step folds in, and the last row's first-stage ``y_hat``."""
-
-    y_hat: np.ndarray
-    y_tilde: np.ndarray
 
 
 class CurdsWheyState:
@@ -113,14 +104,8 @@ class CurdsWheyState:
         self._x = np.ones((_WINDOW + 1, m))
         self._x[0, 1:] = 0.0
         self._y = self._x[:, 1:]
-        # a fold writes each product here, so a one-row step allocates no matrix
-        scratch = np.empty(m * m)
-        self._S_buf = scratch.reshape(m, m)
-        self._T_buf = scratch[: m * d].reshape(m, d)
-        self._F_buf = scratch[: d * d].reshape(d, d)
-        self._resync()
 
-    def step(self, r: Sequence[float] | np.ndarray) -> Forecast:
+    def step(self, r: Sequence[float] | np.ndarray) -> np.ndarray:
         """Fold in one return vector ``(d,)``, or a series of them ``(days, d)``, forecasting after each.
 
         Each row in turn: update ``theta`` and ``P`` against the pair
@@ -129,10 +114,8 @@ class CurdsWheyState:
         ``P`` before its update; form ``y_tilde = phi @ y_hat``; roll
         ``y_prev`` forward to ``r``. A diagonal entry of ``P`` below 1e-12
         times the prior's resets ``P``, and with it ``Q``, to the prior (with
-        a log line). Returns each row's ``y_tilde``, shaped like ``r``, and
-        the last row's ``y_hat``: a series' ``y_hat`` would be a second
-        ``(days, d)`` matrix that no caller reads. The whole input is checked
-        before the state changes.
+        a log line). Returns each row's ``y_tilde`` as a new array shaped
+        like ``r``. The whole input is checked before the state changes.
         """
         y = np.asarray(r, dtype=float)
         series = y[None, :] if y.ndim == 1 else y
@@ -143,47 +126,25 @@ class CurdsWheyState:
         if not np.isfinite(series).all():
             raise ValueError("returns contain non-finite values")
         y_tilde = np.empty(series.shape)
-        y_hat = np.empty((min(len(series), _WINDOW), self.d))
         start, rows = 0, _WINDOW
         while start < len(series):
             rows = min(rows, len(series) - start)
             self._y[1 : rows + 1] = series[start : start + rows]
-            out = y_hat, y_tilde[start:]
-            folded = (rows > 1 and self._window(rows, *out)) or self._one_row(*out)
+            out = y_tilde[start:]
+            folded = (rows > 1 and self._window(rows, out)) or self._one_row(out)
             self._y[0] = self._y[folded]
             start += folded
             rows = min(2 * folded, _WINDOW)
-        return Forecast(y_hat=y_hat[folded - 1].copy(), y_tilde=y_tilde[0] if y.ndim == 1 else y_tilde)
+        return y_tilde[0] if y.ndim == 1 else y_tilde
 
-    def _window(self, w: int, y_hat: np.ndarray, y_tilde: np.ndarray) -> int:
+    def _window(self, w: int, y_tilde: np.ndarray) -> int:
         """Fold in rows 1 to ``w`` of ``_x`` up to the first that trips a check, forecasts into the
-        heads of ``y_hat`` and ``y_tilde``; returns how many, 0 where there is no Cholesky factor."""
-        stage_one = self._stage_one(w)
-        if stage_one is None:
-            return 0
-        n, reset, inverse, XT, E, H, UQ = stage_one
-        X, U, lower = self._x[1 : n + 1], self._y[:n], _LOWER[:n, :n]
-        E, H, y_hat, y_tilde = E[:n], H[:n], y_hat[:n], y_tilde[:n]
-        np.matmul((X @ H.T) * lower, E, out=y_hat)
-        y_hat += XT[1 : n + 1]
-        E2 = inverse[1, :n, :n] @ (y_hat - U @ self._F)
-        H2 = inverse[1, :n, :n] @ UQ[:n]
-        np.matmul((y_hat @ H2.T) * lower, E2, out=y_tilde)
-        y_tilde += y_hat @ self._F
-        _cross(H, H, out=self._S_buf)
-        self._S -= self._S_buf
-        self._S *= self.tau**-n
-        self._fold(H, E, H2, E2, reset)
-        return n
-
-    def _stage_one(self, w: int) -> tuple | None:
-        """``(n, reset, C^-1 of both stages, X T, E, H, U Q)`` over ``w`` rows, of which the window
-        folds ``n`` and then resets ``P`` if ``reset``; None where there is no Cholesky factor."""
+        head of ``y_tilde``; returns how many, 0 where there is no Cholesky factor."""
         S, X, U, decay = self._S, self._x[: w + 1], self._y[:w], self.tau ** np.arange(1.0, w + 1.0)
         # rows (0, u) S: u's product with S's first column, then S22 u
         XS = U @ S[1:]
         # Q u = S22 u - S21 (S12 u) / S11
-        UQ = np.multiply.outer(-XS[:, 0], self._q)
+        UQ = np.multiply.outer(-XS[:, 0], S[1:, 0] / S[0, 0])
         UQ += XS[:, 1:]
         XS += S[0]
         gram = np.stack((XS @ X[:w].T, UQ @ U.T))
@@ -191,14 +152,14 @@ class CurdsWheyState:
         # an overflowed Gram matrix factors with infinite pivots, rows of no
         # weight; the step-by-step recursion carries the overflow on instead
         if not np.isfinite(gram).all():
-            return None
+            return 0
         try:
             # C^-1 as the inverse of C': LAPACK's pivot search finds nothing
             # below its diagonal, so row i of C^-1 reads only rows up to i,
             # however large the later rows
             inverse = np.linalg.inv(np.linalg.cholesky(gram).swapaxes(1, 2)).swapaxes(1, 2)
         except np.linalg.LinAlgError:
-            return None
+            return 0
         XT = X @ self._T
         E = inverse[0] @ (self._y[1 : w + 1] - XT[:w])
         H = inverse[0] @ XS
@@ -206,19 +167,30 @@ class CurdsWheyState:
         resets = (S.diagonal() - downdates < decay[:, None] * (_RESET_FLOOR / self.ridge_lambda)).any(axis=1)
         trips = resets | (downdates > S.diagonal() * _DOWNDATE_SHARE).any(axis=1)
         n = int(trips.argmax()) + 1 if trips.any() else w
-        return n, bool(resets[n - 1]), inverse, XT, E, H, UQ
+        X_c, U, lower = X[1 : n + 1], U[:n], _LOWER[:n, :n]
+        E, H, y_tilde = E[:n], H[:n], y_tilde[:n]
+        y_hat = ((X_c @ H.T) * lower) @ E
+        y_hat += XT[1 : n + 1]
+        E2 = inverse[1, :n, :n] @ (y_hat - U @ self._F)
+        H2 = inverse[1, :n, :n] @ UQ[:n]
+        np.matmul((y_hat @ H2.T) * lower, E2, out=y_tilde)
+        y_tilde += y_hat @ self._F
+        S -= _cross(H, H)
+        S *= self.tau**-n
+        self._fold(H, E, H2, E2, bool(resets[n - 1]))
+        return n
 
-    def _one_row(self, y_hat: np.ndarray, y_tilde: np.ndarray) -> int:
+    def _one_row(self, y_tilde: np.ndarray) -> int:
         """Fold in row 1 of ``_x`` alone, as the step-by-step recursion does; returns 1."""
-        S, tau, x, u, y_hat, y_tilde = self._S, self.tau, self._x[:2], self._y[0], y_hat[0], y_tilde[0]
+        S, tau, x, u, y_tilde = self._S, self.tau, self._x[:2], self._y[0], y_tilde[0]
         s = S @ x[0]
         z = u @ S[1:]
         XT = x @ self._T
         scale = tau + float(s @ x[0])
         resid = self._y[1] - XT[0]
-        np.multiply(resid, float(s @ x[1]) / scale, out=y_hat)
+        y_hat = resid * (float(s @ x[1]) / scale)
         y_hat += XT[1]
-        Qu = z[1:] - self._q * z[0]
+        Qu = z[1:] - S[1:, 0] / S[0, 0] * z[0]
         scale2 = tau + float(Qu @ u)
         resid2 = y_hat - u @ self._F
         np.multiply(resid2, float(Qu @ y_hat) / scale2, out=y_tilde)
@@ -226,30 +198,23 @@ class CurdsWheyState:
         # P / tau - g g' r / tau with g = s / r: no square root, so a negative
         # r, where P is indefinite, is taken as the old recursion takes it
         gain = (s / scale)[None, :]
-        _cross(gain, gain, out=self._S_buf)
-        self._S_buf *= scale / tau
+        downdate = _cross(gain, gain)
+        downdate *= scale / tau
         S /= tau
-        S -= self._S_buf
+        S -= downdate
         reset = float(S.diagonal().min()) < _RESET_FLOOR / self.ridge_lambda
         self._fold(gain, resid[None, :], (Qu / scale2)[None, :], resid2[None, :], reset)
         return 1
 
     def _fold(self, H: np.ndarray, E: np.ndarray, H2: np.ndarray, E2: np.ndarray, reset: bool) -> None:
         """After ``S``'s downdate: ``theta' += H' E`` and ``phi' += H2' E2``, then the reset, if due."""
-        _cross(H, E, out=self._T_buf)
-        self._T += self._T_buf
-        _cross(H2, E2, out=self._F_buf)
-        self._F += self._F_buf
+        self._T += _cross(H, E)
+        self._F += _cross(H2, E2)
         self.t += len(H)
         if reset:
             logger.warning("P diagonal collapsed at step %d; resetting to prior", self.t)
             self._S[...] = np.eye(len(self._S)) / self.ridge_lambda
             self.p_resets += 1
-        self._resync()
-
-    def _resync(self) -> None:
-        """Re-read from ``S`` the column through which stage two derives ``Q``."""
-        self._q = self._S[1:, 0] / self._S[0, 0]
 
     @property
     def theta(self) -> np.ndarray:
@@ -268,8 +233,8 @@ class CurdsWheyState:
         return self._y[0].copy()
 
 
-def _cross(A: np.ndarray, B: np.ndarray, out: np.ndarray) -> None:
-    """``A' B`` into ``out`` through BLAS, exactly symmetric where ``B is A`` (numpy's syrk).
+def _cross(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """``A' B`` through BLAS, exactly symmetric where ``B is A`` (numpy's syrk).
 
     numpy multiplies one-row operands without BLAS, several times slower,
     so those get a zero second row: each entry is one rounded product.
@@ -279,7 +244,7 @@ def _cross(A: np.ndarray, B: np.ndarray, out: np.ndarray) -> None:
         pad = np.zeros((2, k + B.shape[1]))
         pad[0, :k], pad[0, k:] = A[0], B[0]
         A, B = pad[:, :k], pad[:, k:]
-    np.matmul(A.T, B, out=out)
+    return A.T @ B
 
 
 def batch_ridge(X: np.ndarray, Y: np.ndarray, ridge_lambda: float) -> np.ndarray:

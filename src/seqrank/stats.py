@@ -281,23 +281,43 @@ def _welch(
     are ``(rows, groups)``; ``pairs`` holds ``(i, k)`` group indices, and
     pair ``p`` of a row compares its group ``i`` with its group ``k``. A
     pair is undefined when both groups are constant or their variances
-    underflow in the degrees of freedom; it reads NaN.
+    underflow or overflow in the degrees of freedom; it reads NaN.
 
-    The squares are Python float ``**`` on purpose: numpy's ``a * a`` for
-    ``a ** 2`` moves some degrees of freedom by one ulp. Each group's
-    ``(v / n) ** 2`` is taken once and shared by its pairs.
+    Each group's ``(v / n) ** 2`` is taken once and shared by its pairs.
     """
     share = variances / counts
-    share_sq = np.array([a**2 for a in share.ravel().tolist()]).reshape(share.shape) / (counts - 1)
+    share_sq = _squares(share) / (counts - 1)
     first, second = pairs[:, 0], pairs[:, 1]
-    se2 = share[:, first] + share[:, second]
-    dof_denominator = share_sq[:, first] + share_sq[:, second]
-    tested = (se2 != 0.0) & (dof_denominator != 0.0)
-    se2_sq = np.array([a**2 for a in se2.ravel().tolist()]).reshape(se2.shape)
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        se2 = share[:, first] + share[:, second]
+        dof_denominator = share_sq[:, first] + share_sq[:, second]
+        se2_sq = _squares(se2)
+        tested = (se2 != 0.0) & (dof_denominator != 0.0) & np.isfinite(dof_denominator) & np.isfinite(se2_sq)
         t_stat = np.where(tested, (means[:, first] - means[:, second]) / np.sqrt(se2), np.nan)
         dof = np.where(tested, se2_sq / dof_denominator, np.nan)
     return t_stat, dof, tested
+
+
+def _squares(values: np.ndarray) -> np.ndarray:
+    """Each entry's Python float ``a ** 2``, infinite where it overflows.
+
+    Python's ``**`` on purpose: numpy's ``a * a`` moves some degrees of
+    freedom by one ulp. It raises on overflow, so only then are the entries
+    squared one at a time.
+    """
+    flat = values.ravel().tolist()
+    try:
+        squares = [a**2 for a in flat]
+    except OverflowError:
+        squares = [_square(a) for a in flat]
+    return np.array(squares).reshape(values.shape)
+
+
+def _square(a: float) -> float:
+    try:
+        return a**2
+    except OverflowError:
+        return math.inf
 
 
 def _tail(alpha: float, sidedness: str) -> float:
@@ -338,7 +358,7 @@ def welch_t_test(
     t_stat, dof, tested = _welch(sizes, *_moments(x, sizes), np.array([[0, 1]]))
     if not tested[0, 0]:
         raise DegenerateDataError(
-            "both samples are constant, or their variances underflow; Welch statistic undefined"
+            "both samples are constant, or their variances underflow or overflow; Welch statistic undefined"
         )
     t_stat, dof = float(t_stat[0, 0]), float(dof[0, 0])
     from scipy.special import stdtrit

@@ -231,15 +231,7 @@ def weekday_range(start: dt.date, count: int) -> tuple[dt.date, ...]:
     to a weekday if needed)."""
     if count < 1:
         raise ValueError("count must be at least 1")
-    days = []
-    day = start
-    while day.weekday() >= 5:
-        day += dt.timedelta(days=1)
-    while len(days) < count:
-        if day.weekday() < 5:
-            days.append(day)
-        day += dt.timedelta(days=1)
-    return tuple(days)
+    return tuple(np.busday_offset(start, np.arange(count), roll="forward").tolist())
 
 
 @dataclass(frozen=True)

@@ -95,7 +95,7 @@ def oracle_run_backtest(panel, config) -> BacktestReport:
     needs_forecast = ranker is None or not (realised and by_p)
     forecasts = None
     if needs_forecast:
-        forecasts = CurdsWheyState(d, config.ridge_lambda, config.tau).step(rets[:-1]).y_tilde
+        forecasts = CurdsWheyState(d, config.ridge_lambda, config.tau).step(rets[:-1])
     zero_cost = config.cost_model == "zero"
     zero_rates = np.zeros(d)
 

@@ -11,17 +11,26 @@ until a reset. A ``P`` reset here leaves ``Q`` alone.
 ``precise_forecasts`` runs the same recursion in 40-digit decimal
 arithmetic, the reference against which the float recursions' rounding is
 measured. ``weighted_ridge`` is the batch solution the recursions track at
-a forgetting factor ``tau < 1``.
+a forgetting factor ``tau < 1``. Both recursions report each row as a
+``Forecast`` of its two stages' predictions.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from decimal import Decimal, localcontext
 
 import numpy as np
 
-from seqrank import Forecast
 from seqrank.regression import _RESET_FLOOR
+
+
+@dataclass(frozen=True)
+class Forecast:
+    """One row's first-stage prediction ``y_hat`` and its shrunk forecast ``y_tilde``."""
+
+    y_hat: np.ndarray | None
+    y_tilde: np.ndarray
 
 
 class GeneralCurdsWhey:

@@ -32,14 +32,18 @@ def levene_w(groups) -> float:
 
 def welch(a, b) -> tuple[float, float] | None:
     """Welch's t and Welch-Satterthwaite degrees of freedom; None when
-    both samples are constant or their variances underflow in the
-    degrees of freedom."""
+    both samples are constant or their variances underflow or overflow in
+    the degrees of freedom."""
     xa = np.asarray(a, dtype=float)
     xb = np.asarray(b, dtype=float)
     n1, m1, v1 = len(xa), float(xa.mean()), float(xa.var(ddof=1))
     n2, m2, v2 = len(xb), float(xb.mean()), float(xb.var(ddof=1))
     se2 = v1 / n1 + v2 / n2
-    dof_denominator = (v1 / n1) ** 2 / (n1 - 1) + (v2 / n2) ** 2 / (n2 - 1)
-    if se2 == 0.0 or dof_denominator == 0.0:
+    try:
+        dof_denominator = (v1 / n1) ** 2 / (n1 - 1) + (v2 / n2) ** 2 / (n2 - 1)
+        se2_sq = se2**2
+    except OverflowError:
         return None
-    return (m1 - m2) / math.sqrt(se2), se2**2 / dof_denominator
+    if se2 == 0.0 or dof_denominator in (0.0, math.inf) or se2_sq == math.inf:
+        return None
+    return (m1 - m2) / math.sqrt(se2), se2_sq / dof_denominator

@@ -171,7 +171,11 @@ def test_regression_shrinkage_oracles():
     d, n = 5, 200
     rets = _ar_stream(d, n, seed=301)
     state = CurdsWheyState(d, 1.0, 1.0)
-    y_hats = np.array([state.step(r).y_hat for r in rets])
+    y_hats = []
+    for r in rets:
+        state.step(r)
+        y_hats.append(state.theta @ np.concatenate(([1.0], r)))
+    y_hats = np.array(y_hats)
     phi_batch = batch_shrinkage(rets[:-1], y_hats[1:], 1.0)
     phi_err = np.linalg.norm(state.phi - phi_batch.T) / np.linalg.norm(phi_batch)
     gate(
@@ -195,7 +199,7 @@ def test_regression_long_run_numerical_stability():
         forecast = state.step(rets[i])
         P = state.P
         worst_asym = max(worst_asym, float(np.abs(P - P.T).max()))
-        if not (np.isfinite(forecast.y_hat).all() and np.isfinite(forecast.y_tilde).all()):
+        if not (np.isfinite(state.theta).all() and np.isfinite(forecast).all()):
             finite = False
             break
     gate(

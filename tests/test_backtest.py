@@ -19,7 +19,6 @@ from seqrank import (
     BacktestConfig,
     BacktestError,
     CurdsWheyState,
-    Forecast,
     JumpDiffusionConfig,
     QuotePanel,
     RankerState,
@@ -633,9 +632,7 @@ def plant_nan(monkeypatch, at_step):
         first = self.t
         out = step(self, r)
         if first < at_step <= self.t:
-            y_tilde = out.y_tilde.copy()
-            y_tilde.reshape(-1, self.d)[at_step - first - 1, -1] = np.nan
-            return Forecast(y_hat=out.y_hat, y_tilde=y_tilde)
+            out.reshape(-1, self.d)[at_step - first - 1, -1] = np.nan
         return out
 
     monkeypatch.setattr(CurdsWheyState, "step", planted)

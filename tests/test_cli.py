@@ -235,6 +235,44 @@ class TestRank:
         assert text.endswith("}\n") and len(text.splitlines()) == 120
 
 
+class TestTinyQuote:
+    """A quote of 1e-98 on one day makes that asset's next return about
+    1e100, whose squares pass the largest float: every subcommand ends in a
+    result or a named error, never a traceback."""
+
+    @pytest.fixture
+    def panel_path(self, tmp_path):
+        assert run_cli("synth", "--assets", 3, "--steps", 300, "--seed", 1, "--out-dir", tmp_path) == 0
+        path = tmp_path / "panel.csv"
+        lines = path.read_text().splitlines(keepends=True)
+        tiny = [i for i, line in enumerate(lines) if line.startswith("2018-06-01,A000,")]
+        assert len(tiny) == 1
+        lines[tiny[0]] = "2018-06-01,A000,1e-98,1e-98\n"
+        path.write_text("".join(lines))
+        return path
+
+    def test_stationarity_skips_the_overflowing_pairs(self, panel_path, capsys):
+        out = panel_path.parent / "stationarity"
+        assert run_cli("stationarity", panel_path, "--out-dir", out) == 0
+        assert "error" not in capsys.readouterr().err
+        report = json.loads((out / "stationarity.json").read_text())["report"]
+        # the month of the 1e100 return pairs with none of its neighbours
+        assert report["skipped"]["t_test"] > 0
+        months = [test["month"] for test in report["assets"][0]["t_tests"]]
+        months += [test["prior_month"] for test in report["assets"][0]["t_tests"]]
+        assert "2018-06" not in months and "2018-05" in months
+
+    def test_backtest_names_the_first_non_finite_forecast(self, panel_path, capsys):
+        assert run_cli("backtest", panel_path, "--out-dir", panel_path.parent / "backtest") == 1
+        assert capsys.readouterr().err.endswith("error: non-finite forecast at 2018-06-04\n")
+        assert not (panel_path.parent / "backtest").exists()
+
+    def test_rank(self, panel_path):
+        out = panel_path.parent / "rank"
+        assert run_cli("rank", panel_path, "--out-dir", out) == 0
+        assert len((out / "rank.jsonl").read_text().splitlines()) == 300
+
+
 def reference_text(payload):
     return json.dumps(payload, sort_keys=True, indent=2, allow_nan=False) + "\n"
 

@@ -16,7 +16,6 @@ from hypothesis import strategies as st
 
 from seqrank import (
     CurdsWheyState,
-    Forecast,
     JumpDiffusionConfig,
     batch_ridge,
     batch_shrinkage,
@@ -24,7 +23,7 @@ from seqrank import (
 )
 from seqrank.regression import _WINDOW
 
-from regression_oracle import GeneralCurdsWhey, precise_forecasts, weighted_gram, weighted_ridge
+from regression_oracle import Forecast, GeneralCurdsWhey, precise_forecasts, weighted_gram, weighted_ridge
 
 
 def ar_stream(d, n, seed, noise=0.5, mapping=None):
@@ -39,31 +38,40 @@ def ar_stream(d, n, seed, noise=0.5, mapping=None):
     return rets
 
 
+def stage_one(state, r):
+    """``y_hat = theta @ (1, r)``: the first-stage prediction of the row ``r`` the state folded in last."""
+    return state.theta @ np.concatenate(([1.0], r))
+
+
 def run_stream(state, rets):
-    """Feed returns through the state; returns the lagged design, the targets and the ``y_hat`` rows."""
+    """Feed returns through the state one row a call; returns the lagged design, the targets and the ``y_hat`` rows."""
     rets = np.asarray(rets, dtype=float)
     lagged = np.column_stack([np.ones(len(rets)), np.vstack([state.y_prev, rets[:-1]])])
-    y_hats = np.array([state.step(r).y_hat for r in rets])
-    return lagged, rets, y_hats
+    y_hats = []
+    for r in rets:
+        state.step(r)
+        y_hats.append(stage_one(state, r))
+    return lagged, rets, np.array(y_hats)
 
 
 def fed(state, rets, sizes=None):
     """Each row's forecast from ``rets`` fed to ``state``: one ``(d,)`` vector
     per call when ``sizes`` is None, else calls of ``sizes`` rows each.
 
-    A call returns ``y_hat`` for its last row only; the other rows'
-    forecasts carry ``y_hat = None``, which the comparisons below skip.
+    ``y_hat`` is read from ``theta`` after each call, so only a call's last
+    row has one; the other rows' forecasts carry ``y_hat = None``, which the
+    comparisons below skip.
     """
     rets = np.asarray(rets, dtype=float)
-    if sizes is None:
-        return [state.step(r) for r in rets]
     out, start = [], 0
-    for size in sizes:
-        block = state.step(rets[start : start + size])
-        assert block.y_hat.shape == (state.d,) and block.y_tilde.shape == (size, state.d)
-        out += [Forecast(y_hat=None, y_tilde=row) for row in block.y_tilde[:-1]]
-        out.append(Forecast(y_hat=block.y_hat, y_tilde=block.y_tilde[-1]))
-        start += size
+    for size in sizes or [None] * len(rets):
+        rows = rets[start] if size is None else rets[start : start + size]
+        block = state.step(rows)
+        assert block.shape == rows.shape
+        block = block.reshape(-1, state.d)
+        start += len(block)
+        out += [Forecast(y_hat=None, y_tilde=row) for row in block[:-1]]
+        out.append(Forecast(y_hat=stage_one(state, rets[start - 1]), y_tilde=block[-1]))
     assert start == len(rets)
     return out
 
@@ -153,8 +161,7 @@ class TestStep:
         state = CurdsWheyState(2, 1.0, 1.0)
         forecast = state.step([0.0, 0.0])
         assert np.array_equal(state.theta, np.zeros((2, 3)))
-        assert np.array_equal(forecast.y_hat, np.zeros(2))
-        assert np.array_equal(forecast.y_tilde, np.zeros(2))
+        assert np.array_equal(forecast, np.zeros(2))
 
     def test_three_step_trace_matches_accumulated_solve(self):
         # independent oracle: theta' = (lam*I + sum x x')^{-1} (sum x y') per step
@@ -204,14 +211,12 @@ class TestStep:
         state = CurdsWheyState(4, 1.0, 0.99)
         day = state.step(rets[0])
         block = state.step(rets[1:])
-        assert day.y_hat.shape == day.y_tilde.shape == (4,)
-        # every row's y_tilde, and the last row's y_hat
-        assert block.y_tilde.shape == (5, 4) and block.y_hat.shape == (4,)
-        assert np.allclose(block.y_hat, state.theta @ np.concatenate(([1.0], rets[-1])), rtol=1e-12, atol=0.0)
+        # every row's y_tilde
+        assert day.shape == (4,) and block.shape == (5, 4)
         assert state.t == 6 and same_bits(state.y_prev, rets[-1])
-        for name in ("theta", "P", "phi", "y_prev"):
-            assert not np.shares_memory(block.y_tilde, getattr(state, name))
-            assert not np.shares_memory(block.y_hat, getattr(state, name))
+        for internal in vars(state).values():
+            if isinstance(internal, np.ndarray):
+                assert not np.shares_memory(day, internal) and not np.shares_memory(block, internal)
 
     @pytest.mark.parametrize("n", [0, 5, _WINDOW, _WINDOW + 3])
     def test_rejected_step_changes_nothing(self, n):
@@ -227,7 +232,7 @@ class TestStep:
         assert state.t == n
         for name in ("theta", "P", "phi", "y_prev"):
             assert same_bits(getattr(state, name), getattr(twin, name)), name
-        assert same_bits(state.step(rets[n]).y_tilde, twin.step(rets[n]).y_tilde)
+        assert same_bits(state.step(rets[n]), twin.step(rets[n]))
 
     @pytest.mark.parametrize("n", [1, _WINDOW, _WINDOW + 1])
     def test_y_prev_is_the_last_return(self, n):
@@ -267,13 +272,14 @@ class TestBatchEquivalence:
         state = CurdsWheyState(d, 1.0, 1.0)
         X, _, Y_hat = run_stream(state, rets[:-1])
         last = state.step(rets[-1])
+        last_y_hat = stage_one(state, rets[-1])
         X = np.vstack([X, np.concatenate([[1.0], rets[-2]])])
-        Y_hat = np.vstack([Y_hat, last.y_hat])
+        Y_hat = np.vstack([Y_hat, last_y_hat])
         theta_batch = batch_ridge(X, rets, 1.0).T
         phi_batch = batch_shrinkage(rets[:-1], Y_hat[1:], 1.0).T
         x_last = np.concatenate([[1.0], rets[-1]])
-        assert np.allclose(last.y_hat, theta_batch @ x_last, atol=1e-6)
-        assert np.allclose(last.y_tilde, phi_batch @ theta_batch @ x_last, atol=1e-6)
+        assert np.allclose(last_y_hat, theta_batch @ x_last, atol=1e-6)
+        assert np.allclose(last, phi_batch @ theta_batch @ x_last, atol=1e-6)
 
 
 class TestAgainstGeneralRecursion:
@@ -402,14 +408,13 @@ class TestAgainstGeneralRecursion:
         P = [[1.0, 2.0], [2.0, 1.0]]
         state = CurdsWheyState(1, 1.0, 0.99)
         state._S[...] = P
-        state._resync()
         state._x[0, 1:] = state._x[2, 1:] = state._y[0] = -2.0
         reference = GeneralCurdsWhey(1, 1.0, 0.99)
         # Q is P's Schur complement, 1 - 2 * 2 / 1
         reference.P, reference.Q = np.array(P), np.array([[-3.0]])
         reference.x_prev, reference.y_prev = np.array([1.0, -2.0]), np.array([-2.0])
         for r in ar_stream(1, 40, seed=4):
-            got = state.step(r)
+            (got,) = fed(state, [r])
             want = reference.step_return(r)
             assert self.deviation(got, want) <= self.TOLERANCE
             assert np.isfinite(state.P).all()
@@ -422,7 +427,6 @@ class TestAgainstGeneralRecursion:
         rets = ar_stream(1, 40, seed=4)
         state = CurdsWheyState(1, 1.0, 0.99)
         state._S[...] = P
-        state._resync()
         state._y[0] = -2.0
         reference = GeneralCurdsWhey(1, 1.0, 0.99)
         reference.P, reference.Q = np.array(P), np.array([[-3.0]])
@@ -561,25 +565,22 @@ class TestAgainstGeneralRecursion:
 
 
 class TestBlockedUpdates:
-    def test_step_allocates_no_matrix(self):
-        d = 64
-        rets = np.random.default_rng(9).normal(scale=0.01, size=(3 + _WINDOW + 2, d))
+    def test_series_step_holds_few_matrices(self):
+        # the paper's scale in one call: beyond the (days, d) forecasts it
+        # returns, a step holds a window's products one at a time
+        d = 250
+        rets = np.random.default_rng(9).normal(scale=0.01, size=(2500, d))
+        CurdsWheyState(d, 1.0, 0.999).step(rets[:100])  # first-call allocations outside the count
         state = CurdsWheyState(d, 1.0, 0.999)
-        for r in rets[:3]:
-            state.step(r)
-        peaks = []
         tracemalloc.start()
         try:
-            for r in rets[3:]:
-                before = tracemalloc.get_traced_memory()[0]
-                tracemalloc.reset_peak()
-                state.step(r)
-                peaks.append(tracemalloc.get_traced_memory()[1] - before)
+            before = tracemalloc.get_traced_memory()[0]
+            forecasts = state.step(rets)
+            peak = tracemalloc.get_traced_memory()[1] - before - forecasts.nbytes
         finally:
             tracemalloc.stop()
-        # the steps cover a flush, which must write into preallocated scratch
-        assert len(peaks) > _WINDOW
-        assert max(peaks) < d * d * 8
+        assert state.t == len(rets)
+        assert peak < 3 * (d + 1) ** 2 * 8
 
     def test_reading_matrices_changes_nothing(self):
         rets = ar_stream(3, 90, seed=1)
@@ -588,7 +589,7 @@ class TestBlockedUpdates:
         for day, r in enumerate(rets):
             got = reader.step(r)
             want = twin.step(r)
-            assert same_bits(got.y_tilde, want.y_tilde), day
+            assert same_bits(got, want), day
             for name in ("theta", "P", "phi", "y_prev"):
                 first = getattr(reader, name)
                 first[...] = np.nan  # a read is a copy
@@ -615,7 +616,7 @@ class TestBlockedUpdates:
             forecast = state.step(rng.normal(scale=0.01, size=4))
             P = state.P
             assert same_bits(P, P.T)
-            assert np.isfinite(P).all() and np.isfinite(forecast.y_tilde).all()
+            assert np.isfinite(P).all() and np.isfinite(forecast).all()
 
     def test_matrices_stay_symmetric_and_finite_on_market_like_data(self):
         panel = simulate_jump_diffusion(
@@ -625,7 +626,7 @@ class TestBlockedUpdates:
         state = CurdsWheyState(5, 1.0, 0.999)
         for r in panel.returns:
             forecast = state.step(r)
-            assert np.isfinite(forecast.y_tilde).all()
+            assert np.isfinite(forecast).all()
             P = state.P
             assert same_bits(P, P.T)
         assert state.p_resets == 0

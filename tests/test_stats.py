@@ -4,6 +4,7 @@ import datetime as dt
 import inspect
 import json
 import math
+import warnings
 from types import SimpleNamespace
 
 import numpy as np
@@ -208,6 +209,11 @@ class TestWelch:
     # ulps: the first through (v / n) ** 2, the second through se2 ** 2
     @example(a=[0.598, -0.343, -0.889, -0.085, 0.203], b=[0.958, 0.402, -0.56, 0.099, -0.925])
     @example(a=[-0.64, 0.69, -0.08, -0.6, -1.46], b=[1.13, 5.3, 0.41, 0.12, -0.31])
+    # the squares overflow in the dof: of a variance share, of the summed
+    # shares' squares, and of the summed shares alone
+    @example(a=[0.0, 2e100, 1.0], b=[0.0, 1.0, 2.0])
+    @example(a=[0.0, 2e77], b=[0.0, 2e77])
+    @example(a=[3.4e77, -3.4e77] * 5 + [0.0], b=[3.4e77, -3.4e77] * 5 + [0.0])
     def test_matches_scalar_oracle(self, a, b):
         expected = oracle.welch(a, b)
         if expected is None:
@@ -234,6 +240,22 @@ class TestWelch:
         b = rng.normal(size=21)
         result = welch_t_test(a, b, alpha=0.05, sidedness="one-sided")
         assert 1.68 < result.critical_value < 1.73
+
+    @pytest.mark.parametrize(
+        "a,b",
+        [
+            ([0.0, 2e100, 1.0], [0.0, 1.0, 2.0]),
+            ([0.0, 2e77], [0.0, 2e77]),
+            ([3.4e77, -3.4e77] * 5 + [0.0], [3.4e77, -3.4e77] * 5 + [0.0]),
+        ],
+        ids=["share-squared", "summed-squares", "summed-shares-squared"],
+    )
+    def test_overflowing_squares_degenerate(self, a, b):
+        # finite samples whose dof squares overflow: undefined, like underflow
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DegenerateDataError, match="overflow"):
+                welch_t_test(a, b)
 
     def test_constant_equal_samples_degenerate(self):
         with pytest.raises(DegenerateDataError):
@@ -421,6 +443,12 @@ class TestBatchedReportOracle:
     # the variances are non-zero but their squares underflow in the dof denominator
     @example(
         months=[[0.0] * 5, [0.0] * 4 + [3.285107521708261e-98]] * 3 + [[0.0] * 5],
+        max_shift=2, min_month_obs=2, sidedness="one-sided", alpha=0.05,
+    )
+    # a month whose variance share squares past the largest float: its
+    # pairs are undefined
+    @example(
+        months=[[0.0, 2e100, 1.0], [0.0, 1.0, 2.0]] * 3 + [[0.0, 1.0, 2.0]],
         max_shift=2, min_month_obs=2, sidedness="one-sided", alpha=0.05,
     )
     # every kept month constant (the 20-return burn-in month is dropped):

@@ -32,6 +32,40 @@ def long_form(columns: dict[str, tuple]) -> tuple[list, list, list, list]:
     return dates, assets, prices, prices
 
 
+def weekdays_day_by_day(start, count):
+    """``count`` weekdays from ``start``, rolled forward to a weekday, one calendar day at a time."""
+    days, day = [], start
+    while len(days) < count:
+        if day.weekday() < 5:
+            days.append(day)
+        day += dt.timedelta(days=1)
+    return tuple(days)
+
+
+class TestWeekdayRange:
+    @given(
+        start=st.dates(min_value=dt.date(1900, 1, 1), max_value=dt.date(2200, 12, 31)),
+        count=st.integers(min_value=1, max_value=60),
+    )
+    # a Saturday and a Sunday start roll forward to Monday
+    @example(start=dt.date(2021, 1, 2), count=1)
+    @example(start=dt.date(2021, 1, 3), count=6)
+    def test_matches_day_by_day(self, start, count):
+        days = weekday_range(start, count)
+        assert days == weekdays_day_by_day(start, count)
+        assert all(type(day) is dt.date for day in days)
+
+    def test_paper_length_from_a_weekend(self):
+        # the generator's dates at the paper's 2 500 steps
+        start = dt.date(2018, 1, 6)
+        assert weekday_range(start, 2501) == weekdays_day_by_day(start, 2501)
+
+    @pytest.mark.parametrize("count", [0, -3])
+    def test_count_below_one_rejected(self, count):
+        with pytest.raises(ValueError, match="count must be at least 1"):
+            weekday_range(dt.date(2021, 1, 4), count)
+
+
 class TestBuildPanel:
     def test_full_overlap(self):
         days = weekday_range(dt.date(2021, 1, 4), 5)
