@@ -6,11 +6,12 @@ bytes, which are interned into integer codes per chunk. From the first
 chunk that holds a character ``np.loadtxt`` reads unlike the ``csv``
 module and ``float()`` (``_CSV_ONLY``), or a cell ``np.loadtxt`` rejects,
 the rest of the file is read row by row with ``csv.reader`` and
-``float()``, up to the first row that fails to parse. The row checks then
-run once on the columns, and the earliest failing row is reported, with
-the message the check made in the row-at-a-time loader this replaced.
-Every other chunk is parsed in a forked child when two CPUs are usable
-(``_Table.read``, ``seqrank._fork``).
+``float()``, up to the first row that fails to parse. So it is from a
+chunk with a byte that is not UTF-8, which fails its row. The row checks
+then run once on the columns, and the earliest failing row is reported,
+with the message the check made in the row-at-a-time loader this
+replaced. Every other chunk is parsed in a forked child when two CPUs
+are usable (``_Table.read``, ``seqrank._fork``).
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ from __future__ import annotations
 import csv
 import datetime as dt
 import os
+import re
 import stat
 from collections import deque
 from contextlib import closing
@@ -38,6 +40,8 @@ _BLANK_ROW = "".join(c for c in map(chr, range(0x3001)) if c.isspace()) + ","
 # NUL (cut from the end of a bytes cell) and \x1c-\x1f (which float()
 # does not take as whitespace around a number).
 _CSV_ONLY = '"\x00\x1c\x1d\x1e\x1f'
+# a byte that is not UTF-8, as the surrogateescape error handler decodes it
+_NOT_UTF8 = re.compile("[\udc80-\udcff]")
 # lines per np.loadtxt call: bounds the text held in memory at once
 _CHUNK_LINES = 1 << 15
 # bytes per text cell on the fast path; a chunk holding a cell this long is re-read wider
@@ -78,10 +82,12 @@ def read_columns(path: Path):
     (see ``_Table.read``); codes are given and rows numbered in this
     process, in file order, so the result does not depend on it.
     """
-    with path.open(newline="", encoding="utf-8") as handle:
+    with path.open(newline="", encoding="utf-8", errors="surrogateescape") as handle:
         header = next(csv.reader(handle), None)
         if header is None:
             raise ValueError(f"{path}: empty file, header required")
+        if message := _utf8_error(",".join(header)):
+            raise ValueError(f"{path}:1: {message}")
         header = [h.strip().lower() for h in header]
         missing = [c for c in CSV_COLUMNS if c not in header]
         if missing:
@@ -89,6 +95,12 @@ def read_columns(path: Path):
         table = _Table(len(header), {name: header.index(name) for name in header})
         table.read(path, handle)
     return table.columns(path)
+
+
+def _utf8_error(text: str) -> str | None:
+    """The error for the first byte of ``text`` that is not UTF-8, or None."""
+    found = _NOT_UTF8.search(text)
+    return found and f"invalid UTF-8 byte 0x{ord(found[0]) - 0xDC00:02x}"
 
 
 def _chunks(handle):
@@ -100,7 +112,8 @@ def _chunks(handle):
         row += len(lines)
 
 
-def _identity(info: os.stat_result) -> tuple[int, ...]:
+def file_identity(info: os.stat_result) -> tuple[int, ...]:
+    """What changes when the file at a path is replaced or rewritten."""
     return info.st_dev, info.st_ino, info.st_size, info.st_mtime_ns
 
 
@@ -141,13 +154,13 @@ class _Table:
         file this process reads: a pipe opened again would hand the child
         lines meant for this process."""
         info = os.fstat(handle.fileno())
-        same_file = _identity(info)
+        same_file = file_identity(info)
 
         def reopen():
             if not stat.S_ISREG(info.st_mode):
                 raise OSError(f"{path} is not a regular file")
-            with path.open(newline="", encoding="utf-8") as again:
-                if _identity(os.fstat(again.fileno())) != same_file:
+            with path.open(newline="", encoding="utf-8", errors="surrogateescape") as again:
+                if file_identity(os.fstat(again.fileno())) != same_file:
                     raise OSError(f"{path} was replaced")
                 next(csv.reader(again), None)
                 yield from _chunks(again)
@@ -175,7 +188,7 @@ class _Table:
         Reads nothing of the table but its layout."""
         first_row, lines = chunk
         text = "".join(lines)
-        if any(char in text for char in _CSV_ONLY):
+        if any(char in text for char in _CSV_ONLY) or not text.isascii() and _NOT_UTF8.search(text):
             return None
         rows = np.arange(first_row, first_row + len(lines))
         if not all(map(str.strip, lines, repeat(_BLANK_ROW))):
@@ -214,6 +227,9 @@ class _Table:
                 break
             if any("\x00" in cell for cell in fields):
                 self.error = (row, FIELDS, "NUL character in row")
+                break
+            if message := _utf8_error(",".join(fields)):
+                self.error = (row, FIELDS, message)
                 break
             prices = [np.nan, np.nan]
             for k, (name, rank) in enumerate((("bid", BID), ("ask", ASK))):

@@ -20,15 +20,16 @@ forecaster in one call, and for nbar the ranker over the forecasts or the
 realised returns in one call. ``_signal`` keeps each of these matrices,
 keyed weakly by panel, with their ``(tau, ridge_lambda)``, so the
 strategies, modes, slice sizes and cost models that read the same signal
-share one pass. The accounting pass books the days in ``_BLOCK_DAYS``-day
-blocks of whole-array operations. Every portfolio rule is in this module,
-once: ``select_decile``, ``cw_weights``, ``nbar_weights`` and
+share one pass. The accounting pass, ``run_backtest``'s one loop, books
+the days in ``_BLOCK_DAYS``-day blocks of whole-array operations on slices
+of those matrices. Every portfolio rule is in this module, once:
+``select_decile``, ``cw_weights``, ``nbar_weights`` and
 ``transaction_cost`` each take a block of days as ``(days, d)`` arrays,
-one day per row, with weights signed (longs positive, shorts negative).
-A block's daily costs and gross returns are one stacked product each, in
-which every day keeps the bits of its own dot product. The ranker
-supplies only its posterior. Two threads that run one panel at once may
-both compute a signal; either result is the same array.
+one day per row, with weights signed (longs positive, shorts negative). A
+block's daily costs and gross returns are one stacked product each, in
+which every day keeps the bits of its own dot product. The ranker supplies
+only its posterior. Two threads that run one panel at once may both
+compute a signal; either result is the same array.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ import datetime as dt
 import math
 import weakref
 from dataclasses import asdict, dataclass
-from typing import Callable, Iterator, NamedTuple, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -454,47 +455,6 @@ def _posterior_matrix(panel: QuotePanel, config: BacktestConfig) -> np.ndarray:
     return _signal(panel, tau, ridge_lambda, f"posterior of {config.nbar_input}", compute)
 
 
-class _Block(NamedTuple):
-    """Target portfolios of consecutive days; array rows are days from ``start``."""
-
-    start: int
-    scores: np.ndarray
-    posterior: np.ndarray | None
-    longs: np.ndarray
-    shorts: np.ndarray
-    weights: np.ndarray
-
-
-def _target_blocks(panel: QuotePanel, config: BacktestConfig) -> Iterator[_Block]:
-    """The day's scores, legs and target weights, ``_BLOCK_DAYS`` days at a time.
-
-    The block's forecast and posterior rows are slices of the panel's
-    signals; ``select_decile`` and ``cw_weights`` or ``nbar_weights`` take
-    them at once. Each block holds only a few ``(block, d)`` arrays besides
-    the panel's signals.
-    """
-    d = panel.n_assets
-    n_days = panel.returns.shape[0] - 1
-    nbar = config.strategy == "nbar"
-    by_p = config.nbar_membership == "by-p"
-    forecasts = posteriors = None
-    if not (nbar and config.nbar_input == "realised" and by_p):
-        forecasts = _forecast_matrix(panel, config.tau, config.ridge_lambda)
-    if nbar:
-        posteriors = _posterior_matrix(panel, config)
-
-    for start in range(0, n_days, _BLOCK_DAYS):
-        days = slice(start, start + _BLOCK_DAYS)
-        posterior = None if posteriors is None else posteriors[days]
-        scores = posterior if posterior is not None and by_p else forecasts[days]
-        longs, shorts = select_decile(scores, config.decile_fraction, config.mode)
-        if posterior is None:
-            weights = cw_weights(d, longs, shorts)
-        else:
-            weights = nbar_weights(posterior, longs, shorts)
-        yield _Block(start, scores, posterior, longs, shorts, weights)
-
-
 def run_backtest(panel: QuotePanel, config: BacktestConfig) -> BacktestReport:
     """Run one strategy over a panel, benchmarked against equal weighting.
 
@@ -508,10 +468,12 @@ def run_backtest(panel: QuotePanel, config: BacktestConfig) -> BacktestReport:
 
     The forecasts and each input's ranker posterior are computed once per
     panel and ``(tau, ridge_lambda)`` and kept by ``_signal`` (see
-    ``_forecast_matrix`` and ``_posterior_matrix``); the accounting runs on
-    every call. It books blocks of days:
-    ``select_decile``, ``cw_weights`` or ``nbar_weights`` set each block's
-    targets and ``transaction_cost`` its costs and turnover.
+    ``_forecast_matrix`` and ``_posterior_matrix``); the scores are the
+    posterior for nbar by-p and the forecasts otherwise. The accounting
+    runs on every call, ``_BLOCK_DAYS`` days at a time: ``select_decile``
+    picks each block's legs, ``cw_weights`` or ``nbar_weights`` sets its
+    targets and ``transaction_cost`` its costs and turnover. Sector tallies
+    sum each asset's days in each leg.
     """
     d = panel.n_assets
     rets = panel.returns
@@ -521,40 +483,43 @@ def run_backtest(panel: QuotePanel, config: BacktestConfig) -> BacktestReport:
             "return and the metric block needs 2 records"
         )
     n_days = rets.shape[0] - 1
+    nbar = config.strategy == "nbar"
+    by_p = nbar and config.nbar_membership == "by-p"
+    forecasts = None
+    if not (by_p and config.nbar_input == "realised"):
+        forecasts = _forecast_matrix(panel, config.tau, config.ridge_lambda)
+    posterior = _posterior_matrix(panel, config) if nbar else None
+    scores = posterior if by_p else forecasts
     rates = panel.half_spread_rates[1 : n_days + 1] if config.cost_model == "half-spread" else None
-    sector_of = None
-    if panel.sectors is not None:
-        sector_names = sorted(set(panel.sectors))
-        code = {name: c for c, name in enumerate(sector_names)}
-        sector_of = np.array([code[s] for s in panel.sectors])
-        long_tally = np.zeros(len(sector_names), dtype=np.int64)
-        short_tally = np.zeros(len(sector_names), dtype=np.int64)
 
     gross = np.empty(n_days)
     benchmark = rets[1:].mean(axis=1)
     cost = np.empty(n_days)
     turnover = np.empty(n_days)
+    picks = np.zeros((2, d), dtype=np.int64)  # each asset's days in the long and short legs
     prev = np.zeros(d)
-    for block in _target_blocks(panel, config):
-        weights = block.weights
-        days = slice(block.start, block.start + len(weights))
-        cost[days], turnover[days] = transaction_cost(
-            prev, weights, None if rates is None else rates[days]
-        )
-        gross[days] = _row_dots(weights, rets[days.start + 1 : days.stop + 1])
-        if sector_of is not None:
-            long_tally += np.bincount(sector_of[block.longs].ravel(), minlength=len(long_tally))
-            short_tally += np.bincount(sector_of[block.shorts].ravel(), minlength=len(short_tally))
+    for start in range(0, n_days, _BLOCK_DAYS):
+        days = slice(start, start + _BLOCK_DAYS)
+        longs, shorts = select_decile(scores[days], config.decile_fraction, config.mode)
+        if posterior is None:
+            weights = cw_weights(d, longs, shorts)
+        else:
+            weights = nbar_weights(posterior[days], longs, shorts)
+        cost[days], turnover[days] = transaction_cost(prev, weights, None if rates is None else rates[days])
+        gross[days] = _row_dots(weights, rets[start + 1 : start + 1 + len(weights)])
+        picks[0] += np.bincount(longs.ravel(), minlength=d)
+        picks[1] += np.bincount(shorts.ravel(), minlength=d)
         prev = weights[-1].copy()
 
     net = gross - cost
     for column in (gross, cost, net, turnover, benchmark):
         column.setflags(write=False)
     tallies = None
-    if sector_of is not None:
+    if panel.sectors is not None:
+        sectors = np.array(panel.sectors, dtype=object)
         tallies = {
-            name: {"long": int(lo), "short": int(sh)}
-            for name, lo, sh in zip(sector_names, long_tally, short_tally)
+            name: dict(zip(("long", "short"), picks[:, sectors == name].sum(axis=1).tolist()))
+            for name in sorted(set(panel.sectors))
         }
     return BacktestReport(
         config=config,
@@ -564,8 +529,8 @@ def run_backtest(panel: QuotePanel, config: BacktestConfig) -> BacktestReport:
         net=net,
         turnover=turnover,
         benchmark=benchmark,
-        n_long=block.longs.shape[1],
-        n_short=block.shorts.shape[1],
+        n_long=longs.shape[1],
+        n_short=shorts.shape[1],
         strategy_metrics=compute_metrics(net),
         benchmark_metrics=compute_metrics(benchmark),
         sector_selection=tallies,

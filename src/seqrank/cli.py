@@ -3,12 +3,13 @@
 Four subcommands (``synth``, ``stationarity``, ``backtest``, ``rank``)
 write their outputs under ``--out-dir``. Every JSON report embeds a run
 manifest (command, resolved config, input digests, seed, tool version) so
-identical manifests imply identical outputs; nothing volatile such as a
-wall-clock timestamp goes into the files, which keeps repeated runs byte
-identical. Exit code 0 means every output was fully written. Outputs are
-written to temporary files and renamed into place only once all of them
-are complete, so a failed or killed run leaves no partial output under an
-output's name.
+identical manifests imply identical outputs. The input digest is taken
+right after the panel is loaded, and a panel file that changes meanwhile
+fails the run. Nothing volatile such as a wall-clock timestamp goes into
+the files, which keeps repeated runs byte identical. Exit code 0 means
+every output was fully written. Outputs are written to temporary files
+and renamed into place only once all of them are complete, so a failed
+or killed run leaves no partial output under an output's name.
 """
 
 from __future__ import annotations
@@ -30,6 +31,7 @@ import numpy as np
 
 from . import __version__
 from ._atomic import write_files
+from ._csvread import file_identity
 from .backtest import (
     COST_MODELS,
     MODES,
@@ -78,6 +80,18 @@ def _sha256(path: Path) -> str:
         while block := handle.read(1 << 20):
             digest.update(block)
     return "sha256:" + digest.hexdigest()
+
+
+def _load(path: Path) -> tuple[QuotePanel, dict[str, str]]:
+    """``load_csv(path)`` and the manifest's inputs, the digest of the
+    bytes it loaded; raises if the file changed between the load's start
+    and the digest's end."""
+    before = file_identity(path.stat()) if path.exists() else None  # load_csv names a missing file
+    panel = load_csv(path)
+    digest = _sha256(path)
+    if file_identity(path.stat()) != before:
+        raise ValueError(f"{path}: changed while it was read")
+    return panel, {path.name: digest}
 
 
 _CONTAINERS = (dict, list, tuple)
@@ -221,7 +235,7 @@ def _cmd_synth(args: argparse.Namespace) -> int:
 
 def _cmd_stationarity(args: argparse.Namespace) -> int:
     panel_path = Path(args.panel)
-    panel = load_csv(panel_path)
+    panel, inputs = _load(panel_path)
     report = monthly_stationarity_report(
         panel,
         max_shift=args.max_shift,
@@ -238,7 +252,7 @@ def _cmd_stationarity(args: argparse.Namespace) -> int:
             "sidedness": args.sidedness,
             "min_month_obs": args.min_month_obs,
         },
-        {panel_path.name: _sha256(panel_path)},
+        inputs,
     )
     table = render_report_table(report)
     payload = {"manifest": manifest, "report": report.to_json_dict()}
@@ -253,7 +267,7 @@ def _cmd_stationarity(args: argparse.Namespace) -> int:
 
 def _cmd_backtest(args: argparse.Namespace) -> int:
     panel_path = Path(args.panel)
-    panel = load_csv(panel_path)
+    panel, inputs = _load(panel_path)
     config = BacktestConfig(
         mode=args.mode,
         strategy=args.strategy,
@@ -268,7 +282,7 @@ def _cmd_backtest(args: argparse.Namespace) -> int:
     manifest = _manifest(
         "backtest",
         {"panel": panel_path.name, **config.to_json_dict()},
-        {panel_path.name: _sha256(panel_path)},
+        inputs,
     )
     payload = {"manifest": manifest, **report.to_json_dict()}
     written = _emit(
@@ -292,10 +306,8 @@ def _cmd_backtest(args: argparse.Namespace) -> int:
 
 def _cmd_rank(args: argparse.Namespace) -> int:
     panel_path = Path(args.panel)
-    panel = load_csv(panel_path)
-    manifest = _manifest(
-        "rank", {"panel": panel_path.name, "tau": args.tau}, {panel_path.name: _sha256(panel_path)}
-    )
+    panel, inputs = _load(panel_path)
+    manifest = _manifest("rank", {"panel": panel_path.name, "tau": args.tau}, inputs)
     written = _emit(
         Path(args.out_dir),
         {

@@ -607,10 +607,15 @@ _TABLE_ROWS = ("count", "mean", "std", "min", "25%", "50%", "75%", "max")
 def _describe(values: np.ndarray) -> dict[str, float]:
     if len(values) == 0:
         return {row: float("nan") for row in _TABLE_ROWS}
+    with np.errstate(over="ignore"):
+        std = float(values.std(ddof=1)) if len(values) > 1 else float("nan")
+    if math.isinf(std):  # the squares overflowed: scale by the largest magnitude
+        scale = float(np.abs(values).max())
+        std = float((values / scale).std(ddof=1)) * scale
     return {
         "count": float(len(values)),
         "mean": float(values.mean()),
-        "std": float(values.std(ddof=1)) if len(values) > 1 else float("nan"),
+        "std": std,
         "min": float(values.min()),
         "25%": float(np.percentile(values, 25)),
         "50%": float(np.percentile(values, 50)),
@@ -624,7 +629,8 @@ def render_report_table(report: StationarityReport) -> str:
 
     Columns describe the monthly group sizes, means and variances plus the
     shift-1 test statistics, degrees of freedom, critical values and 0/1
-    rejections; rows are the usual describe() statistics.
+    rejections; rows are the usual describe() statistics. A cell whose
+    fixed-point text is longer than 10 characters prints in exponent form.
     """
     # ravel and boolean selections keep the asset-major order that _describe's sums depend on
     shift1 = report.tested & (report.pairs[:, 2] == 1)
@@ -647,10 +653,10 @@ def render_report_table(report: StationarityReport) -> str:
         cells = []
         for name in columns:
             value = columns[name][row]
-            if row == "count":
-                cells.append(f"{value:>{width}.0f}")
-            else:
-                cells.append(f"{value:>{width}.3f}")
+            text = f"{value:.0f}" if row == "count" else f"{value:.3f}"
+            if len(text) > 10:
+                text = f"{value:.2e}"
+            cells.append(f"{text:>{width}}")
         lines.append(f"{row:<6}" + "".join(cells))
     lines.append("")
     lines.append("rejection frequency of equal monthly means, by month shift:")

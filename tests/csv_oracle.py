@@ -3,10 +3,11 @@
 This is the loader ``seqrank.timeseries.load_csv`` replaced: one
 ``csv.reader`` row at a time, per-row quote checks, per-asset streams in
 dicts, then a dict pivot onto the dates every asset shares. It differs
-from the old code in three rules: a row whose field count differs from
+from the old code in four rules: a row whose field count differs from
 the header's is rejected (it used to accept extra fields), so is a row
-holding a NUL character, and the too-few-shared-dates error names the
-file. The tests compare the columnar loader's panels and error messages
+holding a NUL character, a byte that is not UTF-8 names its row (it used
+to raise the codec's error, which named neither file nor row), and the
+too-few-shared-dates error names the file. The tests compare the columnar loader's panels and error messages
 against it.
 """
 
@@ -21,17 +22,30 @@ import numpy as np
 from seqrank.timeseries import CSV_COLUMNS
 
 
+def not_utf8(cells: list[str]) -> str | None:
+    """The error for the first byte in ``cells`` that is not UTF-8: the
+    ``surrogateescape`` handler decodes byte ``b`` to the code point
+    ``0xDC00 + b``."""
+    for cell in cells:
+        for char in cell:
+            if 0xDC80 <= ord(char) <= 0xDCFF:
+                return f"invalid UTF-8 byte 0x{ord(char) - 0xDC00:02x}"
+    return None
+
+
 def oracle_load_csv(path: str | Path):
     """``(dates, assets, sectors, bids, asks)`` of the panel in ``path``."""
     path = Path(path)
     streams: dict[str, list[tuple[dt.date, float, float]]] = {}
     sectors: dict[str, str] = {}
-    with path.open(newline="", encoding="utf-8") as handle:
+    with path.open(newline="", encoding="utf-8", errors="surrogateescape") as handle:
         reader = csv.reader(handle)
         try:
             header = next(reader)
         except StopIteration:
             raise ValueError(f"{path}: empty file, header required") from None
+        if message := not_utf8(header):
+            raise ValueError(f"{path}:1: {message}")
         header = [h.strip().lower() for h in header]
         missing = [c for c in CSV_COLUMNS if c not in header]
         if missing:
@@ -45,6 +59,8 @@ def oracle_load_csv(path: str | Path):
                 raise ValueError(f"{path}:{lineno}: expected {len(header)} fields, got {len(row)}")
             if any("\x00" in cell for cell in row):
                 raise ValueError(f"{path}:{lineno}: NUL character in row")
+            if message := not_utf8(row):
+                raise ValueError(f"{path}:{lineno}: {message}")
             try:
                 day = dt.date.fromisoformat(row[col["date"]].strip())
                 bid = float(row[col["bid"]])

@@ -36,7 +36,6 @@ from seqrank.backtest import (
     _SIGNALS,
     _forecast_matrix,
     _posterior_matrix,
-    _target_blocks,
     cw_weights,
     equity_rows,
     nbar_weights,
@@ -704,6 +703,38 @@ class TestAgainstDailyLoop:
         assert str(got.value) == f"non-finite forecast at {panel.dates[at_step].isoformat()}"
 
 
+def decisions(panel, config):
+    """What ``run_backtest`` decided on each day, by field: the scores and
+    legs ``select_decile`` saw and gave, the posterior ``nbar_weights`` saw,
+    and the weights either weighting gave, one row per day."""
+    seen = {"scores": [], "longs": [], "shorts": [], "posterior": [], "weights": []}
+
+    def select(scores, fraction, mode):
+        longs, shorts = select_decile(scores, fraction, mode)
+        seen["scores"].append(scores)
+        seen["longs"].append(longs)
+        seen["shorts"].append(shorts)
+        return longs, shorts
+
+    def equal(d, longs, shorts):
+        weights = cw_weights(d, longs, shorts)
+        seen["weights"].append(weights)
+        return weights
+
+    def by_posterior(posterior, longs, shorts):
+        weights = nbar_weights(posterior, longs, shorts)
+        seen["posterior"].append(posterior)
+        seen["weights"].append(weights)
+        return weights
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(backtest, "select_decile", select)
+        patch.setattr(backtest, "cw_weights", equal)
+        patch.setattr(backtest, "nbar_weights", by_posterior)
+        run_backtest(panel, config)
+    return {name: np.concatenate(values) for name, values in seen.items() if values}
+
+
 class TestNoLookahead:
     """Returns after day t change nothing decided on or before day t."""
 
@@ -723,16 +754,15 @@ class TestNoLookahead:
         assert np.array_equal(shifted.returns[: t + 1], panel.returns[: t + 1])
         with np.errstate(all="ignore"):
             try:
-                before = list(_target_blocks(panel, config))
-                after = list(_target_blocks(shifted, config))
+                before = decisions(panel, config)
+                after = decisions(shifted, config)
             except BacktestError:
                 return
-        for field in ("scores", "posterior", "longs", "shorts", "weights"):
-            if getattr(before[0], field) is None:
-                continue
-            a = np.concatenate([getattr(b, field) for b in before])[: t + 1]
-            b = np.concatenate([getattr(b, field) for b in after])[: t + 1]
-            assert a.tobytes() == b.tobytes(), field
+        assert before.keys() == after.keys()
+        assert ("posterior" in before) == (config.strategy == "nbar")
+        for field in before:
+            assert len(before[field]) == len(after[field]) == n_days, field
+            assert before[field][: t + 1].tobytes() == after[field][: t + 1].tobytes(), field
 
     def test_perturbation_reaches_later_days(self):
         # the property above is not vacuous: a later change does move later scores
@@ -741,8 +771,8 @@ class TestNoLookahead:
         mids[30:, 2] *= 3.0
         shifted = panel_from_mids(mids)
         config = BacktestConfig(strategy="nbar", nbar_input="realised")
-        before = np.concatenate([b.scores for b in _target_blocks(panel, config)])
-        after = np.concatenate([b.scores for b in _target_blocks(shifted, config)])
+        before = decisions(panel, config)["scores"]
+        after = decisions(shifted, config)["scores"]
         assert before[:29].tobytes() == after[:29].tobytes()
         assert not np.array_equal(before[29:], after[29:])
 

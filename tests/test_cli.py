@@ -7,6 +7,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -262,6 +263,17 @@ class TestTinyQuote:
         months += [test["prior_month"] for test in report["assets"][0]["t_tests"]]
         assert "2018-06" not in months and "2018-05" in months
 
+    def test_stationarity_table_keeps_its_width_and_warns_nothing(self, panel_path):
+        out = panel_path.parent / "stationarity"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run_cli("stationarity", panel_path, "--out-dir", out) == 0
+        table = (out / "stationarity.txt").read_text().splitlines()[1:10]
+        assert {len(line) for line in table} == {len(table[0])}
+        cells = [cell for line in table[1:] for cell in line.split()[1:]]
+        assert all(math.isfinite(float(cell)) for cell in cells)
+        assert "e+" in table[2] and "e+" in table[3]  # the mean and std rows
+
     def test_backtest_names_the_first_non_finite_forecast(self, panel_path, capsys):
         assert run_cli("backtest", panel_path, "--out-dir", panel_path.parent / "backtest") == 1
         assert capsys.readouterr().err.endswith("error: non-finite forecast at 2018-06-04\n")
@@ -436,6 +448,40 @@ class TestInputDigest:
         path = tmp_path / "panel.csv"
         path.write_bytes(data)
         assert _sha256(path) == "sha256:" + hashlib.sha256(data).hexdigest()
+
+
+    @pytest.mark.parametrize("command", ["stationarity", "backtest", "rank"])
+    def test_a_panel_replaced_during_the_load_fails_the_run(self, tmp_path, monkeypatch, capsys, command):
+        path = synth(tmp_path / "a")
+        other = synth(tmp_path / "b", **{"--seed": 8})
+        load = cli.load_csv
+
+        def replacing(panel_path):
+            panel = load(panel_path)
+            os.replace(other, path)
+            return panel
+
+        monkeypatch.setattr(cli, "load_csv", replacing)
+        out = tmp_path / "out"
+        assert run_cli(command, path, "--out-dir", out) == 1
+        assert capsys.readouterr().err.endswith(f"error: {path}: changed while it was read\n")
+        assert not out.exists()
+
+    def test_a_panel_replaced_after_the_load_keeps_the_loaded_digest(self, tmp_path, monkeypatch):
+        path = synth(tmp_path / "a")
+        loaded = "sha256:" + hashlib.sha256(path.read_bytes()).hexdigest()
+        other = synth(tmp_path / "b", **{"--seed": 8})
+        backtest = cli.run_backtest
+
+        def replacing(panel, config):
+            os.replace(other, path)
+            return backtest(panel, config)
+
+        monkeypatch.setattr(cli, "run_backtest", replacing)
+        out = tmp_path / "out"
+        assert run_cli("backtest", path, "--out-dir", out) == 0
+        assert json.loads((out / "backtest.json").read_text())["manifest"]["inputs"] == {"panel.csv": loaded}
+        assert _sha256(path) != loaded
 
 
 class TestEntryPoint:

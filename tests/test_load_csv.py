@@ -141,6 +141,39 @@ def test_within_a_row_the_first_check_wins(tmp_path):
     assert assert_same_outcome(path) == ("error", f"{path}:5: empty asset name")
 
 
+@pytest.mark.parametrize("row", [1, 2, 7, 13])
+@pytest.mark.parametrize("byte", [b"\xe9", b"\xff", b"\x80"])
+def test_a_byte_that_is_not_utf8_names_its_row(tmp_path, row, byte):
+    # in the header, the first data row, a parent chunk and the last row
+    lines = [line.encode() for line in LONG]
+    lines[row - 1] += byte  # into the sector cell
+    path = tmp_path / "p.csv"
+    path.write_bytes(b"\n".join(lines) + b"\n")
+    message = f"invalid UTF-8 byte 0x{byte[0]:02x}"
+    assert assert_same_outcome(path) == ("error", f"{path}:{row}: {message}")
+
+
+def test_a_byte_that_is_not_utf8_past_the_first_chunk(tmp_path):
+    days = weekday_range(dt.date(2000, 1, 3), _csvread._CHUNK_LINES // 2 + 10)
+    lines = ["date,asset,bid,ask"] + [f"{day},{name},1.0,1.5" for day in days for name in "xy"]
+    row = _csvread._CHUNK_LINES + 7
+    lines[row - 1] = lines[row - 1].replace(",1.5", ",1.\udce95")
+    path = tmp_path / "p.csv"
+    path.write_bytes("\n".join(lines).encode("utf-8", "surrogateescape") + b"\n")
+    expected = assert_same_outcome(path, (_csvread._CHUNK_LINES,), (_csvread._CHUNK_LINES,))
+    assert expected == ("error", f"{path}:{row}: invalid UTF-8 byte 0xe9")
+
+
+def test_an_earlier_defect_wins_over_a_later_byte_that_is_not_utf8(tmp_path):
+    lines = [line.encode() for line in VALID]
+    lines[2] = DEFECTS["crossed quote"][0].replace("2021-01-05", "2021-01-04").encode()
+    lines[5] = lines[5].replace(b"tech", b"t\xe9ch")
+    path = tmp_path / "p.csv"
+    path.write_bytes(b"\n".join(lines) + b"\n")
+    message = "ask must be >= bid on 2021-01-04, got bid=21.5 ask=21.1"
+    assert assert_same_outcome(path) == ("error", f"{path}:3: {message}")
+
+
 def test_quoted_cells_and_underscored_numbers_read_as_the_csv_module_does(tmp_path):
     path = tmp_path / "p.csv"
     lines = list(VALID)
