@@ -1,17 +1,17 @@
 """Columnar reader behind ``seqrank.timeseries.load_csv``.
 
 The file is read in chunks of lines, each parsed into columns by one
-``np.loadtxt`` call: prices as floats, date, asset and sector cells as
-bytes, which are interned into integer codes per chunk. From the first
-chunk that holds a character ``np.loadtxt`` reads unlike the ``csv``
-module and ``float()`` (``_CSV_ONLY``), or a cell ``np.loadtxt`` rejects,
-the rest of the file is read row by row with ``csv.reader`` and
-``float()``, up to the first row that fails to parse. So it is from a
-chunk with a byte that is not UTF-8, which fails its row. The row checks
-then run once on the columns, and the earliest failing row is reported,
-with the message the check made in the row-at-a-time loader this
-replaced. Every other chunk is parsed in a forked child when two CPUs
-are usable (``_Table.read``, ``seqrank._fork``).
+``np.loadtxt`` call: prices as floats, text cells as their UTF-8 bytes,
+each distinct one decoded, stripped and interned into an integer code
+once per chunk. From the first chunk that holds a character
+``np.loadtxt`` reads unlike the ``csv`` module and ``float()``
+(``_CSV_ONLY``), or a cell ``np.loadtxt`` rejects, the rest of the file
+is read row by row with ``csv.reader`` and ``float()``, up to the first
+row that fails to parse. So it is from a chunk with a byte that is not
+UTF-8, which fails its row. The row checks then run once on the columns,
+and the earliest failing row is reported, with the message the check
+made in the row-at-a-time loader this replaced. Every other chunk is
+parsed in a forked child when two CPUs are usable (``seqrank._fork``).
 """
 
 from __future__ import annotations
@@ -52,8 +52,9 @@ FIELDS, DATE, BID, ASK, ASSET, FINITE, POSITIVE, CROSSED, ORDER, SECTOR = range(
 
 
 def distinct(cells: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``np.unique(cells, return_inverse=True)`` for a fixed-width text
-    column, sorting 64-bit hashes of the cells instead of the cells."""
+    """The distinct cells of a fixed-width text column, in no set order,
+    and each cell's index among them: ``values[inverse]`` equals
+    ``cells``. It sorts 64-bit hashes of the cells, not the cells."""
     cells = np.ascontiguousarray(cells)
     size = cells.dtype.itemsize
     word = next(k for k in (8, 4, 2, 1) if size % k == 0)
@@ -65,10 +66,7 @@ def distinct(cells: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     values = cells[first]
     if not np.array_equal(values[inverse], cells):  # two texts share a hash
         return np.unique(cells, return_inverse=True)
-    order = np.argsort(values)
-    rank = np.empty_like(order)
-    rank[order] = np.arange(order.size)
-    return values[order], rank[inverse]
+    return values, inverse
 
 
 def read_columns(path: Path):
@@ -118,8 +116,8 @@ def file_identity(info: os.stat_result) -> tuple[int, ...]:
 
 
 class _Table:
-    """Columns gathered chunk by chunk. Every distinct raw text of a text
-    column gets a code in order of first sight; rows keep the codes.
+    """Columns gathered chunk by chunk. Every distinct stripped text of a
+    text column gets a code in order of first sight; rows keep the codes.
     ``error`` is the row that failed to parse, as ``(row, rank, message)``;
     nothing after it is read."""
 
@@ -133,8 +131,8 @@ class _Table:
         self.error: tuple[int, int, str] | None = None
 
     def append(self, rows, bids, asks, texts: dict[str, tuple[list[str], np.ndarray]]) -> None:
-        """Add parsed rows; each text column is ``(texts, inverse)``, and
-        its texts get codes here, in order of first sight."""
+        """Add parsed rows; each text column is ``(texts, inverse)``, with
+        its texts stripped, and they get codes here, in order of first sight."""
         # copies: a field of a parsed table, or an array unpickled from the
         # child's message, would keep the whole table or message alive
         self.parts["row"].append(np.array(rows, dtype=np.int64))
@@ -188,7 +186,7 @@ class _Table:
         Reads nothing of the table but its layout."""
         first_row, lines = chunk
         text = "".join(lines)
-        if any(char in text for char in _CSV_ONLY) or not text.isascii() and _NOT_UTF8.search(text):
+        if any(char in text for char in _CSV_ONLY):
             return None
         rows = np.arange(first_row, first_row + len(lines))
         if not all(map(str.strip, lines, repeat(_BLANK_ROW))):
@@ -196,8 +194,13 @@ class _Table:
             rows, lines = rows[keep], list(compress(lines, keep))
         if not lines:
             return rows, [], [], {}
+        if not text.isascii():
+            try:  # one character per UTF-8 byte, which np.loadtxt keeps as it is in S fields
+                lines = [line.encode().decode("latin-1") for line in lines]
+            except UnicodeEncodeError:  # a byte that is not UTF-8, escaped as a surrogate
+                return None
         for wide in (False, True):
-            # a cell that fills its field may have been cut short: read again wider
+            # a cell whose bytes fill its field may be cut short, mid-character too: read again wider
             cell_bytes = max(map(len, lines)) if wide else _CELL_BYTES
             dtype = [(f"unused{i}", "S1") for i in range(self.width)]
             for name in ("bid", "ask", *self.codes):
@@ -206,12 +209,11 @@ class _Table:
                 table = np.loadtxt(lines, dtype=dtype, delimiter=",", comments=None, ndmin=1)
             except ValueError:
                 return None
-            texts = {}
-            for name in self.codes:
-                values, inverse = distinct(table[name])
-                texts[name] = ([v.decode("latin-1") for v in values.tolist()], inverse)
-            if all(len(v) < cell_bytes for values, _ in texts.values() for v in values):
+            cells = {name: distinct(table[name]) for name in self.codes}
+            if all(len(v) < cell_bytes for values, _ in cells.values() for v in values.tolist()):
                 break
+        texts = {name: ([v.decode().strip() for v in values.tolist()], inverse)
+                 for name, (values, inverse) in cells.items()}
         return rows, table["bid"], table["ask"], texts
 
     def add_rows(self, lines: Iterable[str], first_row: int) -> None:
@@ -242,7 +244,7 @@ class _Table:
             bids.append(prices[0])
             asks.append(prices[1])
             for name, values in cells.items():
-                values.append(fields[self.col[name]])
+                values.append(fields[self.col[name]].strip())
             if self.error is not None:
                 break
         texts = {}
@@ -274,7 +276,7 @@ class _Table:
         date_errors = {}
         for code, text in enumerate(self.codes["date"]):
             try:
-                ordinals[code] = dt.date.fromisoformat(text.strip()).toordinal()
+                ordinals[code] = dt.date.fromisoformat(text).toordinal()
             except ValueError as exc:
                 date_errors[code] = str(exc)
         date_codes = cols.pop("date")
@@ -287,10 +289,9 @@ class _Table:
         def day(i: int) -> dt.date:
             return dt.date.fromordinal(int(day_ordinals[date_index[i]]))
 
-        stripped = [text.strip() for text in self.codes["asset"]]
-        names = sorted(set(stripped))
+        names = sorted(self.codes["asset"])
         index = {name: i for i, name in enumerate(names)}
-        asset = np.array([index[name] for name in stripped], dtype=np.int32)[cols.pop("asset")]
+        asset = np.array([index[name] for name in self.codes["asset"]], dtype=np.int32)[cols.pop("asset")]
         if "" in index:
             first(asset == index[""], ASSET, lambda i: "empty asset name")
         first(~(np.isfinite(bids) & np.isfinite(asks)), FINITE,
@@ -315,10 +316,8 @@ class _Table:
 
         sectors = None
         if "sector" in self.codes:
-            labels = list(dict.fromkeys(text.strip() for text in self.codes["sector"]))
-            code = {label: i for i, label in enumerate(labels)}
-            sector = np.array([code[text.strip()] for text in self.codes["sector"]], dtype=np.int32)
-            sector = sector[cols.pop("sector")]
+            labels = list(self.codes["sector"])
+            sector = cols.pop("sector")
             first(sector != sector[leading][asset], SECTOR, lambda i: f"conflicting sector for {names[asset[i]]}")
             sectors = {name: labels[sector[i]] for name, i in zip(names, leading)}
         if errors:

@@ -29,7 +29,7 @@ from typing import TYPE_CHECKING, Mapping
 import numpy as np
 
 from ._atomic import write_files
-from ._csvread import CSV_COLUMNS, distinct, read_columns
+from ._csvread import CSV_COLUMNS, read_columns
 from ._fork import split_map
 
 if TYPE_CHECKING:
@@ -46,7 +46,7 @@ __all__ = [
 ]
 
 # A label that would not survive a write/load cycle of the CSV.
-_UNSAFE_LABEL = re.compile(r'[,"\r\n]|^\s|\s$')
+_UNSAFE_LABEL = re.compile(r'[,"\r\n\x00]|^\s|\s$')
 
 
 @dataclass(frozen=True, eq=False)
@@ -174,7 +174,7 @@ def build_panel(
     downstream can use).
     """
     day = np.asarray(dates, dtype="datetime64[D]")
-    labels, asset_index = distinct(np.asarray(assets, dtype=str))
+    labels, asset_index = np.unique(np.asarray(assets, dtype=str), return_inverse=True)
     bids = np.asarray(bids, dtype=float)
     asks = np.asarray(asks, dtype=float)
     if not (day.ndim == 1 and day.shape == asset_index.shape == bids.shape == asks.shape):
@@ -381,11 +381,11 @@ def render_csv(panel: QuotePanel) -> list[str]:
     same either way.
     """
     labels = panel.assets + (panel.sectors or ())
-    unsafe = sorted({label for label in labels if _UNSAFE_LABEL.search(label)})
+    unsafe = {label for label in labels if _UNSAFE_LABEL.search(label)} | ({""} & set(panel.assets))
     if unsafe:
         raise ValueError(
-            f"labels must not contain ',', '\"', CR or LF, nor start or end with "
-            f"whitespace: {unsafe}"
+            f"labels must not contain ',', '\"', CR, LF or NUL, nor start or end with "
+            f"whitespace, and asset names must not be empty: {sorted(unsafe)}"
         )
     header = list(CSV_COLUMNS) + (["sector"] if panel.sectors is not None else [])
     d = panel.n_assets

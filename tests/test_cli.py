@@ -484,6 +484,40 @@ class TestInputDigest:
         assert _sha256(path) != loaded
 
 
+class TestRowOrder:
+    """A panel's rows may come in any order across assets on a date: the
+    outputs keep every byte but the manifest's input digest."""
+
+    RUNS = (
+        ("backtest", "--strategy", "nbar", "--mode", "long-short"),
+        ("rank", "--tau", "0.99"),
+        ("stationarity", "--max-shift", "3", "--min-month-obs", "10"),
+    )
+
+    def test_each_dates_rows_in_another_asset_order(self, tmp_path):
+        path = synth(tmp_path / "panel", **{"--assets": 12, "--steps": 300, "--sectors": "énergie,łódź,日本"})
+        header, *rows = path.read_text(encoding="utf-8").splitlines(keepends=True)
+        rng = np.random.default_rng(11)
+        moved = tmp_path / "moved" / "panel.csv"
+        moved.parent.mkdir()
+        with moved.open("w", encoding="utf-8", newline="") as handle:
+            handle.write(header)
+            for start in range(0, len(rows), 12):  # one date's rows, in asset order
+                handle.writelines(rows[start + i] for i in rng.permutation(12))
+        assert moved.read_bytes() != path.read_bytes()
+        digests = [_sha256(p) for p in (path, moved)]
+        for run in self.RUNS:
+            outs = [tmp_path / f"{run[0]}-{i}" for i in range(2)]
+            for panel, out in zip((path, moved), outs):
+                assert run_cli(run[0], panel, *run[1:], "--out-dir", out) == 0
+            names = sorted(p.name for p in outs[0].iterdir())
+            assert names == sorted(p.name for p in outs[1].iterdir())
+            texts = [(outs[0] / name).read_text(encoding="utf-8") for name in names]
+            assert any(digests[0] in text for text in texts), run  # a manifest names the input
+            for name, before in zip(names, texts):
+                assert before.replace(*digests) == (outs[1] / name).read_text(encoding="utf-8"), (run, name)
+
+
 class TestEntryPoint:
     def test_module_invocation(self, tmp_path):
         result = subprocess.run(

@@ -1,0 +1,87 @@
+"""Input checks that no other test reaches, each through a public call.
+
+Each case is named by the message it must raise, since line numbers move.
+"""
+
+from __future__ import annotations
+
+import datetime as dt
+import math
+
+import numpy as np
+import pytest
+
+from seqrank import (
+    JumpDiffusionConfig,
+    QuotePanel,
+    compute_metrics,
+    levene_test,
+    load_csv,
+    monthly_stationarity_report,
+    weekday_range,
+    welch_t_test,
+)
+from seqrank.cli import main
+
+from conftest import panel_from_mids
+
+
+def quotes(bids, asks=None):
+    """A panel over ``len(bids)`` weekdays from bid and ask matrices."""
+    bids = np.asarray(bids, dtype=float)
+    n, d = bids.shape
+    return QuotePanel(
+        dates=weekday_range(dt.date(2021, 3, 1), n),
+        assets=tuple(f"A{j}" for j in range(d)),
+        bids=bids,
+        asks=bids if asks is None else np.asarray(asks, dtype=float),
+    )
+
+
+GOOD = np.array([[1.0, 2.0], [1.5, 2.5], [1.2, 2.2]])
+
+CASES = {
+    "a panel needs at least 2 assets, got 1": lambda: quotes(GOOD[:, :1]),
+    "a panel needs at least 2 dates, got 1": lambda: quotes(GOOD[:1]),
+    "every panel cell must hold a finite quote": lambda: quotes(np.where(GOOD == 2.5, np.inf, GOOD)),
+    "bids must be positive everywhere": lambda: quotes(np.where(GOOD == 2.5, 0.0, GOOD)),
+    "ask < bid somewhere in the panel": lambda: quotes(GOOD, np.where(GOOD == 2.5, 2.4, GOOD)),
+    "jump_stdev must be >= 0": lambda: JumpDiffusionConfig(jump_stdev=-0.1),
+    "returns contain non-finite values": lambda: compute_metrics([0.01, math.nan, 0.02]),
+    "alpha must lie in (0, 1), got 1.0": lambda: levene_test([[0.0, 1.0], [1.0, 3.0]], alpha=1.0),
+    "group 1 contains non-finite values": lambda: levene_test([[0.0, 1.0], [1.0, math.inf]]),
+    "samples contain non-finite values": lambda: welch_t_test([0.0, 1.0], [1.0, math.nan]),
+    "max_shift must be at least 1": lambda: monthly_stationarity_report(
+        panel_from_mids(np.exp(np.cumsum(np.full((200, 2), 0.01), axis=0))), max_shift=0
+    ),
+}
+
+
+@pytest.mark.parametrize("message", sorted(CASES))
+def test_bad_input_is_refused_by_name(message):
+    with pytest.raises(ValueError) as caught:
+        CASES[message]()
+    assert str(caught.value) == message
+
+
+def test_an_empty_panel_file_names_the_file(tmp_path):
+    path = tmp_path / "p.csv"
+    path.write_bytes(b"")
+    with pytest.raises(ValueError) as caught:
+        load_csv(path)
+    assert str(caught.value) == f"{path}: empty file, header required"
+
+
+def test_synth_refuses_a_sector_list_without_a_label(tmp_path, capsys):
+    assert main(["synth", "--sectors", " , ", "--out-dir", str(tmp_path)]) == 1
+    assert capsys.readouterr().err == "error: --sectors must name at least one sector\n"
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_an_asset_with_constant_quotes_skips_its_price_unit_root_test():
+    rng = np.random.default_rng(3)
+    mids = np.exp(np.cumsum(rng.normal(0.0, 0.01, (200, 3)), axis=0))
+    mids[:, 1] = 4.0
+    report = monthly_stationarity_report(panel_from_mids(mids, spread=0.01), max_shift=1)
+    assert report.skipped["adf_price"] == 1
+    assert [asset.adf_price is None for asset in report.assets] == [False, True, False]

@@ -24,7 +24,7 @@ from hypothesis import strategies as st
 
 import seqrank._csvread as _csvread
 import seqrank._fork as _fork
-from seqrank import load_csv, weekday_range
+from seqrank import QuotePanel, load_csv, weekday_range, write_csv
 
 from conftest import assert_no_child
 from csv_oracle import oracle_load_csv
@@ -181,6 +181,16 @@ def test_quoted_cells_and_underscored_numbers_read_as_the_csv_module_does(tmp_pa
     path.write_text("\n".join(lines) + "\n")
     expected = assert_same_outcome(path)
     assert expected[0] == "panel" and expected[5][1, 0] == 11.1
+
+
+def test_cells_read_by_the_csv_module_are_stripped(tmp_path):
+    path = tmp_path / "p.csv"
+    lines = list(VALID)
+    lines[2] = '2021-01-04,"y",19.9,20.1,energy'
+    lines[3:] = [line.replace(",x,", ", x\u3000,").replace("tech", "\xa0tech ") for line in lines[3:]]
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    expected = assert_same_outcome(path)
+    assert expected[0] == "panel" and expected[2:4] == (("x", "y"), ("tech", "energy"))
 
 
 def test_separator_characters_around_a_number_are_rejected(tmp_path):
@@ -406,14 +416,103 @@ def test_edited_files_load_or_fail_like_the_oracle(edits, split):
         assert_same_outcome(path, split_sizes=(2,) * split)
 
 
+def spy_on_row_path(monkeypatch):
+    """The ``first_row`` of each call of ``_Table.add_rows``, the row path."""
+    calls = []
+    add_rows = _csvread._Table.add_rows
+
+    def spied(self, lines, first_row):
+        calls.append(first_row)
+        return add_rows(self, lines, first_row)
+
+    monkeypatch.setattr(_csvread._Table, "add_rows", spied)
+    return calls
+
+
+# letters outside Latin-1, Unicode whitespace that str.strip removes (and
+# \x1c, which np.loadtxt reads unlike float()), and the characters the writer refuses
+ALPHABET = ["a", "Z", "Ł", "日", " ", "\xa0", "\x85", "\u3000", "\x1c", "\x00", ",", '"']
+
+
+@st.composite
+def labels(draw, min_size, max_size, unique):
+    """Labels over ``ALPHABET``: in half the draws any text, which the writer
+    mostly refuses, in the other half a letter, then any of the first nine
+    characters, then maybe a letter, which it takes."""
+    if draw(st.booleans()):
+        text = st.text(st.sampled_from(ALPHABET), max_size=5)
+    else:
+        letter = st.sampled_from(ALPHABET[:4])
+        text = st.builds("{}{}{}".format, letter, st.text(st.sampled_from(ALPHABET[:9]), max_size=3),
+                         letter | st.just(""))
+    return draw(st.lists(text, min_size=min_size, max_size=max_size, unique=unique))
+
+
+@given(assets=labels(2, 4, True), sectors=st.none() | labels(4, 4, False))
+@example(assets=["", "a"], sectors=None)
+@example(assets=["a\x00b", "zz"], sectors=None)
+def test_written_labels_load_back_on_the_fast_path(assets, sectors):
+    assets = sorted(assets)
+    sectors = None if sectors is None else tuple(sectors[: len(assets)])
+    mids = np.linspace(1.0, 2.0, 3 * len(assets)).reshape(3, len(assets))
+    panel = QuotePanel(dates=weekday_range(dt.date(2021, 3, 1), 3), assets=tuple(assets),
+                       bids=mids, asks=mids * 1.5, sectors=sectors)
+    with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp:
+        path = Path(tmp) / "p.csv"
+        try:
+            write_csv(panel, path)
+        except ValueError as exc:
+            assert str(exc).startswith("labels must not contain")
+            return
+        row_path = spy_on_row_path(mp)
+        loaded = load_csv(path)
+    assert (loaded.dates, loaded.assets, loaded.sectors) == (panel.dates, panel.assets, panel.sectors)
+    assert np.array_equal(loaded.bids, panel.bids) and np.array_equal(loaded.asks, panel.asks)
+    if not any(char in label for label in assets + list(sectors or ()) for char in _csvread._CSV_ONLY):
+        assert row_path == []
+
+
+# 32, 33 and 34 bytes: the first read keeps 32, which may end mid-character
+@pytest.mark.parametrize("name", ["x" * 30 + "é", "x" * 31 + "é", "x" * 29 + "日", "x" * 30 + "日",
+                                  "x" * 31 + "日"])
+def test_a_label_cut_inside_a_character_is_read_again_wider(tmp_path, monkeypatch, name):
+    row_path = spy_on_row_path(monkeypatch)
+    path = tmp_path / "p.csv"
+    lines = [line.replace(",x,", f",{name},").replace(",tech", f",{name[::-1]}") for line in VALID]
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    expected = assert_same_outcome(path)
+    assert expected[2:4] == ((name, "y"), (name[::-1], "energy"))
+    assert row_path == []
+
+
+def test_a_row_of_unicode_whitespace_stays_blank_beside_text_outside_latin1(tmp_path, monkeypatch):
+    row_path = spy_on_row_path(monkeypatch)
+    path = tmp_path / "p.csv"
+    lines = VALID[:4] + ["\u3000", "\u3000,\xa0, ,\x85,"] + VALID[4:]
+    path.write_text("\n".join(lines).replace(",x,", ",Łódź,") + "\n", encoding="utf-8")
+    expected = assert_same_outcome(path)
+    assert expected[0] == "panel" and expected[2] == ("y", "Łódź")
+    lines[-1] = DEFECTS["crossed quote"][0].replace("2021-01-05", "2021-01-06")
+    path.write_text("\n".join(lines).replace(",x,", ",Łódź,") + "\n", encoding="utf-8")
+    assert assert_same_outcome(path) == (
+        "error", f"{path}:9: ask must be >= bid on 2021-01-06, got bid=21.5 ask=21.1"
+    )
+    assert row_path == []
+
+
+def assert_groups(cells):
+    """``distinct``'s contract: the distinct cells in any order, of the
+    cells' dtype, and each cell's index among them."""
+    values, inverse = _csvread.distinct(cells)
+    assert values.dtype == cells.dtype
+    assert np.array_equal(np.sort(values), np.unique(cells))
+    assert np.array_equal(values[inverse], cells)
+
+
 @given(cells=st.lists(st.text(st.sampled_from("ab é\tZ"), max_size=9), max_size=30),
        kind=st.sampled_from(["U", "S"]))
 def test_distinct_matches_unique(cells, kind):
-    array = np.array([c.encode("latin-1") if kind == "S" else c for c in cells], dtype=kind)
-    values, inverse = _csvread.distinct(array)
-    expected_values, expected_inverse = np.unique(array, return_inverse=True)
-    assert np.array_equal(values, expected_values) and values.dtype == expected_values.dtype
-    assert np.array_equal(inverse, expected_inverse)
+    assert_groups(np.array([c.encode() if kind == "S" else c for c in cells], dtype=kind))
 
 
 def test_distinct_survives_a_hash_collision():
@@ -422,7 +521,4 @@ def test_distinct_survives_a_hash_collision():
     words = np.array([[7, 2**63 + 5], [8, (2**63 + 5 - k) % 2**64], [7, 2**63 + 5]], dtype=np.uint64)
     cells = words.view("S16").ravel()
     assert len(set(cells.tolist())) == 2
-    values, inverse = _csvread.distinct(cells)
-    expected_values, expected_inverse = np.unique(cells, return_inverse=True)
-    assert np.array_equal(values, expected_values)
-    assert np.array_equal(inverse, expected_inverse)
+    assert_groups(cells)
