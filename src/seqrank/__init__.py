@@ -10,7 +10,7 @@ from .backtest import (
     compute_metrics,
     run_backtest,
 )
-from .ranker import RankerState, RankOutput
+from .ranker import RankerState
 from .regression import CurdsWheyState, batch_ridge, batch_shrinkage
 from .stats import (
     AdfResult,
@@ -42,7 +42,6 @@ __all__ = [
     "compute_metrics",
     "run_backtest",
     "RankerState",
-    "RankOutput",
     "CurdsWheyState",
     "batch_ridge",
     "batch_shrinkage",

@@ -44,6 +44,7 @@ import numpy as np
 
 from .ranker import RankerState
 from .regression import CurdsWheyState
+from .stats import sample_std
 from .timeseries import QuotePanel
 
 __all__ = [
@@ -257,7 +258,10 @@ class MetricsBlock:
     days; ``sharpe`` is mean over sample stdev times sqrt(252);
     ``prob_positive`` is the standard normal CDF at the Sharpe ratio;
     ``max_drawdown`` is the largest peak-to-trough drop of the cumulative
-    sum (starting from zero). Ratios that would divide by zero are None.
+    sum (starting from zero). Ratios that would divide by zero are None,
+    and so are ``cagr`` and ``return_over_maxdd`` when they pass the
+    largest float; ``std`` is taken of rescaled values when the squares of
+    the returns would.
     """
 
     days: int
@@ -298,6 +302,10 @@ class MetricsBlock:
         }
 
 
+def _finite(value: float | None) -> float | None:
+    return value if value is not None and math.isfinite(value) else None
+
+
 def _normal_cdf(x: float) -> float:
     return 0.5 * (1.0 + math.erf(x / math.sqrt(2.0)))
 
@@ -312,13 +320,14 @@ def compute_metrics(daily_net: Sequence[float] | np.ndarray) -> MetricsBlock:
     n = len(r)
     # a truly constant series has zero stdev; computing deviations from a
     # rounded mean would report a spurious ~1e-19 instead
-    std = 0.0 if np.ptp(r) == 0.0 else float(r.std(ddof=1))
+    std = 0.0 if np.ptp(r) == 0.0 else sample_std(r)
     total = float(r.sum())
 
     growth = 1.0 + r
     cagr: float | None = None
     if (growth > 0.0).all():
-        cagr = float(np.prod(growth) ** (TRADING_DAYS_PER_YEAR / n) - 1.0)
+        with np.errstate(over="ignore"):  # a growth past the largest float has no rate
+            cagr = float(np.prod(growth) ** (TRADING_DAYS_PER_YEAR / n) - 1.0)
 
     sharpe: float | None = None
     prob_positive: float | None = None
@@ -341,11 +350,11 @@ def compute_metrics(daily_net: Sequence[float] | np.ndarray) -> MetricsBlock:
         q75=float(np.percentile(r, 75)),
         max=float(r.max()),
         total=total,
-        cagr=cagr,
+        cagr=_finite(cagr),
         sharpe=sharpe,
         prob_positive=prob_positive,
         max_drawdown=max_drawdown,
-        return_over_maxdd=return_over_maxdd,
+        return_over_maxdd=_finite(return_over_maxdd),
         win_ratio=win_ratio,
         loss_ratio=1.0 - win_ratio,
     )

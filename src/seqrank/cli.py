@@ -10,6 +10,13 @@ the files, which keeps repeated runs byte identical. Exit code 0 means
 every output was fully written. Outputs are written to temporary files
 and renamed into place only once all of them are complete, so a failed
 or killed run leaves no partial output under an output's name.
+
+The CLI keeps no defaults of its own. Each flag's destination is the name
+of the config field or report parameter it sets, and an omitted flag takes
+the library's default: ``JumpDiffusionConfig`` for ``synth``,
+``monthly_stationarity_report``'s signature for ``stationarity``, and
+``BacktestConfig`` for ``backtest`` and for ``rank``'s ``--tau``. The one
+exception is ``synth --assets``, which defaults to 10.
 """
 
 from __future__ import annotations
@@ -18,11 +25,12 @@ import argparse
 import datetime as dt
 import functools
 import hashlib
+import inspect
 import json
 import logging
 import sys
 from collections.abc import Iterable, Iterator
-from dataclasses import asdict
+from dataclasses import asdict, fields, replace
 from itertools import chain
 from json.encoder import c_make_encoder, encode_basestring_ascii
 from pathlib import Path
@@ -59,6 +67,13 @@ from .timeseries import (
 )
 
 __all__ = ["json_chunks", "main"]
+
+# the stationarity flags' defaults: the report's own
+_REPORT_DEFAULTS = {
+    name: parameter.default
+    for name, parameter in inspect.signature(monthly_stationarity_report).parameters.items()
+    if parameter.default is not parameter.empty
+}
 
 
 def _manifest(command: str, config: dict, inputs: dict[str, str], seed: int | None = None) -> dict:
@@ -195,30 +210,20 @@ def _emit(out_dir: Path, files: dict[str, str | Iterable[str]]) -> list[Path]:
     return write_files(out_dir, files)
 
 
+def _config(cls, args: argparse.Namespace, **given):
+    """A ``cls`` whose fields are ``args``' attributes of the same names, or ``given``."""
+    return cls(**{**{field.name: getattr(args, field.name) for field in fields(cls)}, **given})
+
+
 def _cmd_synth(args: argparse.Namespace) -> int:
-    config = JumpDiffusionConfig(
-        drift=args.drift,
-        volatility=args.vol,
-        jump_intensity=args.jumps,
-        jump_mean=args.jump_mean,
-        jump_stdev=args.jump_std,
-        n_steps=args.steps,
-        n_assets=args.assets,
-        cross_correlation=args.corr,
-        seed=args.seed,
-        spread=args.spread,
-        start_price=args.start_price,
-        start_date=dt.date.fromisoformat(args.start_date),
-    )
+    config = _config(JumpDiffusionConfig, args, start_date=dt.date.fromisoformat(args.start_date))
     panel = simulate_jump_diffusion(config)
     if args.sectors:
         labels = [s.strip() for s in args.sectors.split(",") if s.strip()]
         if not labels:
             raise ValueError("--sectors must name at least one sector")
         sectors = tuple(labels[i % len(labels)] for i in range(panel.n_assets))
-        panel = QuotePanel(
-            dates=panel.dates, assets=panel.assets, bids=panel.bids, asks=panel.asks, sectors=sectors
-        )
+        panel = replace(panel, sectors=sectors)
     settings = asdict(config)
     seed = settings.pop("seed")
     settings.update(start_date=config.start_date.isoformat(), sectors=args.sectors or None)
@@ -236,24 +241,9 @@ def _cmd_synth(args: argparse.Namespace) -> int:
 def _cmd_stationarity(args: argparse.Namespace) -> int:
     panel_path = Path(args.panel)
     panel, inputs = _load(panel_path)
-    report = monthly_stationarity_report(
-        panel,
-        max_shift=args.max_shift,
-        alpha=args.alpha,
-        sidedness=args.sidedness,
-        min_month_obs=args.min_month_obs,
-    )
-    manifest = _manifest(
-        "stationarity",
-        {
-            "panel": panel_path.name,
-            "max_shift": args.max_shift,
-            "alpha": args.alpha,
-            "sidedness": args.sidedness,
-            "min_month_obs": args.min_month_obs,
-        },
-        inputs,
-    )
+    settings = {name: getattr(args, name) for name in _REPORT_DEFAULTS}
+    report = monthly_stationarity_report(panel, **settings)
+    manifest = _manifest("stationarity", {"panel": panel_path.name, **settings}, inputs)
     table = render_report_table(report)
     payload = {"manifest": manifest, "report": report.to_json_dict()}
     written = _emit(
@@ -268,22 +258,9 @@ def _cmd_stationarity(args: argparse.Namespace) -> int:
 def _cmd_backtest(args: argparse.Namespace) -> int:
     panel_path = Path(args.panel)
     panel, inputs = _load(panel_path)
-    config = BacktestConfig(
-        mode=args.mode,
-        strategy=args.strategy,
-        decile_fraction=args.decile,
-        tau=args.tau,
-        ridge_lambda=args.ridge_lambda,
-        nbar_input=args.nbar_input,
-        nbar_membership=args.nbar_membership,
-        cost_model=args.cost,
-    )
+    config = _config(BacktestConfig, args)
     report = run_backtest(panel, config)
-    manifest = _manifest(
-        "backtest",
-        {"panel": panel_path.name, **config.to_json_dict()},
-        inputs,
-    )
+    manifest = _manifest("backtest", {"panel": panel_path.name, **config.to_json_dict()}, inputs)
     payload = {"manifest": manifest, **report.to_json_dict()}
     written = _emit(
         Path(args.out_dir),
@@ -352,49 +329,51 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     synth = sub.add_parser("synth", help="generate a synthetic quote panel CSV")
-    synth.add_argument("--assets", type=int, default=10)
-    synth.add_argument("--steps", type=int, default=500, help="number of return steps")
-    synth.add_argument("--seed", type=int, default=0)
-    synth.add_argument("--drift", type=float, default=0.0, help="per-step log drift")
-    synth.add_argument("--vol", type=float, default=0.01, help="per-step volatility")
-    synth.add_argument("--jumps", type=float, default=0.0, help="expected jumps per step")
-    synth.add_argument("--jump-mean", type=float, default=0.0)
-    synth.add_argument("--jump-std", type=float, default=0.0)
-    synth.add_argument("--corr", type=float, default=0.0, help="pairwise shock correlation")
-    synth.add_argument("--spread", type=float, default=0.001, help="proportional bid/ask spread")
-    synth.add_argument("--start-price", type=float, default=100.0)
-    synth.add_argument("--start-date", default="2018-01-02")
+    synth.add_argument("--assets", dest="n_assets", type=int)
+    synth.add_argument("--steps", dest="n_steps", type=int, help="number of return steps")
+    synth.add_argument("--seed", type=int)
+    synth.add_argument("--drift", type=float, help="per-step log drift")
+    synth.add_argument("--vol", dest="volatility", type=float, help="per-step volatility")
+    synth.add_argument("--jumps", dest="jump_intensity", type=float, help="expected jumps per step")
+    synth.add_argument("--jump-mean", type=float)
+    synth.add_argument("--jump-std", dest="jump_stdev", type=float)
+    synth.add_argument("--corr", dest="cross_correlation", type=float, help="pairwise shock correlation")
+    synth.add_argument("--spread", type=float, help="proportional bid/ask spread")
+    synth.add_argument("--start-price", type=float)
+    synth.add_argument("--start-date")
     synth.add_argument("--sectors", default="", help="comma-separated sector labels, cycled")
     synth.add_argument("--out-dir", default=".")
-    synth.set_defaults(func=_cmd_synth)
+    synth_defaults = asdict(JumpDiffusionConfig(n_assets=10))
+    synth_defaults["start_date"] = synth_defaults["start_date"].isoformat()
+    synth.set_defaults(func=_cmd_synth, **synth_defaults)
 
     stat = sub.add_parser("stationarity", help="monthly stationarity diagnostics for a panel")
     stat.add_argument("panel", help="panel CSV path")
-    stat.add_argument("--max-shift", type=int, default=6)
-    stat.add_argument("--alpha", type=float, default=0.05)
-    stat.add_argument("--sidedness", choices=SIDEDNESS_VALUES, default="one-sided")
-    stat.add_argument("--min-month-obs", type=int, default=12)
+    stat.add_argument("--max-shift", type=int)
+    stat.add_argument("--alpha", type=float)
+    stat.add_argument("--sidedness", choices=SIDEDNESS_VALUES)
+    stat.add_argument("--min-month-obs", type=int)
     stat.add_argument("--out-dir", default=".")
-    stat.set_defaults(func=_cmd_stationarity)
+    stat.set_defaults(func=_cmd_stationarity, **_REPORT_DEFAULTS)
 
     back = sub.add_parser("backtest", help="run a strategy and the benchmark over a panel")
     back.add_argument("panel", help="panel CSV path")
-    back.add_argument("--mode", choices=MODES, default="long-only")
-    back.add_argument("--strategy", choices=STRATEGIES, default="curds-whey")
-    back.add_argument("--tau", type=float, default=0.999)
-    back.add_argument("--lambda", dest="ridge_lambda", type=float, default=1.0)
-    back.add_argument("--decile", type=float, default=0.1)
-    back.add_argument("--nbar-input", choices=NBAR_INPUTS, default="forecasts")
-    back.add_argument("--nbar-membership", choices=NBAR_MEMBERSHIPS, default="by-p")
-    back.add_argument("--cost", choices=COST_MODELS, default="half-spread")
+    back.add_argument("--mode", choices=MODES)
+    back.add_argument("--strategy", choices=STRATEGIES)
+    back.add_argument("--tau", type=float)
+    back.add_argument("--lambda", dest="ridge_lambda", type=float)
+    back.add_argument("--decile", dest="decile_fraction", type=float)
+    back.add_argument("--nbar-input", choices=NBAR_INPUTS)
+    back.add_argument("--nbar-membership", choices=NBAR_MEMBERSHIPS)
+    back.add_argument("--cost", dest="cost_model", choices=COST_MODELS)
     back.add_argument("--out-dir", default=".")
-    back.set_defaults(func=_cmd_backtest)
+    back.set_defaults(func=_cmd_backtest, **asdict(BacktestConfig()))
 
     rank = sub.add_parser("rank", help="per-day posterior ranking from realised returns")
     rank.add_argument("panel", help="panel CSV path")
-    rank.add_argument("--tau", type=float, default=0.999)
+    rank.add_argument("--tau", type=float)
     rank.add_argument("--out-dir", default=".")
-    rank.set_defaults(func=_cmd_rank)
+    rank.set_defaults(func=_cmd_rank, tau=BacktestConfig.tau)
     return parser
 
 

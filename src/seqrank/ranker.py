@@ -24,12 +24,11 @@ but never shared mutably.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-__all__ = ["RankerState", "RankOutput", "rank_order"]
+__all__ = ["RankerState", "rank_order"]
 
 logger = logging.getLogger(__name__)
 
@@ -37,17 +36,6 @@ _RENORM_LOG_TOLERANCE = 1e-12
 # rows per argsort in ``update``: the win counts and likelihoods of one
 # slice are a few (64, d) arrays beside the (days, d) posterior it returns
 _BLOCK_ROWS = 64
-
-
-@dataclass(frozen=True)
-class RankOutput:
-    """A ranking at one step: expert indices sorted by descending posterior.
-
-    Ties are broken by ascending index, so the output is deterministic.
-    """
-
-    order: np.ndarray
-    posterior: np.ndarray
 
 
 class RankerState:
@@ -137,9 +125,9 @@ class RankerState:
                 drift[worst], self.t + 1 + worst,
             )
 
-    def rank(self) -> RankOutput:
+    def rank(self) -> np.ndarray:
         """Indices sorted by descending posterior, ties by ascending index."""
-        return RankOutput(order=rank_order(self.p), posterior=self.p.copy())
+        return rank_order(self.p)
 
 
 def rank_order(posterior: np.ndarray) -> np.ndarray:

@@ -604,18 +604,25 @@ def monthly_stationarity_report(
 _TABLE_ROWS = ("count", "mean", "std", "min", "25%", "50%", "75%", "max")
 
 
+def sample_std(values: np.ndarray) -> float:
+    """The ddof=1 standard deviation of two or more values; where their
+    squares overflow, it is taken of the values over their largest magnitude
+    and scaled back."""
+    with np.errstate(over="ignore"):
+        std = float(values.std(ddof=1))
+    if math.isinf(std):
+        scale = float(np.abs(values).max())
+        std = float((values / scale).std(ddof=1)) * scale
+    return std
+
+
 def _describe(values: np.ndarray) -> dict[str, float]:
     if len(values) == 0:
         return {row: float("nan") for row in _TABLE_ROWS}
-    with np.errstate(over="ignore"):
-        std = float(values.std(ddof=1)) if len(values) > 1 else float("nan")
-    if math.isinf(std):  # the squares overflowed: scale by the largest magnitude
-        scale = float(np.abs(values).max())
-        std = float((values / scale).std(ddof=1)) * scale
     return {
         "count": float(len(values)),
         "mean": float(values.mean()),
-        "std": std,
+        "std": sample_std(values) if len(values) > 1 else float("nan"),
         "min": float(values.min()),
         "25%": float(np.percentile(values, 25)),
         "50%": float(np.percentile(values, 50)),

@@ -42,7 +42,7 @@ def test_ranker_hand_trace_single_update():
     state.update([0.3, 0.1, 0.2])
     elapsed = time.perf_counter() - start
     p_err = np.abs(state.p - np.array([5 / 12, 1 / 4, 1 / 3])).max()
-    order_ok = np.array_equal(state.rank().order, [0, 2, 1])
+    order_ok = np.array_equal(state.rank(), [0, 2, 1])
     gate(
         "ranker hand trace, one update",
         p_err < 1e-12 and order_ok and elapsed < 1e-3,
@@ -89,7 +89,7 @@ def test_ranker_affine_input_bit_identity():
         if not np.array_equal(raw.p, mapped.p):
             identical = False
             break
-        if not np.array_equal(raw.rank().order, mapped.rank().order):
+        if not np.array_equal(raw.rank(), mapped.rank()):
             identical = False
             break
     gate("ranker invariance to positive affine input rescaling", identical)
@@ -104,12 +104,12 @@ def test_ranker_dominance_switch_adaptivity():
     led_throughout = True
     for _ in range(2000):
         state.update(ladder)
-        if state.rank().order[0] != 0:
+        if state.rank()[0] != 0:
             led_throughout = False
     flip_at = None
     for step in range(1, 4001):
         state.update(reversed_ladder)
-        if flip_at is None and state.rank().order[0] == 1:
+        if flip_at is None and state.rank()[0] == 1:
             flip_at = step
             break
     elapsed = time.perf_counter() - start

@@ -7,6 +7,7 @@ import json
 import math
 import re
 import tracemalloc
+import warnings
 import weakref
 
 import numpy as np
@@ -324,6 +325,30 @@ class TestMetrics:
         block = compute_metrics([0.01, -1.5, 0.02])
         assert block.cagr is None
         assert block.total == pytest.approx(-1.47, abs=1e-12)
+
+    @given(st.lists(st.floats(-1e300, 1e300, exclude_min=True, exclude_max=True), min_size=2, max_size=40))
+    def test_every_field_finite_or_none_and_nothing_warns(self, returns):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            block = compute_metrics(returns)
+        for name, value in block.to_json_dict().items():
+            assert value is None or math.isfinite(value), name
+
+    def test_overflowing_squares_keep_a_finite_std(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            block = compute_metrics([0.01, -0.02, 1e200, 0.0])
+        # the deviations from the mean 2.5e199 are -2.5e199 (three times) and 7.5e199
+        assert block.std == pytest.approx(5e199, rel=1e-15)
+        assert block.cagr is None  # the compounded growth passes the largest float
+
+    def test_ratio_past_the_largest_float_is_undefined(self):
+        # a drawdown of 1e-300 under a total of 1e300
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            block = compute_metrics([-1e-300, 1e300])
+        assert block.max_drawdown == 1e-300
+        assert block.return_over_maxdd is None
 
 
 @pytest.fixture(scope="module")

@@ -2,6 +2,7 @@
 
 import dataclasses
 import hashlib
+import inspect
 import json
 import math
 import os
@@ -17,8 +18,10 @@ from hypothesis import strategies as st
 
 import seqrank
 import seqrank.cli as cli
-from seqrank import JumpDiffusionConfig, load_csv, write_csv
+from seqrank import BacktestConfig, JumpDiffusionConfig, load_csv, monthly_stationarity_report, write_csv
+from seqrank.backtest import COST_MODELS, MODES, NBAR_INPUTS, NBAR_MEMBERSHIPS, STRATEGIES
 from seqrank.cli import _emit, _sha256, json_chunks, main
+from seqrank.stats import SIDEDNESS_VALUES
 
 from conftest import constant_growth_panel, dominance_panel
 
@@ -241,15 +244,20 @@ class TestTinyQuote:
     1e100, whose squares pass the largest float: every subcommand ends in a
     result or a named error, never a traceback."""
 
+    @staticmethod
+    def quote_tiny(path, asset, *dates):
+        lines = path.read_text().splitlines(keepends=True)
+        for date in dates:
+            tiny = [i for i, line in enumerate(lines) if line.startswith(f"{date},{asset},")]
+            assert len(tiny) == 1
+            lines[tiny[0]] = f"{date},{asset},1e-98,1e-98\n"
+        path.write_text("".join(lines))
+
     @pytest.fixture
     def panel_path(self, tmp_path):
         assert run_cli("synth", "--assets", 3, "--steps", 300, "--seed", 1, "--out-dir", tmp_path) == 0
         path = tmp_path / "panel.csv"
-        lines = path.read_text().splitlines(keepends=True)
-        tiny = [i for i, line in enumerate(lines) if line.startswith("2018-06-01,A000,")]
-        assert len(tiny) == 1
-        lines[tiny[0]] = "2018-06-01,A000,1e-98,1e-98\n"
-        path.write_text("".join(lines))
+        self.quote_tiny(path, "A000", "2018-06-01")
         return path
 
     def test_stationarity_skips_the_overflowing_pairs(self, panel_path, capsys):
@@ -283,6 +291,18 @@ class TestTinyQuote:
         out = panel_path.parent / "rank"
         assert run_cli("rank", panel_path, "--out-dir", out) == 0
         assert len((out / "rank.jsonl").read_text().splitlines()) == 300
+
+    def test_backtest_reports_a_growth_past_the_largest_float_as_null(self, panel_path):
+        # four returns of about 1e100 compound past 1.8e308 in the benchmark
+        self.quote_tiny(panel_path, "A001", "2018-03-01", "2018-09-03", "2018-11-01")
+        out = panel_path.parent / "backtest"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run_cli("backtest", panel_path, "--strategy", "nbar", "--nbar-input", "realised",
+                           "--out-dir", out) == 0
+        metrics = json.loads((out / "backtest.json").read_text())["metrics"]
+        assert metrics["benchmark"]["cagr"] is None
+        assert metrics["benchmark"]["sum"] > 1e100
 
 
 def reference_text(payload):
@@ -516,6 +536,131 @@ class TestRowOrder:
             assert any(digests[0] in text for text in texts), run  # a manifest names the input
             for name, before in zip(names, texts):
                 assert before.replace(*digests) == (outs[1] / name).read_text(encoding="utf-8"), (run, name)
+
+
+class TestSplit:
+    """A whole-history split by a power of two scales mids exactly, so the
+    returns and spread rates keep their bits: every output keeps its bytes
+    but the manifests' input digest and the split assets' ADF price blocks.
+    There the intercept scales by the factor, to rounding, and the slope and
+    t statistic move by at most a few ulps, since the regression's sums
+    round in another order."""
+
+    RUNS = (
+        ("backtest", "--strategy", "nbar", "--mode", "long-short"),
+        ("backtest", "--strategy", "curds-whey", "--mode", "long-only"),
+        ("rank",),
+        ("stationarity", "--max-shift", "3", "--min-month-obs", "10"),
+    )
+    SPLIT = ("A003", "A010")
+
+    def test_two_assets_quoted_four_times_higher(self, tmp_path):
+        path = synth(tmp_path / "panel", **{"--assets": 12, "--steps": 300, "--sectors": "x,y,z"})
+        header, *rows = path.read_text().splitlines(keepends=True)
+        split = tmp_path / "split" / "panel.csv"
+        split.parent.mkdir()
+        with split.open("w", newline="") as handle:
+            handle.write(header)
+            for row in rows:
+                date, asset, bid, ask, sector = row.rstrip("\n").split(",")
+                if asset in self.SPLIT:
+                    bid, ask = repr(4 * float(bid)), repr(4 * float(ask))
+                handle.write(f"{date},{asset},{bid},{ask},{sector}\n")
+        digests = [_sha256(p) for p in (path, split)]
+        for run in self.RUNS:
+            outs = [tmp_path / f"{'-'.join(run)}-{i}" for i in range(2)]
+            for panel, out in zip((path, split), outs):
+                assert run_cli(*run[:1], panel, *run[1:], "--out-dir", out) == 0
+            names = sorted(p.name for p in outs[0].iterdir())
+            assert names == sorted(p.name for p in outs[1].iterdir())
+            for name in names:
+                before, after = ((out / name).read_text() for out in outs)
+                before = before.replace(*digests)
+                if name == "stationarity.json":
+                    after = self.undo_split(json.loads(before), json.loads(after))
+                assert before == after, (run, name)
+
+    def undo_split(self, before, after):
+        """``after``'s text with the split assets' ADF price blocks put back
+        as in ``before``, once they are checked against it."""
+        moved = 0
+        for old, new in zip(before["report"]["assets"], after["report"]["assets"]):
+            if old["asset"] not in self.SPLIT:
+                continue
+            old, new = old["adf_price"], new["adf_price"]
+            assert abs(new["theta0"] - 4 * old["theta0"]) <= 4 * math.ulp(4 * old["theta0"])
+            for key in ("theta1", "t_stat"):
+                assert new[key] == pytest.approx(old[key], rel=1e-14, abs=0.0), key
+            moved += new != old
+            new.update(theta0=old["theta0"], theta1=old["theta1"], t_stat=old["t_stat"])
+            assert new == old  # the critical values, the rejections and nobs
+        assert moved == len(self.SPLIT)
+        return "".join(json_chunks(after))
+
+
+class TestSurface:
+    """The subcommands' flags, and the defaults an omitted flag takes: the
+    library's own, from its configs and the report's signature."""
+
+    ARGUMENTS = {
+        "synth": [
+            "--help", "--assets", "--steps", "--seed", "--drift", "--vol", "--jumps", "--jump-mean",
+            "--jump-std", "--corr", "--spread", "--start-price", "--start-date", "--sectors", "--out-dir",
+        ],
+        "stationarity": [
+            "--help", "panel", "--max-shift", "--alpha", "--sidedness", "--min-month-obs", "--out-dir",
+        ],
+        "backtest": [
+            "--help", "panel", "--mode", "--strategy", "--tau", "--lambda", "--decile", "--nbar-input",
+            "--nbar-membership", "--cost", "--out-dir",
+        ],
+        "rank": ["--help", "panel", "--tau", "--out-dir"],
+    }
+    CHOICES = {
+        "--sidedness": SIDEDNESS_VALUES,
+        "--mode": MODES,
+        "--strategy": STRATEGIES,
+        "--nbar-input": NBAR_INPUTS,
+        "--nbar-membership": NBAR_MEMBERSHIPS,
+        "--cost": COST_MODELS,
+    }
+
+    def test_flags_and_choices(self):
+        parser = cli.build_parser()
+        (commands,) = [action for action in parser._actions if action.choices and action.dest == "command"]
+        assert list(commands.choices) == list(self.ARGUMENTS)
+        choices = {}
+        for name, command in commands.choices.items():
+            arguments = [action.option_strings[-1] if action.option_strings else action.dest
+                         for action in command._actions]
+            assert arguments == self.ARGUMENTS[name], name
+            choices.update(
+                (action.option_strings[-1], action.choices) for action in command._actions if action.choices
+            )
+        assert choices == self.CHOICES
+
+    def test_omitted_flags_take_the_library_defaults(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        for command in ("synth", "stationarity", "backtest", "rank"):
+            assert run_cli(command, *(["panel.csv"] if command != "synth" else [])) == 0, command
+
+        def manifest(name):
+            payload = json.loads((tmp_path / name).read_text())
+            return payload.get("manifest", payload)
+
+        synth_config = dataclasses.asdict(JumpDiffusionConfig(n_assets=10))
+        seed = synth_config.pop("seed")
+        synth_config.update(start_date=synth_config["start_date"].isoformat(), sectors=None)
+        assert manifest("panel.manifest.json")["config"] == synth_config
+        assert manifest("panel.manifest.json")["seed"] == seed
+        report_defaults = {
+            name: parameter.default
+            for name, parameter in inspect.signature(monthly_stationarity_report).parameters.items()
+            if parameter.default is not parameter.empty
+        }
+        assert manifest("stationarity.json")["config"] == {"panel": "panel.csv", **report_defaults}
+        assert manifest("backtest.json")["config"] == {"panel": "panel.csv", **dataclasses.asdict(BacktestConfig())}
+        assert manifest("rank.manifest.json")["config"] == {"panel": "panel.csv", "tau": BacktestConfig.tau}
 
 
 class TestEntryPoint:
