@@ -36,6 +36,9 @@ CSV_COLUMNS = ("date", "asset", "bid", "ask")
 # A row is blank when every cell is: only whitespace (as ``str.strip``
 # removes it) and commas.
 _BLANK_ROW = "".join(c for c in map(chr, range(0x3001)) if c.isspace()) + ","
+# the whitespace outside ASCII, which float() strips around a number but
+# np.loadtxt, reading the UTF-8 bytes, does not
+_WIDE_SPACE = re.compile(f"[{''.join(c for c in _BLANK_ROW if not c.isascii())}]")
 # Characters np.loadtxt reads unlike the csv module and float(): quotes,
 # NUL (cut from the end of a bytes cell) and \x1c-\x1f (which float()
 # does not take as whitespace around a number).
@@ -195,6 +198,8 @@ class _Table:
         if not lines:
             return rows, [], [], {}
         if not text.isascii():
+            if _WIDE_SPACE.search(text):
+                lines = [self.strip_prices(line) if _WIDE_SPACE.search(line) else line for line in lines]
             try:  # one character per UTF-8 byte, which np.loadtxt keeps as it is in S fields
                 lines = [line.encode().decode("latin-1") for line in lines]
             except UnicodeEncodeError:  # a byte that is not UTF-8, escaped as a surrogate
@@ -215,6 +220,15 @@ class _Table:
         texts = {name: ([v.decode().strip() for v in values.tolist()], inverse)
                  for name, (values, inverse) in cells.items()}
         return rows, table["bid"], table["ask"], texts
+
+    def strip_prices(self, line: str) -> str:
+        """``line`` with its bid and ask cells stripped of whitespace, as
+        float() strips them; a line of the wrong width is left to fail."""
+        cells = line.split(",")
+        if len(cells) == self.width:
+            for name in ("bid", "ask"):
+                cells[self.col[name]] = cells[self.col[name]].strip()
+        return ",".join(cells)
 
     def add_rows(self, lines: Iterable[str], first_row: int) -> None:
         """Read ``lines`` as ``csv.reader`` and ``float()`` do, up to and

@@ -326,8 +326,12 @@ def compute_metrics(daily_net: Sequence[float] | np.ndarray) -> MetricsBlock:
     growth = 1.0 + r
     cagr: float | None = None
     if (growth > 0.0).all():
-        with np.errstate(over="ignore"):  # a growth past the largest float has no rate
-            cagr = float(np.prod(growth) ** (TRADING_DAYS_PER_YEAR / n) - 1.0)
+        with np.errstate(over="ignore"):  # a yearly rate past the largest float reads None
+            product = np.prod(growth)
+            if np.finfo(float).tiny <= product < math.inf:
+                cagr = float(product ** (TRADING_DAYS_PER_YEAR / n) - 1.0)
+            else:  # the product overflows or underflows; its logarithm does neither
+                cagr = float(np.exp(np.log1p(r).sum() * (TRADING_DAYS_PER_YEAR / n)) - 1.0)
 
     sharpe: float | None = None
     prob_positive: float | None = None

@@ -57,6 +57,7 @@ from .stats import (
     SIDEDNESS_VALUES,
     monthly_stationarity_report,
     render_report_table,
+    short_number,
 )
 from .timeseries import (
     JumpDiffusionConfig,
@@ -273,9 +274,9 @@ def _cmd_backtest(args: argparse.Namespace) -> int:
     strat = report.strategy_metrics
     bench = report.benchmark_metrics
     print(
-        f"{config.strategy} {config.mode}: days={strat.days} sum={strat.total:.4f} "
-        f"sr={_fmt(strat.sharpe)} max_dd={strat.max_drawdown:.4f} | "
-        f"benchmark sum={bench.total:.4f} sr={_fmt(bench.sharpe)}"
+        f"{config.strategy} {config.mode}: days={strat.days} sum={short_number(strat.total, 4)} "
+        f"sr={_fmt(strat.sharpe)} max_dd={short_number(strat.max_drawdown, 4)} | "
+        f"benchmark sum={short_number(bench.total, 4)} sr={_fmt(bench.sharpe)}"
     )
     print(f"wrote {', '.join(str(p) for p in written)}")
     return 0
@@ -317,7 +318,7 @@ def _rank_lines(panel: QuotePanel, tau: float) -> Iterator[str]:
 
 
 def _fmt(value: float | None) -> str:
-    return "n/a" if value is None else f"{value:.3f}"
+    return "n/a" if value is None else short_number(value, 3)
 
 
 def build_parser() -> argparse.ArgumentParser:

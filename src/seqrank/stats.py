@@ -14,13 +14,19 @@ Three building blocks and one report:
   panel, grouping daily returns by calendar month and testing each month's
   mean against months 1..max_shift earlier.
 
-Student-t and F critical values come from ``scipy.special.stdtrit`` and
-``scipy.special.fdtri``, scipy's incomplete-beta based quantile routines,
-not lookup tables. The monthly report works on the panel's kept returns
-as one ``(assets, returns)`` matrix: every asset's monthly means and
-variances, Levene W and Welch pairs are array operations over it, then
-one ``fdtri`` and one ``stdtrit`` call give the critical values. Only
-the unit-root tests run per asset. :func:`levene_test` and
+Student-t and F critical values are quantiles of the regularised
+incomplete beta ``I_x(a, b)``, computed here with numpy alone: Halley
+steps on its logarithm in the log-odds of ``x``, each step evaluating
+DiDonato and Morris's continued fraction (TOMS 708, 1992) with ``ln B``
+from Stirling remainders, from Hill's (1970, Algorithm 396) start for t
+and a normal start for F. They agree with ``scipy.special.stdtrit`` and
+``fdtri`` within 1e-13 relative over the dof and tails the report uses,
+except where scipy itself misses (README, "Dependencies"). The monthly
+report works on the panel's kept returns as one ``(assets, returns)``
+matrix: every asset's monthly means and variances, Levene W and Welch
+pairs are array operations over it, then one F quantile and one
+vectorised pass of t quantiles give the critical values. Only the
+unit-root tests run per asset. :func:`levene_test` and
 :func:`welch_t_test` are one-series calls of the same private helpers,
 so the report and the scalar tests cannot drift apart.
 
@@ -232,10 +238,7 @@ def _levene(
     between = (sizes * (dev_means - grand[:, None]) ** 2).sum(axis=1)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         w_stat = (dof_within / dof_between) * between / within
-    # scipy.special takes about 0.14 s to import (python -X importtime) and
-    # only the statistical tests need it
-    from scipy.special import fdtri
-    critical = float(fdtri(dof_between, dof_within, 1.0 - alpha))
+    critical = _f_quantile(dof_between, dof_within, 1.0 - alpha)
     return [
         LeveneResult(w, dof_between, dof_within, critical, w > critical, alpha)
         if math.isfinite(w) else None
@@ -320,6 +323,142 @@ def _square(a: float) -> float:
         return math.inf
 
 
+def _stirling(z):
+    """Stirling's remainder ln Γ(z) - (z - 1/2) ln z + z - ln √(2π), six terms, for z >= 10."""
+    w = 1.0 / (z * z)
+    return (((((-691 / 360360 * w + 1 / 1188) * w - 1 / 1680) * w + 1 / 1260) * w - 1 / 360) * w + 1 / 12) / z
+
+
+def _log_beta(a: float, b):
+    """ln B(a, b) = ln Γ(a) + ln(Γ(b) / Γ(a + b)) for a float ``a`` and each ``b``.
+
+    ``b`` is first raised to 10 or more by B(a, b) = B(a, b + 1)(a + b)/b;
+    the ratio then comes from Stirling remainders, in TOMS 708's ``algdiv``
+    form, which subtracts no two large logarithms.
+    """
+    b = np.asarray(b, dtype=float)
+    shift = np.ones_like(b)
+    while (b < 10.0).any():
+        small = b < 10.0
+        shift = np.where(small, shift * (a + b) / b, shift)
+        b = b + small
+    return (math.lgamma(a) - (a + b - 0.5) * np.log1p(a / b) - a * np.log(b) + a
+            + _stirling(b) - _stirling(a + b) + np.log(shift))
+
+
+def _beta_fraction(x, y, a, b):
+    """``r`` with I_x(a, b) = x^a y^b r / B(a, b), where y = 1 - x.
+
+    DiDonato and Morris's continued fraction (TOMS 708's ``bfrac``), which
+    reads ``y`` rather than ``1 - x``. Each entry stops at the term where
+    its convergents agree to 1e-16, so its bits do not depend on the others.
+    """
+    c, c0, c1, y1 = 1.0 + a * y - b * x, b / a, 1.0 + 1.0 / a, y + 1.0
+    p, s, an, bn, an1 = 1.0, a + 1.0, 0.0, 1.0, 1.0
+    bn1 = c / c1
+    r = c1 / c
+    done = np.zeros(np.shape(x), dtype=bool)
+    for n in range(1, 10_000):
+        t, e, w = n / a, a / s, n * (b - n) * x
+        alpha = p * (p + c0) * e * e * (w * x)
+        beta = n + w / s + (1.0 + t) / (c1 + t + t) * (c + n * y1)
+        p, s = 1.0 + t, s + 2.0
+        an, an1 = an1, alpha * an + beta * an1
+        bn, bn1 = bn1, alpha * bn + beta * bn1
+        r, last = np.where(done, r, an1 / bn1), r
+        done |= np.abs(r - last) <= 1e-16 * r
+        if done.all():
+            break
+        an, bn, an1, bn1 = an / bn1, bn / bn1, r, 1.0
+    return r
+
+
+def _beta_logit(a, b, log_beta, lower, upper, start: np.ndarray) -> np.ndarray:
+    """Log-odds ln(x / (1 - x)) of each x with I_x(a, b) = ``lower``, where
+    ``upper`` = 1 - ``lower`` is given exactly, by Halley steps from ``start``.
+
+    Each of ``a``, ``b``, ``log_beta`` (ln B(a, b)), ``lower`` and ``upper`` is
+    a float or an array shaped like ``start``. A step on ln I moves the
+    log-odds, in which I's power-law tails are straight lines. Above the
+    mean by a margin the swapped I_{1-x}(b, a) = ``upper`` is solved instead:
+    the fraction converges slowly there, and there ``upper`` is the small
+    side. Each entry stops after a step under 1e-6, which leaves an error
+    near the step's cube.
+    """
+    def take(value, rows):
+        return value[rows] if np.ndim(value) else value
+
+    edge = np.minimum(0.5, (1.0 + 0.5 / a) * (a + 1.0) / (a + b + 2.0))
+    swap = start > np.log(edge / (1.0 - edge))
+    logit = np.empty_like(start)
+    for side, a, b, target, sign in ((~swap, a, b, lower, 1.0), (swap, b, a, upper, -1.0)):
+        index = np.flatnonzero(side)
+        u = sign * start[index]
+        active = np.arange(len(u))
+        for _ in range(100):
+            if not active.size:
+                break
+            rows, v = index[active], u[active]
+            p, q, odds = take(a, rows), take(b, rows), np.exp(v)
+            x, y = odds / (1.0 + odds), 1.0 / (1.0 + odds)
+            r = _beta_fraction(x, y, p, q)
+            # ln I_x(p, q) - ln target and its first two derivatives in v
+            f = np.log(r / take(target, rows)) - p * np.log1p(1.0 / odds) - q * np.log1p(odds) - take(log_beta, rows)
+            slope = 1.0 / r
+            bend = slope * (p - (p + q) * x - slope)
+            step = f / slope / (1.0 - 0.5 * f * bend / (slope * slope))
+            u[active] = v - step
+            active = active[np.abs(step) > 1e-6]
+        logit[index] = sign * u
+    return logit
+
+
+def _t_quantile(dof: np.ndarray, p: float) -> np.ndarray:
+    """Student-t quantile at probability ``p`` for each ``dof`` of 1 or more;
+    NaN where ``dof`` is NaN.
+
+    t solves I_y(1/2, ν/2) = 2p - 1 with y = t²/(ν + t²), whose log-odds
+    are ln(t²/ν). The start is Hill's Algorithm 396: an expansion about the
+    normal quantile, or near the tail a series in (d·2q)^(2/ν).
+    """
+    q = min(p, 1.0 - p)  # the tail beyond |t|; exact, as p = 1 - tail
+    t = np.where(np.isnan(dof), np.nan, 0.0 if q == 0.5 else math.inf)
+    ok = np.flatnonzero(np.isfinite(dof))
+    if 0.0 < q < 0.5 and ok.size:
+        from statistics import NormalDist
+
+        z, n = NormalDist().inv_cdf(q), dof[ok]
+        a = 1.0 / (n - 0.5)
+        b = 48.0 / (a * a)
+        c = ((20700.0 * a / b - 98.0) * a / b - 16.0) * a / b + 96.36
+        d = ((94.5 / (b + c) - 3.0) / b + 1.0) * np.sqrt(a * math.pi / 2.0) * n
+        y = (2.0 * d * q) ** (2.0 / n)
+        c = c + np.where(n < 5.0, 0.3 * (n - 4.5) * (z + 0.6), 0.0) + (((0.05 * d * z - 5.0) * z - 7.0) * z - 2.0) * z + b
+        w = (((((0.4 * z * z + 6.3) * z * z + 36.0) * z * z + 94.5) / c - z * z - 3.0) / b + 1.0) * z
+        normal = np.expm1(a * w * w)
+        tail = ((1.0 / (((n + 6.0) / (n * y) - 0.089 * d - 0.822) * (n + 2.0) * 3.0) + 0.5 / (n + 4.0)) * y
+                - 1.0) * (n + 1.0) / (n + 2.0) + 1.0 / y
+        start = np.log(np.where((y > 0.05 + a) | ((n < 2.1) & (q > 0.25)), normal, tail))
+        logit = _beta_logit(0.5, 0.5 * n, _log_beta(0.5, 0.5 * n), 1.0 - 2.0 * q, 2.0 * q, start)
+        t[ok] = np.sqrt(n * np.exp(logit))
+    return t if p >= 0.5 else -t
+
+
+def _f_quantile(dfn: int, dfd: int, p: float) -> float:
+    """F(dfn, dfd) quantile at probability ``p``: I_x(dfn/2, dfd/2) = p with
+    x = dfn F / (dfn F + dfd), from the normal law of ln G_a - ln G_b, the
+    log-odds of x for gamma variates G."""
+    if p == 1.0:
+        return math.inf
+    from statistics import NormalDist
+
+    a, b = 0.5 * dfn, 0.5 * dfd
+    spread = math.sqrt(1.0 / a + 1.0 / b + 0.5 / (a * a) + 0.5 / (b * b))
+    start = math.log(a / b) - 0.5 / a + 0.5 / b + NormalDist().inv_cdf(p) * spread
+    logit = _beta_logit(a, b, _log_beta(a, b), p, 1.0 - p, np.array([start]))
+    return dfd / dfn * math.exp(logit[0])
+
+
 def _tail(alpha: float, sidedness: str) -> float:
     return alpha if sidedness == "one-sided" else alpha / 2.0
 
@@ -361,8 +500,7 @@ def welch_t_test(
             "both samples are constant, or their variances underflow or overflow; Welch statistic undefined"
         )
     t_stat, dof = float(t_stat[0, 0]), float(dof[0, 0])
-    from scipy.special import stdtrit
-    critical = float(stdtrit(dof, 1.0 - _tail(alpha, sidedness)))
+    critical = float(_t_quantile(np.array([dof]), 1.0 - _tail(alpha, sidedness))[0])
     return TTestResult(
         t_stat=t_stat,
         dof=dof,
@@ -561,8 +699,7 @@ def monthly_stationarity_report(
         per_asset.append(AssetDiagnostics(asset, adf_price, adf_return, levene[j]))
     levene_flags = [result.reject for result in levene if result is not None]
 
-    from scipy.special import stdtrit
-    critical_value = stdtrit(dof, 1.0 - _tail(alpha, sidedness))
+    critical_value = _t_quantile(dof.ravel(), 1.0 - _tail(alpha, sidedness)).reshape(dof.shape)
     reject = tested & (np.abs(t_stat) > critical_value)
     for column in (counts, means, variances, pairs, t_stat, dof, critical_value, reject, tested):
         column.setflags(write=False)
@@ -616,6 +753,13 @@ def sample_std(values: np.ndarray) -> float:
     return std
 
 
+def short_number(value: float, decimals: int) -> str:
+    """``value`` in fixed point with ``decimals`` places, or in exponent form
+    with two where that text is longer than 10 characters."""
+    text = f"{value:.{decimals}f}"
+    return text if len(text) <= 10 else f"{value:.2e}"
+
+
 def _describe(values: np.ndarray) -> dict[str, float]:
     if len(values) == 0:
         return {row: float("nan") for row in _TABLE_ROWS}
@@ -637,7 +781,8 @@ def render_report_table(report: StationarityReport) -> str:
     Columns describe the monthly group sizes, means and variances plus the
     shift-1 test statistics, degrees of freedom, critical values and 0/1
     rejections; rows are the usual describe() statistics. A cell whose
-    fixed-point text is longer than 10 characters prints in exponent form.
+    fixed-point text is longer than 10 characters prints in exponent form
+    (:func:`short_number`).
     """
     # ravel and boolean selections keep the asset-major order that _describe's sums depend on
     shift1 = report.tested & (report.pairs[:, 2] == 1)
@@ -660,9 +805,7 @@ def render_report_table(report: StationarityReport) -> str:
         cells = []
         for name in columns:
             value = columns[name][row]
-            text = f"{value:.0f}" if row == "count" else f"{value:.3f}"
-            if len(text) > 10:
-                text = f"{value:.2e}"
+            text = short_number(value, 0 if row == "count" else 3)
             cells.append(f"{text:>{width}}")
         lines.append(f"{row:<6}" + "".join(cells))
     lines.append("")

@@ -342,6 +342,25 @@ class TestMetrics:
         assert block.std == pytest.approx(5e199, rel=1e-15)
         assert block.cagr is None  # the compounded growth passes the largest float
 
+    def test_growth_past_the_largest_float_compounds_in_logs(self):
+        # the product of the growths is inf, its yearly rate about 6.3e100
+        block = compute_metrics([1e100] * 4 + [0.0] * 996)
+        assert block.cagr == pytest.approx(math.exp(4 * math.log1p(1e100) * 252 / 1000) - 1.0, rel=1e-13)
+
+    def test_growth_below_the_smallest_normal_float_compounds_in_logs(self):
+        # 0.9 ** 10000 underflows to 0.0, which read cagr = -1.0
+        block = compute_metrics(np.full(10_000, -0.1))
+        assert block.cagr == pytest.approx(0.9**252 - 1.0, rel=1e-13)
+        assert block.cagr > -1.0
+
+    @given(st.lists(st.floats(-0.999, 1e3) | st.sampled_from([-0.9, 9.0, 0.0]), min_size=2, max_size=300))
+    def test_cagr_keeps_its_bits_where_the_product_is_a_normal_float(self, returns):
+        product = np.prod(1.0 + np.array(returns))
+        if np.finfo(float).tiny <= product < math.inf:
+            with np.errstate(over="ignore"):
+                expected = float(product ** (252 / len(returns)) - 1.0)
+            assert compute_metrics(returns).cagr == (expected if math.isfinite(expected) else None)
+
     def test_ratio_past_the_largest_float_is_undefined(self):
         # a drawdown of 1e-300 under a total of 1e300
         with warnings.catch_warnings():

@@ -500,6 +500,28 @@ def test_a_row_of_unicode_whitespace_stays_blank_beside_text_outside_latin1(tmp_
     assert row_path == []
 
 
+@pytest.mark.parametrize("space", ["　", "\xa0", "\x85", " ", " "])
+def test_prices_padded_with_unicode_whitespace_stay_on_the_fast_path(tmp_path, monkeypatch, space):
+    # float() strips the padding; the UTF-8 bytes np.loadtxt reads would keep it
+    row_path = spy_on_row_path(monkeypatch)
+    path = tmp_path / "p.csv"
+    lines = list(VALID)
+    lines[1] = lines[1].replace(",9.9,10.1,", f",{space}9.9,10.1{space},")
+    lines[6] = lines[6].replace(",22.1,", f",22.1{space},")
+    path.write_text("\n".join(lines).replace(",x,", ",Łódź,") + "\n", encoding="utf-8")
+    expected = assert_same_outcome(path)
+    assert expected[2] == ("y", "Łódź") and expected[4][0, 1] == 9.9 and expected[5][2, 0] == 22.1
+    assert row_path == []
+
+
+def test_a_padded_price_in_a_short_row_still_names_its_row(tmp_path, monkeypatch):
+    path = tmp_path / "p.csv"
+    lines = list(VALID)
+    lines[5] = "2021-01-06,x,11.9　,12.1"
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    assert assert_same_outcome(path) == ("error", f"{path}:6: expected 5 fields, got 4")
+
+
 def assert_groups(cells):
     """``distinct``'s contract: the distinct cells in any order, of the
     cells' dtype, and each cell's index among them."""

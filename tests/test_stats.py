@@ -9,6 +9,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+import scipy.special as special
 from hypothesis import example, given
 from hypothesis import strategies as st
 
@@ -22,7 +23,7 @@ from seqrank import (
     welch_t_test,
 )
 from seqrank import stats
-from seqrank.stats import render_report_table
+from seqrank.stats import SIDEDNESS_VALUES, render_report_table
 import stats_oracle as oracle
 
 sample = st.lists(
@@ -279,6 +280,94 @@ def panel():
     cfg = JumpDiffusionConfig(drift=0.0003, volatility=0.012, n_steps=500,
                               n_assets=4, seed=17)
     return simulate_jump_diffusion(cfg)
+
+
+report_dofs = st.lists(st.floats(min_value=1.0, max_value=60.0) | st.sampled_from([1.0, 2.0, 60.0]),
+                       min_size=1, max_size=40)
+
+
+def assert_matches_scipy(ours, ref, cdf, p, rel):
+    """Each quantile within ``rel`` relative of scipy's, or 1e-15 absolute,
+    or the same infinity. The absolute floor serves quantiles near 0, which
+    the rounding of ``p`` alone moves by about 3e-16.
+
+    Where they differ by more, though by no more than ten times that,
+    scipy's own CDF, ``cdf(mask, x)`` for the entries in ``mask``, must put
+    ours at least as close to ``p`` as scipy's quantile: near 3 dof and
+    tails near 0.2 ``stdtrit`` is off by up to 5e-13, and ``fdtri`` by
+    3e-13 at some dof past 10^4, where mpmath at 40 digits agrees with ours
+    to 2e-15.
+    """
+    ours, ref = np.atleast_1d(ours), np.atleast_1d(ref)
+    assert not np.isnan(ours).any() and np.isclose(ours, ref, rtol=10 * rel, atol=1e-15).all(), (ours, ref)
+    missed = ~np.isclose(ours, ref, rtol=rel, atol=1e-15)
+    ours_off, ref_off = np.abs(cdf(missed, ours[missed]) - p), np.abs(cdf(missed, ref[missed]) - p)
+    assert (ours_off <= ref_off).all(), (ours[missed], ref[missed])
+
+
+class TestQuantiles:
+    """The t and F quantiles against ``scipy.special.stdtrit`` and ``fdtri``."""
+
+    @staticmethod
+    def t_matches(dof, p, rel):
+        dof = np.array(dof)
+        ours = stats._t_quantile(dof, p)
+        assert_matches_scipy(ours, special.stdtrit(dof, p), lambda m, t: special.stdtr(dof[m], t), p, rel)
+
+    @given(dof=report_dofs, alpha=st.floats(min_value=1e-3, max_value=0.5),
+           sidedness=st.sampled_from(SIDEDNESS_VALUES))
+    # stdtrit's own misses, of 1e-13 to 5e-13
+    @example(dof=[2.9225, 2.7736189415208403, 2.8174223418442192], alpha=0.4175, sidedness="two-sided")
+    @example(dof=[1.0, 1.5, 44.0, 60.0], alpha=1e-3, sidedness="two-sided")
+    @example(dof=[1.0, 30.0], alpha=0.5, sidedness="one-sided")
+    @example(dof=[1.0, 30.0], alpha=0.4999999, sidedness="one-sided")
+    def test_t_within_1e_13_over_the_report_dof(self, dof, alpha, sidedness):
+        # a month holds at most 31 returns, so a Welch dof lies in [1, 60]
+        self.t_matches(dof, 1.0 - stats._tail(alpha, sidedness), 1e-13)
+
+    @given(dof=report_dofs, alpha=st.floats(min_value=0.0, max_value=1.0, exclude_min=True, exclude_max=True),
+           sidedness=st.sampled_from(SIDEDNESS_VALUES))
+    @example(dof=[1.0, 7.5], alpha=1e-300, sidedness="two-sided")
+    @example(dof=[1.0, 7.5], alpha=0.999999, sidedness="one-sided")
+    # p = 0.5 + 2^-53: stdtrit reads 5.05e-16 at 1 dof, where tan(pi * 2^-53) is 3.49e-16
+    @example(dof=[1.0], alpha=0.9999999999999998, sidedness="two-sided")
+    def test_t_within_the_benchmark_tolerance_at_every_cli_alpha(self, dof, alpha, sidedness):
+        self.t_matches(dof, 1.0 - stats._tail(alpha, sidedness), 1e-9)
+
+    @given(dfn=st.integers(1, 500), extra=st.integers(1, 100_000),
+           alpha=st.floats(min_value=1e-3, max_value=0.5))
+    # fdtri's own miss, of 3.2e-13
+    @example(dfn=16, extra=99_850, alpha=0.41413097196006254)
+    @example(dfn=1, extra=99_999, alpha=1e-3)
+    @example(dfn=500, extra=1, alpha=1e-3)
+    def test_f_within_1e_13(self, dfn, extra, alpha):
+        dfd = min(dfn + extra, 100_000)
+        ours = stats._f_quantile(dfn, dfd, 1.0 - alpha)
+        assert_matches_scipy(ours, special.fdtri(dfn, dfd, 1.0 - alpha),
+                             lambda m, f: special.fdtr(dfn, dfd, f), 1.0 - alpha, 1e-13)
+
+    @given(dfn=st.integers(1, 500), extra=st.integers(1, 100_000),
+           alpha=st.floats(min_value=0.0, max_value=1.0, exclude_min=True, exclude_max=True))
+    @example(dfn=3, extra=5, alpha=1e-300)
+    def test_f_within_the_benchmark_tolerance_at_every_cli_alpha(self, dfn, extra, alpha):
+        dfd = min(dfn + extra, 100_000)
+        ours = stats._f_quantile(dfn, dfd, 1.0 - alpha)
+        assert_matches_scipy(ours, special.fdtri(dfn, dfd, 1.0 - alpha),
+                             lambda m, f: special.fdtr(dfn, dfd, f), 1.0 - alpha, 1e-9)
+
+    def test_edges(self):
+        t = stats._t_quantile(np.array([np.nan, 1.0, 30.0]), 0.5)
+        assert np.isnan(t[0]) and t[1:].tolist() == [0.0, 0.0] and math.copysign(1.0, t[1]) == 1.0
+        assert stats._t_quantile(np.array([np.nan, 3.0]), 1.0).tolist()[1] == math.inf
+        assert stats._t_quantile(np.array([3.0]), 0.25)[0] == -stats._t_quantile(np.array([3.0]), 0.75)[0]
+        assert stats._f_quantile(3, 10, 1.0) == math.inf
+
+    def test_untested_pairs_read_nan(self):
+        months = [[0.25] * 12, [0.01 * k for k in range(12)]] * 4
+        report = monthly_stationarity_report(stand_in_panel(months), max_shift=2, min_month_obs=12)
+        assert (~report.tested).any() and report.tested.any()
+        assert np.isnan(report.critical_value[~report.tested]).all()
+        assert np.isfinite(report.critical_value[report.tested]).all()
 
 
 class TestMonthlyReport:
