@@ -1,37 +1,49 @@
 """Columnar reader behind ``seqrank.timeseries.load_csv``.
 
-The file is read in chunks of lines, each parsed into columns by one
-``np.loadtxt`` call: prices as floats, text cells as their UTF-8 bytes,
-each distinct one decoded, stripped and interned into an integer code
-once per chunk. From the first chunk that holds a character
-``np.loadtxt`` reads unlike the ``csv`` module and ``float()``
-(``_CSV_ONLY``), or a cell ``np.loadtxt`` rejects, the rest of the file
-is read row by row with ``csv.reader`` and ``float()``, up to the first
-row that fails to parse. So it is from a chunk with a byte that is not
-UTF-8, which fails its row. The row checks then run once on the columns,
-and the earliest failing row is reported, with the message the check
-made in the row-at-a-time loader this replaced. Every other chunk is
-parsed in a forked child when two CPUs are usable (``seqrank._fork``).
+The header is one line, read as text. The data is read as binary blocks
+of ``_BLOCK_BYTES`` bytes and the rest of the line the last of them ends
+in, up to ``_LINE_BYTES`` more; rows are numbered by counting line feeds.
+Each block goes to one ``np.loadtxt`` call as its bytes, whose lines it
+decodes as Latin-1, so each UTF-8 byte stays one byte of a text cell:
+prices are read as floats and text cells as their UTF-8 bytes, each
+distinct one decoded, stripped and interned into an integer code once per
+block. From the first block that holds a character ``np.loadtxt`` reads
+unlike the ``csv`` module and ``float()`` (``_CSV_ONLY``), a CR that ends
+a line alone, a byte that is not UTF-8 or a cell ``np.loadtxt`` rejects,
+or that ends inside a line longer than ``_LINE_BYTES``, the rest of the
+file is decoded as a text file opened with ``newline=""`` reads it and
+read row by row with ``csv.reader`` and ``float()``, up to the first row
+that fails to parse. So is a whole file whose header line is not plain
+(see ``read_columns``). The row checks then run once on the columns, and
+the earliest failing row is reported, with the message the check made in
+the row-at-a-time loader this replaced. Every other block is decoded and
+parsed in a forked child when two CPUs are usable (``seqrank._fork``);
+both processes read every block, to find where the next one starts and
+count its rows.
 """
 
 from __future__ import annotations
 
+import codecs
 import csv
 import datetime as dt
+import io
 import os
 import re
 import stat
 from collections import deque
 from contextlib import closing
-from itertools import chain, compress, islice, repeat
+from itertools import chain, compress
 from pathlib import Path
-from typing import Iterable
+from typing import Iterable, Sequence, TextIO
 
 import numpy as np
 
 from ._fork import split_map
 
 CSV_COLUMNS = ("date", "asset", "bid", "ask")
+# the columns read; any other is ignored
+_READ = (*CSV_COLUMNS, "sector")
 
 # A row is blank when every cell is: only whitespace (as ``str.strip``
 # removes it) and commas.
@@ -40,15 +52,22 @@ _BLANK_ROW = "".join(c for c in map(chr, range(0x3001)) if c.isspace()) + ","
 # np.loadtxt, reading the UTF-8 bytes, does not
 _WIDE_SPACE = re.compile(f"[{''.join(c for c in _BLANK_ROW if not c.isascii())}]")
 # Characters np.loadtxt reads unlike the csv module and float(): quotes,
-# NUL (cut from the end of a bytes cell) and \x1c-\x1f (which float()
-# does not take as whitespace around a number).
+# NUL (cut from the end of a bytes cell) and \x1c-\x1f (which float() does
+# not take as whitespace around a number). Each is one byte in UTF-8.
 _CSV_ONLY = '"\x00\x1c\x1d\x1e\x1f'
 # a byte that is not UTF-8, as the surrogateescape error handler decodes it
 _NOT_UTF8 = re.compile("[\udc80-\udcff]")
-# lines per np.loadtxt call: bounds the text held in memory at once
-_CHUNK_LINES = 1 << 15
-# bytes per text cell on the fast path; a chunk holding a cell this long is re-read wider
-_CELL_BYTES = 32
+# NUL as the row path hands it to the csv module, which reads this code
+# point as Python 3.11 and later read NUL and Python 3.10 rejects NUL
+_NUL = "\udc00"
+# the one date form read, which write_csv writes
+_ISO_DATE = re.compile("[0-9]{4}-[0-9]{2}-[0-9]{2}")
+# bytes per block, before the rest of its last line: bounds the text held in memory at once
+_BLOCK_BYTES = 1 << 20
+# the most of a block's last line read after its first _BLOCK_BYTES bytes
+_LINE_BYTES = 1 << 20
+# bytes per text cell on a block's first read: a multiple of 8, the word distinct hashes
+_CELL_BYTES = 16
 _EPOCH_ORDINAL = dt.date(1970, 1, 1).toordinal()
 # rank of each check within a row, in the order the row-at-a-time loader made them
 FIELDS, DATE, BID, ASK, ASSET, FINITE, POSITIVE, CROSSED, ORDER, SECTOR = range(10)
@@ -57,18 +76,25 @@ FIELDS, DATE, BID, ASK, ASSET, FINITE, POSITIVE, CROSSED, ORDER, SECTOR = range(
 def distinct(cells: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The distinct cells of a fixed-width text column, in no set order,
     and each cell's index among them: ``values[inverse]`` equals
-    ``cells``. It sorts 64-bit hashes of the cells, not the cells."""
+    ``cells``. It sorts 64-bit hashes of the cells, not the cells, and
+    only of the first cell of each run of equal ones when runs are long,
+    as a date-major file's dates are."""
     cells = np.ascontiguousarray(cells)
+    starts = np.flatnonzero(np.concatenate(([True], cells[1:] != cells[:-1])))
+    runs = 4 * len(starts) < len(cells)
+    heads = cells[starts] if runs else cells
     size = cells.dtype.itemsize
     word = next(k for k in (8, 4, 2, 1) if size % k == 0)
-    key = np.zeros(len(cells), dtype=np.uint64)
-    for column in cells.view(f"u{word}").reshape(len(cells), size // word).T:
+    key = np.zeros(len(heads), dtype=np.uint64)
+    for column in heads.view(f"u{word}").reshape(len(heads), size // word).T:
         key *= np.uint64(0x100000001B3)
         key += column
     _, first, inverse = np.unique(key, return_index=True, return_inverse=True)
-    values = cells[first]
-    if not np.array_equal(values[inverse], cells):  # two texts share a hash
-        return np.unique(cells, return_inverse=True)
+    values = heads[first]
+    if not np.array_equal(values[inverse], heads):  # two texts share a hash
+        values, inverse = np.unique(heads, return_inverse=True)
+    if runs:
+        inverse = np.repeat(inverse, np.diff(starts, append=len(cells)))
     return values, inverse
 
 
@@ -79,23 +105,56 @@ def read_columns(path: Path):
     ``names`` are sorted and distinct, and ``sectors`` is ``{asset:
     sector}`` or None.
 
-    Every other chunk is parsed by a forked child when two CPUs are usable
-    (see ``_Table.read``); codes are given and rows numbered in this
-    process, in file order, so the result does not depend on it.
+    A leading UTF-8 byte order mark is read as no text. A header line that
+    holds a quote or a CR that ends a line alone, or that ends the file
+    without a line feed, is read with the rest of the file as text, by
+    ``csv.reader``. Every other block is parsed by a forked child when two
+    CPUs are usable (see ``_Table.read``); codes are given and rows
+    numbered in this process, in file order, so the result does not
+    depend on it.
     """
-    with path.open(newline="", encoding="utf-8", errors="surrogateescape") as handle:
-        header = next(csv.reader(handle), None)
-        if header is None:
-            raise ValueError(f"{path}: empty file, header required")
-        if message := _utf8_error(",".join(header)):
-            raise ValueError(f"{path}:1: {message}")
-        header = [h.strip().lower() for h in header]
-        missing = [c for c in CSV_COLUMNS if c not in header]
-        if missing:
-            raise ValueError(f"{path}: header is missing columns {missing}")
-        table = _Table(len(header), {name: header.index(name) for name in header})
-        table.read(path, handle)
+    with path.open("rb") as handle:
+        line = handle.readline(_LINE_BYTES)
+        start = len(line)
+        line = line.removeprefix(codecs.BOM_UTF8)
+        # a CR before the last two bytes, which end the line in LF or CR LF, ends a line alone
+        if line.endswith(b"\n") and b'"' not in line and b"\r" not in line[:-2]:
+            text = None
+            header = next(_csv_rows([line.decode("utf-8", "surrogateescape")]))
+        else:
+            text = _text([line], handle)
+            header = next(_csv_rows(text), None)
+            if header is None:
+                raise ValueError(f"{path}: empty file, header required")
+        table = _Table(len(header), _header_columns(path, header))
+        if text is None:
+            table.read(path, handle, start)
+        else:
+            table.add_rows(text, 2)
     return table.columns(path)
+
+
+def _header_columns(path: Path, header: list[str]) -> dict[str, int]:
+    """The index of each read column in ``header``, the first row's cells."""
+    if any(_NUL in cell for cell in header):
+        raise ValueError(f"{path}:1: NUL character in row")
+    if message := _utf8_error(",".join(header)):
+        raise ValueError(f"{path}:1: {message}")
+    col: dict[str, int] = {}
+    for i, name in enumerate(h.strip().lower() for h in header):
+        if name in col:
+            raise ValueError(f"{path}:1: header repeats column {name!r}")
+        if name in _READ:
+            col[name] = i
+    missing = [c for c in CSV_COLUMNS if c not in col]
+    if missing:
+        raise ValueError(f"{path}: header is missing columns {missing}")
+    return col
+
+
+def _csv_rows(lines: Iterable[str]):
+    """``csv.reader`` over ``lines``, with each NUL read as ``_NUL``."""
+    return csv.reader(line.replace("\x00", _NUL) for line in lines)
 
 
 def _utf8_error(text: str) -> str | None:
@@ -104,13 +163,50 @@ def _utf8_error(text: str) -> str | None:
     return found and f"invalid UTF-8 byte 0x{ord(found[0]) - 0xDC00:02x}"
 
 
-def _chunks(handle):
-    """``(first file row, lines)`` for each chunk of ``_CHUNK_LINES`` lines
-    after the header."""
+def _blocks(handle):
+    """``(rows, data, whole)`` for each block left in the binary ``handle``:
+    ``data`` is ``_BLOCK_BYTES`` bytes and the rest of the line they end in,
+    ``rows`` the range of file rows its lines start, and ``whole`` is False
+    if its last line is longer than ``_LINE_BYTES`` and is cut."""
     row = 2
-    while lines := list(islice(handle, _CHUNK_LINES)):
-        yield row, lines
-        row += len(lines)
+    while data := handle.read(_BLOCK_BYTES):
+        rest = handle.readline(_LINE_BYTES)
+        data += rest
+        ends = data.count(b"\n")
+        whole = rest.endswith(b"\n") or len(rest) < _LINE_BYTES
+        yield range(row, row + ends + (not data.endswith(b"\n"))), data, whole
+        row += ends
+
+
+class _Joined(io.RawIOBase):
+    """A binary stream of ``parts``, one bytes object after another."""
+
+    def __init__(self, parts: Iterable[bytes]) -> None:
+        super().__init__()
+        self.parts = iter(parts)
+        self.part = memoryview(b"")
+
+    def readable(self) -> bool:
+        return True
+
+    def readinto(self, buffer) -> int:
+        while not self.part:
+            part = next(self.parts, None)
+            if part is None:
+                return 0
+            self.part = memoryview(part)
+        size = min(len(buffer), len(self.part))
+        buffer[:size] = self.part[:size]
+        self.part = self.part[size:]
+        return size
+
+
+def _text(parts: Iterable[bytes], handle) -> TextIO:
+    """``parts`` and then what is left of the binary ``handle``, as a text
+    file opened with ``newline=""`` reads them."""
+    rest = iter(lambda: handle.read(_BLOCK_BYTES), b"")
+    raw = io.BufferedReader(_Joined(chain(parts, rest)))
+    return io.TextIOWrapper(raw, encoding="utf-8", errors="surrogateescape", newline="")
 
 
 def file_identity(info: os.stat_result) -> tuple[int, ...]:
@@ -119,7 +215,7 @@ def file_identity(info: os.stat_result) -> tuple[int, ...]:
 
 
 class _Table:
-    """Columns gathered chunk by chunk. Every distinct stripped text of a
+    """Columns gathered block by block. Every distinct stripped text of a
     text column gets a code in order of first sight; rows keep the codes.
     ``error`` is the row that failed to parse, as ``(row, rank, message)``;
     nothing after it is read."""
@@ -130,15 +226,20 @@ class _Table:
         self.codes: dict[str, dict[str, int]] = {
             name: {} for name in ("date", "asset", "sector") if name in col
         }
-        self.parts: dict[str, list] = {name: [] for name in ("row", "bid", "ask", *self.codes)}
+        self.parts: dict[str, list] = {name: [] for name in ("bid", "ask", *self.codes)}
+        # the file row of each row, one range or list per block
+        self.rows: list[Sequence[int]] = []
         self.error: tuple[int, int, str] | None = None
+        # the bytes per text cell of a block's first read, widened once a cell fills it
+        self.cell_bytes = _CELL_BYTES
 
-    def append(self, rows, bids, asks, texts: dict[str, tuple[list[str], np.ndarray]]) -> None:
-        """Add parsed rows; each text column is ``(texts, inverse)``, with
-        its texts stripped, and they get codes here, in order of first sight."""
+    def append(self, rows: Sequence[int], bids, asks, texts: dict[str, tuple[list[str], np.ndarray]]) -> None:
+        """Add parsed rows, at file rows ``rows``; each text column is
+        ``(texts, inverse)``, with its texts stripped, and they get codes
+        here, in order of first sight."""
+        self.rows.append(rows)
         # copies: a field of a parsed table, or an array unpickled from the
         # child's message, would keep the whole table or message alive
-        self.parts["row"].append(np.array(rows, dtype=np.int64))
         self.parts["bid"].append(np.array(bids, dtype=float))
         self.parts["ask"].append(np.array(asks, dtype=float))
         for name, (values, inverse) in texts.items():
@@ -146,80 +247,99 @@ class _Table:
             lookup = np.array([codes.setdefault(v, len(codes)) for v in values], dtype=np.int32)
             self.parts[name].append(lookup[inverse])
 
-    def read(self, path: Path, handle) -> None:
-        """Read the data lines left in ``handle``, the open ``path``: in
-        chunks by ``parse``, through ``split_map``, and by ``add_rows`` from
-        the first chunk that needs the csv module on. The forked child opens
-        ``path`` again, because a descriptor shared across ``fork`` shares
-        its offset, and parses nothing unless ``path`` is still the regular
-        file this process reads: a pipe opened again would hand the child
-        lines meant for this process."""
+    def read(self, path: Path, handle, start: int) -> None:
+        """Read the data left in ``handle``, the binary ``path`` from byte
+        ``start``: in blocks by ``parse``, through ``split_map``, and by
+        ``add_rows`` from the first block that needs the csv module on. The
+        forked child opens ``path`` again, because a descriptor shared
+        across ``fork`` shares its offset, and parses nothing unless
+        ``path`` is still the regular file this process reads: a pipe
+        opened again would hand the child bytes meant for this process."""
         info = os.fstat(handle.fileno())
         same_file = file_identity(info)
 
         def reopen():
             if not stat.S_ISREG(info.st_mode):
                 raise OSError(f"{path} is not a regular file")
-            with path.open(newline="", encoding="utf-8", errors="surrogateescape") as again:
+            with path.open("rb") as again:
                 if file_identity(os.fstat(again.fileno())) != same_file:
                     raise OSError(f"{path} was replaced")
-                next(csv.reader(again), None)
-                yield from _chunks(again)
+                again.seek(start)
+                yield from _blocks(again)
 
-        ahead = deque()  # chunks read for the parse and not yet in the table
+        ahead = deque()  # blocks read for the parse and not yet in the table
 
-        def chunks():
-            for chunk in _chunks(handle):
-                ahead.append(chunk)
-                yield chunk
+        def blocks():
+            for block in _blocks(handle):
+                ahead.append(block)
+                yield block
 
-        with closing(split_map(self.parse, chunks(), reopen)) as parsed:
-            for chunk in parsed:
-                if chunk is None:
+        with closing(split_map(self.parse, blocks(), reopen)) as parsed:
+            for result in parsed:
+                if result is None:
                     break
-                self.append(*chunk)
+                self.append(*result)
                 ahead.popleft()
-                del chunk  # before the next chunk is parsed
+                del result  # before the next block is parsed
         if ahead:
-            self.add_rows(chain(chain.from_iterable(lines for _, lines in ahead), handle), ahead[0][0])
+            first_row = ahead[0][0].start
+            self.add_rows(_text((ahead.popleft()[1] for _ in range(len(ahead))), handle), first_row)
 
-    def parse(self, chunk: tuple[int, list[str]]):
-        """The ``append`` arguments for ``chunk``, ``(first_row, lines)``,
-        parsed by ``np.loadtxt``; None if the lines need the csv module.
-        Reads nothing of the table but its layout."""
-        first_row, lines = chunk
-        text = "".join(lines)
-        if any(char in text for char in _CSV_ONLY):
+    def parse(self, block: tuple[range, bytes, bool]):
+        """The ``append`` arguments for ``block``, ``(rows, data, whole)``
+        as ``_blocks`` gives it, parsed by ``np.loadtxt``; None if it needs
+        the csv module. Reads nothing of the table but its layout and
+        ``cell_bytes``."""
+        rows, data, whole = block
+        if not whole or any(byte in data for byte in _CSV_ONLY.encode()):
             return None
-        rows = np.arange(first_row, first_row + len(lines))
-        if not all(map(str.strip, lines, repeat(_BLANK_ROW))):
-            keep = [bool(line.strip(_BLANK_ROW)) for line in lines]
-            rows, lines = rows[keep], list(compress(lines, keep))
-        if not lines:
-            return rows, [], [], {}
-        if not text.isascii():
-            if _WIDE_SPACE.search(text):
-                lines = [self.strip_prices(line) if _WIDE_SPACE.search(line) else line for line in lines]
-            try:  # one character per UTF-8 byte, which np.loadtxt keeps as it is in S fields
-                lines = [line.encode().decode("latin-1") for line in lines]
-            except UnicodeEncodeError:  # a byte that is not UTF-8, escaped as a surrogate
+        text = None
+        if not data.isascii():
+            try:
+                text = data.decode()
+            except UnicodeDecodeError:
                 return None
+        count = len(rows)
+        # np.loadtxt warns on a block of empty lines alone
+        plain = data.lstrip(b"\r\n") and not _WIDE_SPACE.search(text or "")
+        parsed = self.load(data) if plain else None
+        if parsed is None or len(parsed[0]) != count:
+            # np.loadtxt skips an empty row and rejects a blank one, and
+            # float() strips whitespace outside ASCII that it keeps
+            lines = (text or data.decode()).split("\n")[:count]
+            keep = [bool(line.strip(_BLANK_ROW)) for line in lines]
+            rows, lines = list(compress(rows, keep)), list(compress(lines, keep))
+            if not lines:
+                return rows, [], [], {}
+            lines = [self.strip_prices(line) if _WIDE_SPACE.search(line) else line for line in lines]
+            parsed = self.load("\n".join(lines).encode())
+            if parsed is None or len(parsed[0]) != len(rows):  # a lone CR, which np.loadtxt rejects
+                return None
+        table, cells = parsed
+        texts = {name: ([v.decode().strip() for v in values.tolist()], inverse)
+                 for name, (values, inverse) in cells.items()}
+        return rows, table["bid"], table["ask"], texts
+
+    def load(self, data: bytes):
+        """``np.loadtxt``'s table of ``data`` and the ``distinct`` cells of
+        each text column, or None if it rejects a cell."""
         for wide in (False, True):
             # a cell whose bytes fill its field may be cut short, mid-character too: read again wider
-            cell_bytes = max(map(len, lines)) if wide else _CELL_BYTES
+            cell_bytes = max(map(len, data.split(b"\n"))) if wide else self.cell_bytes
             dtype = [(f"unused{i}", "S1") for i in range(self.width)]
             for name in ("bid", "ask", *self.codes):
                 dtype[self.col[name]] = (name, "f8" if name in ("bid", "ask") else f"S{cell_bytes}")
             try:
-                table = np.loadtxt(lines, dtype=dtype, delimiter=",", comments=None, ndmin=1)
+                table = np.loadtxt(io.BytesIO(data), dtype=dtype, delimiter=",", comments=None,
+                                   ndmin=1, encoding="latin-1")
             except ValueError:
                 return None
             cells = {name: distinct(table[name]) for name in self.codes}
-            if all(len(v) < cell_bytes for values, _ in cells.values() for v in values.tolist()):
+            longest = max((len(v) for values, _ in cells.values() for v in values.tolist()), default=0)
+            if longest < cell_bytes:
                 break
-        texts = {name: ([v.decode().strip() for v in values.tolist()], inverse)
-                 for name, (values, inverse) in cells.items()}
-        return rows, table["bid"], table["ask"], texts
+        self.cell_bytes = max(self.cell_bytes, -(-(longest + 1) // 8) * 8)
+        return table, cells
 
     def strip_prices(self, line: str) -> str:
         """``line`` with its bid and ask cells stripped of whitespace, as
@@ -235,13 +355,13 @@ class _Table:
         including the first row that fails to parse."""
         rows, bids, asks = [], [], []
         cells: dict[str, list[str]] = {name: [] for name in self.codes}
-        for row, fields in enumerate(csv.reader(lines), start=first_row):
+        for row, fields in enumerate(_csv_rows(lines), start=first_row):
             if not fields or all(not cell.strip() for cell in fields):
                 continue
             if len(fields) != self.width:
                 self.error = (row, FIELDS, f"expected {self.width} fields, got {len(fields)}")
                 break
-            if any("\x00" in cell for cell in fields):
+            if any(_NUL in cell for cell in fields):
                 self.error = (row, FIELDS, "NUL character in row")
                 break
             if message := _utf8_error(",".join(fields)):
@@ -271,10 +391,15 @@ class _Table:
         """Run the row checks on the columns; see ``read_columns``."""
         # each per-row array is dropped once its checks are made: at the
         # paper's scale each is 2.5-5 MB
-        kinds = {"row": np.int64, "bid": float, "ask": float}
+        kinds = {"bid": float, "ask": float}
         cols = {name: _join(parts, kinds.get(name, np.int32)) for name, parts in self.parts.items()}
-        rows, bids, asks = cols.pop("row"), cols.pop("bid"), cols.pop("ask")
+        bids, asks = cols.pop("bid"), cols.pop("ask")
         errors = [] if self.error is None else [self.error]
+        starts = np.cumsum([0, *map(len, self.rows)])
+
+        def file_row(i: int) -> int:
+            block = int(np.searchsorted(starts, i, side="right")) - 1
+            return self.rows[block][i - starts[block]]
 
         def first(failing: np.ndarray, rank: int, message) -> None:
             """Note the earliest of the ``failing`` rows (a mask or indices)."""
@@ -282,7 +407,7 @@ class _Table:
                 failing = np.flatnonzero(failing)
             if failing.size:
                 i = int(failing.min())
-                errors.append((int(rows[i]), rank, message(i)))
+                errors.append((file_row(i), rank, message(i)))
 
         # a date that fails to parse stands in as 0001-01-01: only rows after
         # the failing one can see it, and the failing row is reported first
@@ -290,6 +415,8 @@ class _Table:
         date_errors = {}
         for code, text in enumerate(self.codes["date"]):
             try:
+                if not _ISO_DATE.fullmatch(text):  # other forms that Python 3.11 reads and 3.10 does not
+                    raise ValueError(f"Invalid isoformat string: {text!r}")
                 ordinals[code] = dt.date.fromisoformat(text).toordinal()
             except ValueError as exc:
                 date_errors[code] = str(exc)

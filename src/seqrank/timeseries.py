@@ -412,18 +412,21 @@ def render_csv(panel: QuotePanel) -> list[str]:
 def load_csv(path: str | Path) -> QuotePanel:
     """Load a long-form quote CSV into a panel.
 
-    Requires a header with at least ``date,asset,bid,ask``; ``mid`` is
-    ignored and ``sector``, when present, must be consistent per asset.
-    Every row has the header's number of fields and no NUL character; rows
-    whose cells are all blank are skipped but still counted. Rows for one
+    Requires a header with at least ``date,asset,bid,ask``, each named
+    once; ``mid`` is ignored and ``sector``, when present, must be
+    consistent per asset. A leading UTF-8 byte order mark is no text, and
+    lines end in LF, CRLF or a lone CR. Every row has the header's number
+    of fields and no NUL character; rows whose cells are all blank are
+    skipped but still counted. Dates are ``YYYY-MM-DD``. Rows for one
     asset must appear in strictly increasing date order, and a (date,
     asset) pair may appear only once. An error names the file and the
     first offending row.
 
-    The columns are parsed by ``np.loadtxt`` where it reads cells as the
-    ``csv`` module and ``float()`` do, and by those two elsewhere (quoted
-    cells, ``1_000``); see ``seqrank._csvread``. The row checks run on the
-    columns and report the earliest failing row.
+    The file is read in binary blocks, whose columns are parsed by
+    ``np.loadtxt`` where it reads cells as the ``csv`` module and
+    ``float()`` do, and by those two elsewhere (quoted cells, ``1_000``,
+    lone CRs); see ``seqrank._csvread``. The row checks run on the columns
+    and report the earliest failing row.
     """
     path = Path(path)
     if not path.exists():

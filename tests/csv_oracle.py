@@ -3,23 +3,32 @@
 This is the loader ``seqrank.timeseries.load_csv`` replaced: one
 ``csv.reader`` row at a time, per-row quote checks, per-asset streams in
 dicts, then a dict pivot onto the dates every asset shares. It differs
-from the old code in four rules: a row whose field count differs from
+from the old code in these rules: a row whose field count differs from
 the header's is rejected (it used to accept extra fields), so is a row
 holding a NUL character, a byte that is not UTF-8 names its row (it used
-to raise the codec's error, which named neither file nor row), and the
-too-few-shared-dates error names the file. The tests compare the columnar loader's panels and error messages
-against it.
+to raise the codec's error, which named neither file nor row), the
+too-few-shared-dates error names the file, a leading UTF-8 byte order
+mark is no text, a header that repeats a read column is rejected (it
+used to read the first), and a date is read only in the form
+``YYYY-MM-DD`` (it used to take whatever ``date.fromisoformat`` takes,
+which differs between Python versions), and a NUL is read as the ``csv``
+module of Python 3.11 and later reads it, on 3.10 too, whose module
+rejects it. The tests compare the columnar
+loader's panels and error messages against it.
 """
 
 from __future__ import annotations
 
 import csv
 import datetime as dt
+import re
 from pathlib import Path
 
 import numpy as np
 
 from seqrank.timeseries import CSV_COLUMNS
+
+READ_COLUMNS = (*CSV_COLUMNS, "sector")
 
 
 def not_utf8(cells: list[str]) -> str | None:
@@ -33,20 +42,34 @@ def not_utf8(cells: list[str]) -> str | None:
     return None
 
 
+def iso_date(text: str) -> dt.date:
+    """The date ``YYYY-MM-DD`` in ``text``; any other form fails as
+    Python 3.10's ``date.fromisoformat`` fails on it."""
+    if not re.fullmatch("[0-9]{4}-[0-9]{2}-[0-9]{2}", text):
+        raise ValueError(f"Invalid isoformat string: {text!r}")
+    return dt.date.fromisoformat(text)
+
+
 def oracle_load_csv(path: str | Path):
     """``(dates, assets, sectors, bids, asks)`` of the panel in ``path``."""
     path = Path(path)
     streams: dict[str, list[tuple[dt.date, float, float]]] = {}
     sectors: dict[str, str] = {}
-    with path.open(newline="", encoding="utf-8", errors="surrogateescape") as handle:
-        reader = csv.reader(handle)
+    with path.open(newline="", encoding="utf-8-sig", errors="surrogateescape") as handle:
+        # NUL as the csv module of Python 3.11 and later reads it, which 3.10's rejects
+        reader = csv.reader(line.replace("\x00", "\udc00") for line in handle)
         try:
             header = next(reader)
         except StopIteration:
             raise ValueError(f"{path}: empty file, header required") from None
+        if any("\udc00" in cell for cell in header):
+            raise ValueError(f"{path}:1: NUL character in row")
         if message := not_utf8(header):
             raise ValueError(f"{path}:1: {message}")
         header = [h.strip().lower() for h in header]
+        for i, name in enumerate(header):
+            if name in READ_COLUMNS and name in header[:i]:
+                raise ValueError(f"{path}:1: header repeats column {name!r}")
         missing = [c for c in CSV_COLUMNS if c not in header]
         if missing:
             raise ValueError(f"{path}: header is missing columns {missing}")
@@ -57,12 +80,12 @@ def oracle_load_csv(path: str | Path):
                 continue
             if len(row) != len(header):
                 raise ValueError(f"{path}:{lineno}: expected {len(header)} fields, got {len(row)}")
-            if any("\x00" in cell for cell in row):
+            if any("\udc00" in cell for cell in row):
                 raise ValueError(f"{path}:{lineno}: NUL character in row")
             if message := not_utf8(row):
                 raise ValueError(f"{path}:{lineno}: {message}")
             try:
-                day = dt.date.fromisoformat(row[col["date"]].strip())
+                day = iso_date(row[col["date"]].strip())
                 bid = float(row[col["bid"]])
                 ask = float(row[col["ask"]])
             except ValueError as exc:

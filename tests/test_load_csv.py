@@ -1,10 +1,10 @@
 """The columnar ``load_csv`` against the row-at-a-time oracle.
 
 Panels must agree bit for bit, and a bad file must fail with the same
-``path:row: message``. Each file is also read with tiny chunks, so chunk
+``path:row: message``. Each file is also read in tiny blocks, so block
 boundaries and the switch from ``np.loadtxt`` to the ``csv`` module fall
-in the middle of the data, and at the smallest sizes also with every
-other chunk parsed in a forked child.
+in the middle of the data, and at some sizes also with every other block
+parsed in a forked child.
 """
 
 from __future__ import annotations
@@ -24,15 +24,17 @@ from hypothesis import strategies as st
 
 import seqrank._csvread as _csvread
 import seqrank._fork as _fork
-from seqrank import QuotePanel, load_csv, weekday_range, write_csv
+from seqrank import JumpDiffusionConfig, QuotePanel, load_csv, simulate_jump_diffusion, weekday_range, write_csv
 
 from conftest import assert_no_child
 from csv_oracle import oracle_load_csv
 
-CHUNK_SIZES = (1, 2, 3, 5, _csvread._CHUNK_LINES)
-# sizes also read with the child parsing every other chunk; each such read
+# block sizes in bytes: a block is this many bytes and the rest of the line
+# they end in, so 1 gives a block per line and 40 two lines of VALID or LONG
+BLOCK_SIZES = (1, 7, 40, 90, _csvread._BLOCK_BYTES)
+# sizes also read with the child parsing every other block; each such read
 # forks once, so the hypothesis tests take one size, in half their examples
-SPLIT_SIZES = (1, 3)
+SPLIT_SIZES = (1, 40)
 
 
 def outcome(loader, path):
@@ -45,12 +47,12 @@ def outcome(loader, path):
     return ("panel", panel.dates, panel.assets, panel.sectors, panel.bids, panel.asks)
 
 
-def assert_same_outcome(path, chunk_sizes=CHUNK_SIZES, split_sizes=SPLIT_SIZES):
+def assert_same_outcome(path, block_sizes=BLOCK_SIZES, split_sizes=SPLIT_SIZES):
     expected = outcome(oracle_load_csv, path)
-    for size in chunk_sizes:
+    for size in block_sizes:
         for cpus in (1, 2) if size in split_sizes else (1,):
             with pytest.MonkeyPatch.context() as mp:
-                mp.setattr(_csvread, "_CHUNK_LINES", size)
+                mp.setattr(_csvread, "_BLOCK_BYTES", size)
                 mp.setattr(_fork, "usable_cpus", lambda: cpus)
                 got = outcome(load_csv, path)
             assert_no_child()
@@ -105,13 +107,15 @@ def test_each_defect_names_its_row(tmp_path, defect):
     assert expected == ("error", f"{path}:5: {message}")
 
 
+# np.loadtxt skips an empty line, where it rejects a line of blanks
+@pytest.mark.parametrize("blanks, newline", [(["", "  \t", ",,, ,"], "\r\n"), (["", ""], "\n"), (["", ""], "\r\n")])
 @pytest.mark.parametrize("defect", sorted(DEFECTS))
-def test_blank_lines_count_towards_the_row(tmp_path, defect):
+def test_blank_lines_count_towards_the_row(tmp_path, defect, blanks, newline):
     line, message = DEFECTS[defect]
-    lines = VALID[:2] + ["", "  \t", ",,, ,"] + VALID[2:4] + [line] + VALID[5:]
+    lines = VALID[:2] + blanks + VALID[2:4] + [line] + VALID[5:]
     path = tmp_path / "p.csv"
-    path.write_text("\r\n".join(lines) + "\r\n")
-    assert assert_same_outcome(path) == ("error", f"{path}:8: {message}")
+    path.write_text(newline.join(lines) + newline, newline="")
+    assert assert_same_outcome(path) == ("error", f"{path}:{5 + len(blanks)}: {message}")
 
 
 @pytest.mark.parametrize(
@@ -144,7 +148,7 @@ def test_within_a_row_the_first_check_wins(tmp_path):
 @pytest.mark.parametrize("row", [1, 2, 7, 13])
 @pytest.mark.parametrize("byte", [b"\xe9", b"\xff", b"\x80"])
 def test_a_byte_that_is_not_utf8_names_its_row(tmp_path, row, byte):
-    # in the header, the first data row, a parent chunk and the last row
+    # in the header, the first data row, a later row and the last row
     lines = [line.encode() for line in LONG]
     lines[row - 1] += byte  # into the sector cell
     path = tmp_path / "p.csv"
@@ -153,14 +157,17 @@ def test_a_byte_that_is_not_utf8_names_its_row(tmp_path, row, byte):
     assert assert_same_outcome(path) == ("error", f"{path}:{row}: {message}")
 
 
-def test_a_byte_that_is_not_utf8_past_the_first_chunk(tmp_path):
-    days = weekday_range(dt.date(2000, 1, 3), _csvread._CHUNK_LINES // 2 + 10)
+def test_a_byte_that_is_not_utf8_past_the_first_block(tmp_path):
+    # rows of 21 bytes: the first block ends near row _BLOCK_BYTES // 21
+    rows = _csvread._BLOCK_BYTES // 21
+    days = weekday_range(dt.date(2000, 1, 3), rows // 2 + 10)
     lines = ["date,asset,bid,ask"] + [f"{day},{name},1.0,1.5" for day in days for name in "xy"]
-    row = _csvread._CHUNK_LINES + 7
+    row = rows + 7
     lines[row - 1] = lines[row - 1].replace(",1.5", ",1.\udce95")
     path = tmp_path / "p.csv"
     path.write_bytes("\n".join(lines).encode("utf-8", "surrogateescape") + b"\n")
-    expected = assert_same_outcome(path, (_csvread._CHUNK_LINES,), (_csvread._CHUNK_LINES,))
+    size = _csvread._BLOCK_BYTES
+    expected = assert_same_outcome(path, (size,), (size,))
     assert expected == ("error", f"{path}:{row}: invalid UTF-8 byte 0xe9")
 
 
@@ -226,18 +233,64 @@ def test_too_few_shared_dates_names_the_file(tmp_path):
     )
 
 
-# two assets over six dates: file rows 2-13, which chunks of two lines
-# give to this process (rows 2-3, 6-7, 10-11) and to the child (4-5, 8-9, 12-13)
+@pytest.mark.parametrize("header, column", [
+    ("date,asset,bid,ask,bid", "bid"), ("Date,asset,bid,ask, DATE ,sector", "date"),
+    ("date,asset,bid,ask,sector,sector", "sector"), ("date,asset,asset,bid,ask", "asset"),
+])
+def test_a_header_that_repeats_a_column_names_row_1(tmp_path, header, column):
+    path = tmp_path / "p.csv"
+    path.write_text("\n".join([header] + [line.rsplit(",", 1)[0] + ",1.0" for line in VALID[1:]]) + "\n")
+    assert assert_same_outcome(path) == ("error", f"{path}:1: header repeats column {column!r}")
+
+
+def test_a_header_may_repeat_a_column_it_does_not_read(tmp_path):
+    path = tmp_path / "p.csv"
+    path.write_text("\n".join(["mid," + VALID[0] + ",mid"] + [f"1,{line},2" for line in VALID[1:]]) + "\n")
+    assert assert_same_outcome(path)[0] == "panel"
+
+
+@pytest.mark.parametrize("header", ["date,asset,bid,a\x00sk,sector", "date,asset,bid,ask,sector\x00",
+                                    '"date\x00",asset,bid,ask,sector'])
+def test_a_nul_in_the_header_names_row_1(tmp_path, header):
+    path = tmp_path / "p.csv"
+    path.write_text("\n".join([header] + VALID[1:]) + "\n")
+    assert assert_same_outcome(path) == ("error", f"{path}:1: NUL character in row")
+
+
+@pytest.mark.parametrize("header", ['date,asset,bid,ask,"sec\ntor"', '"date","asset","bid","ask","sector"',
+                                    'date,asset,bid,ask,"sector\r\n"'])
+def test_a_quoted_header_reads_as_the_csv_module_reads_it(tmp_path, header):
+    # a quoted cell may hold a line break, so the header record can span lines
+    path = tmp_path / "p.csv"
+    path.write_text("\n".join([header] + VALID[1:]) + "\n", newline="")
+    expected = assert_same_outcome(path)
+    assert expected[0] == "panel" and len(expected[1]) == 3
+
+
+@pytest.mark.parametrize("day", ["20210105", "2021-W01-2", "2021-01-05T00:00", "2021-1-5", "２０２１-01-05"])
+def test_only_the_date_form_write_csv_writes_is_read(tmp_path, day):
+    # Python 3.11 reads the first two; 3.10, and so the loader, on every version, reads neither
+    path = tmp_path / "p.csv"
+    lines = list(VALID)
+    lines[4] = lines[4].replace("2021-01-05", day)
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    assert assert_same_outcome(path) == ("error", f"{path}:5: Invalid isoformat string: {day!r}")
+
+
+# two assets over six dates: file rows 2-13, which blocks of 40 bytes and
+# the rest of their line give to this process (rows 2-3, 6-7, 10-11) and to
+# the child (4-5, 8-9, 12-13)
 LONG = ["date,asset,bid,ask,sector"] + [
     f"2021-01-{4 + day:02d},{name},{base + day}.9,{base + day + 1}.1,{sector}"
     for day in range(6) for name, base, sector in (("x", 10, "tech"), ("y", 20, "energy"))
 ]
 PARENT_ROW, CHILD_ROW = 6, 8
+TWO_LINES = 40
 
 
 @pytest.mark.parametrize("row", [PARENT_ROW, CHILD_ROW])
 @pytest.mark.parametrize("case", ["csv module", "blank first line", "bad float"])
-def test_each_share_of_the_chunks_reads_like_the_oracle(tmp_path, forks, row, case):
+def test_each_share_of_the_blocks_reads_like_the_oracle(tmp_path, forks, row, case):
     lines = list(LONG)
     if case == "csv module":
         lines[row - 1] = lines[row - 1].replace(",y,", ',"y",')
@@ -247,7 +300,7 @@ def test_each_share_of_the_chunks_reads_like_the_oracle(tmp_path, forks, row, ca
         lines[row - 1] = lines[row - 1].replace(".9,", ".9x,")
     path = tmp_path / "p.csv"
     path.write_text("\n".join(lines) + "\n")
-    expected = assert_same_outcome(path, chunk_sizes=(2,), split_sizes=(2,))
+    expected = assert_same_outcome(path, block_sizes=(TWO_LINES,), split_sizes=(TWO_LINES,))
     assert len(forks) == 1
     if case == "bad float":
         assert expected[1].startswith(f"{path}:{row}: could not convert string to float")
@@ -266,7 +319,7 @@ def test_the_switch_to_the_csv_module_ends_the_child(tmp_path, monkeypatch, fork
         assert_no_child()
         return add_rows(self, lines, first_row)
 
-    monkeypatch.setattr(_csvread, "_CHUNK_LINES", 2)
+    monkeypatch.setattr(_csvread, "_BLOCK_BYTES", TWO_LINES)
     monkeypatch.setattr(_fork, "usable_cpus", lambda: 2)
     monkeypatch.setattr(_csvread._Table, "add_rows", checked)
     assert_same(outcome(load_csv, path), outcome(oracle_load_csv, path))
@@ -278,12 +331,12 @@ def test_an_interrupt_in_this_process_ends_the_child(tmp_path, monkeypatch, fork
     path.write_text("\n".join(LONG) + "\n")
     calls = []
 
-    def interrupted(self, *chunk):
+    def interrupted(self, *block):
         calls.append(1)
         if len(calls) == 3:
             raise KeyboardInterrupt
 
-    monkeypatch.setattr(_csvread, "_CHUNK_LINES", 2)
+    monkeypatch.setattr(_csvread, "_BLOCK_BYTES", TWO_LINES)
     monkeypatch.setattr(_fork, "usable_cpus", lambda: 2)
     monkeypatch.setattr(_csvread._Table, "append", interrupted)
     with pytest.raises(KeyboardInterrupt):
@@ -305,7 +358,7 @@ def test_a_file_replaced_before_the_child_opens_it_is_not_read(tmp_path, monkeyp
         os.replace(other, path)
         return fork()
 
-    monkeypatch.setattr(_csvread, "_CHUNK_LINES", 2)
+    monkeypatch.setattr(_csvread, "_BLOCK_BYTES", TWO_LINES)
     monkeypatch.setattr(_fork, "usable_cpus", lambda: 2)
     monkeypatch.setattr(os, "fork", replacing)
     assert_same(outcome(load_csv, path), expected)
@@ -332,7 +385,7 @@ def test_a_pipe_is_read_in_this_process_alone(tmp_path, monkeypatch, forks):
 
     writer = threading.Thread(target=write)
     writer.start()
-    monkeypatch.setattr(_csvread, "_CHUNK_LINES", 2)
+    monkeypatch.setattr(_csvread, "_BLOCK_BYTES", TWO_LINES)
     monkeypatch.setattr(_fork, "usable_cpus", lambda: 2)
     alarm = signal.signal(signal.SIGALRM, timed_out)
     signal.alarm(10)
@@ -472,9 +525,13 @@ def test_written_labels_load_back_on_the_fast_path(assets, sectors):
         assert row_path == []
 
 
-# 32, 33 and 34 bytes: the first read keeps 32, which may end mid-character
-@pytest.mark.parametrize("name", ["x" * 30 + "é", "x" * 31 + "é", "x" * 29 + "日", "x" * 30 + "日",
-                                  "x" * 31 + "日"])
+# _CELL_BYTES and one and two bytes more: the first read keeps _CELL_BYTES,
+# which may end mid-character
+CELL = _csvread._CELL_BYTES
+
+
+@pytest.mark.parametrize("name", ["x" * (CELL - 2) + "é", "x" * (CELL - 1) + "é", "x" * (CELL - 3) + "日",
+                                  "x" * (CELL - 2) + "日", "x" * (CELL - 1) + "日"])
 def test_a_label_cut_inside_a_character_is_read_again_wider(tmp_path, monkeypatch, name):
     row_path = spy_on_row_path(monkeypatch)
     path = tmp_path / "p.csv"
@@ -544,3 +601,76 @@ def test_distinct_survives_a_hash_collision():
     cells = words.view("S16").ravel()
     assert len(set(cells.tolist())) == 2
     assert_groups(cells)
+
+
+def synth_panel():
+    """A 300-date, 12-asset panel with sectors, as ``seqrank synth`` writes it."""
+    panel = simulate_jump_diffusion(JumpDiffusionConfig(n_steps=299, n_assets=12, seed=5, spread=0.001))
+    return QuotePanel(dates=panel.dates, assets=panel.assets, bids=panel.bids, asks=panel.asks,
+                      sectors=tuple(("tech", "energy", "life sciences")[i % 3] for i in range(12)))
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+@pytest.mark.parametrize("form", ["CRLF", "BOM", "BOM and CRLF"])
+def test_crlf_and_bom_panels_load_on_the_fast_path(tmp_path, monkeypatch, forks, cpus, form):
+    # a byte order mark, as Excel's "CSV UTF-8" writes one, is no text
+    panel = synth_panel()
+    path = tmp_path / "p.csv"
+    write_csv(panel, path)
+    data = path.read_bytes()
+    if "CRLF" in form:
+        data = data.replace(b"\n", b"\r\n")
+    if "BOM" in form:
+        data = b"\xef\xbb\xbf" + data
+    path.write_bytes(data)
+    row_path = spy_on_row_path(monkeypatch)
+    monkeypatch.setattr(_csvread, "_BLOCK_BYTES", 1 << 14)  # ten blocks
+    monkeypatch.setattr(_fork, "usable_cpus", lambda: cpus)
+    got = outcome(load_csv, path)
+    assert row_path == [] and len(forks) == cpus - 1
+    assert_no_child()
+    expected = ("panel", panel.dates, panel.assets, panel.sectors, panel.bids, panel.asks)
+    assert_same(got, expected)
+    assert_same(outcome(oracle_load_csv, path), expected)
+
+
+@pytest.mark.parametrize("last", ["\r", "\n"])
+@pytest.mark.parametrize("defect", [None, "crossed quote", "bad float", "short row"])
+def test_a_file_of_lone_cr_line_ends_reads_like_the_oracle(tmp_path, defect, last):
+    # a text file opened with newline="" ends a line at a lone CR, so csv.reader does too
+    lines = VALID[:2] + [" , ", ""] + VALID[2:]
+    if defect is not None:
+        lines[6] = DEFECTS[defect][0]
+    path = tmp_path / "p.csv"
+    path.write_text("\r".join(lines) + last, newline="")
+    expected = assert_same_outcome(path)
+    if defect is None:
+        assert expected[0] == "panel" and len(expected[1]) == 3
+    else:
+        assert expected == ("error", f"{path}:7: {DEFECTS[defect][1]}")
+
+
+def test_a_lone_cr_after_the_header_sends_the_rest_to_the_row_path(tmp_path, monkeypatch):
+    path = tmp_path / "p.csv"
+    path.write_text("\n".join(LONG[:7]) + "\r" + "\n".join(LONG[7:]) + "\n", newline="")
+    row_path = spy_on_row_path(monkeypatch)
+    expected = assert_same_outcome(path, block_sizes=(TWO_LINES,), split_sizes=(TWO_LINES,))
+    assert expected[0] == "panel" and len(expected[1]) == 6
+    assert row_path == [6, 6]  # the block of rows 6 and 7, with and without the child
+
+
+@given(text=panel_files(), data=st.data())
+def test_any_block_size_reads_like_the_oracle(text, data):
+    # block sizes from one byte to past the file's end; a line longer than
+    # _LINE_BYTES ends its block inside it, and the row path reads from there
+    if data.draw(st.booleans()):  # a sector longer than the first read's cells
+        text = text.replace("energy", "energy and utilities sector")
+    raw = text.encode()
+    sizes = data.draw(st.lists(st.integers(1, len(raw) + 9), min_size=1, max_size=3))
+    line_bytes = data.draw(st.sampled_from([1, 5, 40, _csvread._LINE_BYTES]))
+    split = data.draw(st.booleans())
+    with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp:
+        path = Path(tmp) / "panel.csv"
+        path.write_bytes(raw)
+        mp.setattr(_csvread, "_LINE_BYTES", line_bytes)
+        assert_same_outcome(path, block_sizes=sizes, split_sizes=sizes[:1] * split)

@@ -85,9 +85,9 @@ def test_a_shared_panel_is_still_checked():
 
 @pytest.mark.parametrize("shuffled", [False, True])
 def test_load_csv_peaks_at_nine_matrices(tmp_path, monkeypatch, shuffled):
-    # chunks of 4 096 lines keep a chunk's share of this 64 000-row file
-    # near that of the 32 768-line chunks at the paper's 625 000 rows
-    monkeypatch.setattr(_csvread, "_CHUNK_LINES", 1 << 12)
+    # blocks of 128 KiB keep a block's share of this 3.7 MB file near that
+    # of the 1 MiB blocks in the paper's 39 MB
+    monkeypatch.setattr(_csvread, "_BLOCK_BYTES", 1 << 17)
     panel = relabel(simulate_jump_diffusion(CONFIG))
     path = tmp_path / "panel.csv"
     write_csv(panel, path)
