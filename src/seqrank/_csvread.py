@@ -7,19 +7,22 @@ Each block goes to one ``np.loadtxt`` call as its bytes, whose lines it
 decodes as Latin-1, so each UTF-8 byte stays one byte of a text cell:
 prices are read as floats and text cells as their UTF-8 bytes, each
 distinct one decoded, stripped and interned into an integer code once per
-block. From the first block that holds a character ``np.loadtxt`` reads
-unlike the ``csv`` module and ``float()`` (``_CSV_ONLY``), a CR that ends
-a line alone, a byte that is not UTF-8 or a cell ``np.loadtxt`` rejects,
-or that ends inside a line longer than ``_LINE_BYTES``, the rest of the
-file is decoded as a text file opened with ``newline=""`` reads it and
-read row by row with ``csv.reader`` and ``float()``, up to the first row
-that fails to parse. So is a whole file whose header line is not plain
-(see ``read_columns``). The row checks then run once on the columns, and
-the earliest failing row is reported, with the message the check made in
-the row-at-a-time loader this replaced. Every other block is decoded and
-parsed in a forked child when two CPUs are usable (``seqrank._fork``);
-both processes read every block, to find where the next one starts and
-count its rows.
+block. A block where ``np.loadtxt`` skips or rejects a blank line or
+rejects a cell that ``float()`` reads (``1_000``, a price padded with
+whitespace outside ASCII) is read alone by ``csv.reader`` and ``float()``
+(``_Table.parse_rows``). From the first block that holds a character
+``np.loadtxt`` reads unlike the ``csv`` module and ``float()``
+(``_CSV_ONLY``), a CR that ends a line alone, a byte that is not UTF-8 or
+a row that fails to parse, or that ends inside a line longer than
+``_LINE_BYTES``, the rest of the file is decoded as a text file opened
+with ``newline=""`` reads it and read row by row by the same parser, up
+to the first row that fails to parse. So is a whole file whose header
+line is not plain (see ``read_columns``). The row checks then run once on
+the columns, and the earliest failing row is reported, with the message
+the check made in the row-at-a-time loader this replaced. Every other
+block is decoded and parsed in a forked child when two CPUs are usable
+(``seqrank._fork``); both processes read every block, to find where the
+next one starts and count its rows.
 """
 
 from __future__ import annotations
@@ -33,7 +36,7 @@ import re
 import stat
 from collections import deque
 from contextlib import closing
-from itertools import chain, compress
+from itertools import chain
 from pathlib import Path
 from typing import Iterable, Sequence, TextIO
 
@@ -45,12 +48,6 @@ CSV_COLUMNS = ("date", "asset", "bid", "ask")
 # the columns read; any other is ignored
 _READ = (*CSV_COLUMNS, "sector")
 
-# A row is blank when every cell is: only whitespace (as ``str.strip``
-# removes it) and commas.
-_BLANK_ROW = "".join(c for c in map(chr, range(0x3001)) if c.isspace()) + ","
-# the whitespace outside ASCII, which float() strips around a number but
-# np.loadtxt, reading the UTF-8 bytes, does not
-_WIDE_SPACE = re.compile(f"[{''.join(c for c in _BLANK_ROW if not c.isascii())}]")
 # Characters np.loadtxt reads unlike the csv module and float(): quotes,
 # NUL (cut from the end of a bytes cell) and \x1c-\x1f (which float() does
 # not take as whitespace around a number). Each is one byte in UTF-8.
@@ -126,7 +123,8 @@ def read_columns(path: Path):
             header = next(_csv_rows(text), None)
             if header is None:
                 raise ValueError(f"{path}: empty file, header required")
-        table = _Table(len(header), _header_columns(path, header))
+        col = _header_columns(path, header)
+        table = _Table(len(header), col)
         if text is None:
             table.read(path, handle, start)
         else:
@@ -134,8 +132,10 @@ def read_columns(path: Path):
     return table.columns(path)
 
 
-def _header_columns(path: Path, header: list[str]) -> dict[str, int]:
+def _header_columns(path: Path, header: list[str] | csv.Error) -> dict[str, int]:
     """The index of each read column in ``header``, the first row's cells."""
+    if isinstance(header, csv.Error):
+        raise ValueError(f"{path}:1: {header}")
     if any(_NUL in cell for cell in header):
         raise ValueError(f"{path}:1: NUL character in row")
     if message := _utf8_error(",".join(header)):
@@ -153,8 +153,13 @@ def _header_columns(path: Path, header: list[str]) -> dict[str, int]:
 
 
 def _csv_rows(lines: Iterable[str]):
-    """``csv.reader`` over ``lines``, with each NUL read as ``_NUL``."""
-    return csv.reader(line.replace("\x00", _NUL) for line in lines)
+    """``csv.reader`` over ``lines``, with each NUL read as ``_NUL``. A
+    record the csv module rejects (a field past ``csv.field_size_limit()``)
+    is given as its ``csv.Error``, and ends the rows."""
+    try:
+        yield from csv.reader(line.replace("\x00", _NUL) for line in lines)
+    except csv.Error as exc:
+        yield exc
 
 
 def _utf8_error(text: str) -> str | None:
@@ -250,7 +255,7 @@ class _Table:
     def read(self, path: Path, handle, start: int) -> None:
         """Read the data left in ``handle``, the binary ``path`` from byte
         ``start``: in blocks by ``parse``, through ``split_map``, and by
-        ``add_rows`` from the first block that needs the csv module on. The
+        ``add_rows`` from the first block ``parse`` leaves to it on. The
         forked child opens ``path`` again, because a descriptor shared
         across ``fork`` shares its offset, and parses nothing unless
         ``path`` is still the regular file this process reads: a pipe
@@ -287,34 +292,28 @@ class _Table:
 
     def parse(self, block: tuple[range, bytes, bool]):
         """The ``append`` arguments for ``block``, ``(rows, data, whole)``
-        as ``_blocks`` gives it, parsed by ``np.loadtxt``; None if it needs
-        the csv module. Reads nothing of the table but its layout and
-        ``cell_bytes``."""
+        as ``_blocks`` gives it: parsed by ``np.loadtxt``, or by
+        ``parse_rows`` where ``np.loadtxt`` rejects a cell or skips a line;
+        None if the block needs the rest-of-file row path. Reads nothing of
+        the table but its layout and ``cell_bytes``."""
         rows, data, whole = block
         if not whole or any(byte in data for byte in _CSV_ONLY.encode()):
             return None
-        text = None
-        if not data.isascii():
-            try:
-                text = data.decode()
-            except UnicodeDecodeError:
-                return None
-        count = len(rows)
+        try:
+            text = None if data.isascii() else data.decode()
+        except UnicodeDecodeError:
+            return None
         # np.loadtxt warns on a block of empty lines alone
-        plain = data.lstrip(b"\r\n") and not _WIDE_SPACE.search(text or "")
-        parsed = self.load(data) if plain else None
-        if parsed is None or len(parsed[0]) != count:
-            # np.loadtxt skips an empty row and rejects a blank one, and
-            # float() strips whitespace outside ASCII that it keeps
-            lines = (text or data.decode()).split("\n")[:count]
-            keep = [bool(line.strip(_BLANK_ROW)) for line in lines]
-            rows, lines = list(compress(rows, keep)), list(compress(lines, keep))
-            if not lines:
-                return rows, [], [], {}
-            lines = [self.strip_prices(line) if _WIDE_SPACE.search(line) else line for line in lines]
-            parsed = self.load("\n".join(lines).encode())
-            if parsed is None or len(parsed[0]) != len(rows):  # a lone CR, which np.loadtxt rejects
+        parsed = self.load(data) if data.lstrip(b"\r\n") else None
+        if parsed is None or len(parsed[0]) != len(rows):
+            # np.loadtxt skips an empty line, and rejects a blank one and
+            # cells float() reads, such as 1_000 or a price padded with
+            # whitespace outside ASCII
+            lines = io.StringIO(text or data.decode(), newline="").readlines()
+            if len(lines) != len(rows):  # a lone CR ends a line
                 return None
+            result, error = self.parse_rows(lines, rows.start)
+            return None if error else result
         table, cells = parsed
         texts = {name: ([v.decode().strip() for v in values.tolist()], inverse)
                  for name, (values, inverse) in cells.items()}
@@ -341,51 +340,52 @@ class _Table:
         self.cell_bytes = max(self.cell_bytes, -(-(longest + 1) // 8) * 8)
         return table, cells
 
-    def strip_prices(self, line: str) -> str:
-        """``line`` with its bid and ask cells stripped of whitespace, as
-        float() strips them; a line of the wrong width is left to fail."""
-        cells = line.split(",")
-        if len(cells) == self.width:
-            for name in ("bid", "ask"):
-                cells[self.col[name]] = cells[self.col[name]].strip()
-        return ",".join(cells)
-
     def add_rows(self, lines: Iterable[str], first_row: int) -> None:
-        """Read ``lines`` as ``csv.reader`` and ``float()`` do, up to and
-        including the first row that fails to parse."""
+        """Add the rows ``parse_rows`` reads from ``lines``, and its error."""
+        parsed, self.error = self.parse_rows(lines, first_row)
+        self.append(*parsed)
+
+    def parse_rows(self, lines: Iterable[str], first_row: int):
+        """The ``append`` arguments for ``lines``, file rows from
+        ``first_row``, read as ``csv.reader`` and ``float()`` do up to and
+        including the first row that fails to parse, and that row's error
+        as ``(row, rank, message)``, or None."""
         rows, bids, asks = [], [], []
         cells: dict[str, list[str]] = {name: [] for name in self.codes}
+        error = None
         for row, fields in enumerate(_csv_rows(lines), start=first_row):
-            if not fields or all(not cell.strip() for cell in fields):
+            if isinstance(fields, csv.Error):
+                message = str(fields)
+            elif not fields or all(not cell.strip() for cell in fields):
                 continue
-            if len(fields) != self.width:
-                self.error = (row, FIELDS, f"expected {self.width} fields, got {len(fields)}")
-                break
-            if any(_NUL in cell for cell in fields):
-                self.error = (row, FIELDS, "NUL character in row")
-                break
-            if message := _utf8_error(",".join(fields)):
-                self.error = (row, FIELDS, message)
+            elif len(fields) != self.width:
+                message = f"expected {self.width} fields, got {len(fields)}"
+            elif any(_NUL in cell for cell in fields):
+                message = "NUL character in row"
+            else:
+                message = _utf8_error(",".join(fields))
+            if message:
+                error = (row, FIELDS, message)
                 break
             prices = [np.nan, np.nan]
             for k, (name, rank) in enumerate((("bid", BID), ("ask", ASK))):
                 try:
                     prices[k] = float(fields[self.col[name]])
                 except ValueError as exc:
-                    self.error = (row, rank, str(exc))
+                    error = (row, rank, str(exc))
                     break
             rows.append(row)
             bids.append(prices[0])
             asks.append(prices[1])
             for name, values in cells.items():
                 values.append(fields[self.col[name]].strip())
-            if self.error is not None:
+            if error is not None:
                 break
         texts = {}
         for name, values in cells.items():
             index = {value: i for i, value in enumerate(dict.fromkeys(values))}
             texts[name] = (list(index), np.array([index[v] for v in values], dtype=np.intp))
-        self.append(rows, bids, asks, texts)
+        return (rows, bids, asks, texts), error
 
     def columns(self, path: Path):
         """Run the row checks on the columns; see ``read_columns``."""

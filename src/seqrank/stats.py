@@ -117,7 +117,6 @@ class LeveneResult:
     dof_within: int
     critical_value: float
     reject: bool
-    alpha: float
 
     def to_json_dict(self) -> dict:
         return {
@@ -135,8 +134,6 @@ class TTestResult:
     dof: float
     critical_value: float
     reject: bool
-    alpha: float
-    sidedness: str
 
 
 def adf_test(series: Sequence[float] | np.ndarray) -> AdfResult:
@@ -240,7 +237,7 @@ def _levene(
         w_stat = (dof_within / dof_between) * between / within
     critical = _f_quantile(dof_between, dof_within, 1.0 - alpha)
     return [
-        LeveneResult(w, dof_between, dof_within, critical, w > critical, alpha)
+        LeveneResult(w, dof_between, dof_within, critical, w > critical)
         if math.isfinite(w) else None
         for w in w_stat.tolist()
     ]
@@ -501,14 +498,7 @@ def welch_t_test(
         )
     t_stat, dof = float(t_stat[0, 0]), float(dof[0, 0])
     critical = float(_t_quantile(np.array([dof]), 1.0 - _tail(alpha, sidedness))[0])
-    return TTestResult(
-        t_stat=t_stat,
-        dof=dof,
-        critical_value=critical,
-        reject=bool(abs(t_stat) > critical),
-        alpha=alpha,
-        sidedness=sidedness,
-    )
+    return TTestResult(t_stat, dof, critical, bool(abs(t_stat) > critical))
 
 
 @dataclass(frozen=True)

@@ -422,11 +422,11 @@ def load_csv(path: str | Path) -> QuotePanel:
     asset) pair may appear only once. An error names the file and the
     first offending row.
 
-    The file is read in binary blocks, whose columns are parsed by
-    ``np.loadtxt`` where it reads cells as the ``csv`` module and
-    ``float()`` do, and by those two elsewhere (quoted cells, ``1_000``,
-    lone CRs); see ``seqrank._csvread``. The row checks run on the columns
-    and report the earliest failing row.
+    The file is read in binary blocks, parsed by ``np.loadtxt``, or by
+    the ``csv`` module and ``float()`` where it reads cells unlike them:
+    one block alone for a blank line or ``1_000``, the rest of the file
+    from a quoted cell or a lone CR on; see ``seqrank._csvread``. The row
+    checks run on the columns and report the earliest failing row.
     """
     path = Path(path)
     if not path.exists():

@@ -13,7 +13,9 @@ used to read the first), and a date is read only in the form
 ``YYYY-MM-DD`` (it used to take whatever ``date.fromisoformat`` takes,
 which differs between Python versions), and a NUL is read as the ``csv``
 module of Python 3.11 and later reads it, on 3.10 too, whose module
-rejects it. The tests compare the columnar
+rejects it, and a record the ``csv`` module rejects (a field past its
+size limit) names its row (it used to raise ``csv.Error``, which named
+neither file nor row). The tests compare the columnar
 loader's panels and error messages against it.
 """
 
@@ -50,18 +52,29 @@ def iso_date(text: str) -> dt.date:
     return dt.date.fromisoformat(text)
 
 
+def csv_records(lines):
+    """``csv.reader`` over ``lines``, with NUL read as the ``csv`` module of
+    Python 3.11 and later reads it, which 3.10's rejects; a record it
+    rejects comes as its ``csv.Error`` and ends the records."""
+    try:
+        yield from csv.reader(line.replace("\x00", "\udc00") for line in lines)
+    except csv.Error as exc:
+        yield exc
+
+
 def oracle_load_csv(path: str | Path):
     """``(dates, assets, sectors, bids, asks)`` of the panel in ``path``."""
     path = Path(path)
     streams: dict[str, list[tuple[dt.date, float, float]]] = {}
     sectors: dict[str, str] = {}
     with path.open(newline="", encoding="utf-8-sig", errors="surrogateescape") as handle:
-        # NUL as the csv module of Python 3.11 and later reads it, which 3.10's rejects
-        reader = csv.reader(line.replace("\x00", "\udc00") for line in handle)
+        reader = csv_records(handle)
         try:
             header = next(reader)
         except StopIteration:
             raise ValueError(f"{path}: empty file, header required") from None
+        if isinstance(header, csv.Error):
+            raise ValueError(f"{path}:1: {header}")
         if any("\udc00" in cell for cell in header):
             raise ValueError(f"{path}:1: NUL character in row")
         if message := not_utf8(header):
@@ -76,6 +89,8 @@ def oracle_load_csv(path: str | Path):
         col = {name: header.index(name) for name in header}
         saw_sector = "sector" in col
         for lineno, row in enumerate(reader, start=2):
+            if isinstance(row, csv.Error):
+                raise ValueError(f"{path}:{lineno}: {row}")
             if not row or all(not cell.strip() for cell in row):
                 continue
             if len(row) != len(header):

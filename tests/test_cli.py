@@ -224,6 +224,18 @@ class TestRank:
         for line in (tmp_path / "rank.jsonl").read_text().strip().splitlines():
             assert np.allclose(json.loads(line)["posterior"], 0.2, atol=1e-12)
 
+    def test_a_cell_past_the_csv_field_limit_names_its_row(self, tmp_path, capsys):
+        # the quoted cell in row 2 sends the rows from there on to the csv module
+        path = synth(tmp_path)
+        lines = path.read_text().split("\n")
+        lines[1] = lines[1].replace(",A000,", ',"A000",')
+        lines[3] = lines[3].replace(",A002,", f",{'A' * 200_000},")
+        path.write_text("\n".join(lines))
+        out = tmp_path / "out"
+        assert run_cli("rank", path, "--out-dir", out) == 1
+        assert capsys.readouterr().err == f"error: {path}:4: field larger than field limit (131072)\n"
+        assert not out.exists()
+
     def test_lines_are_streamed_not_joined(self, tmp_path, monkeypatch):
         path = synth(tmp_path / "panel")
         bodies = {}

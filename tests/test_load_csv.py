@@ -9,6 +9,7 @@ parsed in a forked child.
 
 from __future__ import annotations
 
+import csv
 import datetime as dt
 import os
 import signal
@@ -217,6 +218,28 @@ def test_long_labels_are_not_cut(tmp_path):
     path.write_text("\n".join(line.replace(",x,", f",{long_name},") for line in VALID) + "\n")
     expected = assert_same_outcome(path)
     assert expected[2] == (long_name, "y")
+
+
+# the csv module rejects a field longer than this; np.loadtxt has no such limit
+FIELD_LIMIT = f"field larger than field limit ({csv.field_size_limit()})"
+
+
+@pytest.mark.parametrize("header", ["date,asset,bid,ask,sector", '"date",asset,bid,ask,sector'])
+def test_a_header_cell_past_the_csv_field_limit_names_row_1(tmp_path, header):
+    path = tmp_path / "p.csv"
+    lines = [header + "," + "m" * 200_000] + [line + ",1" for line in VALID[1:]]
+    path.write_text("\n".join(lines) + "\n")
+    assert assert_same_outcome(path) == ("error", f"{path}:1: {FIELD_LIMIT}")
+
+
+def test_a_cell_past_the_csv_field_limit_on_the_row_path_names_its_row(tmp_path):
+    # the quote in row 2 sends every block from there on to the csv module
+    path = tmp_path / "p.csv"
+    lines = list(VALID)
+    lines[1] = lines[1].replace(",x,", ',"x",')
+    lines[3] = lines[3].replace(",x,", f",{'x' * 200_000},")
+    path.write_text("\n".join(lines) + "\n")
+    assert assert_same_outcome(path) == ("error", f"{path}:4: {FIELD_LIMIT}")
 
 
 def test_header_only_file(tmp_path):
@@ -470,7 +493,9 @@ def test_edited_files_load_or_fail_like_the_oracle(edits, split):
 
 
 def spy_on_row_path(monkeypatch):
-    """The ``first_row`` of each call of ``_Table.add_rows``, the row path."""
+    """The ``first_row`` of each call of ``_Table.add_rows``: the
+    rest-of-file row path, which reads every row from there on with the
+    csv module. A block parsed alone by ``parse_rows`` is not counted."""
     calls = []
     add_rows = _csvread._Table.add_rows
 
@@ -629,6 +654,45 @@ def test_crlf_and_bom_panels_load_on_the_fast_path(tmp_path, monkeypatch, forks,
     got = outcome(load_csv, path)
     assert row_path == [] and len(forks) == cpus - 1
     assert_no_child()
+    expected = ("panel", panel.dates, panel.assets, panel.sectors, panel.bids, panel.asks)
+    assert_same(got, expected)
+    assert_same(outcome(oracle_load_csv, path), expected)
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_a_block_np_loadtxt_cannot_read_is_parsed_alone(tmp_path, monkeypatch, forks, cpus):
+    # a blank row in one middle block and a bid written 9_9.95 in another:
+    # the csv module reads those two blocks alone, np.loadtxt every other one
+    panel = synth_panel()
+    path = tmp_path / "p.csv"
+    write_csv(panel, path)
+    lines = path.read_text().split("\n")
+    lines[2000] = lines[2000].replace(",9", ",9_", 1)
+    assert "_" in lines[2000]
+    lines.insert(1000, "")
+    blank, underscored = 1001, 2002  # file rows
+    path.write_text("\n".join(lines))
+    row_path = spy_on_row_path(monkeypatch)
+    parse_rows = _csvread._Table.parse_rows
+    calls = []
+
+    def spied(self, lines, first_row):
+        calls.append(first_row)
+        return parse_rows(self, lines, first_row)
+
+    monkeypatch.setattr(_csvread._Table, "parse_rows", spied)
+    monkeypatch.setattr(_csvread, "_BLOCK_BYTES", 1 << 14)  # fourteen blocks
+    monkeypatch.setattr(_fork, "usable_cpus", lambda: cpus)
+    with path.open("rb") as handle:
+        handle.readline()
+        blocks = [rows for rows, _, _ in _csvread._blocks(handle)]
+    alone = [rows.start for rows in blocks if blank in rows or underscored in rows]
+    assert len(alone) == 2 and blocks[0].start < alone[0] and alone[1] < blocks[-1].start
+    got = outcome(load_csv, path)
+    assert row_path == [] and len(forks) == cpus - 1
+    assert_no_child()
+    if cpus == 1:  # the child's calls are not seen here
+        assert calls == alone
     expected = ("panel", panel.dates, panel.assets, panel.sectors, panel.bids, panel.asks)
     assert_same(got, expected)
     assert_same(outcome(oracle_load_csv, path), expected)
