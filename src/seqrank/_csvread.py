@@ -9,7 +9,8 @@ prices are read as floats and text cells as their UTF-8 bytes, each
 distinct one decoded, stripped and interned into an integer code once per
 block. A block where ``np.loadtxt`` skips or rejects a blank line or
 rejects a cell that ``float()`` reads (``1_000``, a price padded with
-whitespace outside ASCII) is read alone by ``csv.reader`` and ``float()``
+whitespace outside ASCII), or with a line that may hold a cell past the
+``csv`` field limit, is read alone by ``csv.reader`` and ``float()``
 (``_Table.parse_rows``). From the first block that holds a character
 ``np.loadtxt`` reads unlike the ``csv`` module and ``float()``
 (``_CSV_ONLY``), a CR that ends a line alone, a byte that is not UTF-8 or
@@ -291,11 +292,11 @@ class _Table:
             self.add_rows(_text((ahead.popleft()[1] for _ in range(len(ahead))), handle), first_row)
 
     def parse(self, block: tuple[range, bytes, bool]):
-        """The ``append`` arguments for ``block``, ``(rows, data, whole)``
-        as ``_blocks`` gives it: parsed by ``np.loadtxt``, or by
-        ``parse_rows`` where ``np.loadtxt`` rejects a cell or skips a line;
-        None if the block needs the rest-of-file row path. Reads nothing of
-        the table but its layout and ``cell_bytes``."""
+        """The ``append`` arguments for ``block``, ``(rows, data, whole)`` as
+        ``_blocks`` gives it: parsed by ``np.loadtxt``, or by ``parse_rows`` where
+        ``np.loadtxt`` rejects a cell or skips a line or a line may hold a cell past
+        the ``csv`` field limit; None if the block needs the rest-of-file row path.
+        Reads nothing of the table but its layout and ``cell_bytes``."""
         rows, data, whole = block
         if not whole or any(byte in data for byte in _CSV_ONLY.encode()):
             return None
@@ -303,8 +304,11 @@ class _Table:
             text = None if data.isascii() else data.decode()
         except UnicodeDecodeError:
             return None
-        # np.loadtxt warns on a block of empty lines alone
-        parsed = self.load(data) if data.lstrip(b"\r\n") else None
+        # np.loadtxt warns on a block of empty lines alone, and reads a cell past csv.field_size_limit()
+        # characters, whose line covers one of these stretches of half as many bytes with no LF
+        step = max(1, csv.field_size_limit() // 2)
+        long_line = any(data.find(b"\n", i, i + step) < 0 for i in range(0, len(data) - step + 1, step))
+        parsed = self.load(data) if data.lstrip(b"\r\n") and not long_line else None
         if parsed is None or len(parsed[0]) != len(rows):
             # np.loadtxt skips an empty line, and rejects a blank one and
             # cells float() reads, such as 1_000 or a price padded with

@@ -117,9 +117,6 @@ class BacktestConfig:
         if not (0.0 < self.ridge_lambda < math.inf):
             raise ValueError(f"ridge_lambda must be positive and finite, got {self.ridge_lambda}")
 
-    def to_json_dict(self) -> dict:
-        return asdict(self)
-
 
 def select_decile(scores: np.ndarray, fraction: float, mode: str) -> tuple[np.ndarray, np.ndarray]:
     """Each day's top and bottom slices of the cross-section, ``k = max(1, floor(d * fraction))``.
@@ -391,7 +388,7 @@ class BacktestReport:
         legs = {"n_long": self.n_long, "n_short": self.n_short}
         columns = (self.gross, self.cost, self.net, self.turnover, self.benchmark)
         return {
-            "config": self.config.to_json_dict(),
+            "config": asdict(self.config),
             "days": [
                 {"date": date.isoformat(), "gross": g, "cost": c, "net": r, "turnover": t,
                  "benchmark": b, **legs}

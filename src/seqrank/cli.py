@@ -163,9 +163,6 @@ def _chunks(value, depth: int) -> Iterator[str]:
         yield _scalar(value)
     elif not value:
         yield "{}" if isinstance(value, dict) else "[]"
-    elif _flat(value.values() if isinstance(value, dict) else value):
-        text = "".join(_encoder(depth + 1)(value, 0))
-        yield text[0] + inner + text[1:-1] + outer + text[-1]
     elif not isinstance(value, dict) and _records(value):
         # one call for the whole list of records; a record boundary is the
         # only place a "}" meets the separator, since every newline inside
@@ -194,11 +191,10 @@ def json_chunks(payload) -> Iterator[str]:
     """The text of ``json.dumps(payload, sort_keys=True, indent=2,
     allow_nan=False) + "\\n"``, in pieces.
 
-    Every report is written by this function. A container of scalars, or a
-    list of non-empty dicts of scalars, is one call of the C encoder, which
-    ``json.dumps`` does not use when ``indent`` is set; only the levels
-    above those recurse in Python. A NaN or an infinity raises
-    ``ValueError`` when its piece is made.
+    Every report is written by this function. A list of non-empty dicts of
+    scalars is one call of the C encoder, which ``json.dumps`` does not use
+    when ``indent`` is set; every other container recurses in Python. A NaN
+    or an infinity raises ``ValueError`` when its piece is made.
     """
     yield from _chunks(payload, 0)
     yield "\n"
@@ -261,7 +257,7 @@ def _cmd_backtest(args: argparse.Namespace) -> int:
     panel, inputs = _load(panel_path)
     config = _config(BacktestConfig, args)
     report = run_backtest(panel, config)
-    manifest = _manifest("backtest", {"panel": panel_path.name, **config.to_json_dict()}, inputs)
+    manifest = _manifest("backtest", {"panel": panel_path.name, **asdict(config)}, inputs)
     payload = {"manifest": manifest, **report.to_json_dict()}
     written = _emit(
         Path(args.out_dir),

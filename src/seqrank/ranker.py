@@ -57,11 +57,6 @@ class RankerState:
         self.p = np.full(self.d, 1.0 / self.d)
         self.t = 0
 
-    @property
-    def q(self) -> np.ndarray:
-        """Likelihood: ``m`` normalised to unit sum; uniform while ``m`` is 0, as at ``tau = 1``."""
-        return _likelihood(self.m[None, :])[0]
-
     def update(self, performance: Sequence[float] | np.ndarray) -> np.ndarray:
         """Fold one performance vector ``(d,)``, or a series of them ``(days, d)``, into the state.
 
@@ -153,8 +148,8 @@ def _win_counts(block: np.ndarray) -> np.ndarray:
     return ends
 
 
-def _likelihood(m: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """Each row of ``(days, d)`` ``m`` over its sum; uniform where a row sums to 0.
+def _likelihood(m: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Each row of ``(days, d)`` ``m`` over its sum, into ``out``; uniform where a row sums to 0.
 
     A row's sum has the bits of the 1-D sum of that row.
     """

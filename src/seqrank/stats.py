@@ -40,7 +40,7 @@ rate equal to alpha).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from itertools import compress
 from typing import Sequence
 
@@ -73,7 +73,6 @@ _UNIT_ROOT_SURFACE: dict[float, tuple[float, float, float, float]] = {
     0.05: (-2.86154, -2.8903, -4.234, -40.040),
     0.10: (-2.56677, -1.5384, -2.809, 0.0),
 }
-DEFAULT_ADF_LEVELS = (0.01, 0.05, 0.10)
 
 
 class DegenerateDataError(ValueError):
@@ -96,19 +95,6 @@ class AdfResult:
     reject_unit_root: dict[float, bool]
     nobs: int
 
-    def reject(self, alpha: float) -> bool:
-        return self.reject_unit_root[alpha]
-
-    def to_json_dict(self) -> dict:
-        return {
-            "theta0": self.theta0,
-            "theta1": self.theta1,
-            "t_stat": self.t_stat,
-            "critical_values": {f"{a:g}": v for a, v in sorted(self.critical_values.items())},
-            "reject_unit_root": {f"{a:g}": v for a, v in sorted(self.reject_unit_root.items())},
-            "nobs": self.nobs,
-        }
-
 
 @dataclass(frozen=True)
 class LeveneResult:
@@ -117,15 +103,6 @@ class LeveneResult:
     dof_within: int
     critical_value: float
     reject: bool
-
-    def to_json_dict(self) -> dict:
-        return {
-            "w_stat": self.w_stat,
-            "dof_between": self.dof_between,
-            "dof_within": self.dof_within,
-            "critical_value": self.critical_value,
-            "reject": self.reject,
-        }
 
 
 @dataclass(frozen=True)
@@ -508,14 +485,6 @@ class AssetDiagnostics:
     adf_return: AdfResult | None
     levene: LeveneResult | None
 
-    def to_json_dict(self) -> dict:
-        return {
-            "asset": self.asset,
-            "adf_price": self.adf_price.to_json_dict() if self.adf_price else None,
-            "adf_return": self.adf_return.to_json_dict() if self.adf_return else None,
-            "levene": self.levene.to_json_dict() if self.levene else None,
-        }
-
 
 @dataclass(frozen=True)
 class ShiftRejection:
@@ -573,6 +542,9 @@ class StationarityReport:
     levene_rejection_fraction: float | None
 
     def to_json_dict(self) -> dict:
+        """The report as JSON values. The ADF blocks come from ``asdict`` with
+        float keys, which ``json_chunks`` writes as ``"0.01"``, ``"0.05"`` and
+        ``"0.1"``, sorted numerically: the order of those strings."""
         # the keys that a pair's test rows share across assets
         pair_keys = [
             {"shift": shift, "month": self.months[i], "prior_month": self.months[k]}
@@ -585,7 +557,7 @@ class StationarityReport:
             tests = zip(pair_keys, self.t_stat[j].tolist(), self.dof[j].tolist(),
                         self.critical_value[j].tolist(), self.reject[j].tolist())
             assets.append({
-                **diag.to_json_dict(),
+                **asdict(diag),
                 "month_groups": [
                     {"month": month, "count": n, "mean": mean, "var": var}
                     for month, n, mean, var in groups
@@ -607,10 +579,6 @@ class StationarityReport:
             "return_stationary_fraction": self.return_stationary_fraction,
             "levene_rejection_fraction": self.levene_rejection_fraction,
         }
-
-
-def _nearest_level(alpha: float, levels: Sequence[float]) -> float:
-    return min(levels, key=lambda lvl: abs(lvl - alpha))
 
 
 def monthly_stationarity_report(
@@ -662,7 +630,7 @@ def monthly_stationarity_report(
     means, variances = _moments(kept_returns, counts)
     t_stat, dof, tested = _welch(counts, means, variances, pairs[:, :2])
 
-    adf_level = _nearest_level(alpha, DEFAULT_ADF_LEVELS)
+    adf_level = min(_UNIT_ROOT_SURFACE, key=lambda level: abs(level - alpha))
     skipped = {"adf_price": 0, "adf_return": 0, "levene": 0, "t_test": int((~tested).sum())}
     levene: list[LeveneResult | None] = [None] * len(panel.assets)
     if len(kept) >= 2:
@@ -678,12 +646,12 @@ def monthly_stationarity_report(
         adf_price = adf_return = None
         try:
             adf_price = adf_test(prices)
-            price_flags.append(not adf_price.reject(adf_level))
+            price_flags.append(not adf_price.reject_unit_root[adf_level])
         except DegenerateDataError:
             skipped["adf_price"] += 1
         try:
             adf_return = adf_test(rets)
-            return_flags.append(adf_return.reject(adf_level))
+            return_flags.append(adf_return.reject_unit_root[adf_level])
         except DegenerateDataError:
             skipped["adf_return"] += 1
         per_asset.append(AssetDiagnostics(asset, adf_price, adf_return, levene[j]))

@@ -263,7 +263,7 @@ def test_statistical_size_and_power():
     rng = np.random.default_rng(2024)
 
     adf_size = np.mean(
-        [adf_test(np.cumsum(rng.standard_normal(500))).reject(alpha) for _ in range(n_rep)]
+        [adf_test(np.cumsum(rng.standard_normal(500))).reject_unit_root[alpha] for _ in range(n_rep)]
     )
     def ar1(phi, n):
         e = rng.standard_normal(n)
@@ -272,7 +272,7 @@ def test_statistical_size_and_power():
         for t in range(1, n):
             y[t] = phi * y[t - 1] + e[t]
         return y
-    adf_power = np.mean([adf_test(ar1(0.5, 500)).reject(alpha) for _ in range(n_rep)])
+    adf_power = np.mean([adf_test(ar1(0.5, 500)).reject_unit_root[alpha] for _ in range(n_rep)])
 
     levene_size = np.mean(
         [

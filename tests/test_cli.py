@@ -580,7 +580,9 @@ class TestSplit:
     )
     SPLIT = ("A003", "A010")
 
-    def test_two_assets_quoted_four_times_higher(self, tmp_path):
+    def split_panels(self, tmp_path, factor):
+        """The synth panel and a copy with the ``SPLIT`` assets' quotes times
+        ``factor``, and the two files' digests."""
         path = synth(tmp_path / "panel", **{"--assets": 12, "--steps": 300, "--sectors": "x,y,z"})
         header, *rows = path.read_text().splitlines(keepends=True)
         split = tmp_path / "split" / "panel.csv"
@@ -590,21 +592,59 @@ class TestSplit:
             for row in rows:
                 date, asset, bid, ask, sector = row.rstrip("\n").split(",")
                 if asset in self.SPLIT:
-                    bid, ask = repr(4 * float(bid)), repr(4 * float(ask))
+                    bid, ask = repr(factor * float(bid)), repr(factor * float(ask))
                 handle.write(f"{date},{asset},{bid},{ask},{sector}\n")
-        digests = [_sha256(p) for p in (path, split)]
+        return (path, split), [_sha256(p) for p in (path, split)]
+
+    def run_both(self, tmp_path, panels, run):
+        """The text of each file ``run`` writes, for each panel."""
+        outs = [tmp_path / f"{'-'.join(run)}-{i}" for i in range(2)]
+        for panel, out in zip(panels, outs):
+            assert run_cli(*run[:1], panel, *run[1:], "--out-dir", out) == 0
+        names = sorted(p.name for p in outs[0].iterdir())
+        assert names == sorted(p.name for p in outs[1].iterdir())
+        return {name: [(out / name).read_text() for out in outs] for name in names}
+
+    def test_two_assets_quoted_four_times_higher(self, tmp_path):
+        panels, digests = self.split_panels(tmp_path, 4)
         for run in self.RUNS:
-            outs = [tmp_path / f"{'-'.join(run)}-{i}" for i in range(2)]
-            for panel, out in zip((path, split), outs):
-                assert run_cli(*run[:1], panel, *run[1:], "--out-dir", out) == 0
-            names = sorted(p.name for p in outs[0].iterdir())
-            assert names == sorted(p.name for p in outs[1].iterdir())
-            for name in names:
-                before, after = ((out / name).read_text() for out in outs)
+            for name, (before, after) in self.run_both(tmp_path, panels, run).items():
                 before = before.replace(*digests)
                 if name == "stationarity.json":
                     after = self.undo_split(json.loads(before), json.loads(after))
                 assert before == after, (run, name)
+
+    # a factor that is not a power of two rounds the split assets' mids, so
+    # their returns move by an ulp or so; on this panel no selection changes
+    BACKTESTS = (
+        ("--strategy", "nbar", "--mode", "long-short"),
+        ("--strategy", "nbar", "--mode", "long-short", "--nbar-input", "realised"),
+        ("--strategy", "nbar", "--mode", "long-only", "--nbar-membership", "by-forecast"),
+        ("--strategy", "curds-whey", "--mode", "long-only"),
+        ("--strategy", "curds-whey", "--mode", "long-short"),
+    )
+
+    def test_two_assets_quoted_three_times_higher(self, tmp_path):
+        """The legs, their sizes, the sector counts and the turnover stay;
+        each day's returns and cost move by at most a few ulps of 1 and the
+        metrics by a relative 1e-9 at most; the ranking keeps its bytes."""
+        panels, digests = self.split_panels(tmp_path, 3)
+        for run in self.BACKTESTS:
+            before, after = (json.loads(text) for text in self.run_both(tmp_path, panels, ("backtest", *run))["backtest.json"])
+            assert after["manifest"]["inputs"] == {"panel.csv": digests[1]}
+            after["manifest"]["inputs"] = before["manifest"]["inputs"]
+            assert after["manifest"] == before["manifest"]
+            assert after["sector_selection"] == before["sector_selection"]
+            assert len(after["days"]) == len(before["days"])
+            for old, new in zip(before["days"], after["days"]):
+                for key in ("date", "n_long", "n_short", "turnover"):
+                    assert new[key] == old[key], (run, key)
+                for key in ("gross", "cost", "net", "benchmark"):
+                    assert new[key] == pytest.approx(old[key], rel=0.0, abs=1e-15), (run, old["date"], key)
+            for side in ("strategy", "benchmark"):
+                assert after["metrics"][side] == pytest.approx(before["metrics"][side], rel=1e-9), (run, side)
+        files = self.run_both(tmp_path, panels, ("rank",))
+        assert files["rank.jsonl"][0] == files["rank.jsonl"][1]
 
     def undo_split(self, before, after):
         """``after``'s text with the split assets' ADF price blocks put back

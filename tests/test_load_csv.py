@@ -242,6 +242,35 @@ def test_a_cell_past_the_csv_field_limit_on_the_row_path_names_its_row(tmp_path)
     assert assert_same_outcome(path) == ("error", f"{path}:4: {FIELD_LIMIT}")
 
 
+# file row 4 of VALID (with a fifth, ignored column) with one cell past the field limit
+PAST_THE_FIELD_LIMIT = {
+    "asset": "2021-01-05," + "x" * 200_000 + ",10.9,11.1,tech,1",
+    "sector": "2021-01-05,x,10.9,11.1," + "t" * 200_000 + ",1",
+    "padded bid": "2021-01-05,x," + "0" * 200_000 + "10.9,11.1,tech,1",
+    "ignored column": "2021-01-05,x,10.9,11.1,tech," + "n" * 200_000,
+}
+
+
+@pytest.mark.parametrize("blank", [False, True])
+@pytest.mark.parametrize("placement", PAST_THE_FIELD_LIMIT)
+def test_a_cell_past_the_csv_field_limit_on_the_fast_path_names_its_row(tmp_path, placement, blank):
+    path = tmp_path / "p.csv"
+    lines = [line + ",1" for line in VALID]
+    lines[3] = PAST_THE_FIELD_LIMIT[placement]
+    if blank:
+        lines.insert(3, "")
+    path.write_text("\n".join(lines) + "\n")
+    assert assert_same_outcome(path) == ("error", f"{path}:{4 + blank}: {FIELD_LIMIT}")
+
+
+def test_a_cell_at_the_csv_field_limit_loads(tmp_path):
+    path = tmp_path / "p.csv"
+    lines = [line + ",1" for line in VALID]
+    lines[3] = lines[3][:-1] + "n" * csv.field_size_limit()
+    path.write_text("\n".join(lines) + "\n")
+    assert assert_same_outcome(path)[0] == "panel"
+
+
 def test_header_only_file(tmp_path):
     path = tmp_path / "p.csv"
     path.write_text(VALID[0] + "\n\n")

@@ -5,6 +5,7 @@ import inspect
 import json
 import math
 import warnings
+from dataclasses import asdict
 from types import SimpleNamespace
 
 import numpy as np
@@ -52,8 +53,8 @@ class TestAdf:
         for t in range(1, 500):
             y[t] = 0.5 * y[t - 1] + rng.normal()
         result = adf_test(y)
-        assert result.reject(0.05)
-        assert result.reject(0.01)
+        assert result.reject_unit_root[0.05]
+        assert result.reject_unit_root[0.01]
 
     def test_scale_invariance(self):
         rng = np.random.default_rng(9)
@@ -577,7 +578,7 @@ class TestBatchedReportOracle:
                 assert report.assets[j].levene == levene
                 assert same_bits(report.assets[j].levene.w_stat, levene.w_stat)
                 assert same_bits(report.assets[j].levene.critical_value, levene.critical_value)
-                assert payload[j]["levene"] == levene.to_json_dict()
+                assert payload[j]["levene"] == asdict(levene)
                 levene_rejects.append(levene.reject)
             assert list(report.months) == [f"{y:04d}-{m:02d}" for y, m in kept]
             assert len(report.counts) == len(kept)
