@@ -255,18 +255,17 @@ class _Table:
 
     def read(self, path: Path, handle, start: int) -> None:
         """Read the data left in ``handle``, the binary ``path`` from byte
-        ``start``: in blocks by ``parse``, through ``split_map``, and by
+        ``start``: in blocks by ``parse``, through ``split_map`` if ``path``
+        is a regular file and in this process alone if not, and by
         ``add_rows`` from the first block ``parse`` leaves to it on. The
         forked child opens ``path`` again, because a descriptor shared
         across ``fork`` shares its offset, and parses nothing unless
-        ``path`` is still the regular file this process reads: a pipe
-        opened again would hand the child bytes meant for this process."""
+        ``path`` is still the file this process reads. A pipe opened again
+        would hand the child bytes meant for this process."""
         info = os.fstat(handle.fileno())
         same_file = file_identity(info)
 
         def reopen():
-            if not stat.S_ISREG(info.st_mode):
-                raise OSError(f"{path} is not a regular file")
             with path.open("rb") as again:
                 if file_identity(os.fstat(again.fileno())) != same_file:
                     raise OSError(f"{path} was replaced")
@@ -280,7 +279,11 @@ class _Table:
                 ahead.append(block)
                 yield block
 
-        with closing(split_map(self.parse, blocks(), reopen)) as parsed:
+        if stat.S_ISREG(info.st_mode):
+            parsed = split_map(self.parse, blocks(), reopen)
+        else:
+            parsed = (self.parse(block) for block in blocks())
+        with closing(parsed):
             for result in parsed:
                 if result is None:
                     break

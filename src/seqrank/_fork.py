@@ -5,7 +5,7 @@ CSV reader), work that holds the interpreter lock, so threads do not
 overlap it but a second process does. The child is started by
 ``os.fork``, so it shares the caller's code and data without pickling
 them and without a second interpreter start. It sends back each result it
-computes, pickled and prefixed by its length, as soon as that block is
+computes as one pickle, which marks its own end, as soon as that block is
 done, and leaves by ``os._exit``. Nothing is unpickled but what that
 child wrote.
 
@@ -22,17 +22,12 @@ from __future__ import annotations
 import os
 import pickle
 import signal
-import struct
 import warnings
 from itertools import chain, islice
 from typing import Callable, Iterable, Iterator, TypeVar
 
 Block = TypeVar("Block")
 Result = TypeVar("Result")
-
-_LENGTH = struct.Struct("<Q")
-# read from the pipe in place of a result the child did not deliver
-_MISSING = object()
 
 
 def usable_cpus() -> int:
@@ -82,11 +77,16 @@ def split_map(
         with os.fdopen(read_fd, "rb") as pipe:
             delivering = True
             for index, block in enumerate(blocks):
-                result = _MISSING
                 if index % 2 and delivering:
-                    result = _receive(pipe)
-                    delivering = result is not _MISSING
-                yield func(block) if result is _MISSING else result
+                    try:
+                        result = pickle.load(pipe)
+                    except (EOFError, pickle.UnpicklingError):  # the pipe ended before the result did
+                        delivering = False
+                    else:
+                        yield result
+                        del result  # before the next block is computed
+                        continue
+                yield func(block)
     finally:
         os.kill(pid, signal.SIGKILL)
         os.waitpid(pid, 0)
@@ -108,18 +108,5 @@ def _child(func: Callable, rebuild: Callable[[], Iterable], write_fd: int):
 
 
 def _send(pipe, result) -> None:
-    payload = pickle.dumps(result, protocol=pickle.HIGHEST_PROTOCOL)
-    pipe.write(_LENGTH.pack(len(payload)))
-    pipe.write(payload)
+    pickle.dump(result, pipe, protocol=pickle.HIGHEST_PROTOCOL)
     pipe.flush()
-
-
-def _receive(pipe):
-    """The child's next result, or ``_MISSING`` if the pipe ends before it does."""
-    header = pipe.read(_LENGTH.size)
-    if len(header) == _LENGTH.size:
-        (size,) = _LENGTH.unpack(header)
-        payload = pipe.read(size)
-        if len(payload) == size:
-            return pickle.loads(payload)
-    return _MISSING

@@ -495,11 +495,8 @@ def run_backtest(panel: QuotePanel, config: BacktestConfig) -> BacktestReport:
     n_days = rets.shape[0] - 1
     nbar = config.strategy == "nbar"
     by_p = nbar and config.nbar_membership == "by-p"
-    forecasts = None
-    if not (by_p and config.nbar_input == "realised"):
-        forecasts = _forecast_matrix(panel, config.tau, config.ridge_lambda)
     posterior = _posterior_matrix(panel, config) if nbar else None
-    scores = posterior if by_p else forecasts
+    scores = posterior if by_p else _forecast_matrix(panel, config.tau, config.ridge_lambda)
     rates = panel.half_spread_rates[1 : n_days + 1] if config.cost_model == "half-spread" else None
 
     gross = np.empty(n_days)

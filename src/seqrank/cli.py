@@ -5,11 +5,12 @@ write their outputs under ``--out-dir``. Every JSON report embeds a run
 manifest (command, resolved config, input digests, seed, tool version) so
 identical manifests imply identical outputs. The input digest is taken
 right after the panel is loaded, and a panel file that changes meanwhile
-fails the run. Nothing volatile such as a wall-clock timestamp goes into
-the files, which keeps repeated runs byte identical. Exit code 0 means
-every output was fully written. Outputs are written to temporary files
-and renamed into place only once all of them are complete, so a failed
-or killed run leaves no partial output under an output's name.
+fails the run, as does one that is not a regular file. Nothing volatile
+such as a wall-clock timestamp goes into the files, which keeps repeated
+runs byte identical. Exit code 0 means every output was fully written.
+Outputs are written to temporary files and renamed into place only once
+all of them are complete, so a failed or killed run leaves no partial
+output under an output's name.
 
 The CLI keeps no defaults of its own. Each flag's destination is the name
 of the config field or report parameter it sets, and an omitted flag takes
@@ -101,7 +102,10 @@ def _sha256(path: Path) -> str:
 def _load(path: Path) -> tuple[QuotePanel, dict[str, str]]:
     """``load_csv(path)`` and the manifest's inputs, the digest of the
     bytes it loaded; raises if the file changed between the load's start
-    and the digest's end."""
+    and the digest's end, or if it is not a regular file, which the digest
+    could not read again."""
+    if path.exists() and not path.is_file():
+        raise ValueError(f"{path}: not a regular file; the manifest's digest reads the panel again")
     before = file_identity(path.stat()) if path.exists() else None  # load_csv names a missing file
     panel = load_csv(path)
     digest = _sha256(path)

@@ -720,7 +720,7 @@ def short_number(value: float, decimals: int) -> str:
 
 def _describe(values: np.ndarray) -> dict[str, float]:
     if len(values) == 0:
-        return {row: float("nan") for row in _TABLE_ROWS}
+        return {row: 0.0 if row == "count" else float("nan") for row in _TABLE_ROWS}
     return {
         "count": float(len(values)),
         "mean": float(values.mean()),

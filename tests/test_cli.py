@@ -416,8 +416,12 @@ class TestJsonChunks:
             {"k": {-1: 0, 10**20: 1, -0.0: 2}},
         ):
             assert "".join(json_chunks(payload)) == reference_text(payload)
-        with pytest.raises(TypeError):
-            "".join(json_chunks({"a": {(1, 2): [0]}}))
+        with pytest.raises(TypeError) as dumped:
+            reference_text({(1, 2): 0})
+        for payload in ({(1, 2): 0}, {"a": {(1, 2): [0]}}):
+            with pytest.raises(TypeError) as caught:
+                "".join(json_chunks(payload))
+            assert str(caught.value) == str(dumped.value)
 
     def test_stationarity_report_matches(self, tmp_path):
         path = synth(tmp_path, **{"--steps": 300, "--assets": 4})
@@ -528,6 +532,18 @@ class TestInputDigest:
         assert run_cli("backtest", path, "--out-dir", out) == 0
         assert json.loads((out / "backtest.json").read_text())["manifest"]["inputs"] == {"panel.csv": loaded}
         assert _sha256(path) != loaded
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no named pipes")
+    @pytest.mark.parametrize("command", ["stationarity", "backtest", "rank"])
+    def test_a_pipe_is_refused_before_it_is_read(self, tmp_path, capsys, command):
+        # a pipe's bytes are gone once loaded, so its digest would be that of no bytes;
+        # stat does not open the pipe, so no writer is needed
+        path = tmp_path / "panel.csv"
+        os.mkfifo(path)
+        out = tmp_path / "out"
+        assert run_cli(command, path, "--out-dir", out) == 1
+        assert capsys.readouterr().err.startswith(f"error: {path}: not a regular file; ")
+        assert not out.exists()
 
 
 class TestRowOrder:

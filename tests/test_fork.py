@@ -78,8 +78,8 @@ def killed_mid_run(block):
 
 
 def truncated(pipe, result):
-    payload = pickle.dumps(result)
-    pipe.write(_fork._LENGTH.pack(len(payload)) + payload[: len(payload) // 2])
+    payload = pickle.dumps(result, protocol=pickle.HIGHEST_PROTOCOL)
+    pipe.write(payload[: len(payload) // 2])
     pipe.flush()
     os._exit(0)
 

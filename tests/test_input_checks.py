@@ -14,6 +14,7 @@ import pytest
 from seqrank import (
     JumpDiffusionConfig,
     QuotePanel,
+    adf_test,
     compute_metrics,
     levene_test,
     load_csv,
@@ -50,6 +51,8 @@ CASES = {
     "returns contain non-finite values": lambda: compute_metrics([0.01, math.nan, 0.02]),
     "alpha must lie in (0, 1), got 1.0": lambda: levene_test([[0.0, 1.0], [1.0, 3.0]], alpha=1.0),
     "group 1 contains non-finite values": lambda: levene_test([[0.0, 1.0], [1.0, math.inf]]),
+    "group 0 must hold at least 2 observations": lambda: levene_test([[1.0], [1.0, 2.0]]),
+    "regression design is rank deficient": lambda: adf_test([1.0] * 29 + [2.0]),
     "samples contain non-finite values": lambda: welch_t_test([0.0, 1.0], [1.0, math.nan]),
     "max_shift must be at least 1": lambda: monthly_stationarity_report(
         panel_from_mids(np.exp(np.cumsum(np.full((200, 2), 0.01), axis=0))), max_shift=0
@@ -85,3 +88,12 @@ def test_an_asset_with_constant_quotes_skips_its_price_unit_root_test():
     report = monthly_stationarity_report(panel_from_mids(mids, spread=0.01), max_shift=1)
     assert report.skipped["adf_price"] == 1
     assert [asset.adf_price is None for asset in report.assets] == [False, True, False]
+
+
+def test_an_asset_with_constant_returns_skips_its_return_unit_root_test():
+    rng = np.random.default_rng(3)
+    mids = np.exp(np.cumsum(rng.normal(0.0, 0.01, (200, 3)), axis=0))
+    mids[:, 1] = 2.0 ** np.arange(200)  # every return exactly 1.0
+    report = monthly_stationarity_report(panel_from_mids(mids), max_shift=1)
+    assert report.skipped["adf_return"] == 1
+    assert [asset.adf_return is None for asset in report.assets] == [False, True, False]

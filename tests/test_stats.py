@@ -420,6 +420,13 @@ class TestMonthlyReport:
             assert row in table
         assert "test stat" in table and "reject H0" in table
 
+    def test_a_table_column_with_no_values_counts_zero(self, panel):
+        # no month holds 100 returns, so no group is kept and no pair tested
+        report = monthly_stationarity_report(panel, max_shift=1, min_month_obs=100)
+        lines = render_report_table(report).splitlines()
+        assert lines[2].split() == ["count"] + ["0"] * 7
+        assert all(line.split()[1:] == ["nan"] * 7 for line in lines[3:10])
+
     def test_min_month_obs_excludes_short_months(self, panel):
         report = monthly_stationarity_report(panel, max_shift=2, min_month_obs=21)
         assert np.all(report.counts >= 21)
