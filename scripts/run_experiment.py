@@ -74,7 +74,7 @@ def metric_table(columns: dict[str, dict]) -> str:
     return "\n".join(lines)
 
 
-def write_json(path: Path, payload: dict) -> None:
+def write_json(path: Path, payload) -> None:
     """Write ``payload`` as the CLI writes its reports: strict JSON, so a
     NaN or an infinity raises before the file is opened."""
     path.write_text("".join(json_chunks(payload)))
@@ -98,7 +98,7 @@ def main() -> int:
 
     report = monthly_stationarity_report(panel, max_shift=6, alpha=0.05)
     print(render_report_table(report))
-    write_json(out / "stationarity.json", report.to_json_dict())
+    write_json(out / "stationarity.json", report.json_pieces)
 
     runs = {
         "cw long": BacktestConfig(mode="long-only", strategy="curds-whey"),

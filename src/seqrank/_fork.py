@@ -1,8 +1,9 @@
 """Map a function over blocks in two processes: this one and a forked child.
 
-Used where seqrank turns floats into text and back (``render_csv`` and the
-CSV reader), work that holds the interpreter lock, so threads do not
-overlap it but a second process does. The child is started by
+Used where seqrank turns floats into text and back: ``render_csv``, the
+CSV reader, ``StationarityReport.json_pieces`` (one asset a block) and the
+lines of ``seqrank rank``. That work holds the interpreter lock, so
+threads do not overlap it but a second process does. The child is started by
 ``os.fork``, so it shares the caller's code and data without pickling
 them and without a second interpreter start. It sends back each result it
 computes as one pickle, which marks its own end, as soon as that block is

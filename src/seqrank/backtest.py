@@ -44,7 +44,7 @@ import numpy as np
 
 from .ranker import RankerState
 from .regression import CurdsWheyState
-from .stats import sample_std
+from .stats import quartiles, sample_std
 from .timeseries import QuotePanel
 
 __all__ = [
@@ -341,14 +341,15 @@ def compute_metrics(daily_net: Sequence[float] | np.ndarray) -> MetricsBlock:
     return_over_maxdd = total / max_drawdown if max_drawdown > 0.0 else None
 
     win_ratio = float((r > 0.0).mean())
+    q25, median, q75 = quartiles(r)
     return MetricsBlock(
         days=n,
         mean=float(r.mean()),
         std=std,
         min=float(r.min()),
-        q25=float(np.percentile(r, 25)),
-        median=float(np.percentile(r, 50)),
-        q75=float(np.percentile(r, 75)),
+        q25=q25,
+        median=median,
+        q75=q75,
         max=float(r.max()),
         total=total,
         cagr=_finite(cagr),

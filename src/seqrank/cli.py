@@ -24,16 +24,14 @@ from __future__ import annotations
 
 import argparse
 import datetime as dt
-import functools
 import hashlib
 import inspect
 import json
 import logging
 import sys
 from collections.abc import Iterable, Iterator
+from contextlib import closing
 from dataclasses import asdict, fields, replace
-from itertools import chain
-from json.encoder import c_make_encoder, encode_basestring_ascii
 from pathlib import Path
 
 import numpy as np
@@ -41,6 +39,8 @@ import numpy as np
 from . import __version__
 from ._atomic import write_files
 from ._csvread import file_identity
+from ._fork import split_map
+from ._json import json_chunks
 from .backtest import (
     COST_MODELS,
     MODES,
@@ -69,6 +69,9 @@ from .timeseries import (
 )
 
 __all__ = ["json_chunks", "main"]
+
+# the rank stream's block: about as many posterior entries as a panel CSV block has rows
+_BLOCK_CELLS = 1 << 14
 
 # the stationarity flags' defaults: the report's own
 _REPORT_DEFAULTS = {
@@ -114,96 +117,6 @@ def _load(path: Path) -> tuple[QuotePanel, dict[str, str]]:
     return panel, {path.name: digest}
 
 
-_CONTAINERS = (dict, list, tuple)
-
-
-@functools.cache
-def _encoder(depth: int):
-    """The C encoder with ``json.dumps(sort_keys=True, indent=2,
-    allow_nan=False)``'s settings, except that its item separator carries
-    the newline and indent of nesting level ``depth``. It writes a container
-    of scalars at level ``depth - 1`` as ``indent=2`` does, short of the
-    newline after the opening bracket and the one before the closing one."""
-    return c_make_encoder(
-        None, json.JSONEncoder().default, encode_basestring_ascii, None,
-        ": ", ",\n" + "  " * depth, True, False, False,
-    )
-
-
-def _scalar(value) -> str:
-    return "".join(_encoder(0)(value, 0))
-
-
-# _flat and _records test each distinct type once: an isinstance call per
-# value took about an eighth of the writer's time on a d = 50 stationarity
-# report
-
-
-def _flat(items) -> bool:
-    return not any(issubclass(kind, _CONTAINERS) for kind in set(map(type, items)))
-
-
-def _records(items) -> bool:
-    """Whether ``items`` are non-empty dicts of scalars."""
-    return (
-        all(issubclass(kind, dict) for kind in set(map(type, items)))
-        and all(items)
-        and _flat(chain.from_iterable(map(dict.values, items)))
-    )
-
-
-def _key(key) -> str:
-    if isinstance(key, str):
-        return encode_basestring_ascii(key)
-    if key is None or isinstance(key, (int, float)):
-        return encode_basestring_ascii(_scalar(key))
-    raise TypeError(f"keys must be str, int, float, bool or None, not {key.__class__.__name__}")
-
-
-def _chunks(value, depth: int) -> Iterator[str]:
-    inner = "\n" + "  " * (depth + 1)
-    outer = "\n" + "  " * depth
-    if not isinstance(value, _CONTAINERS):
-        yield _scalar(value)
-    elif not value:
-        yield "{}" if isinstance(value, dict) else "[]"
-    elif not isinstance(value, dict) and _records(value):
-        # one call for the whole list of records; a record boundary is the
-        # only place a "}" meets the separator, since every newline inside
-        # a string is escaped
-        deeper = "\n" + "  " * (depth + 2)
-        text = "".join(_encoder(depth + 2)(value, 0))
-        body = text[2:-2].replace("}," + deeper + "{", inner + "}," + inner + "{" + deeper)
-        yield "[" + inner + "{" + deeper + body + inner + "}" + outer + "]"
-    elif isinstance(value, dict):
-        separator = "{" + inner
-        for key, item in sorted(value.items()):
-            yield separator + _key(key) + ": "
-            yield from _chunks(item, depth + 1)
-            separator = "," + inner
-        yield outer + "}"
-    else:
-        separator = "[" + inner
-        for item in value:
-            yield separator
-            yield from _chunks(item, depth + 1)
-            separator = "," + inner
-        yield outer + "]"
-
-
-def json_chunks(payload) -> Iterator[str]:
-    """The text of ``json.dumps(payload, sort_keys=True, indent=2,
-    allow_nan=False) + "\\n"``, in pieces.
-
-    Every report is written by this function. A list of non-empty dicts of
-    scalars is one call of the C encoder, which ``json.dumps`` does not use
-    when ``indent`` is set; every other container recurses in Python. A NaN
-    or an infinity raises ``ValueError`` when its piece is made.
-    """
-    yield from _chunks(payload, 0)
-    yield "\n"
-
-
 def _emit(out_dir: Path, files: dict[str, str | Iterable[str]]) -> list[Path]:
     """``write_files`` into ``out_dir``, made first if missing: every output
     appears whole, or none is touched."""
@@ -246,7 +159,7 @@ def _cmd_stationarity(args: argparse.Namespace) -> int:
     report = monthly_stationarity_report(panel, **settings)
     manifest = _manifest("stationarity", {"panel": panel_path.name, **settings}, inputs)
     table = render_report_table(report)
-    payload = {"manifest": manifest, "report": report.to_json_dict()}
+    payload = {"manifest": manifest, "report": report.json_pieces}
     written = _emit(
         Path(args.out_dir),
         {"stationarity.json": json_chunks(payload), "stationarity.txt": table},
@@ -301,20 +214,33 @@ def _rank_lines(panel: QuotePanel, tau: float) -> Iterator[str]:
     """One JSON line per day, ranked as the day's returns arrive.
 
     The ranker folds in every day in one call, and each day's row of the
-    posterior is ordered as ``RankerState.rank`` orders it.
+    posterior is ordered as ``RankerState.rank`` orders it. The lines are
+    written in blocks of days, every other block by a forked child (see
+    ``seqrank._fork``).
     """
     posterior = RankerState(panel.n_assets, tau).update(panel.returns)
-    for date, order, p in zip(panel.dates[1:], rank_order(posterior), posterior):
-        order = order.tolist()
-        yield json.dumps(
-            {
-                "date": date.isoformat(),
-                "order": [panel.assets[j] for j in order],
-                "order_index": order,
-                "posterior": p.tolist(),
-            },
-            sort_keys=True,
-        ) + "\n"
+    orders = rank_order(posterior)
+    dates = panel.dates[1:]
+    step = max(1, _BLOCK_CELLS // panel.n_assets)
+    starts = range(0, len(posterior), step)
+
+    def block(start: int) -> str:
+        rows = slice(start, start + step)
+        return "".join(
+            json.dumps(
+                {
+                    "date": date.isoformat(),
+                    "order": [panel.assets[j] for j in order],
+                    "order_index": order,
+                    "posterior": p,
+                },
+                sort_keys=True,
+            ) + "\n"
+            for date, order, p in zip(dates[rows], orders[rows].tolist(), posterior[rows].tolist())
+        )
+
+    with closing(split_map(block, starts, lambda: starts)) as blocks:
+        yield from blocks
 
 
 def _fmt(value: float | None) -> str:

@@ -18,13 +18,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import seqrank
+import seqrank._fork as _fork
 import seqrank.cli as cli
 from seqrank import BacktestConfig, JumpDiffusionConfig, load_csv, monthly_stationarity_report, write_csv
 from seqrank.backtest import COST_MODELS, MODES, NBAR_INPUTS, NBAR_MEMBERSHIPS, STRATEGIES
 from seqrank.cli import _emit, _sha256, json_chunks, main
 from seqrank.stats import SIDEDNESS_VALUES
 
-from conftest import constant_growth_panel, dominance_panel
+from conftest import assert_no_child, constant_growth_panel, dominance_panel
 
 
 def run_cli(*args):
@@ -459,25 +460,30 @@ class TestEmit:
         assert (tmp_path / "a.json").read_text() == "old a"
 
     def test_stationarity_with_a_non_finite_value_keeps_old_outputs(
-        self, tmp_path, monkeypatch, capsys
+        self, tmp_path, monkeypatch, capsys, forks
     ):
         path = synth(tmp_path / "panel", **{"--steps": 300, "--assets": 4})
         out = tmp_path / "out"
         assert run_cli("stationarity", path, "--max-shift", 3, "--out-dir", out) == 0
         old = {p.name: p.read_bytes() for p in out.iterdir()}
         report_of = cli.monthly_stationarity_report
+        monkeypatch.setattr(_fork, "usable_cpus", lambda: 2)
+        # each asset's text is one block: asset 0 is this process's, asset 1 the forked child's
+        for asset in (0, 1):
+            def nan_in_last_test(*args, asset=asset, **kwargs):
+                report = report_of(*args, **kwargs)
+                t_stat = report.t_stat.copy()
+                t_stat[asset, np.flatnonzero(report.tested[asset])[-1]] = math.nan
+                return dataclasses.replace(report, t_stat=t_stat)
 
-        def nan_in_last_test(*args, **kwargs):
-            report = report_of(*args, **kwargs)
-            t_stat = report.t_stat.copy()
-            t_stat[tuple(np.argwhere(report.tested)[-1])] = math.nan
-            return dataclasses.replace(report, t_stat=t_stat)
-
-        monkeypatch.setattr(cli, "monthly_stationarity_report", nan_in_last_test)
-        capsys.readouterr()
-        assert run_cli("stationarity", path, "--max-shift", 3, "--out-dir", out) == 1
-        assert "error:" in capsys.readouterr().err
-        assert {p.name: p.read_bytes() for p in out.iterdir()} == old
+            monkeypatch.setattr(cli, "monthly_stationarity_report", nan_in_last_test)
+            capsys.readouterr()
+            forks.clear()
+            assert run_cli("stationarity", path, "--max-shift", 3, "--out-dir", out) == 1
+            assert f"error: A00{asset}: nan is not valid JSON" in capsys.readouterr().err
+            assert len(forks) == 1
+            assert_no_child()
+            assert {p.name: p.read_bytes() for p in out.iterdir()} == old
 
     def test_runs_leave_exactly_their_outputs(self, tmp_path):
         path = synth(tmp_path / "panel")
@@ -797,6 +803,22 @@ class TestEntryPoint:
         )
         assert result.returncode == 0, result.stderr
         assert result.stdout.splitlines()[-1] == "0 False"
+
+    def test_stationarity_and_backtest_leave_numpy_ma_unloaded(self, tmp_path):
+        # np.percentile and a plain np.unique import numpy.ma, 15-18 ms
+        path = synth(tmp_path, **{"--steps": 200, "--assets": 3})
+        src = Path(seqrank.__file__).resolve().parents[1]
+        runs = [["stationarity", str(path), "--max-shift", "2", "--out-dir", str(tmp_path / "s")],
+                ["backtest", str(path), "--out-dir", str(tmp_path / "b")]]
+        for argv in runs:
+            result = subprocess.run(
+                [sys.executable, "-c",
+                 "import sys; from seqrank.cli import main; "
+                 f"code = main({argv!r}); print(code, 'numpy.ma' in sys.modules)"],
+                capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(src)},
+            )
+            assert result.returncode == 0, result.stderr
+            assert result.stdout.splitlines()[-1] == "0 False", argv[0]
 
     def test_every_subcommand_runs_with_scipy_blocked(self, tmp_path):
         # an import of scipy raises ImportError in the child; each subcommand

@@ -1,5 +1,6 @@
 """``seqrank._fork.split_map``: results in block order whatever the forked
-child does, no child left behind, and ``render_csv`` text unchanged by it."""
+child does, no child left behind, and the text of its users (``render_csv``,
+the stationarity report, the rank lines) unchanged by it."""
 
 from __future__ import annotations
 
@@ -12,8 +13,10 @@ import warnings
 import pytest
 
 import seqrank._fork as _fork
+import seqrank.cli as cli
 import seqrank.timeseries as timeseries
-from seqrank import JumpDiffusionConfig, simulate_jump_diffusion
+from seqrank import JumpDiffusionConfig, monthly_stationarity_report, simulate_jump_diffusion
+from seqrank.cli import json_chunks
 
 from conftest import assert_no_child
 
@@ -186,3 +189,28 @@ def test_render_csv_text_is_the_same_in_one_process(monkeypatch, forks, sectors,
     monkeypatch.setattr(_fork, "usable_cpus", lambda: 1)
     assert split_blocks == timeseries.render_csv(panel)
     assert len(split_blocks) == 1 + -(-(n_steps + 1) // 4)
+
+
+def test_stationarity_text_is_the_same_in_one_process(monkeypatch, forks):
+    panel = simulate_jump_diffusion(JumpDiffusionConfig(n_steps=300, n_assets=5, seed=5))
+    report = monthly_stationarity_report(panel, max_shift=3)
+    payload = {"report": report.json_pieces}
+    monkeypatch.setattr(_fork, "usable_cpus", lambda: 2)
+    split_text = "".join(json_chunks(payload))
+    assert_no_child()
+    assert len(forks) == 1
+    monkeypatch.setattr(_fork, "usable_cpus", lambda: 1)
+    assert split_text == "".join(json_chunks(payload))
+    assert len(forks) == 1
+
+
+def test_rank_lines_are_the_same_in_one_process(monkeypatch, forks):
+    panel = simulate_jump_diffusion(JumpDiffusionConfig(n_steps=40, n_assets=3, seed=5))
+    monkeypatch.setattr(cli, "_BLOCK_CELLS", 12)  # 4 days a block
+    monkeypatch.setattr(_fork, "usable_cpus", lambda: 2)
+    split_lines = list(cli._rank_lines(panel, 0.99))
+    assert_no_child()
+    assert len(forks) == 1
+    monkeypatch.setattr(_fork, "usable_cpus", lambda: 1)
+    assert split_lines == list(cli._rank_lines(panel, 0.99))
+    assert len(split_lines) == 10 and "".join(split_lines).count("\n") == 40

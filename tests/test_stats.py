@@ -1,5 +1,6 @@
 """Unit-root, variance and mean tests plus the monthly report machinery."""
 
+import dataclasses
 import datetime as dt
 import inspect
 import json
@@ -24,8 +25,14 @@ from seqrank import (
     welch_t_test,
 )
 from seqrank import stats
+from seqrank.cli import json_chunks
 from seqrank.stats import SIDEDNESS_VALUES, render_report_table
 import stats_oracle as oracle
+
+def written(report) -> dict:
+    """The report's text as the writer makes it, parsed."""
+    return json.loads("".join(json_chunks(report.json_pieces)))
+
 
 sample = st.lists(
     st.floats(min_value=-100, max_value=100, allow_nan=False), min_size=5, max_size=40
@@ -393,11 +400,11 @@ class TestMonthlyReport:
 
     def test_json_serialisable(self, panel):
         report = monthly_stationarity_report(panel, max_shift=2)
-        text = json.dumps(report.to_json_dict(), sort_keys=True)
-        assert '"rejection_by_shift"' in text
+        text = "".join(json_chunks(report.json_pieces))
+        assert '"rejection_by_shift"' in text and json.loads(text)
 
     def test_report_settings_written_once(self, panel):
-        payload = monthly_stationarity_report(panel, max_shift=2, sidedness="one-sided").to_json_dict()
+        payload = written(monthly_stationarity_report(panel, max_shift=2, sidedness="one-sided"))
         assert (payload["alpha"], payload["sidedness"]) == (0.05, "one-sided")
         rows = [row for asset in payload["assets"] for row in asset["t_tests"]]
         assert rows and all(
@@ -568,9 +575,7 @@ class TestBatchedReportOracle:
         levene_rejects = []
         tests = {k: 0 for k in range(1, max_shift + 1)}
         rejects = {k: 0 for k in range(1, max_shift + 1)}
-        document = report.to_json_dict()
-        json.dumps(document, allow_nan=False)
-        payload = document["assets"]
+        payload = written(report)["assets"]
         for j, (kept, pairs) in enumerate(oracle_pairs(
                 panel, max_shift, alpha, sidedness, min_month_obs)):
             levene = None
@@ -649,7 +654,7 @@ class TestBatchedReportOracle:
         assert int(report.tested.sum()) == 2 * len(report.pairs) - 2
         rows = [
             (row["month"], row["prior_month"])
-            for asset in report.to_json_dict()["assets"]
+            for asset in written(report)["assets"]
             for row in asset["t_tests"]
         ]
         assert ("2019-06", "2019-05") not in rows
@@ -669,3 +674,123 @@ def test_report_columns_are_read_only(panel):
         column = getattr(report, name)
         with pytest.raises(ValueError, match="read-only"):
             column[(0,) * column.ndim] = 0
+
+
+# finite floats at both ends of the range, signed zeros and subnormals among them
+extreme_floats = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(
+    [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1.7976931348623157e308, -1.7976931348623157e308]
+)
+levels = (0.01, 0.05, 0.1)
+
+
+def adf_results():
+    return st.builds(
+        stats.AdfResult, extreme_floats, extreme_floats, extreme_floats,
+        st.fixed_dictionaries({level: extreme_floats for level in levels}),
+        st.fixed_dictionaries({level: st.booleans() for level in levels}),
+        st.integers(min_value=19, max_value=10**6),
+    )
+
+
+@st.composite
+def reports(draw):
+    """A report of drawn arrays: untested pairs read NaN, as the report's do."""
+    n_assets, n_months = draw(st.integers(1, 3)), draw(st.integers(1, 4))
+    first = draw(st.integers(1990 * 12, 2040 * 12))
+    candidates = [(i, k, i - k) for i in range(n_months) for k in range(i)]
+    pairs = draw(st.lists(st.sampled_from(candidates), unique=True)) if candidates else []
+
+    def matrix(elements, columns, dtype=float):
+        values = draw(st.lists(elements, min_size=n_assets * columns, max_size=n_assets * columns))
+        return np.array(values, dtype=dtype).reshape(n_assets, columns)
+
+    tested = matrix(st.booleans(), len(pairs), bool)
+    t_stat, dof, critical_value = (
+        np.where(tested, matrix(extreme_floats, len(pairs)), np.nan) for _ in range(3)
+    )
+    max_shift = draw(st.integers(1, 3))
+    return stats.StationarityReport(
+        alpha=draw(st.floats(min_value=1e-3, max_value=0.5)),
+        sidedness=draw(st.sampled_from(SIDEDNESS_VALUES)),
+        max_shift=max_shift,
+        adf_level=draw(st.sampled_from(levels)),
+        assets=tuple(
+            stats.AssetDiagnostics(
+                draw(st.text(max_size=4)),
+                draw(st.none() | adf_results()),
+                draw(st.none() | adf_results()),
+                draw(st.none() | st.builds(stats.LeveneResult, extreme_floats, st.integers(1, 9),
+                                           st.integers(1, 99), extreme_floats, st.booleans())),
+            )
+            for _ in range(n_assets)
+        ),
+        months=tuple(f"{code // 12:04d}-{code % 12 + 1:02d}" for code in range(first, first + n_months)),
+        counts=np.array(draw(st.lists(st.integers(2, 40), min_size=n_months, max_size=n_months)),
+                        dtype=np.int64),
+        means=matrix(extreme_floats, n_months),
+        variances=matrix(extreme_floats, n_months),
+        pairs=np.array(pairs, dtype=np.int64).reshape(-1, 3),
+        t_stat=t_stat,
+        dof=dof,
+        critical_value=critical_value,
+        reject=tested & matrix(st.booleans(), len(pairs), bool),
+        tested=tested,
+        rejection_by_shift=tuple(
+            stats.ShiftRejection(k, n, draw(st.integers(0, n)))
+            for k, n in zip(range(1, max_shift + 1), draw(st.lists(st.integers(0, 9), min_size=max_shift,
+                                                                    max_size=max_shift)))
+        ),
+        skipped=dict(zip(("adf_price", "adf_return", "levene", "t_test"),
+                         draw(st.lists(st.integers(0, 9), min_size=4, max_size=4)))),
+        price_nonstationary_fraction=draw(st.none() | st.floats(0.0, 1.0)),
+        return_stationary_fraction=draw(st.none() | st.floats(0.0, 1.0)),
+        levene_rejection_fraction=draw(st.none() | st.floats(0.0, 1.0)),
+    )
+
+
+class TestReportWriter:
+    """The report's own JSON text against ``json.dumps`` of the oracle's
+    dicts, the text the report had before it wrote its own."""
+
+    @given(report=reports())
+    def test_text_matches_json_dumps_of_the_oracle(self, report):
+        expected = oracle.report_json_dict(report)
+        manifest = {"command": "stationarity", "inputs": {"panel.csv": "sha256:0"}}
+        # the script writes the report at the top level, the CLI under "report"
+        assert "".join(json_chunks(report.json_pieces)) == json.dumps(
+            expected, sort_keys=True, indent=2) + "\n"
+        assert "".join(json_chunks({"manifest": manifest, "report": report.json_pieces})) == json.dumps(
+            {"manifest": manifest, "report": expected}, sort_keys=True, indent=2) + "\n"
+        assert report.to_json_dict() == json.loads(json.dumps(expected))
+
+    @pytest.mark.parametrize("column", ["means", "variances", "t_stat", "dof", "critical_value"])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_a_non_finite_value_raises(self, panel, column, bad):
+        report = monthly_stationarity_report(panel, max_shift=2)
+        values = getattr(report, column).copy()
+        values[-1, -1 if column in ("means", "variances") else np.flatnonzero(report.tested[-1])[-1]] = bad
+        with pytest.raises(ValueError, match="is not valid JSON"):
+            "".join(json_chunks(dataclasses.replace(report, **{column: values}).json_pieces))
+
+
+# ties, signed zeros, infinities and NaN, among ordinary values
+quartile_values = st.lists(
+    st.sampled_from([0.0, -0.0, 1.0, -1.0, math.inf, -math.inf, math.nan, 5e-324]) | st.floats(),
+    min_size=1, max_size=12,
+)
+
+
+@given(values=quartile_values)
+@example(values=[0.0, -0.0, -0.0, 0.0])
+@example(values=[-0.0])
+@example(values=[math.inf])
+@example(values=[-math.inf, 1.0, math.inf])
+@example(values=[2.0, 2.0, 2.0])
+def test_quartiles_are_numpys_percentiles_bit_for_bit(values):
+    values = np.array(values)
+    # numpy's own interpolation meets inf - inf on some of these
+    with np.errstate(invalid="ignore", over="ignore"):
+        expected = [float(np.percentile(values, q)) for q in (25, 50, 75)]
+    got = stats.quartiles(values)
+    assert [math.isnan(x) for x in got] == [math.isnan(x) for x in expected]
+    assert all(same_bits(x, y) for x, y in zip(got, expected) if not math.isnan(x))
