@@ -4,13 +4,16 @@ Four subcommands (``synth``, ``stationarity``, ``backtest``, ``rank``)
 write their outputs under ``--out-dir``. Every JSON report embeds a run
 manifest (command, resolved config, input digests, seed, tool version) so
 identical manifests imply identical outputs. The input digest is taken
-right after the panel is loaded, and a panel file that changes meanwhile
-fails the run, as does one that is not a regular file. Nothing volatile
-such as a wall-clock timestamp goes into the files, which keeps repeated
-runs byte identical. Exit code 0 means every output was fully written.
-Outputs are written to temporary files and renamed into place only once
-all of them are complete, so a failed or killed run leaves no partial
-output under an output's name.
+before the panel is loaded and keys a cache of parsed panels
+(``seqrank._panelcache``), so a repeated run on one panel reads its CSV
+once, for the digest, and parses nothing. A panel file that changes
+between the digest and the load fails the run, as does one that is not a
+regular file; no output depends on whether the cache was hit. Nothing
+volatile such as a wall-clock timestamp goes into the files, which keeps
+repeated runs byte identical. Exit code 0 means every output was fully
+written. Outputs are written to temporary files and renamed into place
+only once all of them are complete, so a failed or killed run leaves no
+partial output under an output's name.
 
 The CLI keeps no defaults of its own. Each flag's destination is the name
 of the config field or report parameter it sets, and an omitted flag takes
@@ -33,10 +36,11 @@ from collections.abc import Iterable, Iterator
 from contextlib import closing
 from dataclasses import asdict, fields, replace
 from pathlib import Path
+from stat import S_ISREG
 
 import numpy as np
 
-from . import __version__
+from . import __version__, _panelcache
 from ._atomic import write_files
 from ._csvread import file_identity
 from ._fork import split_map
@@ -103,17 +107,31 @@ def _sha256(path: Path) -> str:
 
 
 def _load(path: Path) -> tuple[QuotePanel, dict[str, str]]:
-    """``load_csv(path)`` and the manifest's inputs, the digest of the
-    bytes it loaded; raises if the file changed between the load's start
-    and the digest's end, or if it is not a regular file, which the digest
-    could not read again."""
-    if path.exists() and not path.is_file():
-        raise ValueError(f"{path}: not a regular file; the manifest's digest reads the panel again")
-    before = file_identity(path.stat()) if path.exists() else None  # load_csv names a missing file
-    panel = load_csv(path)
+    """The panel at ``path`` and the manifest's inputs, the digest of its bytes.
+
+    The digest is taken first and keys the parsed-panel cache
+    (``seqrank._panelcache``): on a hit the panel is built from the cache
+    entry and the CSV is read only for the digest; on a miss
+    ``load_csv(path)`` parses it and the entry is written. Raises if the
+    file changed between the digest's start and the load's end, so a panel
+    replaced meanwhile is neither reported nor cached under the other's
+    digest, or if it is not a regular file, which could not be read twice.
+    """
+    try:
+        info = path.stat()
+    except (FileNotFoundError, NotADirectoryError):
+        raise FileNotFoundError(f"panel file not found: {path}") from None
+    if not S_ISREG(info.st_mode):
+        raise ValueError(f"{path}: not a regular file; the panel is read for its digest, then loaded")
     digest = _sha256(path)
-    if file_identity(path.stat()) != before:
+    panel = _panelcache.read(digest)
+    parsed = panel is None
+    if parsed:
+        panel = load_csv(path)
+    if file_identity(path.stat()) != file_identity(info):
         raise ValueError(f"{path}: changed while it was read")
+    if parsed:
+        _panelcache.write(digest, panel)
     return panel, {path.name: digest}
 
 

@@ -16,6 +16,27 @@ settings.register_profile("suite", deadline=None, max_examples=50)
 settings.register_profile("thorough", deadline=None, max_examples=500)
 settings.load_profile("suite")
 
+
+@pytest.fixture(scope="session", autouse=True)
+def session_panel_cache(tmp_path_factory):
+    """The CLI's panel cache in a fresh directory for the whole session,
+    for module-scoped fixtures and child processes too: no run reads an
+    entry that another session wrote, or writes one under the home
+    directory."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setenv("XDG_CACHE_HOME", str(tmp_path_factory.mktemp("session-cache")))
+        yield
+
+
+@pytest.fixture(autouse=True)
+def panel_cache(tmp_path_factory, monkeypatch):
+    """A fresh, empty panel cache for each test: the directory the CLI
+    keeps its entries in, which does not exist yet."""
+    root = tmp_path_factory.mktemp("cache")
+    monkeypatch.setenv("XDG_CACHE_HOME", str(root))
+    return root / "seqrank" / "panels"
+
+
 def assert_no_child() -> None:
     """Fail if this process has a child, running or exited and not reaped."""
     with pytest.raises(ChildProcessError):

@@ -9,7 +9,9 @@ import os
 import re
 import subprocess
 import sys
+import time
 import warnings
+import zipfile
 from pathlib import Path
 
 import numpy as np
@@ -18,7 +20,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import seqrank
+import seqrank._csvread as _csvread
 import seqrank._fork as _fork
+import seqrank._panelcache as _panelcache
 import seqrank.cli as cli
 from seqrank import BacktestConfig, JumpDiffusionConfig, load_csv, monthly_stationarity_report, write_csv
 from seqrank.backtest import COST_MODELS, MODES, NBAR_INPUTS, NBAR_MEMBERSHIPS, STRATEGIES
@@ -134,7 +138,14 @@ class TestStationarity:
     def test_missing_file(self, tmp_path, capsys):
         code = run_cli("stationarity", tmp_path / "absent.csv", "--out-dir", tmp_path)
         assert code == 1
-        assert "absent.csv" in capsys.readouterr().err
+        assert f"panel file not found: {tmp_path / 'absent.csv'}" in capsys.readouterr().err
+
+    def test_a_path_under_a_file_is_missing(self, tmp_path, capsys):
+        (tmp_path / "file.csv").write_text("")
+        path = tmp_path / "file.csv" / "absent.csv"
+        assert run_cli("stationarity", path, "--out-dir", tmp_path / "out") == 1
+        assert f"panel file not found: {path}" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
 
 class TestBacktest:
@@ -507,7 +518,9 @@ class TestInputDigest:
 
 
     @pytest.mark.parametrize("command", ["stationarity", "backtest", "rank"])
-    def test_a_panel_replaced_during_the_load_fails_the_run(self, tmp_path, monkeypatch, capsys, command):
+    def test_a_panel_replaced_during_the_load_fails_the_run(
+        self, tmp_path, monkeypatch, capsys, panel_cache, command
+    ):
         path = synth(tmp_path / "a")
         other = synth(tmp_path / "b", **{"--seed": 8})
         load = cli.load_csv
@@ -522,6 +535,7 @@ class TestInputDigest:
         assert run_cli(command, path, "--out-dir", out) == 1
         assert capsys.readouterr().err.endswith(f"error: {path}: changed while it was read\n")
         assert not out.exists()
+        assert not panel_cache.exists()  # nothing is cached under the first file's digest
 
     def test_a_panel_replaced_after_the_load_keeps_the_loaded_digest(self, tmp_path, monkeypatch):
         path = synth(tmp_path / "a")
@@ -550,6 +564,244 @@ class TestInputDigest:
         assert run_cli(command, path, "--out-dir", out) == 1
         assert capsys.readouterr().err.startswith(f"error: {path}: not a regular file; ")
         assert not out.exists()
+
+
+def rewrite_entry(entry, **changes):
+    """Write ``entry`` again with each named member replaced by
+    ``change(old members)``, or left out where ``change`` is None."""
+    with np.load(entry) as members:
+        old = {name: members[name] for name in members.files}
+    new = {name: old[name] for name in old if name not in changes}
+    new.update((name, change(old)) for name, change in changes.items() if change is not None)
+    np.savez(entry, **new)
+
+
+def flip_a_quote_byte(entry):
+    """Change one byte of the bids member's data, which its zip CRC covers."""
+    with np.load(entry) as members:
+        bids = members["bids"]
+    data = bytearray(entry.read_bytes())
+    data[data.index(bids.tobytes()[:64]) + 100] ^= 0xFF
+    entry.write_bytes(bytes(data))
+    with np.load(entry) as members, pytest.raises(zipfile.BadZipFile, match="CRC"):
+        members["bids"]
+
+
+class TestPanelCache:
+    """A run on a panel that a run of this code has loaded before builds
+    it from that run's cache entry (``seqrank._panelcache``): the same
+    bytes out, with no parse and no forked reader. An entry that cannot be
+    read, or a cache that cannot be written, only costs the parse."""
+
+    RUNS = (
+        ("backtest", "--strategy", "nbar", "--mode", "long-short"),
+        ("backtest", "--strategy", "curds-whey", "--mode", "long-only"),
+        ("stationarity", "--max-shift", "3", "--min-month-obs", "10"),
+        ("rank",),
+    )
+
+    BAD_ENTRIES = {
+        "empty": lambda entry: entry.write_bytes(b""),
+        "not a zip": lambda entry: entry.write_bytes(b"date,asset,bid,ask\n"),
+        "truncated": lambda entry: entry.write_bytes(entry.read_bytes()[: entry.stat().st_size // 2]),
+        "crc error": flip_a_quote_byte,
+        "missing member": lambda entry: rewrite_entry(entry, asks=None),
+        "other digest": lambda entry: rewrite_entry(entry, digest=lambda a: np.array("sha256:" + "0" * 64)),
+        "float32 quotes": lambda entry: rewrite_entry(entry, bids=lambda a: a["bids"].astype(np.float32)),
+        "a row short": lambda entry: rewrite_entry(entry, asks=lambda a: a["asks"][1:]),
+        "day counts": lambda entry: rewrite_entry(entry, days=lambda a: a["days"].astype(np.int64)),
+        "bytes labels": lambda entry: rewrite_entry(entry, assets=lambda a: a["assets"].astype(bytes)),
+        "sectors short": lambda entry: rewrite_entry(entry, sectors=lambda a: a["sectors"][1:]),
+        "asks below bids": lambda entry: rewrite_entry(entry, bids=lambda a: a["asks"], asks=lambda a: a["bids"]),
+        "days out of order": lambda entry: rewrite_entry(entry, days=lambda a: a["days"][::-1]),
+    }
+
+    @pytest.fixture
+    def panel_path(self, tmp_path):
+        return synth(tmp_path / "panel", **{"--assets": 12, "--steps": 300, "--sectors": "x,y,z"})
+
+    @pytest.fixture
+    def parses(self, monkeypatch):
+        """The paths ``cli.load_csv`` parsed during the test."""
+        calls = []
+        load = cli.load_csv
+
+        def counted(path):
+            calls.append(path)
+            return load(path)
+
+        monkeypatch.setattr(cli, "load_csv", counted)
+        return calls
+
+    @staticmethod
+    def outputs(out):
+        return {p.name: p.read_bytes() for p in out.iterdir()}
+
+    @staticmethod
+    def assert_same_panel(panel, expected):
+        assert panel.dates == expected.dates
+        assert panel.assets == expected.assets
+        assert panel.sectors == expected.sectors
+        for name in ("bids", "asks", "returns", "half_spread_rates"):
+            assert getattr(panel, name).tobytes() == getattr(expected, name).tobytes(), name
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    @pytest.mark.parametrize("run", RUNS, ids=" ".join)
+    def test_a_warm_run_writes_the_cold_runs_bytes_without_a_parse(
+        self, tmp_path, monkeypatch, panel_path, panel_cache, parses, forks, cpus, run
+    ):
+        monkeypatch.setattr(_fork, "usable_cpus", lambda: cpus)
+        # blocks small enough that the cold run's reader forks on two CPUs
+        monkeypatch.setattr(_csvread, "_BLOCK_BYTES", 1 << 12)
+        outputs, fork_counts = [], []
+        for attempt in ("cold", "warm"):
+            forks.clear()
+            out = tmp_path / attempt
+            assert run_cli(run[0], panel_path, *run[1:], "--out-dir", out) == 0
+            outputs.append(self.outputs(out))
+            fork_counts.append(len(forks))
+        assert outputs[0] == outputs[1]
+        assert parses == [panel_path]
+        assert fork_counts[0] - fork_counts[1] == cpus - 1
+        assert_no_child()
+        assert len(list(panel_cache.iterdir())) == 1
+        assert panel_cache.stat().st_mode & 0o777 == 0o700
+
+    @pytest.mark.parametrize("damage", BAD_ENTRIES.values(), ids=BAD_ENTRIES.keys())
+    def test_a_bad_entry_is_a_miss_and_is_replaced(self, panel_path, panel_cache, parses, damage):
+        expected, inputs = cli._load(panel_path)
+        (entry,) = panel_cache.iterdir()
+        damage(entry)
+        panel, again = cli._load(panel_path)
+        assert again == inputs
+        assert len(parses) == 2
+        self.assert_same_panel(panel, expected)
+        assert list(panel_cache.iterdir()) == [entry]
+        self.assert_same_panel(cli._load(panel_path)[0], expected)
+        assert len(parses) == 2
+
+    @pytest.mark.parametrize("shared", ["directory others may write", "entry others may write", "directory of another user"])
+    def test_an_entry_another_user_could_have_put_there_is_not_read(self, panel_path, panel_cache, parses, shared):
+        """An entry's name can be worked out from the CSV, so the cache is
+        read, and written, only where no one else could have put a valid
+        entry: here a planted one of the right digest."""
+        if shared == "directory of another user" and os.geteuid() != 0:
+            pytest.skip("only root gives a directory away")
+        expected, _ = cli._load(panel_path)
+        (entry,) = panel_cache.iterdir()
+        planted = entry.stat()
+        if shared == "directory others may write":
+            panel_cache.chmod(0o777)
+        elif shared == "entry others may write":
+            entry.chmod(0o666)
+        else:
+            os.chown(panel_cache, os.geteuid() + 1, -1)
+        self.assert_same_panel(cli._load(panel_path)[0], expected)
+        assert len(parses) == 2
+        assert list(panel_cache.iterdir()) == [entry]
+        if shared == "entry others may write":  # the directory is private: the entry is written again
+            assert entry.stat().st_ino != planted.st_ino
+            assert entry.stat().st_mode & 0o777 == 0o600
+            cli._load(panel_path)
+            assert len(parses) == 2
+        else:
+            assert (entry.stat().st_ino, entry.stat().st_mtime_ns) == (planted.st_ino, planted.st_mtime_ns)
+
+    def test_one_edited_price_misses(self, panel_path, panel_cache, parses):
+        first, _ = cli._load(panel_path)
+        lines = panel_path.read_text().splitlines(keepends=True)
+        date, asset, bid, ask, sector = lines[100].rstrip("\n").split(",")
+        lines[100] = f"{date},{asset},{float(bid) * 0.999!r},{ask},{sector}\n"
+        panel_path.write_text("".join(lines))
+        edited, _ = cli._load(panel_path)
+        assert parses == [panel_path, panel_path]
+        assert edited.bids.tobytes() != first.bids.tobytes()
+        assert len(list(panel_cache.iterdir())) == 2
+
+    @pytest.mark.parametrize("module, name", [(sys, "version"), (np, "__version__")], ids=["python", "numpy"])
+    def test_an_entry_of_another_version_misses(self, monkeypatch, panel_path, panel_cache, parses, module, name):
+        cli._load(panel_path)
+        monkeypatch.setattr(module, name, getattr(module, name) + "+other")
+        cli._load(panel_path)
+        assert parses == [panel_path, panel_path]
+        assert len(list(panel_cache.iterdir())) == 2
+
+    @pytest.mark.parametrize("broken", ["cache home is a file", "the write fails", "read-only directory"])
+    def test_a_cache_that_cannot_be_written_costs_only_the_parse(
+        self, tmp_path, monkeypatch, capsys, panel_path, panel_cache, parses, broken
+    ):
+        if broken == "read-only directory" and os.geteuid() == 0:
+            pytest.skip("root writes into a read-only directory")
+        def disk_full(*args, **kwargs):
+            raise OSError(28, "No space left on device")
+
+        out = tmp_path / "out"
+        capsys.readouterr()
+        runs = []
+        for cache_works in (False, True):
+            with monkeypatch.context() as patch:
+                if cache_works:
+                    panel_cache.mkdir(mode=0o700, parents=True, exist_ok=True)
+                elif broken == "cache home is a file":
+                    home = tmp_path / "home"
+                    home.write_text("")
+                    patch.setenv("XDG_CACHE_HOME", str(home))
+                elif broken == "the write fails":
+                    patch.setattr(_panelcache.np, "savez", disk_full)
+                else:
+                    panel_cache.mkdir(parents=True)
+                    panel_cache.chmod(0o500)
+                assert run_cli("backtest", panel_path, "--out-dir", out) == 0
+            runs.append((capsys.readouterr(), self.outputs(out)))
+            if not cache_works:
+                assert not panel_cache.exists() or list(panel_cache.iterdir()) == []
+        assert runs[0] == runs[1]
+        assert len(parses) == 2
+        assert len(list(panel_cache.iterdir())) == 1
+
+    def test_a_ninth_panel_evicts_the_least_recently_used_entry(self, tmp_path, panel_cache, parses):
+        paths = [synth(tmp_path / str(seed), **{"--assets": 2, "--steps": 10, "--seed": seed}) for seed in range(9)]
+        entries = [_panelcache._entry(panel_cache, _sha256(path)) for path in paths]
+        now = time.time()
+        for age, (path, entry) in enumerate(zip(paths[: _panelcache.KEEP], entries)):
+            cli._load(path)
+            os.utime(entry, (now - 100 + age, now - 100 + age))
+        (panel_cache / ".left-over.tmp").write_bytes(b"")
+        cli._load(paths[0])  # a hit: the oldest entry becomes the most recently used
+        assert len(parses) == _panelcache.KEEP
+        cli._load(paths[-1])
+        assert len(parses) == _panelcache.KEEP + 1
+        assert sorted(panel_cache.iterdir()) == sorted(entries[:1] + entries[2:])
+
+    def test_a_panel_that_fails_to_load_leaves_no_entry(self, tmp_path, capsys, panel_path, panel_cache):
+        lines = panel_path.read_text().splitlines(keepends=True)
+        date, asset, _, ask, sector = lines[100].rstrip("\n").split(",")
+        lines[100] = f"{date},{asset},n/a,{ask},{sector}\n"
+        panel_path.write_text("".join(lines))
+        assert run_cli("backtest", panel_path, "--out-dir", tmp_path / "out") == 1
+        assert str(panel_path) in capsys.readouterr().err
+        assert not panel_cache.exists()
+
+    @pytest.mark.parametrize("command", ["stationarity", "backtest", "rank"])
+    def test_a_panel_replaced_during_the_digest_fails_the_run_on_a_warm_cache(
+        self, tmp_path, monkeypatch, capsys, panel_path, panel_cache, parses, command
+    ):
+        other = synth(tmp_path / "other", **{"--seed": 8})
+        cli._load(panel_path)
+        digest = cli._sha256
+
+        def replacing(path):
+            result = digest(path)
+            os.replace(other, path)
+            return result
+
+        monkeypatch.setattr(cli, "_sha256", replacing)
+        out = tmp_path / "out"
+        assert run_cli(command, panel_path, "--out-dir", out) == 1
+        assert capsys.readouterr().err.endswith(f"error: {panel_path}: changed while it was read\n")
+        assert not out.exists()
+        assert parses == [panel_path]  # the second run read the entry
+        assert len(list(panel_cache.iterdir())) == 1
 
 
 class TestRowOrder:
