@@ -11,8 +11,10 @@ def write_files(out_dir: Path, files: dict[str, str | Iterable[str]]) -> list[Pa
     """Write every output to a temporary file in ``out_dir``, then rename
     them all into place. A body is a string or an iterable of text chunks,
     which are written as they come and never joined. If anything fails
-    first, producing a chunk included, the temporary files are removed and
-    no file under an output name has been touched."""
+    first, producing a chunk included, the temporary files are removed, no
+    file under an output name has been touched, and every body that has a
+    ``close`` method (a generator, which may hold a forked child) is
+    closed."""
     staged: list[tuple[Path, Path]] = []
     try:
         for name, body in files.items():
@@ -28,5 +30,8 @@ def write_files(out_dir: Path, files: dict[str, str | Iterable[str]]) -> list[Pa
     except BaseException:
         for temporary, _ in staged:
             temporary.unlink(missing_ok=True)
+        for body in files.values():
+            if hasattr(body, "close"):
+                body.close()
         raise
     return [path for _, path in staged]

@@ -15,15 +15,16 @@ whitespace outside ASCII), or with a line that may hold a cell past the
 ``np.loadtxt`` reads unlike the ``csv`` module and ``float()``
 (``_CSV_ONLY``), a CR that ends a line alone, a byte that is not UTF-8 or
 a row that fails to parse, or that ends inside a line longer than
-``_LINE_BYTES``, the rest of the file is decoded as a text file opened
-with ``newline=""`` reads it and read row by row by the same parser, up
-to the first row that fails to parse. So is a whole file whose header
-line is not plain (see ``read_columns``). The row checks then run once on
-the columns, and the earliest failing row is reported, with the message
-the check made in the row-at-a-time loader this replaced. Every other
-block is decoded and parsed in a forked child when two CPUs are usable
-(``seqrank._fork``); both processes read every block, to find where the
-next one starts and count its rows.
+``_LINE_BYTES``, the file is read again from that block's start as a
+text file opened with ``newline=""`` reads it, row by row by the same
+parser, up to the first row that fails to parse. So is a whole file
+whose header line is not plain (see ``read_columns``). The row checks
+then run once on the columns, and the earliest failing row is reported,
+with the message the check made in the row-at-a-time loader this
+replaced. Every other block is decoded and parsed in a forked child when
+two CPUs are usable (``seqrank._fork``); both processes read every
+block, to find where the next one starts and count its rows. So only a
+regular file is read (``panel_stat``).
 """
 
 from __future__ import annotations
@@ -37,9 +38,8 @@ import re
 import stat
 from collections import deque
 from contextlib import closing
-from itertools import chain
 from pathlib import Path
-from typing import Iterable, Sequence, TextIO
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -111,26 +111,37 @@ def read_columns(path: Path):
     numbered in this process, in file order, so the result does not
     depend on it.
     """
+    panel_stat(path)
     with path.open("rb") as handle:
-        line = handle.readline(_LINE_BYTES)
-        start = len(line)
-        line = line.removeprefix(codecs.BOM_UTF8)
+        info = panel_stat(path, handle)
+        line = handle.readline(_LINE_BYTES).removeprefix(codecs.BOM_UTF8)
         # a CR before the last two bytes, which end the line in LF or CR LF, ends a line alone
         if line.endswith(b"\n") and b'"' not in line and b"\r" not in line[:-2]:
-            text = None
             header = next(_csv_rows([line.decode("utf-8", "surrogateescape")]))
+            table = _Table(path, header)
+            table.read(path, handle, info)
         else:
-            text = _text([line], handle)
-            header = next(_csv_rows(text), None)
-            if header is None:
-                raise ValueError(f"{path}: empty file, header required")
-        col = _header_columns(path, header)
-        table = _Table(len(header), col)
-        if text is None:
-            table.read(path, handle, start)
-        else:
-            table.add_rows(text, 2)
+            handle.seek(0)
+            with io.TextIOWrapper(handle, encoding="utf-8-sig", errors="surrogateescape", newline="") as text:
+                header = next(_csv_rows(text), None)
+                if header is None:
+                    raise ValueError(f"{path}: empty file, header required")
+                table = _Table(path, header)
+                table.add_rows(text, 2)
     return table.columns(path)
+
+
+def panel_stat(path: Path, handle=None) -> os.stat_result:
+    """The stat of ``path``, or of its open ``handle``, if it is a regular
+    file: a panel is read by path more than once, and from an offset again.
+    Take it before the open too, since opening a FIFO with no writer blocks."""
+    try:
+        info = path.stat() if handle is None else os.fstat(handle.fileno())
+    except (FileNotFoundError, NotADirectoryError):
+        raise FileNotFoundError(f"panel file not found: {path}") from None
+    if not stat.S_ISREG(info.st_mode):
+        raise ValueError(f"{path}: not a regular file; a panel is read by path more than once")
+    return info
 
 
 def _header_columns(path: Path, header: list[str] | csv.Error) -> dict[str, int]:
@@ -184,53 +195,23 @@ def _blocks(handle):
         row += ends
 
 
-class _Joined(io.RawIOBase):
-    """A binary stream of ``parts``, one bytes object after another."""
-
-    def __init__(self, parts: Iterable[bytes]) -> None:
-        super().__init__()
-        self.parts = iter(parts)
-        self.part = memoryview(b"")
-
-    def readable(self) -> bool:
-        return True
-
-    def readinto(self, buffer) -> int:
-        while not self.part:
-            part = next(self.parts, None)
-            if part is None:
-                return 0
-            self.part = memoryview(part)
-        size = min(len(buffer), len(self.part))
-        buffer[:size] = self.part[:size]
-        self.part = self.part[size:]
-        return size
-
-
-def _text(parts: Iterable[bytes], handle) -> TextIO:
-    """``parts`` and then what is left of the binary ``handle``, as a text
-    file opened with ``newline=""`` reads them."""
-    rest = iter(lambda: handle.read(_BLOCK_BYTES), b"")
-    raw = io.BufferedReader(_Joined(chain(parts, rest)))
-    return io.TextIOWrapper(raw, encoding="utf-8", errors="surrogateescape", newline="")
-
-
 def file_identity(info: os.stat_result) -> tuple[int, ...]:
     """What changes when the file at a path is replaced or rewritten."""
     return info.st_dev, info.st_ino, info.st_size, info.st_mtime_ns
 
 
 class _Table:
-    """Columns gathered block by block. Every distinct stripped text of a
-    text column gets a code in order of first sight; rows keep the codes.
-    ``error`` is the row that failed to parse, as ``(row, rank, message)``;
-    nothing after it is read."""
+    """Columns gathered block by block, of a file ``path`` whose first row
+    is ``header``. Every distinct stripped text of a text column gets a
+    code in order of first sight; rows keep the codes. ``error`` is the row
+    that failed to parse, as ``(row, rank, message)``; nothing after it is
+    read."""
 
-    def __init__(self, width: int, col: dict[str, int]) -> None:
-        self.width = width
-        self.col = col
+    def __init__(self, path: Path, header: list[str] | csv.Error) -> None:
+        self.col = _header_columns(path, header)
+        self.width = len(header)
         self.codes: dict[str, dict[str, int]] = {
-            name: {} for name in ("date", "asset", "sector") if name in col
+            name: {} for name in ("date", "asset", "sector") if name in self.col
         }
         self.parts: dict[str, list] = {name: [] for name in ("bid", "ask", *self.codes)}
         # the file row of each row, one range or list per block
@@ -253,16 +234,15 @@ class _Table:
             lookup = np.array([codes.setdefault(v, len(codes)) for v in values], dtype=np.int32)
             self.parts[name].append(lookup[inverse])
 
-    def read(self, path: Path, handle, start: int) -> None:
-        """Read the data left in ``handle``, the binary ``path`` from byte
-        ``start``: in blocks by ``parse``, through ``split_map`` if ``path``
-        is a regular file and in this process alone if not, and by
-        ``add_rows`` from the first block ``parse`` leaves to it on. The
-        forked child opens ``path`` again, because a descriptor shared
-        across ``fork`` shares its offset, and parses nothing unless
-        ``path`` is still the file this process reads. A pipe opened again
-        would hand the child bytes meant for this process."""
-        info = os.fstat(handle.fileno())
+    def read(self, path: Path, handle, info: os.stat_result) -> None:
+        """Read the data left in ``handle``, the regular file ``path`` whose
+        ``fstat`` is ``info``: in blocks by ``parse``, through ``split_map``,
+        and by ``add_rows`` from the first block ``parse`` leaves to it on,
+        read again as text from that block's offset. The forked child opens
+        ``path`` again, because a descriptor shared across ``fork`` shares
+        its offset, and parses nothing unless ``path`` is still the file
+        this process reads."""
+        start = handle.tell()
         same_file = file_identity(info)
 
         def reopen():
@@ -272,18 +252,16 @@ class _Table:
                 again.seek(start)
                 yield from _blocks(again)
 
-        ahead = deque()  # blocks read for the parse and not yet in the table
+        ahead = deque()  # (first row, offset) of each block read for the parse and not yet in the table
 
         def blocks():
+            offset = start
             for block in _blocks(handle):
-                ahead.append(block)
+                ahead.append((block[0].start, offset))
+                offset += len(block[1])
                 yield block
 
-        if stat.S_ISREG(info.st_mode):
-            parsed = split_map(self.parse, blocks(), reopen)
-        else:
-            parsed = (self.parse(block) for block in blocks())
-        with closing(parsed):
+        with closing(split_map(self.parse, blocks(), reopen)) as parsed:
             for result in parsed:
                 if result is None:
                     break
@@ -291,8 +269,10 @@ class _Table:
                 ahead.popleft()
                 del result  # before the next block is parsed
         if ahead:
-            first_row = ahead[0][0].start
-            self.add_rows(_text((ahead.popleft()[1] for _ in range(len(ahead))), handle), first_row)
+            first_row, offset = ahead[0]
+            handle.seek(offset)
+            with io.TextIOWrapper(handle, encoding="utf-8", errors="surrogateescape", newline="") as text:
+                self.add_rows(text, first_row)
 
     def parse(self, block: tuple[range, bytes, bool]):
         """The ``append`` arguments for ``block``, ``(rows, data, whole)`` as

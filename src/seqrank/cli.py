@@ -36,13 +36,12 @@ from collections.abc import Iterable, Iterator
 from contextlib import closing
 from dataclasses import asdict, fields, replace
 from pathlib import Path
-from stat import S_ISREG
 
 import numpy as np
 
 from . import __version__, _panelcache
 from ._atomic import write_files
-from ._csvread import file_identity
+from ._csvread import file_identity, panel_stat
 from ._fork import split_map
 from ._json import json_chunks
 from .backtest import (
@@ -117,12 +116,7 @@ def _load(path: Path) -> tuple[QuotePanel, dict[str, str]]:
     replaced meanwhile is neither reported nor cached under the other's
     digest, or if it is not a regular file, which could not be read twice.
     """
-    try:
-        info = path.stat()
-    except (FileNotFoundError, NotADirectoryError):
-        raise FileNotFoundError(f"panel file not found: {path}") from None
-    if not S_ISREG(info.st_mode):
-        raise ValueError(f"{path}: not a regular file; the panel is read for its digest, then loaded")
+    info = panel_stat(path)
     digest = _sha256(path)
     panel = _panelcache.read(digest)
     parsed = panel is None

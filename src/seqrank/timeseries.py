@@ -2,10 +2,11 @@
 
 A :class:`QuotePanel` is the core container: date-aligned bid/ask matrices
 for two or more assets, with simple returns and half-spread rates derived
-once at construction (the mid price only as a temporary), stored row by row
-(C order) and frozen afterwards. Panels are immutable, so they can be shared
-freely across threads, and a panel made from another live panel's own
-``bids`` and ``asks`` (to re-label it, say) shares all four of its matrices.
+once at construction (the mid price only as a temporary, a block of rows
+at a time), stored row by row (C order) and frozen afterwards. Panels are
+immutable, so they can be shared freely across threads, and a panel made
+from another live panel's own ``bids`` and ``asks`` (to re-label it, say)
+shares all four of its matrices.
 
 Synthetic panels come from :func:`simulate_jump_diffusion`, a seeded
 generator that combines Gaussian diffusion (optionally cross-correlated
@@ -24,7 +25,7 @@ from contextlib import closing
 from dataclasses import dataclass, field
 from itertools import chain, repeat
 from pathlib import Path
-from typing import TYPE_CHECKING, Mapping
+from typing import TYPE_CHECKING, Iterator, Mapping
 
 import numpy as np
 
@@ -102,14 +103,20 @@ class QuotePanel:
 
         if source is None:
             # 0.5 * (bids + asks), mids[1:] / mids[:-1] - 1 and
-            # 0.5 * (asks - bids) / mids, each into one new array
-            mids = np.add(bids, asks)
-            mids *= 0.5
-            returns = np.divide(mids[1:], mids[:-1])
-            returns -= 1.0
-            rates = np.subtract(asks, bids)
-            rates *= 0.5
-            rates /= mids
+            # 0.5 * (asks - bids) / mids, into two new arrays; the mids of a
+            # block of rows and the next row at a time, not a third matrix
+            returns, rates = np.empty((n - 1, d)), np.empty((n, d))
+            step = max(1, _BLOCK_CELLS // d)
+            for start in range(0, n, step):
+                ahead = slice(start, start + step + 1)  # the block's rows and the next
+                mids = np.add(bids[ahead], asks[ahead])
+                mids *= 0.5
+                ratio = np.divide(mids[1:], mids[:-1], out=returns[start : start + len(mids) - 1])
+                ratio -= 1.0
+                rows = slice(start, start + step)
+                half = np.subtract(asks[rows], bids[rows], out=rates[rows])
+                half *= 0.5
+                half /= mids[: len(half)]
             for arr in (bids, asks, returns, rates):
                 arr.setflags(write=False)
         else:
@@ -138,6 +145,8 @@ class QuotePanel:
 _FRESH: weakref.WeakValueDictionary[int, np.ndarray] = weakref.WeakValueDictionary()
 # The latest live panel built on each bids array, by id of that array.
 _PANELS: weakref.WeakValueDictionary[int, QuotePanel] = weakref.WeakValueDictionary()
+# matrix cells per block of QuotePanel's mids: 512 KiB of float64
+_BLOCK_CELLS = 1 << 16
 
 
 def _hand_over(*arrays: np.ndarray) -> None:
@@ -372,13 +381,15 @@ def write_csv(panel: QuotePanel, path: str | Path) -> None:
 _BLOCK_ROWS = 1 << 14
 
 
-def render_csv(panel: QuotePanel) -> list[str]:
-    """The text of ``write_csv``, as one string per block of dates.
+def render_csv(panel: QuotePanel) -> Iterator[str]:
+    """The text of ``write_csv``: the header, then one string per block of
+    dates, each rendered as it is asked for.
 
-    Fails before rendering anything on a label that would not round-trip.
-    The blocks are rendered in two processes when two CPUs are usable and
-    there are at least two blocks (see ``seqrank._fork``); the text is the
-    same either way.
+    Fails at the call, before rendering anything, on a label that would not
+    round-trip. The blocks are rendered in two processes when two CPUs are
+    usable and there are at least two blocks (see ``seqrank._fork``); the
+    text is the same either way. Close the iterator when leaving it early,
+    so that the forked child is reaped.
     """
     labels = panel.assets + (panel.sectors or ())
     unsafe = {label for label in labels if _UNSAFE_LABEL.search(label)} | ({""} & set(panel.assets))
@@ -404,9 +415,13 @@ def render_csv(panel: QuotePanel) -> list[str]:
             columns.append(chain.from_iterable(repeat(panel.sectors, len(dates))))
         return "\n".join(map(",".join, zip(*columns))) + "\n"
 
-    starts = range(0, panel.n_dates, step)
-    with closing(split_map(block, starts, lambda: starts)) as blocks:
-        return [",".join(header) + "\n", *blocks]
+    def text() -> Iterator[str]:
+        yield ",".join(header) + "\n"
+        starts = range(0, panel.n_dates, step)
+        with closing(split_map(block, starts, lambda: starts)) as blocks:
+            yield from blocks
+
+    return text()
 
 
 def load_csv(path: str | Path) -> QuotePanel:
@@ -420,7 +435,8 @@ def load_csv(path: str | Path) -> QuotePanel:
     skipped but still counted. Dates are ``YYYY-MM-DD``. Rows for one
     asset must appear in strictly increasing date order, and a (date,
     asset) pair may appear only once. An error names the file and the
-    first offending row.
+    first offending row. The file must be a regular file: a pipe or a
+    device is refused with ``ValueError`` before it is opened.
 
     The file is read in binary blocks, parsed by ``np.loadtxt``, or by
     the ``csv`` module and ``float()`` where it reads cells unlike them:
@@ -429,8 +445,6 @@ def load_csv(path: str | Path) -> QuotePanel:
     checks run on the columns and report the earliest failing row.
     """
     path = Path(path)
-    if not path.exists():
-        raise FileNotFoundError(f"panel file not found: {path}")
     columns = read_columns(path)
     try:
         return _pivot(*columns)

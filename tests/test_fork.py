@@ -4,17 +4,21 @@ the stationarity report, the rank lines) unchanged by it."""
 
 from __future__ import annotations
 
+import errno
+import io
 import os
 import pickle
 import signal
 import time
 import warnings
+from pathlib import Path
 
 import pytest
 
 import seqrank._fork as _fork
 import seqrank.cli as cli
 import seqrank.timeseries as timeseries
+from seqrank._atomic import write_files
 from seqrank import JumpDiffusionConfig, monthly_stationarity_report, simulate_jump_diffusion
 from seqrank.cli import json_chunks
 
@@ -183,12 +187,35 @@ def test_render_csv_text_is_the_same_in_one_process(monkeypatch, forks, sectors,
         )
     monkeypatch.setattr(timeseries, "_BLOCK_ROWS", 12)  # 4 dates a block
     monkeypatch.setattr(_fork, "usable_cpus", lambda: 2)
-    split_blocks = timeseries.render_csv(panel)
+    split_blocks = list(timeseries.render_csv(panel))
     assert_no_child()
     assert len(forks) == (n_steps > 3)
     monkeypatch.setattr(_fork, "usable_cpus", lambda: 1)
-    assert split_blocks == timeseries.render_csv(panel)
+    assert split_blocks == list(timeseries.render_csv(panel))
     assert len(split_blocks) == 1 + -(-(n_steps + 1) // 4)
+
+
+def test_a_write_that_fails_midway_ends_the_child(tmp_path, monkeypatch, forks):
+    # the streamed text is left suspended in its fork when the write fails, not the render
+    panel = simulate_jump_diffusion(JumpDiffusionConfig(n_steps=40, n_assets=3, seed=5))
+    monkeypatch.setattr(timeseries, "_BLOCK_ROWS", 12)
+    monkeypatch.setattr(_fork, "usable_cpus", lambda: 2)
+
+    class Full(io.StringIO):
+        """A file on a disk that is full after two chunks."""
+
+        def writelines(self, chunks):
+            for i, chunk in enumerate(chunks):
+                if i == 2:
+                    raise OSError(errno.ENOSPC, "No space left on device")
+                self.write(chunk)
+
+    monkeypatch.setattr(Path, "open", lambda self, *args, **kwargs: Full())
+    text = timeseries.render_csv(panel)
+    with pytest.raises(OSError, match="No space left"):
+        write_files(tmp_path, {"panel.csv": text})
+    assert len(forks) == 1
+    assert_no_child()
 
 
 def test_stationarity_text_is_the_same_in_one_process(monkeypatch, forks):

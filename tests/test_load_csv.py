@@ -15,7 +15,6 @@ import os
 import signal
 import tempfile
 import threading
-import time
 from pathlib import Path
 
 import numpy as np
@@ -311,10 +310,12 @@ def test_a_nul_in_the_header_names_row_1(tmp_path, header):
 
 @pytest.mark.parametrize("header", ['date,asset,bid,ask,"sec\ntor"', '"date","asset","bid","ask","sector"',
                                     'date,asset,bid,ask,"sector\r\n"'])
-def test_a_quoted_header_reads_as_the_csv_module_reads_it(tmp_path, header):
-    # a quoted cell may hold a line break, so the header record can span lines
+@pytest.mark.parametrize("bom", ["", "\ufeff"])
+def test_a_quoted_header_reads_as_the_csv_module_reads_it(tmp_path, header, bom):
+    # a quoted cell may hold a line break, so the header record can span lines;
+    # the file is read again from its start as text, past a byte order mark
     path = tmp_path / "p.csv"
-    path.write_text("\n".join([header] + VALID[1:]) + "\n", newline="")
+    path.write_text(bom + "\n".join([header] + VALID[1:]) + "\n", encoding="utf-8", newline="")
     expected = assert_same_outcome(path)
     assert expected[0] == "panel" and len(expected[1]) == 3
 
@@ -417,38 +418,58 @@ def test_a_file_replaced_before_the_child_opens_it_is_not_read(tmp_path, monkeyp
     assert_no_child()
 
 
-@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no named pipes")
-def test_a_pipe_is_read_in_this_process_alone(tmp_path, monkeypatch, forks):
-    # opened again, a pipe would hand the child lines this process needs
-    text = "\n".join(LONG) + "\n"
-    plain, fifo = tmp_path / "p.csv", tmp_path / "fifo.csv"
-    plain.write_text(text)
-    os.mkfifo(fifo)
-
-    def write():
-        with fifo.open("w") as pipe:
-            pipe.write(text[:200])
-            pipe.flush()
-            time.sleep(0.3)  # the rest in a later read
-            pipe.write(text[200:])
-
+def within(seconds, func, *args):
+    """``func(*args)``, failed by ``TimeoutError`` if it takes over ``seconds``."""
     def timed_out(signum, frame):
-        raise TimeoutError("load_csv of a pipe")
+        raise TimeoutError(f"{func.__name__} took over {seconds} s")
 
-    writer = threading.Thread(target=write)
-    writer.start()
-    monkeypatch.setattr(_csvread, "_BLOCK_BYTES", TWO_LINES)
-    monkeypatch.setattr(_fork, "usable_cpus", lambda: 2)
     alarm = signal.signal(signal.SIGALRM, timed_out)
-    signal.alarm(10)
+    signal.alarm(seconds)
     try:
-        got = outcome(load_csv, fifo)
+        return func(*args)
     finally:
         signal.alarm(0)
         signal.signal(signal.SIGALRM, alarm)
-        writer.join(timeout=10)
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no named pipes")
+def test_a_pipe_is_refused_before_it_is_opened(tmp_path, monkeypatch, forks):
+    # opening a FIFO that has no writer blocks, so only a stat can refuse it at once;
+    # a pipe could not be opened again by the child nor read again from an offset
+    fifo = tmp_path / "fifo.csv"
+    os.mkfifo(fifo)
+    monkeypatch.setattr(_fork, "usable_cpus", lambda: 2)
+    got = within(10, outcome, load_csv, fifo)
+    assert got == ("error", f"{fifo}: not a regular file; a panel is read by path more than once")
     assert forks == []
-    assert_same(got, outcome(oracle_load_csv, plain))
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no named pipes")
+def test_a_pipe_put_in_place_after_the_stat_is_refused_once_open(tmp_path, monkeypatch, forks):
+    # the stat is of the path, so the open file is checked again
+    plain, fifo = tmp_path / "p.csv", tmp_path / "fifo.csv"
+    plain.write_text("\n".join(LONG) + "\n")
+    os.mkfifo(fifo)
+    stat = Path.stat
+    monkeypatch.setattr(Path, "stat", lambda self, **kw: stat(plain if self == fifo else self, **kw))
+    monkeypatch.setattr(_fork, "usable_cpus", lambda: 2)
+
+    def write():
+        try:
+            with fifo.open("w") as pipe:
+                pipe.write(plain.read_text())
+        except BrokenPipeError:  # the reader left first
+            pass
+
+    writer = threading.Thread(target=write, daemon=True)  # blocked on its open if the load never opens
+    writer.start()
+    try:
+        got = within(10, outcome, load_csv, fifo)
+    finally:
+        writer.join(timeout=10)
+    assert not writer.is_alive()
+    assert got == ("error", f"{fifo}: not a regular file; a panel is read by path more than once")
+    assert forks == []
 
 
 NAMES = ["A", "B", "b", "Zürich", "Łódź", "x y"]

@@ -60,6 +60,29 @@ def test_generator_peaks_at_six_matrices():
     assert 3.9 < net < 4.5, net  # the panel's own four
 
 
+def test_given_quotes_peak_near_the_panels_own_four(monkeypatch):
+    # the copies of bids and asks, returns, rates and the mids of 64 of the 1 000 rows
+    monkeypatch.setattr(timeseries, "_BLOCK_CELLS", 1 << 12)
+    panel = simulate_jump_diffusion(CONFIG)
+    bids, asks = panel.bids.copy(), panel.asks.copy()
+    given, peak, net = traced(lambda: QuotePanel(dates=panel.dates, assets=panel.assets, bids=bids, asks=asks))
+    assert peak < 4.25, peak  # 5 with a whole matrix of mids
+    assert 3.9 < net < 4.1, net
+    for name in FIELDS:
+        assert np.array_equal(getattr(given, name), getattr(panel, name)), name
+
+
+@pytest.mark.parametrize("cells", [1, 3 * 64, 999 * 64, 1 << 16])
+def test_returns_and_rates_have_the_bits_of_the_whole_matrix_expressions(monkeypatch, cells):
+    # blocks of 1, 3 and 999 rows leave a last block of one row, which has no return
+    monkeypatch.setattr(timeseries, "_BLOCK_CELLS", cells)
+    panel = simulate_jump_diffusion(CONFIG)
+    mids = 0.5 * (panel.bids + panel.asks)
+    for got, expected in ((panel.returns, mids[1:] / mids[:-1] - 1.0),
+                          (panel.half_spread_rates, 0.5 * (panel.asks - panel.bids) / mids)):
+        assert np.array_equal(got.view(np.int64), expected.view(np.int64))
+
+
 def test_relabelling_adds_no_matrix_and_shares_all_four():
     panel = simulate_jump_diffusion(CONFIG)
     labelled, peak, net = traced(lambda: relabel(panel))
@@ -158,7 +181,7 @@ def test_quotes_from_two_panels_are_copied_and_derived_again():
 
 def test_write_csv_failing_partway_leaves_no_file(tmp_path, monkeypatch):
     panel = simulate_jump_diffusion(JumpDiffusionConfig(n_steps=999, n_assets=64, seed=3))
-    blocks = timeseries.render_csv(panel)
+    blocks = list(timeseries.render_csv(panel))
     assert len(blocks) > 3 and "".join(blocks).count("\n") == 1 + panel.n_dates * panel.n_assets
 
     def failing(panel):

@@ -385,3 +385,71 @@ class TestRank:
         for row, order in zip(series, orders):
             replay.update(row)
             assert np.array_equal(order, replay.rank())
+
+
+# The tracking delay after a leader switch, in closed form. Expert 0 leads
+# and expert 1 runs second for ``lead`` steps; then expert 1 leads, expert 0
+# is last and the rest keep their order. Inputs are distinct, so every m
+# sums to (1 - tau**t) (d + 1) / 2 and q_j is m_j over that sum. With
+# tau**lead negligible, after k steps of the reversal p_1 - p_0 has the sign
+# of (d - 1)/d (1 - tau**k) - tau**k (1/d + (1 - tau) k), and the posterior's
+# argmax moves to expert 1 at the first k where that is positive.
+# (tau, d, delay) as the closed form gives them
+TRACKING = [(0.99, 5, 82), (0.995, 5, 164), (0.999, 5, 824), (0.99, 50, 21), (0.98, 3, 59),
+            (0.999, 250, 92), (0.95, 2, 33), (0.9, 10, 5), (0.997, 20, 118)]
+# rows per update call in the lead, which bounds the posterior an update returns
+_LEAD_ROWS = 4096
+
+
+def switch_margins(tau, d, steps):
+    """The closed form's sign term for k = 1..``steps``."""
+    k = np.arange(1, steps + 1)
+    decayed = tau ** k
+    return (d - 1) / d * (1.0 - decayed) - decayed * (1.0 / d + (1.0 - tau) * k)
+
+
+def limit_delay(tau, d):
+    margins = switch_margins(tau, d, 100_000)
+    return int(np.argmax(margins > 0.0)) + 1
+
+
+def ranker_delay(tau, d, lead):
+    """The step of the reversal at which ``RankerState`` first ranks expert 1 first."""
+    ladder = -np.arange(d, dtype=float)
+    reversal = ladder.copy()
+    reversal[0], reversal[1] = -d, 1.0
+    state = RankerState(d, tau)
+    for start in range(0, lead, _LEAD_ROWS):
+        state.update(np.tile(ladder, (min(_LEAD_ROWS, lead - start), 1)))
+    if lead:
+        assert list(rank_order(state.p)[:2]) == [0, 1]
+    crowned = rank_order(state.update(np.tile(reversal, (limit_delay(tau, d) + 20, 1))))[:, 0] == 1
+    assert crowned.any()
+    return int(crowned.argmax()) + 1
+
+
+def full_lead(tau):
+    """Steps after which tau**steps < exp(-40), which no double sum of order 1 can see."""
+    return int(np.ceil(40.0 / -np.log(tau)))
+
+
+@pytest.mark.parametrize("tau, d, delay", TRACKING)
+def test_the_tracking_delay_equals_the_closed_form(tau, d, delay):
+    margins = switch_margins(tau, d, delay)
+    # the sign term is at least 1e-9 of its scale on each side of the switch, so rounding cannot move it
+    scale = (d - 1) / d
+    assert margins[-1] > 1e-9 * scale and (delay == 1 or margins[-2] < -1e-9 * scale)
+    assert (margins[:-1] <= 0.0).all()
+    assert limit_delay(tau, d) == delay
+    assert ranker_delay(tau, d, full_lead(tau)) == delay
+
+
+@pytest.mark.parametrize("tau, d", [(0.99, 5), (0.98, 3), (0.99, 50), (0.95, 2), (0.997, 20)])
+def test_the_tracking_delay_grows_with_the_lead_up_to_its_limit(tau, d):
+    # an undiscounted Bayes mixture's delay grows with the lead without bound
+    leads = [0, 1, 2, 5, 10, 30, 100, 300, 1000, full_lead(tau)]
+    delays = [ranker_delay(tau, d, lead) for lead in leads]
+    assert delays[0] == 1
+    assert all(a <= b for a, b in zip(delays, delays[1:])), delays
+    assert delays[-1] == limit_delay(tau, d)
+    assert max(delays) <= limit_delay(tau, d)

@@ -385,13 +385,15 @@ class TestCsv:
             write_csv(labelled, tmp_path / "p.csv")
         assert repr(label) in str(exc.value)
         assert not (tmp_path / "p.csv").exists()
+        with pytest.raises(ValueError, match="labels must not contain"):
+            render_csv(labelled)  # at the call, not when the text is first asked for
 
     @pytest.mark.parametrize("sectors", [None, ("tech", "energy")])
     def test_header_has_no_mid(self, sectors):
         panel = simulate_jump_diffusion(JumpDiffusionConfig(n_steps=5, n_assets=2, seed=1))
         labelled = QuotePanel(dates=panel.dates, assets=panel.assets, bids=panel.bids,
                               asks=panel.asks, sectors=sectors)
-        header = render_csv(labelled)[0]
+        header = next(render_csv(labelled))
         assert header == "date,asset,bid,ask" + (",sector" if sectors else "") + "\n"
 
     def test_file_with_a_mid_column_still_loads(self, tmp_path):
