@@ -22,9 +22,9 @@ whose header line is not plain (see ``read_columns``). The row checks
 then run once on the columns, and the earliest failing row is reported,
 with the message the check made in the row-at-a-time loader this
 replaced. Every other block is decoded and parsed in a forked child when
-two CPUs are usable (``seqrank._fork``); both processes read every
-block, to find where the next one starts and count its rows. So only a
-regular file is read (``panel_stat``).
+two CPUs are usable (``seqrank._fork``); both processes open the path and
+read every block, to find where the next one starts and count its rows.
+So only a regular file is read (``panel_stat``).
 """
 
 from __future__ import annotations
@@ -36,7 +36,6 @@ import io
 import os
 import re
 import stat
-from collections import deque
 from contextlib import closing
 from pathlib import Path
 from typing import Iterable, Sequence
@@ -180,24 +179,37 @@ def _utf8_error(text: str) -> str | None:
     return found and f"invalid UTF-8 byte 0x{ord(found[0]) - 0xDC00:02x}"
 
 
-def _blocks(handle):
-    """``(rows, data, whole)`` for each block left in the binary ``handle``:
-    ``data`` is ``_BLOCK_BYTES`` bytes and the rest of the line they end in,
-    ``rows`` the range of file rows its lines start, and ``whole`` is False
-    if its last line is longer than ``_LINE_BYTES`` and is cut."""
-    row = 2
-    while data := handle.read(_BLOCK_BYTES):
-        rest = handle.readline(_LINE_BYTES)
-        data += rest
-        ends = data.count(b"\n")
-        whole = rest.endswith(b"\n") or len(rest) < _LINE_BYTES
-        yield range(row, row + ends + (not data.endswith(b"\n"))), data, whole
-        row += ends
-
-
 def file_identity(info: os.stat_result) -> tuple[int, ...]:
     """What changes when the file at a path is replaced or rewritten."""
     return info.st_dev, info.st_ino, info.st_size, info.st_mtime_ns
+
+
+class _Blocks:
+    """``(rows, data, whole, offset)`` for each block of the file ``path``
+    past its header, which ends at byte ``start``: ``data`` is ``_BLOCK_BYTES``
+    bytes at ``offset`` and the rest of the line they end in, ``rows`` the
+    file rows its lines start, ``whole`` False if that line is cut at
+    ``_LINE_BYTES``. Each iteration opens ``path`` again (a descriptor shared
+    across ``fork`` shares its offset) and reads it only if it is still the
+    file whose ``fstat`` is ``info``."""
+
+    def __init__(self, path: Path, info: os.stat_result, start: int) -> None:
+        self.path, self.identity, self.start = path, file_identity(info), start
+
+    def __iter__(self):
+        with self.path.open("rb") as handle:
+            if file_identity(os.fstat(handle.fileno())) != self.identity:
+                raise OSError(f"{self.path} was replaced")
+            handle.seek(self.start)
+            row, offset = 2, self.start
+            while data := handle.read(_BLOCK_BYTES):
+                rest = handle.readline(_LINE_BYTES)
+                data += rest
+                ends = data.count(b"\n")
+                whole = rest.endswith(b"\n") or len(rest) < _LINE_BYTES
+                yield range(row, row + ends + (not data.endswith(b"\n"))), data, whole, offset
+                row += ends
+                offset += len(data)
 
 
 class _Table:
@@ -235,58 +247,38 @@ class _Table:
             self.parts[name].append(lookup[inverse])
 
     def read(self, path: Path, handle, info: os.stat_result) -> None:
-        """Read the data left in ``handle``, the regular file ``path`` whose
-        ``fstat`` is ``info``: in blocks by ``parse``, through ``split_map``,
-        and by ``add_rows`` from the first block ``parse`` leaves to it on,
-        read again as text from that block's offset. The forked child opens
-        ``path`` again, because a descriptor shared across ``fork`` shares
-        its offset, and parses nothing unless ``path`` is still the file
-        this process reads."""
-        start = handle.tell()
-        same_file = file_identity(info)
-
-        def reopen():
-            with path.open("rb") as again:
-                if file_identity(os.fstat(again.fileno())) != same_file:
-                    raise OSError(f"{path} was replaced")
-                again.seek(start)
-                yield from _blocks(again)
-
-        ahead = deque()  # (first row, offset) of each block read for the parse and not yet in the table
-
-        def blocks():
-            offset = start
-            for block in _blocks(handle):
-                ahead.append((block[0].start, offset))
-                offset += len(block[1])
-                yield block
-
-        with closing(split_map(self.parse, blocks(), reopen)) as parsed:
+        """Read the rest of the regular file ``path``, whose header line was
+        read from ``handle`` and whose ``fstat`` is ``info``: in ``_Blocks`` by
+        ``parse``, through ``split_map``, and by ``add_rows`` from the first
+        block ``parse`` leaves to it on, read as text from ``handle``. Raises
+        ``OSError`` if ``path`` was replaced after the header was read."""
+        with closing(split_map(self.parse, _Blocks(path, info, handle.tell()))) as parsed:
             for result in parsed:
-                if result is None:
+                if len(result) == 2:  # (first row, offset) of the block
                     break
                 self.append(*result)
-                ahead.popleft()
                 del result  # before the next block is parsed
-        if ahead:
-            first_row, offset = ahead[0]
-            handle.seek(offset)
-            with io.TextIOWrapper(handle, encoding="utf-8", errors="surrogateescape", newline="") as text:
-                self.add_rows(text, first_row)
+            else:
+                return
+        first_row, offset = result
+        handle.seek(offset)
+        with io.TextIOWrapper(handle, encoding="utf-8", errors="surrogateescape", newline="") as text:
+            self.add_rows(text, first_row)
 
-    def parse(self, block: tuple[range, bytes, bool]):
-        """The ``append`` arguments for ``block``, ``(rows, data, whole)`` as
-        ``_blocks`` gives it: parsed by ``np.loadtxt``, or by ``parse_rows`` where
+    def parse(self, block: tuple[range, bytes, bool, int]):
+        """The ``append`` arguments for ``block``, ``(rows, data, whole, offset)``
+        as ``_Blocks`` gives it: parsed by ``np.loadtxt``, or by ``parse_rows`` where
         ``np.loadtxt`` rejects a cell or skips a line or a line may hold a cell past
-        the ``csv`` field limit; None if the block needs the rest-of-file row path.
-        Reads nothing of the table but its layout and ``cell_bytes``."""
-        rows, data, whole = block
+        the ``csv`` field limit; ``(rows.start, offset)`` if the block needs the
+        rest-of-file row path. Reads nothing of the table but its layout and ``cell_bytes``."""
+        rows, data, whole, offset = block
+        row_path = rows.start, offset
         if not whole or any(byte in data for byte in _CSV_ONLY.encode()):
-            return None
+            return row_path
         try:
             text = None if data.isascii() else data.decode()
         except UnicodeDecodeError:
-            return None
+            return row_path
         # np.loadtxt warns on a block of empty lines alone, and reads a cell past csv.field_size_limit()
         # characters, whose line covers one of these stretches of half as many bytes with no LF
         step = max(1, csv.field_size_limit() // 2)
@@ -298,9 +290,9 @@ class _Table:
             # whitespace outside ASCII
             lines = io.StringIO(text or data.decode(), newline="").readlines()
             if len(lines) != len(rows):  # a lone CR ends a line
-                return None
+                return row_path
             result, error = self.parse_rows(lines, rows.start)
-            return None if error else result
+            return row_path if error else result
         table, cells = parsed
         texts = {name: ([v.decode().strip() for v in values.tolist()], inverse)
                  for name, (values, inverse) in cells.items()}

@@ -33,7 +33,6 @@ import json
 import logging
 import sys
 from collections.abc import Iterable, Iterator
-from contextlib import closing
 from dataclasses import asdict, fields, replace
 from pathlib import Path
 
@@ -234,7 +233,6 @@ def _rank_lines(panel: QuotePanel, tau: float) -> Iterator[str]:
     orders = rank_order(posterior)
     dates = panel.dates[1:]
     step = max(1, _BLOCK_CELLS // panel.n_assets)
-    starts = range(0, len(posterior), step)
 
     def block(start: int) -> str:
         rows = slice(start, start + step)
@@ -251,8 +249,7 @@ def _rank_lines(panel: QuotePanel, tau: float) -> Iterator[str]:
             for date, order, p in zip(dates[rows], orders[rows].tolist(), posterior[rows].tolist())
         )
 
-    with closing(split_map(block, starts, lambda: starts)) as blocks:
-        yield from blocks
+    yield from split_map(block, range(0, len(posterior), step))
 
 
 def _fmt(value: float | None) -> str:

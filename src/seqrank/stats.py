@@ -613,9 +613,8 @@ class StationarityReport:
             fields = {**asdict(diag), "month_groups": lambda _: [groups], "t_tests": lambda _: [tests]}
             return "".join(chunks(fields, depth + 1))
 
-        blocks = range(len(self.assets))
         separator = "[" + item
-        with closing(split_map(asset, blocks, lambda: blocks)) as texts:
+        with closing(split_map(asset, range(len(self.assets)))) as texts:
             for text in texts:
                 yield separator
                 yield text

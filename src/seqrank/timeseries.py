@@ -21,7 +21,6 @@ from __future__ import annotations
 import datetime as dt
 import re
 import weakref
-from contextlib import closing
 from dataclasses import dataclass, field
 from itertools import chain, repeat
 from pathlib import Path
@@ -417,9 +416,7 @@ def render_csv(panel: QuotePanel) -> Iterator[str]:
 
     def text() -> Iterator[str]:
         yield ",".join(header) + "\n"
-        starts = range(0, panel.n_dates, step)
-        with closing(split_map(block, starts, lambda: starts)) as blocks:
-            yield from blocks
+        yield from split_map(block, range(0, panel.n_dates, step))
 
     return text()
 

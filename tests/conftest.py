@@ -43,6 +43,26 @@ def assert_no_child() -> None:
         os.waitpid(-1, os.WNOHANG)
 
 
+def assert_close_leaves(one, two, turnover_exact: bool, where=()) -> None:
+    """Fail unless two parsed reports have the same keys, lengths, types and
+    non-float leaves, and every float leaf agrees within 1e-12 relative, or
+    1e-15 for a float that rounds to a few ulps of 1 near 0; a float under a
+    ``turnover`` key must be exact when ``turnover_exact``."""
+    assert type(one) is type(two), where
+    if isinstance(one, dict):
+        assert sorted(one) == sorted(two), where
+        for key in one:
+            assert_close_leaves(one[key], two[key], turnover_exact, (*where, key))
+    elif isinstance(one, list):
+        assert len(one) == len(two), where
+        for i, (a, b) in enumerate(zip(one, two)):
+            assert_close_leaves(a, b, turnover_exact, (*where, i))
+    elif isinstance(one, float) and not (turnover_exact and where[-1] == "turnover"):
+        assert two == pytest.approx(one, rel=1e-12, abs=1e-15), where
+    else:
+        assert one == two, where
+
+
 @pytest.fixture
 def forks(monkeypatch):
     """The calls of ``os.fork`` made in this process during the test."""

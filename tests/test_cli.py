@@ -29,7 +29,7 @@ from seqrank.backtest import COST_MODELS, MODES, NBAR_INPUTS, NBAR_MEMBERSHIPS, 
 from seqrank.cli import _emit, _sha256, json_chunks, main
 from seqrank.stats import SIDEDNESS_VALUES
 
-from conftest import assert_no_child, constant_growth_panel, dominance_panel
+from conftest import assert_close_leaves, assert_no_child, constant_growth_panel, dominance_panel
 
 
 def run_cli(*args):
@@ -973,27 +973,12 @@ class TestBlasThreads:
         assert child.returncode == 0, child.stderr
         return {name: json.loads((out / name / "backtest.json").read_text()) for name in self.RUNS}
 
-    def assert_close(self, one, two, turnover_exact, where=()):
-        assert type(one) is type(two), where
-        if isinstance(one, dict):
-            assert sorted(one) == sorted(two), where
-            for key in one:
-                self.assert_close(one[key], two[key], turnover_exact, (*where, key))
-        elif isinstance(one, list):
-            assert len(one) == len(two), where
-            for i, (a, b) in enumerate(zip(one, two)):
-                self.assert_close(a, b, turnover_exact, (*where, i))
-        elif isinstance(one, float) and not (turnover_exact and where[-1] == "turnover"):
-            assert two == pytest.approx(one, rel=1e-12, abs=1e-15), where
-        else:
-            assert one == two, where
-
     def test_one_thread_or_two(self, tmp_path):
         panel = synth(tmp_path / "panel", **{"--assets": 128, "--steps": 400, "--seed": 7,
                                              "--jumps": 0.03, "--jump-std": 0.03, "--corr": 0.2})
         one, two = (self.reports(panel, tmp_path / f"threads-{k}", k) for k in (1, 2))
         for name in self.RUNS:
-            self.assert_close(one[name], two[name], turnover_exact=name.startswith("curds-whey"), where=(name,))
+            assert_close_leaves(one[name], two[name], turnover_exact=name.startswith("curds-whey"), where=(name,))
 
 
 class TestSurface:

@@ -38,8 +38,8 @@ def split(monkeypatch):
     monkeypatch.setattr(_fork, "usable_cpus", lambda: 2)
 
 
-def run(func=square, rebuild=lambda: BLOCKS):
-    results = list(_fork.split_map(func, BLOCKS, rebuild))
+def run(func=square, blocks=BLOCKS):
+    results = list(_fork.split_map(func, blocks))
     assert_no_child()
     assert [value for value, _ in results] == [b * b for b in BLOCKS]
     return [pid for _, pid in results]
@@ -55,7 +55,7 @@ def test_every_other_block_comes_from_the_child(split, forks):
 @pytest.mark.parametrize("cpus, blocks", [(1, BLOCKS), (2, range(1)), (2, range(0))])
 def test_one_cpu_or_one_block_stays_in_this_process(monkeypatch, forks, cpus, blocks):
     monkeypatch.setattr(_fork, "usable_cpus", lambda: cpus)
-    assert list(_fork.split_map(square, blocks, lambda: blocks)) == [(b * b, PARENT) for b in blocks]
+    assert list(_fork.split_map(square, blocks)) == [(b * b, PARENT) for b in blocks]
     assert forks == []
 
 
@@ -70,8 +70,13 @@ def in_child(action):
     return func
 
 
-def exit_at_once():
-    os._exit(3)
+class ExitAtOnce:
+    """``BLOCKS``, whose iteration ends the child at once."""
+
+    def __iter__(self):
+        if os.getpid() != PARENT:
+            os._exit(3)
+        return iter(BLOCKS)
 
 
 def die_after_first(block):
@@ -92,7 +97,7 @@ def truncated(pipe, result):
 
 
 def test_a_child_that_exits_at_once_gives_the_serial_result(split):
-    assert set(run(rebuild=exit_at_once)) == {PARENT}
+    assert set(run(blocks=ExitAtOnce())) == {PARENT}
 
 
 def test_a_child_that_dies_after_one_block_gives_the_serial_result(split):
@@ -119,12 +124,35 @@ def test_an_error_in_either_share_is_raised_here_and_ends_the_child(split):
             return block
 
         with pytest.raises(ValueError, match=f"block {bad}"):
-            list(_fork.split_map(fails, BLOCKS, lambda: BLOCKS))
+            list(_fork.split_map(fails, BLOCKS))
         assert_no_child()
 
 
+@pytest.mark.parametrize("error", [BlockingIOError(errno.EAGAIN, "no process"), OSError(errno.ENOMEM, "no memory")])
+def test_a_failed_fork_computes_every_block_here_and_closes_the_pipe(split, monkeypatch, error):
+    fds = []
+    pipe = os.pipe
+
+    def recorded():
+        ends = pipe()
+        fds.extend(ends)
+        return ends
+
+    def failing():
+        raise error
+
+    monkeypatch.setattr(os, "pipe", recorded)
+    monkeypatch.setattr(os, "fork", failing)
+    assert set(run()) == {PARENT}
+    assert len(fds) == 2
+    for fd in fds:
+        with pytest.raises(OSError) as closed:
+            os.fstat(fd)
+        assert closed.value.errno == errno.EBADF
+
+
 def test_leaving_early_ends_the_child(split):
-    results = _fork.split_map(square, BLOCKS, lambda: BLOCKS)
+    results = _fork.split_map(square, BLOCKS)
     assert next(results)[0] == 0
     results.close()
     assert_no_child()
@@ -142,7 +170,7 @@ def test_a_child_whose_reader_is_gone_leaves_within_a_block(split):
     pid = os.fork()
     if pid == 0:
         try:
-            results = _fork.split_map(slow, range(20), lambda: range(20))
+            results = _fork.split_map(slow, range(20))
             next(results)  # kept: closing it would kill the child
             os.close(write_fd)
         finally:

@@ -12,6 +12,7 @@ from __future__ import annotations
 import csv
 import datetime as dt
 import os
+import re
 import signal
 import tempfile
 import threading
@@ -94,6 +95,7 @@ DEFECTS = {
     "duplicate pair": ("2021-01-04,y,20.9,21.1,energy", "duplicate (date, asset) pair (2021-01-04, y)"),
     "non-monotone dates": ("2021-01-01,y,20.9,21.1,energy", "dates for y are not increasing"),
     "conflicting sector": ("2021-01-05,y,20.9,21.1,tech", "conflicting sector for y"),
+    "NUL in a cell": ("2021-01-05,y\x00,20.9,21.1,energy", "NUL character in row"),
 }
 
 
@@ -418,6 +420,27 @@ def test_a_file_replaced_before_the_child_opens_it_is_not_read(tmp_path, monkeyp
     assert_no_child()
 
 
+def test_a_file_replaced_after_its_header_is_read_is_refused(tmp_path, monkeypatch, forks):
+    # this process reads the blocks by path too, and only from the file whose header it read
+    path = tmp_path / "p.csv"
+    path.write_text("\n".join(LONG) + "\n")
+    other = tmp_path / "other.csv"
+    other.write_text("\n".join(LONG) + "\n")
+    read = _csvread._Table.read
+
+    def replaced_first(self, path, handle, info):
+        os.replace(other, path)
+        return read(self, path, handle, info)
+
+    monkeypatch.setattr(_csvread._Table, "read", replaced_first)
+    monkeypatch.setattr(_csvread, "_BLOCK_BYTES", TWO_LINES)
+    monkeypatch.setattr(_fork, "usable_cpus", lambda: 2)
+    with pytest.raises(OSError, match=f"^{re.escape(str(path))} was replaced$"):
+        load_csv(path)
+    assert forks == []
+    assert_no_child()
+
+
 def within(seconds, func, *args):
     """``func(*args)``, failed by ``TimeoutError`` if it takes over ``seconds``."""
     def timed_out(signum, frame):
@@ -732,9 +755,8 @@ def test_a_block_np_loadtxt_cannot_read_is_parsed_alone(tmp_path, monkeypatch, f
     monkeypatch.setattr(_csvread._Table, "parse_rows", spied)
     monkeypatch.setattr(_csvread, "_BLOCK_BYTES", 1 << 14)  # fourteen blocks
     monkeypatch.setattr(_fork, "usable_cpus", lambda: cpus)
-    with path.open("rb") as handle:
-        handle.readline()
-        blocks = [rows for rows, _, _ in _csvread._blocks(handle)]
+    header_end = path.read_bytes().index(b"\n") + 1
+    blocks = [rows for rows, *_ in _csvread._Blocks(path, path.stat(), header_end)]
     alone = [rows.start for rows in blocks if blank in rows or underscored in rows]
     assert len(alone) == 2 and blocks[0].start < alone[0] and alone[1] < blocks[-1].start
     got = outcome(load_csv, path)
