@@ -17,14 +17,14 @@ whitespace outside ASCII), or with a line that may hold a cell past the
 a row that fails to parse, or that ends inside a line longer than
 ``_LINE_BYTES``, the file is read again from that block's start as a
 text file opened with ``newline=""`` reads it, row by row by the same
-parser, up to the first row that fails to parse. So is a whole file
-whose header line is not plain (see ``read_columns``). The row checks
-then run once on the columns, and the earliest failing row is reported,
-with the message the check made in the row-at-a-time loader this
-replaced. Every other block is decoded and parsed in a forked child when
-two CPUs are usable (``seqrank._fork``); both processes open the path and
-read every block, to find where the next one starts and count its rows.
-So only a regular file is read (``panel_stat``).
+parser, up to the first row that fails to parse: the one row path. A
+header line that is not plain starts it at byte 0 (``read_columns``). The
+row checks then run once on the columns, and the earliest failing row is
+reported, with the message the check made in the row-at-a-time loader
+this replaced. Every other block is decoded and parsed in a forked child
+when two CPUs are usable (``seqrank._fork``); both processes open the
+path and read every block, to find where the next one starts and count
+its rows. So only a regular file is read (``panel_stat``).
 """
 
 from __future__ import annotations
@@ -104,29 +104,30 @@ def read_columns(path: Path):
 
     A leading UTF-8 byte order mark is read as no text. A header line that
     holds a quote or a CR that ends a line alone, or that ends the file
-    without a line feed, is read with the rest of the file as text, by
-    ``csv.reader``. Every other block is parsed by a forked child when two
-    CPUs are usable (see ``_Table.read``); codes are given and rows
-    numbered in this process, in file order, so the result does not
-    depend on it.
+    without a line feed, is not plain: it starts the one row path at byte 0,
+    where ``csv.reader`` reads the header record and every row after it.
+    Otherwise the row path starts at the first block ``_Table.read`` leaves
+    to it, if any. Codes are given and rows numbered in this process, in
+    file order, so the result does not depend on the forked child.
     """
     panel_stat(path)
     with path.open("rb") as handle:
         info = panel_stat(path, handle)
         line = handle.readline(_LINE_BYTES).removeprefix(codecs.BOM_UTF8)
+        table, row_path = None, (2, 0)  # the row path's first data row and byte offset, or None
         # a CR before the last two bytes, which end the line in LF or CR LF, ends a line alone
         if line.endswith(b"\n") and b'"' not in line and b"\r" not in line[:-2]:
-            header = next(_csv_rows([line.decode("utf-8", "surrogateescape")]))
-            table = _Table(path, header)
-            table.read(path, handle, info)
-        else:
-            handle.seek(0)
-            with io.TextIOWrapper(handle, encoding="utf-8-sig", errors="surrogateescape", newline="") as text:
-                header = next(_csv_rows(text), None)
-                if header is None:
-                    raise ValueError(f"{path}: empty file, header required")
-                table = _Table(path, header)
-                table.add_rows(text, 2)
+            table = _Table(path, next(_csv_rows([line.decode("utf-8", "surrogateescape")])))
+            row_path = table.read(_Blocks(path, info, handle.tell()))
+        if row_path is not None:
+            first_row, offset = row_path
+            handle.seek(offset)
+            # a byte order mark is no text at byte 0 only
+            with io.TextIOWrapper(handle, encoding="utf-8" if offset else "utf-8-sig", errors="surrogateescape",
+                                  newline="") as text:
+                if table is None:
+                    table = _Table(path, next(_csv_rows(text), None))
+                table.add_rows(text, first_row)
     return table.columns(path)
 
 
@@ -143,13 +144,11 @@ def panel_stat(path: Path, handle=None) -> os.stat_result:
     return info
 
 
-def _header_columns(path: Path, header: list[str] | csv.Error) -> dict[str, int]:
-    """The index of each read column in ``header``, the first row's cells."""
-    if isinstance(header, csv.Error):
-        raise ValueError(f"{path}:1: {header}")
-    if any(_NUL in cell for cell in header):
-        raise ValueError(f"{path}:1: NUL character in row")
-    if message := _utf8_error(",".join(header)):
+def _header_columns(path: Path, header: list[str] | csv.Error | None) -> dict[str, int]:
+    """The index of each read column in ``header``, the first record, if any."""
+    if header is None:
+        raise ValueError(f"{path}: empty file, header required")
+    if message := _record_error(header):
         raise ValueError(f"{path}:1: {message}")
     col: dict[str, int] = {}
     for i, name in enumerate(h.strip().lower() for h in header):
@@ -173,9 +172,15 @@ def _csv_rows(lines: Iterable[str]):
         yield exc
 
 
-def _utf8_error(text: str) -> str | None:
-    """The error for the first byte of ``text`` that is not UTF-8, or None."""
-    found = _NOT_UTF8.search(text)
+def _record_error(fields: list[str] | csv.Error) -> str | None:
+    """The error of a record as ``_csv_rows`` gives it, whatever its width:
+    the csv module's error, then a NUL, then the first byte that is not
+    UTF-8; or None."""
+    if isinstance(fields, csv.Error):
+        return str(fields)
+    if any(_NUL in cell for cell in fields):
+        return "NUL character in row"
+    found = _NOT_UTF8.search(",".join(fields))
     return found and f"invalid UTF-8 byte 0x{ord(found[0]) - 0xDC00:02x}"
 
 
@@ -219,7 +224,7 @@ class _Table:
     that failed to parse, as ``(row, rank, message)``; nothing after it is
     read."""
 
-    def __init__(self, path: Path, header: list[str] | csv.Error) -> None:
+    def __init__(self, path: Path, header: list[str] | csv.Error | None) -> None:
         self.col = _header_columns(path, header)
         self.width = len(header)
         self.codes: dict[str, dict[str, int]] = {
@@ -246,24 +251,18 @@ class _Table:
             lookup = np.array([codes.setdefault(v, len(codes)) for v in values], dtype=np.int32)
             self.parts[name].append(lookup[inverse])
 
-    def read(self, path: Path, handle, info: os.stat_result) -> None:
-        """Read the rest of the regular file ``path``, whose header line was
-        read from ``handle`` and whose ``fstat`` is ``info``: in ``_Blocks`` by
-        ``parse``, through ``split_map``, and by ``add_rows`` from the first
-        block ``parse`` leaves to it on, read as text from ``handle``. Raises
-        ``OSError`` if ``path`` was replaced after the header was read."""
-        with closing(split_map(self.parse, _Blocks(path, info, handle.tell()))) as parsed:
+    def read(self, blocks: _Blocks) -> tuple[int, int] | None:
+        """Add the rows ``parse`` reads from ``blocks``, through ``split_map``,
+        up to the first block it leaves to the row path, and return that
+        block's ``(first_row, offset)``; None if there is none. Raises
+        ``OSError`` if the file was replaced after its header was read."""
+        with closing(split_map(self.parse, blocks)) as parsed:
             for result in parsed:
                 if len(result) == 2:  # (first row, offset) of the block
-                    break
+                    return result
                 self.append(*result)
                 del result  # before the next block is parsed
-            else:
-                return
-        first_row, offset = result
-        handle.seek(offset)
-        with io.TextIOWrapper(handle, encoding="utf-8", errors="surrogateescape", newline="") as text:
-            self.add_rows(text, first_row)
+        return None
 
     def parse(self, block: tuple[range, bytes, bool, int]):
         """The ``append`` arguments for ``block``, ``(rows, data, whole, offset)``
@@ -333,16 +332,12 @@ class _Table:
         cells: dict[str, list[str]] = {name: [] for name in self.codes}
         error = None
         for row, fields in enumerate(_csv_rows(lines), start=first_row):
-            if isinstance(fields, csv.Error):
-                message = str(fields)
-            elif not fields or all(not cell.strip() for cell in fields):
+            if isinstance(fields, list) and not any(cell.strip() for cell in fields):
                 continue
-            elif len(fields) != self.width:
+            if isinstance(fields, list) and len(fields) != self.width:
                 message = f"expected {self.width} fields, got {len(fields)}"
-            elif any(_NUL in cell for cell in fields):
-                message = "NUL character in row"
             else:
-                message = _utf8_error(",".join(fields))
+                message = _record_error(fields)
             if message:
                 error = (row, FIELDS, message)
                 break
@@ -360,10 +355,7 @@ class _Table:
                 values.append(fields[self.col[name]].strip())
             if error is not None:
                 break
-        texts = {}
-        for name, values in cells.items():
-            index = {value: i for i, value in enumerate(dict.fromkeys(values))}
-            texts[name] = (list(index), np.array([index[v] for v in values], dtype=np.intp))
+        texts = {name: (values, np.arange(len(values))) for name, values in cells.items()}
         return (rows, bids, asks, texts), error
 
     def columns(self, path: Path):

@@ -234,6 +234,8 @@ def levene_test(groups: Sequence[Sequence[float]], alpha: float = 0.05) -> Leven
     """
     if not (0.0 < alpha < 1.0):
         raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
+    if 1.0 - alpha == 1.0:
+        raise ValueError(f"alpha is too small for a finite critical value, got {alpha}")
     arrays = [np.asarray(g, dtype=float) for g in groups]
     k = len(arrays)
     if k < 2:
@@ -447,6 +449,9 @@ def _check_alpha_and_sidedness(alpha: float, sidedness: str) -> None:
         raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
     if sidedness not in SIDEDNESS_VALUES:
         raise ValueError(f"sidedness must be one of {SIDEDNESS_VALUES}, got {sidedness!r}")
+    # the critical value is the quantile at 1 - tail, infinite where that rounds to 1
+    if 1.0 - _tail(alpha, sidedness) == 1.0:
+        raise ValueError(f"alpha is too small for a finite {sidedness} critical value, got {alpha}")
 
 
 def welch_t_test(

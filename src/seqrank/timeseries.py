@@ -58,7 +58,9 @@ class QuotePanel:
     return of the mid ``0.5 * (bid + ask)`` from date ``t`` to date
     ``t + 1``) and ``half_spread_rates`` are derived in ``__post_init__``
     and all four arrays are then frozen and C-contiguous, whatever the
-    memory order of the quotes given. The quotes given are copied, unless
+    memory order of the quotes given. Quotes whose mid or return overflows
+    are refused with a ``ValueError`` naming the first such pair of
+    dates. The quotes given are copied, unless
     they are another live panel's own ``bids`` and ``asks``: then the new
     panel shares that panel's four arrays.
     """
@@ -106,16 +108,24 @@ class QuotePanel:
             # block of rows and the next row at a time, not a third matrix
             returns, rates = np.empty((n - 1, d)), np.empty((n, d))
             step = max(1, _BLOCK_CELLS // d)
-            for start in range(0, n, step):
-                ahead = slice(start, start + step + 1)  # the block's rows and the next
-                mids = np.add(bids[ahead], asks[ahead])
-                mids *= 0.5
-                ratio = np.divide(mids[1:], mids[:-1], out=returns[start : start + len(mids) - 1])
-                ratio -= 1.0
-                rows = slice(start, start + step)
-                half = np.subtract(asks[rows], bids[rows], out=rates[rows])
-                half *= 0.5
-                half /= mids[: len(half)]
+            # finite quotes may overflow a mid or a ratio; the first such return is named below
+            with np.errstate(over="ignore", invalid="ignore"):
+                for start in range(0, n, step):
+                    ahead = slice(start, start + step + 1)  # the block's rows and the next
+                    mids = np.add(bids[ahead], asks[ahead])
+                    mids *= 0.5
+                    ratio = np.divide(mids[1:], mids[:-1], out=returns[start : start + len(mids) - 1])
+                    ratio -= 1.0
+                    rows = slice(start, start + step)
+                    half = np.subtract(asks[rows], bids[rows], out=rates[rows])
+                    half *= 0.5
+                    half /= mids[: len(half)]
+                finite = np.isfinite(returns).all(axis=1)
+                # a first mid past the largest float leaves the first return at -1, not at inf
+                finite[0] &= bool(np.isfinite(np.add(bids[0], asks[0])).all())
+            if not finite.all():
+                t = int(np.argmin(finite))
+                raise ValueError(f"the mid price's return from {dates[t]} to {dates[t + 1]} is not finite")
             for arr in (bids, asks, returns, rates):
                 arr.setflags(write=False)
         else:
@@ -431,15 +441,18 @@ def load_csv(path: str | Path) -> QuotePanel:
     of fields and no NUL character; rows whose cells are all blank are
     skipped but still counted. Dates are ``YYYY-MM-DD``. Rows for one
     asset must appear in strictly increasing date order, and a (date,
-    asset) pair may appear only once. An error names the file and the
-    first offending row. The file must be a regular file: a pipe or a
+    asset) pair may appear only once. Each mid and its return to the next
+    date must be finite. An error names the file and the first offending
+    row, or the dates. The file must be a regular file: a pipe or a
     device is refused with ``ValueError`` before it is opened.
 
     The file is read in binary blocks, parsed by ``np.loadtxt``, or by
     the ``csv`` module and ``float()`` where it reads cells unlike them:
-    one block alone for a blank line or ``1_000``, the rest of the file
-    from a quoted cell or a lone CR on; see ``seqrank._csvread``. The row
-    checks run on the columns and report the earliest failing row.
+    one block alone for a blank line or ``1_000``, and the rest of the
+    file from a quoted cell or a lone CR on, in the one row path. A
+    header line that is not plain starts that path at byte 0; see
+    ``seqrank._csvread``. The row checks run on the columns and report
+    the earliest failing row.
     """
     path = Path(path)
     columns = read_columns(path)

@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import datetime as dt
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -50,6 +51,19 @@ CASES = {
     "jump_stdev must be >= 0": lambda: JumpDiffusionConfig(jump_stdev=-0.1),
     "returns contain non-finite values": lambda: compute_metrics([0.01, math.nan, 0.02]),
     "alpha must lie in (0, 1), got 1.0": lambda: levene_test([[0.0, 1.0], [1.0, 3.0]], alpha=1.0),
+    "alpha is too small for a finite critical value, got 1e-20": lambda: levene_test(
+        [[0.0, 1.0], [1.0, 3.0]], alpha=1e-20
+    ),
+    "alpha is too small for a finite one-sided critical value, got 1e-20": lambda: welch_t_test(
+        [0.0, 1.0], [1.0, 3.0], alpha=1e-20
+    ),
+    "alpha is too small for a finite two-sided critical value, got 1.1102230246251565e-16": lambda: welch_t_test(
+        [0.0, 1.0], [1.0, 3.0], alpha=2.0**-53, sidedness="two-sided"
+    ),
+    "alpha is too small for a finite one-sided critical value, got 5.551115123125783e-17": lambda: (
+        monthly_stationarity_report(panel_from_mids(np.exp(np.cumsum(np.full((200, 2), 0.01), axis=0))),
+                                    alpha=2.0**-54)
+    ),
     "group 1 contains non-finite values": lambda: levene_test([[0.0, 1.0], [1.0, math.inf]]),
     "group 0 must hold at least 2 observations": lambda: levene_test([[1.0], [1.0, 2.0]]),
     "regression design is rank deficient": lambda: adf_test([1.0] * 29 + [2.0]),
@@ -65,6 +79,47 @@ def test_bad_input_is_refused_by_name(message):
     with pytest.raises(ValueError) as caught:
         CASES[message]()
     assert str(caught.value) == message
+
+
+@pytest.mark.parametrize(
+    "cell, price, pair",
+    [((1, 0), 1e308, "2021-03-01 to 2021-03-02"),  # a mid past the largest float
+     ((0, 0), 1e308, "2021-03-01 to 2021-03-02"),  # the first date's: its return would read -1
+     ((1, 1), 1e-308, "2021-03-02 to 2021-03-03")],  # finite mids whose ratio overflows
+)
+def test_a_return_that_is_not_finite_names_its_dates(cell, price, pair):
+    bids = GOOD.copy()
+    bids[cell] = price
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError) as caught:
+            quotes(bids)
+    assert str(caught.value) == f"the mid price's return from {pair} is not finite"
+
+
+def test_a_panel_file_whose_mid_overflows_names_the_file_and_dates(tmp_path):
+    path = tmp_path / "p.csv"
+    rows = [f"2021-03-0{day},{asset},{bid},{bid}" for day, bid in ((1, 1.0), (2, 1e308), (3, 1.0)) for asset in "xy"]
+    path.write_text("\n".join(["date,asset,bid,ask", *rows]) + "\n")
+    with pytest.raises(ValueError) as caught:
+        load_csv(path)
+    assert str(caught.value) == f"{path}: the mid price's return from 2021-03-01 to 2021-03-02 is not finite"
+
+
+@pytest.mark.parametrize("sidedness, refused", [("one-sided", 2.0**-54), ("two-sided", 2.0**-53)])
+def test_the_smallest_alpha_accepted_gives_finite_critical_values(sidedness, refused):
+    # the largest alpha refused: 1 - its tail rounds to 1
+    alpha = math.nextafter(refused, 1.0)
+    a, b = [0.0, 1.0, 2.0, 3.0], [1.0, 2.5, 3.0, 5.0]
+    with pytest.raises(ValueError, match="^alpha is too small"):
+        welch_t_test(a, b, alpha=refused, sidedness=sidedness)
+    assert math.isfinite(welch_t_test(a, b, alpha=alpha, sidedness=sidedness).critical_value)
+    assert math.isfinite(levene_test([a, b], alpha=alpha).critical_value)
+    rng = np.random.default_rng(3)
+    mids = np.exp(np.cumsum(rng.normal(0.0, 0.01, (200, 3)), axis=0))
+    report = monthly_stationarity_report(panel_from_mids(mids), max_shift=1, alpha=alpha, sidedness=sidedness)
+    assert report.tested.any() and np.isfinite(report.critical_value[report.tested]).all()
+    assert all(math.isfinite(asset.levene.critical_value) for asset in report.assets)
 
 
 def test_an_empty_panel_file_names_the_file(tmp_path):

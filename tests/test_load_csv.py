@@ -322,6 +322,21 @@ def test_a_quoted_header_reads_as_the_csv_module_reads_it(tmp_path, header, bom)
     assert expected[0] == "panel" and len(expected[1]) == 3
 
 
+def test_a_byte_order_mark_that_starts_a_later_block_is_text(tmp_path, monkeypatch):
+    # the row path starts at that block, since it holds a quote; only the
+    # mark at the file's start is no text, as utf-8-sig would read it here
+    lines = list(VALID)
+    lines[4] = "\ufeff" + lines[4].replace(",y,", ',"y",')
+    path = tmp_path / "p.csv"
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    expected = assert_same_outcome(path)
+    assert expected == ("error", f"{path}:5: Invalid isoformat string: '\\ufeff2021-01-05'")
+    calls = spy_on_row_path(monkeypatch)
+    monkeypatch.setattr(_csvread, "_BLOCK_BYTES", 1)  # a block per line
+    assert outcome(load_csv, path) == expected
+    assert calls == [5]
+
+
 @pytest.mark.parametrize("day", ["20210105", "2021-W01-2", "2021-01-05T00:00", "2021-1-5", "２０２１-01-05"])
 def test_only_the_date_form_write_csv_writes_is_read(tmp_path, day):
     # Python 3.11 reads the first two; 3.10, and so the loader, on every version, reads neither
@@ -428,9 +443,9 @@ def test_a_file_replaced_after_its_header_is_read_is_refused(tmp_path, monkeypat
     other.write_text("\n".join(LONG) + "\n")
     read = _csvread._Table.read
 
-    def replaced_first(self, path, handle, info):
+    def replaced_first(self, blocks):
         os.replace(other, path)
-        return read(self, path, handle, info)
+        return read(self, blocks)
 
     monkeypatch.setattr(_csvread._Table, "read", replaced_first)
     monkeypatch.setattr(_csvread, "_BLOCK_BYTES", TWO_LINES)
